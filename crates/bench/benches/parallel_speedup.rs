@@ -1,5 +1,5 @@
-//! Wall-clock benchmarks for the two "same result, less time" layers:
-//! serial vs parallel exploration, and full vs incremental cost evaluation.
+//! Wall-clock benchmarks for the "same result, less time" layers and for
+//! what the LNS layer buys.
 //!
 //! Part 1 runs the same `explore()` sweep with `parallelism = Some(1)` and
 //! `parallelism = None` (one worker per available core), prints the
@@ -8,27 +8,11 @@
 //! parallel path is built around. On a single-core host the speedup is
 //! necessarily ~1.0×; the determinism check still runs.
 //!
-//! Part 2 synthesizes the largest benchmark (dct, eight `dot8` children) in
-//! power mode with [`SynthesisConfig::incremental`] off and on, asserts the
-//! reports are byte-identical through `result_json()`, and reports the
-//! cache traffic and the speedup.
+//! Part 2 is an adjacency micro-benchmark on the flattened dct graph: the
+//! `*_scan` linear-scan reference accessors vs the CSR index, same checksum
+//! required.
 //!
-//! Part 3 synthesizes dct in both objectives with
-//! [`SynthesisConfig::transactional`] off (clone the design per candidate)
-//! and on (speculate in place, roll back through the undo journal), asserts
-//! byte-identity the same way, and reports the apply-layer and end-to-end
-//! speedups plus the journal traffic.
-//!
-//! Part 4 covers the data-oriented layers: an adjacency micro-benchmark
-//! (the `*_scan` linear-scan reference accessors vs the CSR index, same
-//! checksum required), and intra-config candidate parallelism
-//! ([`SynthesisConfig::intra_parallelism`]) at 1, 2, and 4 workers on dct
-//! and iir in power mode — `result_json()` must be byte-identical across
-//! worker counts, and on a host with ≥ 4 cores the dct run must clear a
-//! 1.3× speedup at 4 workers. On a single-core host the determinism
-//! asserts still run; only the speedup gate is disarmed.
-//!
-//! Part 5 measures what the large-neighborhood-search layer
+//! Part 3 measures what the large-neighborhood-search layer
 //! ([`SynthesisConfig::lns_iters`]) buys at equal wall-clock on dct and
 //! iir at both objectives: the baseline pass loop is handed a pass budget
 //! far past its convergence point and must flatline (same final cost,
@@ -73,90 +57,6 @@ fn assert_identical(a: &Exploration, b: &Exploration) {
             "operating point differs"
         );
     }
-}
-
-/// Synthesize dct in power mode with the incremental cache on or off,
-/// returning the report and the wall-clock. Move-*B* resynthesis is
-/// disabled so the measurement isolates the evaluation layer: each
-/// resynthesis candidate runs a bounded inner synthesis of a *flat* child
-/// module — a search cost center of its own that no per-module cache can
-/// shortcut (every inner candidate is a structurally fresh design) — which
-/// would otherwise swamp the evaluation wall-clock on both sides.
-fn run_incremental(incremental: bool) -> (SynthesisReport, f64) {
-    let b = hsyn_dfg::benchmarks::dct();
-    let mlib = benchmark_library(&b);
-    let sweep = SweepConfig {
-        resynth_depth: 0,
-        ..SweepConfig::default() // full search depth, default traces
-    };
-    let mut cfg = sweep.to_config(Objective::Power, true, 2.2);
-    cfg.parallelism = Some(1); // isolate evaluation time from the sweep
-    cfg.incremental = incremental;
-    let t = Instant::now();
-    let report = synthesize(&b.hierarchy, &mlib, &cfg).expect("dct synthesizes");
-    (report, t.elapsed().as_secs_f64())
-}
-
-/// Synthesize dct with the transactional move engine on or off, returning
-/// the report and the wall-clock. Same isolation choices as
-/// [`run_incremental`]: no move-*B* recursion, serial sweep.
-fn run_transactional(objective: Objective, transactional: bool) -> (SynthesisReport, f64) {
-    let b = hsyn_dfg::benchmarks::dct();
-    let mlib = benchmark_library(&b);
-    let sweep = SweepConfig {
-        resynth_depth: 0,
-        ..SweepConfig::default()
-    };
-    let mut cfg = sweep.to_config(objective, true, 2.2);
-    cfg.parallelism = Some(1);
-    cfg.transactional = transactional;
-    let t = Instant::now();
-    let report = synthesize(&b.hierarchy, &mlib, &cfg).expect("dct synthesizes");
-    (report, t.elapsed().as_secs_f64())
-}
-
-/// One objective's transactional-vs-clone measurement, printed and rendered
-/// as a JSON object.
-fn transactional_cell(objective: Objective) -> Json {
-    let name = match objective {
-        Objective::Area => "area",
-        Objective::Power => "power",
-    };
-    let _ = run_transactional(objective, false); // warm-up
-    let (clone_report, clone_s) = run_transactional(objective, false);
-    let (tx_report, tx_s) = run_transactional(objective, true);
-    assert_eq!(
-        clone_report.result_json(),
-        tx_report.result_json(),
-        "transactional move engine changed the {name} synthesis result"
-    );
-    let clone_apply: f64 = clone_report.per_config.iter().map(|c| c.apply_s).sum();
-    let tx_apply: f64 = tx_report.per_config.iter().map(|c| c.apply_s).sum();
-    // Two speedups again: the apply layer itself (clone+rebuild per
-    // candidate vs in-place edit + journal replay), and end-to-end
-    // synthesis (diluted by evaluation, which both modes pay identically).
-    let apply_speedup = clone_apply / tx_apply.max(1e-12);
-    let synth_speedup = clone_s / tx_s.max(1e-12);
-    let rolled_back = tx_report.stats.moves_rolled_back;
-    let undo_peak = tx_report.stats.undo_bytes_peak;
-    println!("dct {name}:");
-    println!("  clone-per-candidate: {clone_s:>8.3} s synthesis, {clone_apply:>8.3} s applying");
-    println!("  transactional:       {tx_s:>8.3} s synthesis, {tx_apply:>8.3} s applying");
-    println!("  apply speedup: {apply_speedup:.2}x   synthesis speedup: {synth_speedup:.2}x");
-    println!("  rolled back {rolled_back} moves, undo journal peak {undo_peak} bytes");
-    println!("  reports byte-identical: yes");
-    Json::Obj(vec![
-        ("objective".into(), Json::Str(name.into())),
-        ("apply_clone_s".into(), Json::Num(clone_apply)),
-        ("apply_transactional_s".into(), Json::Num(tx_apply)),
-        ("apply_speedup".into(), Json::Num(apply_speedup)),
-        ("synth_clone_s".into(), Json::Num(clone_s)),
-        ("synth_transactional_s".into(), Json::Num(tx_s)),
-        ("synth_speedup".into(), Json::Num(synth_speedup)),
-        ("moves_rolled_back".into(), Json::Num(rolled_back as f64)),
-        ("undo_bytes_peak".into(), Json::Num(undo_peak as f64)),
-        ("identical".into(), Json::Bool(true)),
-    ])
 }
 
 /// Walk every node's fan-in, fan-out, and port-0 driver, folding edge ids
@@ -221,75 +121,7 @@ fn adjacency_micro() -> Json {
     ])
 }
 
-/// Synthesize one benchmark in power mode with `intra` candidate-scan
-/// workers, returning the report and the wall-clock. The outer sweep is
-/// held serial so the only concurrency in play is the intra-config
-/// candidate scan; move-*B* recursion stays on (depth 1) because expensive
-/// candidates are exactly where speculating them concurrently pays.
-fn run_intra(name: &str, intra: usize) -> (SynthesisReport, f64) {
-    let b = match name {
-        "dct" => hsyn_dfg::benchmarks::dct(),
-        "iir" => hsyn_dfg::benchmarks::iir(),
-        other => unreachable!("unknown intra benchmark {other}"),
-    };
-    let mlib = benchmark_library(&b);
-    let mut cfg = SweepConfig::quick().to_config(Objective::Power, true, 2.2);
-    cfg.parallelism = Some(1);
-    cfg.intra_parallelism = intra;
-    let t = Instant::now();
-    let report = synthesize(&b.hierarchy, &mlib, &cfg).expect("benchmark synthesizes");
-    (report, t.elapsed().as_secs_f64())
-}
-
-/// One benchmark's intra-config parallelism measurement: wall-clock at
-/// 1/2/4 workers, byte-identity across all three, and (on dct, when the
-/// host actually has ≥ 4 cores) the 1.3× speedup gate.
-fn intra_cell(name: &str, cores: usize) -> Json {
-    let _ = run_intra(name, 1); // warm-up
-    let (base_report, s1) = run_intra(name, 1);
-    let base_json = base_report.result_json();
-    let mut secs = [s1, 0.0, 0.0];
-    for (slot, workers) in [2usize, 4].into_iter().enumerate() {
-        let (report, s) = run_intra(name, workers);
-        assert_eq!(
-            base_json,
-            report.result_json(),
-            "{name}: intra-config scan changed the result at {workers} workers"
-        );
-        secs[slot + 1] = s;
-    }
-    let speedup_2 = s1 / secs[1].max(1e-12);
-    let speedup_4 = s1 / secs[2].max(1e-12);
-    println!("{name} power, intra-config candidate scan:");
-    println!(
-        "  1 worker {:>8.3} s   2 workers {:>8.3} s   4 workers {:>8.3} s",
-        s1, secs[1], secs[2]
-    );
-    println!("  speedup: {speedup_2:.2}x at 2, {speedup_4:.2}x at 4");
-    println!("  reports byte-identical across worker counts: yes");
-    if name == "dct" {
-        if cores >= 4 {
-            assert!(
-                speedup_4 > 1.3,
-                "dct intra-config speedup at 4 workers is {speedup_4:.2}x, expected > 1.3x"
-            );
-        } else {
-            println!("  ({cores}-core host: the 4-worker 1.3x gate is disarmed)");
-        }
-    }
-    Json::Obj(vec![
-        ("benchmark".into(), Json::Str(name.into())),
-        ("objective".into(), Json::Str("power".into())),
-        ("synth_1_worker_s".into(), Json::Num(s1)),
-        ("synth_2_workers_s".into(), Json::Num(secs[1])),
-        ("synth_4_workers_s".into(), Json::Num(secs[2])),
-        ("speedup_2".into(), Json::Num(speedup_2)),
-        ("speedup_4".into(), Json::Num(speedup_4)),
-        ("identical".into(), Json::Bool(true)),
-    ])
-}
-
-/// LNS refinement budget for the part-5 cells.
+/// LNS refinement budget for the part-3 cells.
 const LNS_ITERS: usize = 64;
 
 /// Synthesize one benchmark under a tight pass budget with an LNS
@@ -327,7 +159,7 @@ fn run_lns(
     (report, t.elapsed().as_secs_f64())
 }
 
-/// One benchmark × objective cell of the part-5 measurement: the
+/// One benchmark × objective cell of the part-3 measurement: the
 /// equal-wall-clock comparison of final cost with and without LNS.
 fn lns_cell(name: &str, objective: Objective) -> Json {
     let obj_name = match objective {
@@ -423,41 +255,8 @@ fn main() {
     }
 
     println!();
-    println!("incremental_speedup: dct (largest benchmark), power mode");
-    let _ = run_incremental(false); // warm-up
-    let (full_report, full_s) = run_incremental(false);
-    let (incr_report, incr_s) = run_incremental(true);
-    assert_eq!(
-        full_report.result_json(),
-        incr_report.result_json(),
-        "incremental evaluation changed the synthesis result"
-    );
-    let hits = incr_report.stats.eval_cache_hits;
-    let misses = incr_report.stats.eval_cache_misses;
-    let full_eval: f64 = full_report.per_config.iter().map(|c| c.eval_full_s).sum();
-    let incr_eval: f64 = incr_report.per_config.iter().map(|c| c.eval_incr_s).sum();
-    // Two speedups: the evaluation layer itself (what the cache
-    // accelerates), and end-to-end synthesis (diluted by apply/rebuild and
-    // the rejected-candidate scan, which both modes pay identically).
-    let eval_speedup = full_eval / incr_eval.max(1e-12);
-    let synth_speedup = full_s / incr_s.max(1e-12);
-    println!("full evaluation:        {full_s:>8.3} s synthesis, {full_eval:>8.3} s in eval");
-    println!("incremental evaluation: {incr_s:>8.3} s synthesis, {incr_eval:>8.3} s in eval");
-    println!("evaluation speedup: {eval_speedup:.2}x   cache hits {hits}, misses {misses}");
-    println!("synthesis speedup:  {synth_speedup:.2}x");
-    println!("reports byte-identical: yes");
-
-    println!();
-    println!("transactional_speedup: dct, clone-per-candidate vs in-place apply+rollback");
-    let tx_cells = vec![
-        transactional_cell(Objective::Area),
-        transactional_cell(Objective::Power),
-    ];
-
-    println!();
-    println!("data_oriented: CSR adjacency and the intra-config candidate scan");
+    println!("data_oriented: CSR adjacency");
     let adjacency = adjacency_micro();
-    let intra_cells = vec![intra_cell("dct", cores), intra_cell("iir", cores)];
 
     println!();
     println!("lns: final cost at equal wall-clock, ruin-and-recreate vs extended baseline");
@@ -482,34 +281,10 @@ fn main() {
             ]),
         ),
         (
-            "incremental".into(),
-            Json::Obj(vec![
-                ("benchmark".into(), Json::Str("dct".into())),
-                ("objective".into(), Json::Str("power".into())),
-                ("eval_full_s".into(), Json::Num(full_eval)),
-                ("eval_incremental_s".into(), Json::Num(incr_eval)),
-                ("eval_speedup".into(), Json::Num(eval_speedup)),
-                ("synth_full_s".into(), Json::Num(full_s)),
-                ("synth_incremental_s".into(), Json::Num(incr_s)),
-                ("synth_speedup".into(), Json::Num(synth_speedup)),
-                ("eval_cache_hits".into(), Json::Num(hits as f64)),
-                ("eval_cache_misses".into(), Json::Num(misses as f64)),
-                ("identical".into(), Json::Bool(true)),
-            ]),
-        ),
-        (
-            "transactional".into(),
-            Json::Obj(vec![
-                ("benchmark".into(), Json::Str("dct".into())),
-                ("cells".into(), Json::Arr(tx_cells)),
-            ]),
-        ),
-        (
-            "intra".into(),
+            "data_oriented".into(),
             Json::Obj(vec![
                 ("host_threads".into(), Json::Num(cores as f64)),
                 ("adjacency".into(), adjacency),
-                ("cells".into(), Json::Arr(intra_cells)),
             ]),
         ),
         (

@@ -68,18 +68,6 @@ pub struct SynthesisConfig {
     /// setting: work is merged in input order with a total-order tiebreak,
     /// so parallelism changes wall-clock only, never the report.
     pub parallelism: Option<usize>,
-    /// Worker threads for candidate evaluation *inside* one `(Vdd, clk)`
-    /// configuration: each improvement step speculates its candidate moves
-    /// concurrently, every worker on its own transactional replica of the
-    /// shared base design, and the winner is selected by a sequential
-    /// replay in candidate order. `1` (the default) keeps the scan fully
-    /// serial; `0` means one worker per available core. Requires
-    /// [`transactional`](Self::transactional) mode — the scan stays serial
-    /// without it. Results are **identical** for every setting: the replay
-    /// re-imposes the serial scan's budgets, winner tiebreak, and stats,
-    /// so intra-config parallelism changes wall-clock only, never the
-    /// report (enforced by `tests/intra_determinism.rs`).
-    pub intra_parallelism: usize,
     /// Run the cross-layer IR verifier (`hsyn-lint`) on the design after
     /// every accepted move and at each `(Vdd, clk)` configuration boundary,
     /// failing the configuration fast on the first error-severity
@@ -89,31 +77,14 @@ pub struct SynthesisConfig {
     /// the flag off; verifier wall-clock is recorded in
     /// [`ConfigTelemetry::verify_s`](crate::ConfigTelemetry::verify_s).
     pub paranoid: bool,
-    /// Incremental evaluation (on by default): per-module cost results are
-    /// cached across candidate evaluations, keyed by structural fingerprint
-    /// (see [`EvalCache`](crate::EvalCache)). **Bit-exact** with full
-    /// recomputation — the report is byte-identical with the flag off; only
-    /// wall-clock changes. Cache traffic is surfaced in
-    /// [`MoveStats::eval_cache_hits`](crate::MoveStats::eval_cache_hits) /
-    /// [`eval_cache_misses`](crate::MoveStats::eval_cache_misses).
-    pub incremental: bool,
-    /// Shadow evaluation (off by default): run every cached evaluation
-    /// alongside a full recomputation and panic on the first bit-level
-    /// divergence, naming the offending move and module path. A
-    /// debugging/CI mode — slower than either pure mode — that turns the
-    /// cache-exactness contract into a runtime assertion.
+    /// Shadow evaluation (off by default): run every cached search
+    /// evaluation alongside the uncached reference recomputation and panic
+    /// on the first bit-level divergence, naming the offending move and
+    /// module path. A debugging/CI mode that turns the cache-exactness
+    /// contract of [`EvalCache`](crate::EvalCache) into a runtime
+    /// assertion; the reference's wall-clock is booked to
+    /// [`ConfigTelemetry::verify_s`](crate::ConfigTelemetry::verify_s).
     pub shadow_eval: bool,
-    /// Transactional move application (on by default): candidates are
-    /// speculated **in place** on the one live design and undone by
-    /// replaying an undo journal (see [`UndoLog`](crate::UndoLog)), instead
-    /// of cloning the whole design per candidate. **Bit-exact** with the
-    /// clone-per-candidate path — the report is byte-identical with the
-    /// flag off; only wall-clock and memory change. Rollback traffic is
-    /// surfaced in
-    /// [`MoveStats::moves_rolled_back`](crate::MoveStats::moves_rolled_back)
-    /// and
-    /// [`MoveStats::undo_bytes_peak`](crate::MoveStats::undo_bytes_peak).
-    pub transactional: bool,
     /// Large-neighborhood search iterations appended after the KL-style
     /// pass loop of each `(Vdd, clk)` configuration (0, the default,
     /// disables the layer). Each iteration ruins a seeded-random region of
@@ -125,7 +96,7 @@ pub struct SynthesisConfig {
     /// cost improvement (rollback is O(edit size) otherwise). Fully
     /// deterministic given [`seed`](Self::seed): the report is
     /// byte-identical across repeated runs and every
-    /// [`intra_parallelism`](Self::intra_parallelism) setting. Telemetry:
+    /// [`parallelism`](Self::parallelism) setting. Telemetry:
     /// [`MoveStats::lns_ruins`](crate::MoveStats::lns_ruins) /
     /// [`lns_accepts`](crate::MoveStats::lns_accepts) and
     /// [`ConfigTelemetry::lns_s`](crate::ConfigTelemetry::lns_s).
@@ -179,11 +150,8 @@ impl SynthesisConfig {
             seed: 0xDAC_1998,
             moves: MoveFamilies::default(),
             parallelism: None,
-            intra_parallelism: 1,
             paranoid: false,
-            incremental: true,
             shadow_eval: false,
-            transactional: true,
             lns_iters: 0,
             cosim_check: false,
             cancel: None,
@@ -191,11 +159,8 @@ impl SynthesisConfig {
         }
     }
 
-    /// The reduced budget used for recursive move-*B* resynthesis. Inner
-    /// engines always scan serially (`intra_parallelism: 1`): candidate
-    /// workers would otherwise spawn nested worker pools, and the outer
-    /// scan already saturates the configured thread budget. LNS refinement
-    /// is likewise outer-level only (`lns_iters: 0`): a ruin inside a
+    /// The reduced budget used for recursive move-*B* resynthesis. LNS
+    /// refinement is outer-level only (`lns_iters: 0`): a ruin inside a
     /// speculative move-*B* child synthesis would multiply the budget out
     /// for marginal gain.
     pub(crate) fn child_budget(&self) -> SynthesisConfig {
@@ -203,7 +168,6 @@ impl SynthesisConfig {
             max_moves_per_pass: Some(6),
             max_passes: 2,
             candidate_limit: 4,
-            intra_parallelism: 1,
             lns_iters: 0,
             ..self.clone()
         }

@@ -32,7 +32,9 @@ pub struct Evaluation {
 /// Like [`evaluate`], but skips the power simulation when the objective is
 /// area (the search loop never reads it) — roughly halves area-mode
 /// synthesis time. The returned power report is zeroed in that case.
-pub fn evaluate_search(
+/// Uncached: the reference that shadow mode checks every cached search
+/// evaluation against.
+pub(crate) fn evaluate_search(
     dp: &DesignPoint,
     lib: &Library,
     traces: &TraceSet,
@@ -60,7 +62,7 @@ pub fn evaluate_search(
 /// [`evaluate_search`] through an incremental cache. `fp` must be the
 /// fingerprint tree of `dp.top.built`. Bit-exact with [`evaluate_search`]
 /// — same floats in every field (see [`EvalCache`]).
-pub fn evaluate_search_cached(
+pub(crate) fn evaluate_search_cached(
     dp: &DesignPoint,
     lib: &Library,
     traces: &TraceSet,
@@ -113,7 +115,7 @@ pub fn evaluate(
 
 /// [`evaluate`] through an incremental cache (see
 /// [`evaluate_search_cached`]). Bit-exact with [`evaluate`].
-pub fn evaluate_cached(
+pub(crate) fn evaluate_cached(
     dp: &DesignPoint,
     lib: &Library,
     traces: &TraceSet,

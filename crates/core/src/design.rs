@@ -152,49 +152,11 @@ impl ModuleState {
                 s.rebuild(h, lib, op)?;
             }
         }
-        self.relink(h, lib, op)
-    }
-
-    /// Rebuild only what a localized edit at `path` can have changed: the
-    /// module there (its own spec was rewritten) and the modules along the
-    /// path to it (their specs embed the rebuilt child). Everything else —
-    /// descendants of the edited module and off-path subtrees — keeps its
-    /// current `built`, which a rebuild would reproduce bit-identically:
-    /// builds are deterministic functions of the specs, and those specs are
-    /// untouched. Bit-exact with [`ModuleState::rebuild`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`BuildError`], exactly as [`rebuild`](Self::rebuild).
-    pub fn rebuild_at(
-        &mut self,
-        h: &Hierarchy,
-        lib: &Library,
-        op: &OperatingPoint,
-        path: &[usize],
-    ) -> Result<(), BuildError> {
-        if let Some((&i, rest)) = path.split_first() {
-            if let Some(child) = self.children.get_mut(i) {
-                if let ChildKind::Single(s) = &mut child.kind {
-                    s.rebuild_at(h, lib, op, rest)?;
-                }
-            }
-        }
-        self.relink(h, lib, op)
-    }
-
-    /// Build this module's own level from its current spec and its
-    /// children's current builds.
-    fn relink(
-        &mut self,
-        h: &Hierarchy,
-        lib: &Library,
-        op: &OperatingPoint,
-    ) -> Result<(), BuildError> {
         self.relink_swap(h, lib, op).map(drop)
     }
 
-    /// [`relink`](Self::relink), returning the *previous* build — the undo
+    /// Build this module's own level from its current spec and its
+    /// children's current builds, returning the *previous* build — the undo
     /// record for transactional move application. `built` is replaced only
     /// on success: a failed build leaves the module exactly as it was.
     fn relink_swap(
@@ -222,21 +184,29 @@ impl ModuleState {
         Ok(std::mem::replace(&mut self.built, new))
     }
 
-    /// [`rebuild_at`](Self::rebuild_at) that journals every replaced build:
-    /// each relinked module along `path` hands its *previous* `built` to
-    /// `journal` together with its absolute path (child indices from the
-    /// module this was first called on; `prefix` carries the indices walked
-    /// so far). Replaying the journaled modules in reverse order restores
-    /// the tree's builds bit-exactly — the RTL half of a transactional
-    /// rollback (the spec half is the move's own inverse record).
+    /// Rebuild only what a localized edit at `path` can have changed: the
+    /// module there (its own spec was rewritten) and the modules along the
+    /// path to it (their specs embed the rebuilt child). Everything else —
+    /// descendants of the edited module and off-path subtrees — keeps its
+    /// current `built`, which a rebuild would reproduce bit-identically:
+    /// builds are deterministic functions of the specs, and those specs are
+    /// untouched. Bit-exact with [`ModuleState::rebuild`].
     ///
-    /// Deepest module first, exactly like `rebuild_at`: on failure, modules
-    /// already relinked stay relinked and stay journaled, so the caller can
-    /// always roll back to the pre-apply state.
+    /// Every replaced build is journaled: each relinked module along `path`
+    /// hands its *previous* `built` to `journal` together with its absolute
+    /// path (child indices from the module this was first called on;
+    /// `prefix` carries the indices walked so far). Replaying the journaled
+    /// modules in reverse order restores the tree's builds bit-exactly —
+    /// the RTL half of a transactional rollback (the spec half is the
+    /// move's own inverse record).
+    ///
+    /// Deepest module first: on failure, modules already relinked stay
+    /// relinked and stay journaled, so the caller can always roll back to
+    /// the pre-apply state.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`BuildError`], exactly as [`rebuild_at`](Self::rebuild_at).
+    /// Propagates the first [`BuildError`], exactly as [`rebuild`](Self::rebuild).
     pub fn rebuild_at_journaled(
         &mut self,
         h: &Hierarchy,
@@ -338,18 +308,8 @@ impl DesignPoint {
         top.rebuild(hierarchy, lib, op)
     }
 
-    /// [`rebuild`](Self::rebuild) restricted to the modules reachable from
-    /// a localized edit at `path` (see [`ModuleState::rebuild_at`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`BuildError`] from any rebuilt level.
-    pub fn rebuild_at(&mut self, lib: &Library, path: &[usize]) -> Result<(), BuildError> {
-        let DesignPoint { hierarchy, op, top } = self;
-        top.rebuild_at(hierarchy, lib, op, path)
-    }
-
-    /// [`rebuild_at`](Self::rebuild_at) journaling every replaced build —
+    /// [`rebuild`](Self::rebuild) restricted to the modules a localized
+    /// edit at `path` can have changed, journaling every replaced build —
     /// see [`ModuleState::rebuild_at_journaled`].
     ///
     /// # Errors

@@ -8,8 +8,7 @@ use crate::config::SynthesisConfig;
 use crate::cost::{evaluate_search, evaluate_search_cached, Evaluation, Objective};
 use crate::design::{initial_module_with_window, ChildKind, DesignPoint, OperatingPoint};
 use crate::moves::{
-    apply_in_place, apply_tracked, selection_candidates, sharing_candidates, splitting_candidates,
-    Candidate, Move,
+    apply_in_place, selection_candidates, sharing_candidates, splitting_candidates, Candidate, Move,
 };
 use crate::transact::{UndoLog, UndoMark};
 use hsyn_dfg::NodeKind;
@@ -19,8 +18,6 @@ use hsyn_rtl::{
     fingerprint_at, fingerprint_tree, refresh_fingerprint_tree, window_of, FpTree, ModuleLibrary,
 };
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// A paranoid-mode verifier failure: the design under optimization stopped
@@ -96,20 +93,19 @@ pub struct MoveStats {
     /// for the reasons).
     pub configs_skipped: u64,
     /// Incremental-evaluation cache lookups answered from the cache
-    /// (area + simulation); 0 with [`SynthesisConfig::incremental`] off.
+    /// (area + simulation).
     pub eval_cache_hits: u64,
     /// Incremental-evaluation cache lookups that fell through to a fresh
-    /// computation; 0 with [`SynthesisConfig::incremental`] off.
+    /// computation.
     pub eval_cache_misses: u64,
     /// Move applications undone by replaying the undo journal — every
     /// speculated candidate plus every pass step beyond the committed
-    /// prefix; 0 with [`SynthesisConfig::transactional`] off (clone mode
-    /// discards copies instead of rolling back).
+    /// prefix.
     pub moves_rolled_back: u64,
     /// Peak approximate byte footprint of the undo journal (see
-    /// [`UndoLog::bytes_peak`](crate::UndoLog::bytes_peak)); 0 with
-    /// [`SynthesisConfig::transactional`] off. Aggregated by `max`, not
-    /// sum, in [`absorb`](Self::absorb) — it is a high-water mark.
+    /// [`UndoLog::bytes_peak`](crate::UndoLog::bytes_peak)). Aggregated by
+    /// `max`, not sum, in [`absorb`](Self::absorb) — it is a high-water
+    /// mark.
     pub undo_bytes_peak: u64,
     /// Large-neighborhood ruin→recreate iterations that actually destroyed
     /// a region (see [`SynthesisConfig::lns_iters`]); 0 with the LNS layer
@@ -157,82 +153,17 @@ impl MoveStats {
     }
 }
 
-/// A worker's speculation outcome for one candidate in the parallel scan,
-/// before the sequential replay attaches the move and decides whether the
-/// serial budgets even reach the candidate.
-struct Speculated {
-    /// `Some((gain, resynth, fp, eval))` for a valid candidate; `None` for
-    /// one rejected by validity checks.
-    applied: Option<(f64, Option<ChildKind>, Option<FpTree>, Evaluation)>,
-    /// The candidate's isolated stats delta (fresh counters per
-    /// speculation), merged only if the replay reaches it.
-    stats: MoveStats,
-    verify_s: f64,
-    eval_full_s: f64,
-    eval_incr_s: f64,
-    apply_s: f64,
-}
-
-/// Early-stop bookkeeping for the parallel scan: candidate outcomes
-/// (valid/invalid) as they complete, and the serial budget walk run
-/// incrementally over the contiguous completed prefix. A candidate's
-/// outcome does not depend on scan order, so the walk reproduces exactly
-/// what the sequential replay will conclude — just as soon as the data
-/// exists rather than after every speculation finishes.
-struct Frontier {
-    /// `Some(valid)` once candidate `i` has been speculated.
-    outcome: Vec<Option<bool>>,
-    /// First in-order index the budget walk has not absorbed yet.
-    next: usize,
-    /// Valid candidates absorbed so far (serial `evaluated` counter).
-    evaluated: usize,
-    /// Invalid candidates absorbed so far (serial `rejected` counter).
-    rejected: usize,
-}
-
-impl Frontier {
-    /// Record candidate `i`'s outcome, then advance the in-order budget
-    /// walk as far as completed outcomes allow. The budget check runs
-    /// *before* each absorption — the same order as the serial scan and
-    /// the replay — so when it trips, `stop` is lowered to the exact index
-    /// the replay will break at, and every candidate below it already has
-    /// a result.
-    fn absorb(&mut self, i: usize, valid: bool, config: &SynthesisConfig, stop: &AtomicUsize) {
-        self.outcome[i] = Some(valid);
-        while self.next < self.outcome.len() {
-            if self.evaluated >= config.candidate_limit
-                || self.rejected >= 5 * config.candidate_limit
-            {
-                stop.store(self.next, Ordering::Relaxed);
-                break;
-            }
-            let Some(v) = self.outcome[self.next] else {
-                break;
-            };
-            if v {
-                self.evaluated += 1;
-            } else {
-                self.rejected += 1;
-            }
-            self.next += 1;
-        }
-    }
-}
-
-/// A fully evaluated candidate application.
+/// A fully evaluated candidate application. The scan rolled the candidate
+/// back; the winner is re-applied in place from `mv` (and `resynth`).
 pub(crate) struct Applied {
     pub(crate) gain: f64,
     pub(crate) mv: Move,
-    /// Clone mode: the fully rebuilt candidate design. `None` on the
-    /// transactional path, where the winner is re-applied in place.
-    pub(crate) dp: Option<DesignPoint>,
-    /// Transactional path, move *B* only: the resynthesized implementation,
-    /// kept so re-applying the winner does not re-run (and re-account)
-    /// the recursive resynthesis.
+    /// Move *B* only: the resynthesized implementation, kept so re-applying
+    /// the winner does not re-run (and re-account) the recursive
+    /// resynthesis.
     pub(crate) resynth: Option<ChildKind>,
-    /// Fingerprint tree of the candidate's build (present iff caching is
-    /// active).
-    pub(crate) fp: Option<FpTree>,
+    /// Fingerprint tree of the candidate's build.
+    pub(crate) fp: FpTree,
     pub(crate) eval: Evaluation,
 }
 
@@ -244,30 +175,23 @@ pub(crate) struct Engine<'a> {
     /// Remaining move-*B* recursion budget.
     pub depth: u32,
     pub stats: MoveStats,
-    /// Wall-clock spent in the paranoid verifier, seconds (0 when off).
-    /// Kept off `MoveStats` so the stats stay `Eq`-comparable across runs.
+    /// Wall-clock spent in the paranoid verifier and in shadow-mode
+    /// reference evaluations, seconds (0 when both are off). Kept off
+    /// `MoveStats` so the stats stay `Eq`-comparable across runs.
     pub verify_s: f64,
-    /// Incremental evaluation cache (unused with `config.incremental` and
-    /// `config.shadow_eval` both off).
+    /// Incremental evaluation cache; every search evaluation goes through
+    /// it.
     pub cache: EvalCache,
-    /// Wall-clock spent in full (uncached) search evaluations, seconds.
-    /// Like `verify_s`, kept off `MoveStats` so the stats stay `Eq`.
-    pub eval_full_s: f64,
-    /// Wall-clock spent in cache-aware search evaluations, seconds.
+    /// Wall-clock spent in search evaluations, seconds.
     pub eval_incr_s: f64,
-    /// Wall-clock spent applying moves, seconds: clone + rebuild in clone
-    /// mode; in-place apply + rollback + winner re-apply in transactional
-    /// mode. Like `verify_s`, kept off `MoveStats` so the stats stay `Eq`.
+    /// Wall-clock spent applying moves, seconds: in-place apply, rollback,
+    /// and winner re-apply. Like `verify_s`, kept off `MoveStats` so the
+    /// stats stay `Eq`.
     pub apply_s: f64,
     /// Wall-clock spent in large-neighborhood ruin→recreate refinement,
     /// seconds (0 with [`SynthesisConfig::lns_iters`] at 0). Like
     /// `verify_s`, kept off `MoveStats` so the stats stay `Eq`.
     pub lns_s: f64,
-    /// Per-worker evaluation caches for the intra-config parallel candidate
-    /// scan, persisted across scans (like `cache` persists across the
-    /// serial scan's candidates). Empty until the first parallel scan runs;
-    /// cache contents affect wall-clock only, never results.
-    intra_caches: Vec<EvalCache>,
 }
 
 impl<'a> Engine<'a> {
@@ -285,34 +209,12 @@ impl<'a> Engine<'a> {
             stats: MoveStats::default(),
             verify_s: 0.0,
             cache: EvalCache::new(),
-            eval_full_s: 0.0,
             eval_incr_s: 0.0,
             apply_s: 0.0,
             lns_s: 0.0,
-            intra_caches: Vec::new(),
         }
     }
 
-    /// Worker threads for the intra-config candidate scan: the
-    /// [`SynthesisConfig::intra_parallelism`] knob resolved to a count
-    /// (`0` ⇒ available cores).
-    fn intra_workers(&self) -> usize {
-        hsyn_util::effective_threads(match self.config.intra_parallelism {
-            0 => None,
-            n => Some(n),
-        })
-    }
-
-    /// Whether evaluations go through the incremental cache (shadow mode
-    /// exercises the cached path too, so it can be diffed).
-    pub(crate) fn caching(&self) -> bool {
-        self.config.incremental || self.config.shadow_eval
-    }
-
-    /// Paranoid mode: verify every cross-layer invariant of `dp`, failing
-    /// on the first error-severity diagnostic. A no-op unless
-    /// [`SynthesisConfig::paranoid`] is set; observation-only on legal
-    /// designs (it never mutates anything, only accumulates `verify_s`).
     /// Cooperative cancellation checkpoint: error out if the run's token
     /// (when one is configured) has tripped. Polled at pass, move-step,
     /// and LNS-iteration boundaries — coarse enough to be free, fine
@@ -324,6 +226,10 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Paranoid mode: verify every cross-layer invariant of `dp`, failing
+    /// on the first error-severity diagnostic. A no-op unless
+    /// [`SynthesisConfig::paranoid`] is set; observation-only on legal
+    /// designs (it never mutates anything, only accumulates `verify_s`).
     pub(crate) fn paranoid_check(
         &mut self,
         dp: &DesignPoint,
@@ -359,24 +265,13 @@ impl<'a> Engine<'a> {
         self.config.objective
     }
 
-    /// Evaluate `dp` for the search loop — through the incremental cache
-    /// when caching is active (`fp` is then `dp`'s fingerprint tree), with
-    /// a full recomputation otherwise. In shadow mode both paths run and
-    /// any bit-level divergence panics, naming the offending move.
-    pub(crate) fn eval(
-        &mut self,
-        dp: &DesignPoint,
-        fp: Option<&FpTree>,
-        mv: Option<&Move>,
-    ) -> Evaluation {
+    /// Evaluate `dp` for the search loop through the incremental cache
+    /// (`fp` is `dp`'s fingerprint tree). In shadow mode the uncached
+    /// reference runs too and any bit-level divergence panics, naming the
+    /// offending move; its wall-clock is booked to `verify_s`.
+    pub(crate) fn eval(&mut self, dp: &DesignPoint, fp: &FpTree, mv: Option<&Move>) -> Evaluation {
         let lib = &self.mlib.simple;
         let objective = self.objective();
-        let Some(fp) = fp else {
-            let t0 = Instant::now();
-            let eval = evaluate_search(dp, lib, &self.traces, objective);
-            self.eval_full_s += t0.elapsed().as_secs_f64();
-            return eval;
-        };
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
         let t0 = Instant::now();
         let incr = evaluate_search_cached(dp, lib, &self.traces, objective, fp, &mut self.cache);
@@ -386,71 +281,28 @@ impl<'a> Engine<'a> {
         if self.config.shadow_eval {
             let t0 = Instant::now();
             let full = evaluate_search(dp, lib, &self.traces, objective);
-            self.eval_full_s += t0.elapsed().as_secs_f64();
+            self.verify_s += t0.elapsed().as_secs_f64();
             assert_shadow_identical(&incr, &full, mv);
         }
         incr
     }
 
-    /// Apply + evaluate one candidate on a *clone*; `None` if invalid.
-    /// `cur_fp` is the fingerprint tree of `dp` (present iff caching is
-    /// active); the candidate's tree is derived from it by
-    /// re-fingerprinting only the move's dirty subtree and recombining its
-    /// ancestors.
-    fn try_move(
-        &mut self,
-        dp: &DesignPoint,
-        cur_fp: Option<&FpTree>,
-        mv: &Move,
-    ) -> Option<(DesignPoint, Option<FpTree>, Evaluation)> {
-        let depth = self.depth;
-        // Move B recursion is routed through a closure so `apply` stays a
-        // pure structural edit everywhere else.
-        let mut resynth_result: Option<ChildKind> = None;
-        if let Move::ResynthChild { path, child } = mv {
-            if depth == 0 {
-                return None;
-            }
-            resynth_result = self.resynthesize_child(dp, path, *child);
-            resynth_result.as_ref()?;
-        }
-        let t0 = Instant::now();
-        let outcome = apply_tracked(dp, mv, self.mlib, &mut |_, _, _| resynth_result.take());
-        self.apply_s += t0.elapsed().as_secs_f64();
-        match outcome {
-            Ok((new, dirty)) => {
-                self.stats.evaluated += 1;
-                let fp = cur_fp.map(|old| {
-                    refresh_fingerprint_tree(&new.hierarchy, &new.top.built, old, &dirty)
-                });
-                let eval = self.eval(&new, fp.as_ref(), Some(mv));
-                Some((new, fp, eval))
-            }
-            Err(_) => {
-                self.stats.rejected += 1;
-                None
-            }
-        }
-    }
-
-    /// [`try_move`](Self::try_move) on the transactional path: speculate
-    /// the move **in place** on the live design, evaluate, then roll the
-    /// journal back — `dp` is bit-identical to its pre-call state on
-    /// return, success or failure. Returns the resynthesized child
+    /// Apply + evaluate one candidate: speculate the move **in place** on
+    /// the live design, evaluate, then roll the journal back — `dp` is
+    /// bit-identical to its pre-call state on return, success or failure.
+    /// `cur_fp` is the fingerprint tree of `dp`; the candidate's tree is
+    /// derived from it by re-fingerprinting only the move's dirty subtree
+    /// and recombining its ancestors. Returns the resynthesized child
     /// implementation (move *B* only; re-applying the winner must not
     /// re-run resynthesis), the candidate's fingerprint tree, and its
-    /// evaluation.
-    ///
-    /// Validation, evaluation order, stats accounting and cache traffic are
-    /// bit-identical to the clone path — the two differ in wall-clock and
-    /// allocation only.
-    fn try_move_tx(
+    /// evaluation; `None` if the candidate is invalid.
+    fn try_move(
         &mut self,
         dp: &mut DesignPoint,
-        cur_fp: Option<&FpTree>,
+        cur_fp: &FpTree,
         mv: &Move,
         log: &mut UndoLog,
-    ) -> Option<(Option<ChildKind>, Option<FpTree>, Evaluation)> {
+    ) -> Option<(Option<ChildKind>, FpTree, Evaluation)> {
         let depth = self.depth;
         let mut resynth_kind: Option<ChildKind> = None;
         if let Move::ResynthChild { path, child } = mv {
@@ -464,47 +316,38 @@ impl<'a> Engine<'a> {
         let t0 = Instant::now();
         let outcome = apply_in_place(dp, mv, self.mlib, &mut |_, _, _| resynth_kind.clone(), log);
         self.apply_s += t0.elapsed().as_secs_f64();
-        match outcome {
-            Ok(dirty) => {
-                self.stats.evaluated += 1;
-                let fp = cur_fp
-                    .map(|old| refresh_fingerprint_tree(&dp.hierarchy, &dp.top.built, old, &dirty));
-                let eval = self.eval(dp, fp.as_ref(), Some(mv));
-                let t1 = Instant::now();
-                log.rollback_to(dp, mark);
-                self.apply_s += t1.elapsed().as_secs_f64();
-                self.stats.moves_rolled_back += 1;
-                // Rollback-validity hook (paranoid mode): the retained
-                // fingerprint tree must still describe the rolled-back
-                // design, or every later `EvalCache` hit keyed through it
-                // would silently return results for a different structure.
-                if self.config.paranoid {
-                    if let Some(old) = cur_fp {
-                        let t2 = Instant::now();
-                        let retained = old.at(&dirty).map(|t| t.fp);
-                        let recomputed = fingerprint_at(&dp.hierarchy, &dp.top.built, &dirty);
-                        self.verify_s += t2.elapsed().as_secs_f64();
-                        assert_eq!(
-                            retained, recomputed,
-                            "rollback of move {mv} failed to restore the dirty subtree: \
-                             the undo journal missed an edit"
-                        );
-                    }
-                }
-                Some((resynth_kind, fp, eval))
-            }
-            Err(_) => {
-                self.stats.rejected += 1;
-                None
-            }
+        let Ok(dirty) = outcome else {
+            self.stats.rejected += 1;
+            return None;
+        };
+        self.stats.evaluated += 1;
+        let fp = refresh_fingerprint_tree(&dp.hierarchy, &dp.top.built, cur_fp, &dirty);
+        let eval = self.eval(dp, &fp, Some(mv));
+        let t1 = Instant::now();
+        log.rollback_to(dp, mark);
+        self.apply_s += t1.elapsed().as_secs_f64();
+        self.stats.moves_rolled_back += 1;
+        // Rollback-validity hook (paranoid mode): the retained fingerprint
+        // tree must still describe the rolled-back design, or every later
+        // `EvalCache` hit keyed through it would silently return results
+        // for a different structure.
+        if self.config.paranoid {
+            let t2 = Instant::now();
+            let retained = cur_fp.at(&dirty).map(|t| t.fp);
+            let recomputed = fingerprint_at(&dp.hierarchy, &dp.top.built, &dirty);
+            self.verify_s += t2.elapsed().as_secs_f64();
+            assert_eq!(
+                retained, recomputed,
+                "rollback of move {mv} failed to restore the dirty subtree: \
+                 the undo journal missed an edit"
+            );
         }
+        Some((resynth_kind, fp, eval))
     }
 
     /// Evaluate the top candidates by heuristic score and return the best
-    /// by true gain (possibly negative). With `undo` present, candidates
-    /// are speculated in place through the journal (transactional mode);
-    /// with `undo` absent each candidate is applied to a clone. Either way
-    /// `dp` is unchanged on return.
+    /// by true gain (possibly negative). Candidates are speculated in
+    /// place through `log`; `dp` and `log` are unchanged on return.
     ///
     /// Rejections and evaluations are budgeted separately: up to
     /// `candidate_limit` candidates are fully evaluated, and the scan stops
@@ -514,20 +357,12 @@ impl<'a> Engine<'a> {
     pub(crate) fn best_from(
         &mut self,
         dp: &mut DesignPoint,
-        cur_fp: Option<&FpTree>,
+        cur_fp: &FpTree,
         base_cost: f64,
         mut cands: Vec<Candidate>,
-        mut undo: Option<&mut UndoLog>,
+        log: &mut UndoLog,
     ) -> Option<Applied> {
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-        // Transactional scans can fan the speculation out across worker
-        // threads; the clone path and single-threaded scans stay serial.
-        if undo.is_some() && cands.len() > 1 {
-            let workers = self.intra_workers();
-            if workers > 1 {
-                return self.best_from_parallel(dp, cur_fp, base_cost, cands, workers);
-            }
-        }
         let mut best: Option<Applied> = None;
         let mut evaluated = 0usize;
         let mut rejected = 0usize;
@@ -537,174 +372,18 @@ impl<'a> Engine<'a> {
             {
                 break;
             }
-            let applied = match undo.as_deref_mut() {
-                Some(log) => self
-                    .try_move_tx(dp, cur_fp, &mv, log)
-                    .map(|(resynth, fp, eval)| Applied {
-                        gain: base_cost - eval.cost,
-                        mv,
-                        dp: None,
-                        resynth,
-                        fp,
-                        eval,
-                    }),
-                None => self
-                    .try_move(dp, cur_fp, &mv)
-                    .map(|(new, fp, eval)| Applied {
-                        gain: base_cost - eval.cost,
-                        mv,
-                        dp: Some(new),
-                        resynth: None,
-                        fp,
-                        eval,
-                    }),
-            };
-            match applied {
-                Some(a) => {
+            match self.try_move(dp, cur_fp, &mv, log) {
+                Some((resynth, fp, eval)) => {
                     evaluated += 1;
-                    if best.as_ref().is_none_or(|b| a.gain > b.gain) {
-                        best = Some(a);
-                    }
-                }
-                None => rejected += 1,
-            }
-        }
-        best
-    }
-
-    /// The intra-config parallel candidate scan (transactional mode only).
-    ///
-    /// Up to `workers` threads claim candidates from the sorted list
-    /// through an atomic counter; each worker speculates on its **own**
-    /// replica of the base design through its own undo journal (cloned
-    /// once per worker, restored by rollback after every speculation), so
-    /// the shared base is never touched. A sequential replay in candidate
-    /// order then re-imposes the serial scan's evaluated/rejected budgets,
-    /// per-candidate stats accounting, and first-best winner tiebreak.
-    ///
-    /// Byte-identical to the serial scan: every speculation fully rolls
-    /// back, and evaluations are bit-exact regardless of cache state
-    /// (see [`EvalCache`]), so a candidate's outcome is independent of the
-    /// order — and the replica — it was speculated on. Candidates past the
-    /// serial stop point are discarded wholesale, stats included, exactly
-    /// as if they were never scanned. Only wall-clock changes (enforced at
-    /// 1/2/4 workers by `tests/intra_determinism.rs`).
-    ///
-    /// Wasted speculation is bounded by early stop: outcomes are
-    /// valid/invalid regardless of scan order, so as completed candidates
-    /// form a contiguous in-order frontier, the serial budget walk can run
-    /// over them incrementally — the moment it trips, `stop` drops to the
-    /// frontier and no worker claims past it. Overshoot is limited to the
-    /// candidates already in flight (< one per worker), so total work
-    /// tracks the serial scan instead of the worst-case prefix.
-    fn best_from_parallel(
-        &mut self,
-        dp: &DesignPoint,
-        cur_fp: Option<&FpTree>,
-        base_cost: f64,
-        cands: Vec<Candidate>,
-        workers: usize,
-    ) -> Option<Applied> {
-        // The serial scan examines at most `6 × candidate_limit − 1`
-        // candidates before a budget trips (each examined candidate counts
-        // toward one of the two budgets); speculating past that bound is
-        // pure waste.
-        let prefix_len = cands.len().min(6 * self.config.candidate_limit);
-        let workers = workers.min(prefix_len);
-        let next = AtomicUsize::new(0);
-        // First index no worker should claim. Starts at the prefix bound
-        // and only ever shrinks, to the frontier position where the serial
-        // budgets trip (see `Frontier::absorb`).
-        let stop = AtomicUsize::new(prefix_len);
-        let frontier = Mutex::new(Frontier {
-            outcome: vec![None; prefix_len],
-            next: 0,
-            evaluated: 0,
-            rejected: 0,
-        });
-        let slots: Vec<Mutex<Option<Speculated>>> =
-            (0..prefix_len).map(|_| Mutex::new(None)).collect();
-        // Per-worker evaluation caches persist across scans, like the
-        // serial engine's single cache persists across candidates.
-        let mut caches = std::mem::take(&mut self.intra_caches);
-        caches.resize_with(workers, EvalCache::new);
-        let cache_slots: Vec<Mutex<EvalCache>> = caches.into_iter().map(Mutex::new).collect();
-        let (mlib, config, depth) = (self.mlib, self.config, self.depth);
-        let traces = &self.traces;
-        let cand_prefix = &cands[..prefix_len];
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (next, stop, frontier) = (&next, &stop, &frontier);
-                let (slots, cache_slots) = (&slots, &cache_slots);
-                scope.spawn(move || {
-                    let mut engine = Engine::new(mlib, config, traces.clone(), depth);
-                    engine.cache = std::mem::take(&mut *cache_slots[w].lock().expect("cache slot"));
-                    let mut work = dp.clone();
-                    let mut log = UndoLog::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let applied = engine
-                            .try_move_tx(&mut work, cur_fp, &cand_prefix[i].1, &mut log)
-                            .map(|(resynth, fp, eval)| (base_cost - eval.cost, resynth, fp, eval));
-                        let valid = applied.is_some();
-                        *slots[i].lock().expect("result slot") = Some(Speculated {
-                            applied,
-                            stats: std::mem::take(&mut engine.stats),
-                            verify_s: std::mem::take(&mut engine.verify_s),
-                            eval_full_s: std::mem::take(&mut engine.eval_full_s),
-                            eval_incr_s: std::mem::take(&mut engine.eval_incr_s),
-                            apply_s: std::mem::take(&mut engine.apply_s),
+                    let gain = base_cost - eval.cost;
+                    if best.as_ref().is_none_or(|b| gain > b.gain) {
+                        best = Some(Applied {
+                            gain,
+                            mv,
+                            resynth,
+                            fp,
+                            eval,
                         });
-                        frontier
-                            .lock()
-                            .expect("frontier")
-                            .absorb(i, valid, config, stop);
-                    }
-                    *cache_slots[w].lock().expect("cache slot") = std::mem::take(&mut engine.cache);
-                });
-            }
-        });
-        self.intra_caches = cache_slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("cache slot"))
-            .collect();
-        // Sequential replay in candidate order: identical budgets, stats
-        // merge, and winner selection (strict improvement ⇒ first best
-        // wins) as the serial scan.
-        let mut best: Option<Applied> = None;
-        let mut evaluated = 0usize;
-        let mut rejected = 0usize;
-        for ((_, mv), slot) in cands.into_iter().zip(slots) {
-            if evaluated >= self.config.candidate_limit
-                || rejected >= 5 * self.config.candidate_limit
-            {
-                break;
-            }
-            let outcome = slot
-                .into_inner()
-                .expect("result slot")
-                .expect("workers fill every claimed slot");
-            self.stats.absorb(&outcome.stats);
-            self.verify_s += outcome.verify_s;
-            self.eval_full_s += outcome.eval_full_s;
-            self.eval_incr_s += outcome.eval_incr_s;
-            self.apply_s += outcome.apply_s;
-            match outcome.applied {
-                Some((gain, resynth, fp, eval)) => {
-                    evaluated += 1;
-                    let a = Applied {
-                        gain,
-                        mv,
-                        dp: None,
-                        resynth,
-                        fp,
-                        eval,
-                    };
-                    if best.as_ref().is_none_or(|b| a.gain > b.gain) {
-                        best = Some(a);
                     }
                 }
                 None => rejected += 1,
@@ -717,9 +396,9 @@ impl<'a> Engine<'a> {
     fn best_ab(
         &mut self,
         dp: &mut DesignPoint,
-        cur_fp: Option<&FpTree>,
+        cur_fp: &FpTree,
         base_cost: f64,
-        undo: Option<&mut UndoLog>,
+        log: &mut UndoLog,
     ) -> Option<Applied> {
         let families = self.config.moves;
         if !families.a && !families.b {
@@ -734,7 +413,7 @@ impl<'a> Engine<'a> {
         if !families.a {
             cands.retain(|(_, mv)| matches!(mv, Move::ResynthChild { .. }));
         }
-        self.best_from(dp, cur_fp, base_cost, cands, undo)
+        self.best_from(dp, cur_fp, base_cost, cands, log)
     }
 
     /// `GET_BEST_RESOURCE_SHARING_MOVE`, falling back to
@@ -743,14 +422,14 @@ impl<'a> Engine<'a> {
     fn best_cd(
         &mut self,
         dp: &mut DesignPoint,
-        cur_fp: Option<&FpTree>,
+        cur_fp: &FpTree,
         base_cost: f64,
-        mut undo: Option<&mut UndoLog>,
+        log: &mut UndoLog,
     ) -> Option<Applied> {
         let families = self.config.moves;
         let sharing = if families.c {
             let cands = sharing_candidates(dp, self.mlib, self.objective());
-            self.best_from(dp, cur_fp, base_cost, cands, undo.as_deref_mut())
+            self.best_from(dp, cur_fp, base_cost, cands, log)
         } else {
             None
         };
@@ -759,7 +438,7 @@ impl<'a> Engine<'a> {
             other => {
                 let splitting = if families.d {
                     let cands = splitting_candidates(dp, self.mlib, self.objective());
-                    self.best_from(dp, cur_fp, base_cost, cands, undo)
+                    self.best_from(dp, cur_fp, base_cost, cands, log)
                 } else {
                     None
                 };
@@ -772,29 +451,20 @@ impl<'a> Engine<'a> {
     }
 
     /// One full variable-depth optimization of `initial` at its operating
-    /// point (Figure 4 lines 3–16). Returns the best design seen.
-    ///
-    /// Dispatches on [`SynthesisConfig::transactional`]: the transactional
-    /// path speculates moves in place through an undo journal; the clone
-    /// path copies the design per candidate. The two searches are
-    /// bit-identical — same candidates, same evaluations in the same order,
-    /// same stats, same result — differing only in wall-clock and
-    /// allocation (see `tests/undo_rollback.rs`).
+    /// point (Figure 4 lines 3–16), followed by LNS refinement when
+    /// [`SynthesisConfig::lns_iters`] is positive. Returns the best design
+    /// seen.
     ///
     /// # Errors
     ///
     /// In paranoid mode, the first cross-layer invariant violation aborts
-    /// the configuration, naming the offending move. Never errors with
-    /// paranoid mode off.
+    /// the configuration, naming the offending move. A tripped cancel token
+    /// aborts the run. Never errors otherwise.
     pub(crate) fn optimize(
         &mut self,
         initial: DesignPoint,
     ) -> Result<(DesignPoint, Evaluation), Abort> {
-        let (dp, eval) = if self.config.transactional {
-            self.optimize_transactional(initial)
-        } else {
-            self.optimize_cloning(initial)
-        }?;
+        let (dp, eval) = self.pass_loop(initial)?;
         if self.config.lns_iters == 0 {
             return Ok((dp, eval));
         }
@@ -804,95 +474,20 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// The clone-per-candidate search loop (kept as the
-    /// `--no-transactional` escape hatch and the differential baseline).
-    fn optimize_cloning(
-        &mut self,
-        initial: DesignPoint,
-    ) -> Result<(DesignPoint, Evaluation), Abort> {
-        self.paranoid_check(&initial, None)?;
-        let mut cur = initial;
-        let mut cur_fp = self
-            .caching()
-            .then(|| fingerprint_tree(&cur.hierarchy, &cur.top.built));
-        let mut cur_eval = self.eval(&cur, cur_fp.as_ref(), None);
-        let mut best = cur.clone();
-        let mut best_eval = cur_eval;
-
-        let op_count = cur.hierarchy.dfg(cur.top.core.dfg).schedulable_count();
-        let max_moves = self
-            .config
-            .max_moves_per_pass
-            .unwrap_or_else(|| (op_count / 2).clamp(8, 40));
-
-        for _pass in 0..self.config.max_passes {
-            self.check_cancel()?;
-            self.stats.passes += 1;
-            let mut states: Vec<(DesignPoint, Evaluation, Option<FpTree>)> =
-                vec![(cur.clone(), cur_eval, cur_fp.clone())];
-            let mut seq_moves: Vec<Move> = Vec::new();
-            for _ in 0..max_moves {
-                self.check_cancel()?;
-                let (work, work_eval, work_fp) = states.last_mut().expect("non-empty");
-                let base = work_eval.cost;
-                let work_fp = work_fp.as_ref();
-                let m1 = self.best_ab(work, work_fp, base, None);
-                let m3 = self.best_cd(work, work_fp, base, None);
-                let chosen = match (m1, m3) {
-                    (Some(a), Some(b)) => Some(if a.gain >= b.gain { a } else { b }),
-                    (a, b) => a.or(b),
-                };
-                let Some(chosen) = chosen else { break };
-                let chosen_dp = chosen.dp.expect("clone path carries the candidate design");
-                self.paranoid_check(&chosen_dp, Some(&chosen.mv))?;
-                seq_moves.push(chosen.mv);
-                states.push((chosen_dp, chosen.eval, chosen.fp));
-            }
-            // Commit the best-cumulative-gain prefix.
-            let (best_idx, _) = states
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.1.cost.total_cmp(&b.1.cost))
-                .expect("non-empty");
-            let pass_gain = states[0].1.cost - states[best_idx].1.cost;
-            if best_idx == 0 || pass_gain <= 1e-9 {
-                break;
-            }
-            for mv in &seq_moves[..best_idx] {
-                self.stats.record(mv);
-            }
-            let (committed, committed_eval, committed_fp) = states.swap_remove(best_idx);
-            cur = committed;
-            cur_eval = committed_eval;
-            cur_fp = committed_fp;
-            if cur_eval.cost < best_eval.cost {
-                best = cur.clone();
-                best_eval = cur_eval;
-            }
-        }
-        Ok((best, best_eval))
-    }
-
-    /// The transactional search loop: one live design, mutated in place.
+    /// The search loop: one live design, mutated in place.
     ///
     /// Per step, every candidate is speculated and rolled back inside the
-    /// pass journal ([`Engine::try_move_tx`]); the winner is then
-    /// re-applied (reusing its saved move-*B* implementation, so recursive
-    /// resynthesis runs exactly once per evaluation, as in clone mode).
-    /// The per-step clone history of the clone path collapses to
+    /// pass journal ([`Engine::try_move`]); the winner is then re-applied
+    /// (reusing its saved move-*B* implementation, so recursive
+    /// resynthesis runs exactly once per evaluation). The pass history is
     /// `(Evaluation, FpTree)` pairs plus journal marks: committing the
     /// best-cumulative-gain prefix = rolling the journal back to the mark
     /// taken before the first rejected step.
-    fn optimize_transactional(
-        &mut self,
-        initial: DesignPoint,
-    ) -> Result<(DesignPoint, Evaluation), Abort> {
+    fn pass_loop(&mut self, initial: DesignPoint) -> Result<(DesignPoint, Evaluation), Abort> {
         self.paranoid_check(&initial, None)?;
         let mut cur = initial;
-        let mut cur_fp = self
-            .caching()
-            .then(|| fingerprint_tree(&cur.hierarchy, &cur.top.built));
-        let mut cur_eval = self.eval(&cur, cur_fp.as_ref(), None);
+        let mut cur_fp = fingerprint_tree(&cur.hierarchy, &cur.top.built);
+        let mut cur_eval = self.eval(&cur, &cur_fp, None);
         let mut best = cur.clone();
         let mut best_eval = cur_eval;
 
@@ -908,15 +503,15 @@ impl<'a> Engine<'a> {
             let mut log = UndoLog::new();
             // history[k]: evaluation + fingerprint tree after k committed
             // steps; step_marks[k]: journal position before step k+1.
-            let mut history: Vec<(Evaluation, Option<FpTree>)> = vec![(cur_eval, cur_fp.clone())];
+            let mut history: Vec<(Evaluation, FpTree)> = vec![(cur_eval, cur_fp.clone())];
             let mut step_marks: Vec<UndoMark> = Vec::new();
             let mut seq_moves: Vec<Move> = Vec::new();
             for _ in 0..max_moves {
                 self.check_cancel()?;
                 let (work_eval, work_fp) = history.last().expect("non-empty");
                 let base = work_eval.cost;
-                let m1 = self.best_ab(&mut cur, work_fp.as_ref(), base, Some(&mut log));
-                let m3 = self.best_cd(&mut cur, work_fp.as_ref(), base, Some(&mut log));
+                let m1 = self.best_ab(&mut cur, work_fp, base, &mut log);
+                let m3 = self.best_cd(&mut cur, work_fp, base, &mut log);
                 let chosen = match (m1, m3) {
                     (Some(a), Some(b)) => Some(if a.gain >= b.gain { a } else { b }),
                     (a, b) => a.or(b),
@@ -1068,7 +663,6 @@ impl<'a> Engine<'a> {
         self.stats.moves_rolled_back += inner.stats.moves_rolled_back;
         self.stats.undo_bytes_peak = self.stats.undo_bytes_peak.max(inner.stats.undo_bytes_peak);
         self.verify_s += inner.verify_s;
-        self.eval_full_s += inner.eval_full_s;
         self.eval_incr_s += inner.eval_incr_s;
         self.apply_s += inner.apply_s;
         self.lns_s += inner.lns_s;
@@ -1142,7 +736,7 @@ mod tests {
     use crate::moves::Candidate;
     use hsyn_dfg::benchmarks;
     use hsyn_lib::papers::table1_library;
-    use hsyn_rtl::ModuleLibrary;
+    use hsyn_rtl::{module_fingerprint, ModuleLibrary};
 
     fn paulin_fixture() -> (DesignPoint, ModuleLibrary, TraceSet) {
         let b = benchmarks::paulin();
@@ -1172,11 +766,13 @@ mod tests {
         let (mut dp, mlib, traces) = paulin_fixture();
         let mut config = SynthesisConfig::new(Objective::Area);
         config.candidate_limit = 2;
-        config.incremental = false;
-        let mut engine = Engine::new(&mlib, &config, traces.clone(), 0);
-        let base = engine.eval(&dp, None, None);
-        // Group 999 does not exist, so these nine are rejected by `apply`;
-        // RepackRegs is valid (the initial register policy is dedicated).
+        let mut engine = Engine::new(&mlib, &config, traces, 0);
+        let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+        let base = engine.eval(&dp, &fp, None);
+        let before = module_fingerprint(&dp.hierarchy, &dp.top.built);
+        // Group 999 does not exist, so these nine are rejected by
+        // `apply_in_place`; RepackRegs is valid (the initial register
+        // policy is dedicated).
         let stale_type = dp.top.core.fu_groups[0].fu_type;
         let mut cands: Vec<Candidate> = vec![(100.0, Move::RepackRegs { path: vec![] })];
         for i in 0..9 {
@@ -1190,26 +786,23 @@ mod tests {
             ));
         }
         cands.push((1.0, Move::RepackRegs { path: vec![] }));
-        let best = engine.best_from(&mut dp, None, base.cost, cands.clone(), None);
+        let mut log = UndoLog::new();
+        let best = engine.best_from(&mut dp, &fp, base.cost, cands, &mut log);
         assert!(best.is_some(), "a valid candidate must be found");
         assert_eq!(
             (engine.stats.evaluated, engine.stats.rejected),
             (2, 9),
             "both valid candidates must be evaluated despite nine rejections"
         );
-        // The transactional scan obeys the identical budgets — and leaves
-        // both the journal and the design untouched behind it.
-        let mut tx_engine = Engine::new(&mlib, &config, traces, 0);
-        let mut log = UndoLog::new();
-        let tx_best = tx_engine.best_from(&mut dp, None, base.cost, cands, Some(&mut log));
-        assert!(tx_best.is_some());
-        assert_eq!(
-            (tx_engine.stats.evaluated, tx_engine.stats.rejected),
-            (2, 9),
-            "transactional scan must replicate the clone-path budgets"
-        );
-        assert_eq!(tx_engine.stats.moves_rolled_back, 2);
+        // The scan leaves both the journal and the design untouched
+        // behind it.
+        assert_eq!(engine.stats.moves_rolled_back, 2);
         assert!(log.is_empty(), "scan must roll every speculation back");
+        assert_eq!(
+            module_fingerprint(&dp.hierarchy, &dp.top.built),
+            before,
+            "scan must leave the design bit-identical"
+        );
     }
 
     /// Shadow mode turns a cache/full divergence into a panic naming the

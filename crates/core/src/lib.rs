@@ -55,9 +55,7 @@ pub use analyze::{analyze, AnalyzeError, AnalyzeReport, ObjectiveAnalysis};
 pub use cache::{EvalCache, SharedAreaCache, SHARED_AREA_CAP};
 pub use cancel::CancelToken;
 pub use config::{MoveFamilies, SynthesisConfig};
-pub use cost::{
-    evaluate, evaluate_cached, evaluate_search, evaluate_search_cached, Evaluation, Objective,
-};
+pub use cost::{evaluate, Evaluation, Objective};
 pub use design::{
     initial_solution, probe_min_latency, Child, ChildKind, DesignPoint, ModuleState,
     OperatingPoint, SpecCore,
@@ -67,8 +65,8 @@ pub use fuzz::{fuzz_cosim, FuzzCoverage, FuzzDivergence, FuzzParams, FuzzReport}
 pub use improve::{MoveStats, ParanoidViolation};
 pub use lns::{plan_ruin, ruin_region, Portfolio, RuinKind};
 pub use moves::{
-    apply, apply_in_place, apply_tracked, dirty_path, selection_candidates, sharing_candidates,
-    splitting_candidates, ApplyError, ModulePath, Move,
+    apply_in_place, dirty_path, selection_candidates, sharing_candidates, splitting_candidates,
+    ApplyError, ModulePath, Move,
 };
 pub use synth::{
     synthesize, ConfigTelemetry, ScaledDesign, SkippedConfig, SynthesisError, SynthesisReport,

@@ -26,9 +26,8 @@
 //!
 //! Everything is a pure function of the design and
 //! [`SynthesisConfig::seed`]: results are byte-identical across repeated
-//! runs and across every `intra_parallelism` setting (enforced by
-//! `tests/lns_determinism.rs`; structural invariants by
-//! `tests/lns_invariants.rs`).
+//! runs and across worker counts (enforced by `tests/lns_determinism.rs`;
+//! structural invariants by `tests/lns_invariants.rs`).
 
 use crate::cost::Evaluation;
 use crate::design::DesignPoint;
@@ -460,10 +459,8 @@ impl<'a> Engine<'a> {
     /// The ruin-and-recreate refinement appended after the pass loop when
     /// [`SynthesisConfig::lns_iters`](crate::SynthesisConfig::lns_iters) is
     /// positive (see this module's docs — this is the tentpole loop).
-    /// Always drives the transactional journal, regardless
-    /// of [`SynthesisConfig::transactional`](crate::SynthesisConfig::transactional):
-    /// ruin and recreate are exactly the nested-speculation shape the
-    /// journal exists for.
+    /// Ruin and recreate are exactly the nested-speculation shape the
+    /// undo journal exists for.
     ///
     /// # Errors
     ///
@@ -509,10 +506,8 @@ impl<'a> Engine<'a> {
                     break 'cycle None;
                 }
                 self.stats.lns_ruins += 1;
-                let fp = self
-                    .caching()
-                    .then(|| fingerprint_tree(&dp.hierarchy, &dp.top.built));
-                let work_eval = self.eval(dp, fp.as_ref(), None);
+                let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+                let work_eval = self.eval(dp, &fp, None);
                 // KL-style reconstruction: one move per step, possibly
                 // uphill, with a journal mark before each step. The sampled
                 // family's best move wins outright when it improves —
@@ -522,7 +517,7 @@ impl<'a> Engine<'a> {
                 // walk through the plateaus and ridges the converged pass
                 // loop stalled on. Bounded by the ruin size: recreation
                 // re-fuses what the ruin scattered plus a little slack.
-                let mut history: Vec<(Evaluation, Option<FpTree>)> = vec![(work_eval, fp)];
+                let mut history: Vec<(Evaluation, FpTree)> = vec![(work_eval, fp)];
                 let mut marks: Vec<UndoMark> = Vec::new();
                 let mut applied: Vec<Move> = Vec::new();
                 // Steps since the trajectory last set a new best cost;
@@ -562,9 +557,7 @@ impl<'a> Engine<'a> {
                             portfolio.reward(f, 0.0);
                             continue;
                         }
-                        let Some(won) =
-                            self.best_from(dp, work_fp.as_ref(), base, cands, Some(log))
-                        else {
+                        let Some(won) = self.best_from(dp, work_fp, base, cands, log) else {
                             portfolio.reward(f, 0.0);
                             continue;
                         };
@@ -588,7 +581,6 @@ impl<'a> Engine<'a> {
                         resynth,
                         fp: won_fp,
                         eval,
-                        ..
                     } = won;
                     let mut saved = resynth;
                     apply_in_place(dp, &mv, self.mlib, &mut |_, _, _| saved.take(), log)

@@ -201,228 +201,14 @@ impl From<EmbedError> for ApplyError {
     }
 }
 
-/// Apply `mv` to a copy of `dp`, rebuilding and validity-checking the whole
-/// design. `resynth` supplies move-*B* implementations (the engine recurses
-/// into a bounded synthesis there).
-///
-/// # Errors
-///
-/// [`ApplyError`] when the resulting design fails to schedule or the move
-/// is not applicable.
-#[allow(clippy::type_complexity)]
-pub fn apply(
-    dp: &DesignPoint,
-    mv: &Move,
-    mlib: &ModuleLibrary,
-    resynth: &mut dyn FnMut(&DesignPoint, &[usize], usize) -> Option<ChildKind>,
-) -> Result<DesignPoint, ApplyError> {
-    let lib = &mlib.simple;
-    let mut new = dp.clone();
-    match mv {
-        Move::SetFuType {
-            path,
-            group,
-            fu_type,
-        } => {
-            let m = new.top.at_mut(path);
-            let g = m
-                .core
-                .fu_groups
-                .get_mut(*group)
-                .ok_or(ApplyError::Rejected)?;
-            if g.fu_type == *fu_type {
-                return Err(ApplyError::Rejected);
-            }
-            g.fu_type = *fu_type;
-        }
-        Move::MergeFu {
-            path,
-            a,
-            b,
-            fu_type,
-        } => {
-            let m = new.top.at_mut(path);
-            if *a >= *b || *b >= m.core.fu_groups.len() {
-                return Err(ApplyError::Rejected);
-            }
-            let moved = m.core.fu_groups.remove(*b);
-            let ga = &mut m.core.fu_groups[*a];
-            ga.ops.extend(moved.ops);
-            ga.fu_type = *fu_type;
-        }
-        Move::SplitFu { path, group, op } => {
-            let m = new.top.at_mut(path);
-            let g = m
-                .core
-                .fu_groups
-                .get_mut(*group)
-                .ok_or(ApplyError::Rejected)?;
-            if g.ops.len() < 2 || !g.ops.contains(op) {
-                return Err(ApplyError::Rejected);
-            }
-            g.ops.retain(|o| o != op);
-            let fu_type = g.fu_type;
-            m.core.fu_groups.push(hsyn_rtl::FuGroup {
-                fu_type,
-                ops: vec![*op],
-            });
-        }
-        Move::RepackRegs { path } => {
-            let m = new.top.at_mut(path);
-            if matches!(m.core.reg_policy, RegPolicy::Packed) {
-                return Err(ApplyError::Rejected);
-            }
-            m.core.reg_policy = RegPolicy::Packed;
-        }
-        Move::DedicateRegs { path } => {
-            let m = new.top.at_mut(path);
-            if matches!(m.core.reg_policy, RegPolicy::Dedicated) {
-                return Err(ApplyError::Rejected);
-            }
-            m.core.reg_policy = RegPolicy::Dedicated;
-        }
-        Move::SwapChild {
-            path,
-            child,
-            lib_idx,
-            dfg,
-        } => {
-            let cm = mlib.complex.get(*lib_idx).ok_or(ApplyError::Rejected)?;
-            let parent_dfg = new.top.at(path).core.dfg;
-            let m = new.top.at_mut(path);
-            let c = m.children.get_mut(*child).ok_or(ApplyError::Rejected)?;
-            if c.nodes.len() != 1 {
-                return Err(ApplyError::Rejected);
-            }
-            let node = c.nodes[0];
-            c.kind = ChildKind::Opaque {
-                module: cm.module.clone(),
-                origin: format!("library:{}", cm.module.name()),
-            };
-            // Move A may rewrite the node to an equivalent DFG.
-            new.hierarchy
-                .dfg_mut(parent_dfg)
-                .set_hier_callee(node, *dfg);
-        }
-        Move::ResynthChild { path, child } => {
-            let kind = resynth(dp, path, *child).ok_or(ApplyError::Rejected)?;
-            let m = new.top.at_mut(path);
-            let c = m.children.get_mut(*child).ok_or(ApplyError::Rejected)?;
-            c.kind = kind;
-        }
-        Move::MergeChildren { path, a, b } => {
-            let parent_dfg = new.top.at(path).core.dfg;
-            let m = new.top.at_mut(path);
-            if *a >= *b || *b >= m.children.len() {
-                return Err(ApplyError::Rejected);
-            }
-            let removed = m.children.remove(*b);
-            // Which DFGs must the surviving module execute for `removed`?
-            let g = new.hierarchy.dfg(parent_dfg);
-            // Children are supposed to map hierarchical nodes only; if the
-            // child/DFG association has drifted, reject the move instead of
-            // panicking (paranoid mode will also flag the corruption).
-            let callee_of = |n: hsyn_dfg::NodeId| match g.node(n).kind() {
-                NodeKind::Hier { callee } => Some(*callee),
-                _ => None,
-            };
-            let callees: BTreeSet<DfgId> = removed
-                .nodes
-                .iter()
-                .map(|&n| callee_of(n))
-                .collect::<Option<_>>()
-                .ok_or(ApplyError::Rejected)?;
-            // A stateful behavior (internal z⁻ᵏ registers) cannot serve two
-            // hierarchical nodes from one instance — each context needs its
-            // own state.
-            {
-                let target = &m.children[*a];
-                let mut counts: std::collections::HashMap<DfgId, usize> =
-                    std::collections::HashMap::new();
-                for &n in target.nodes.iter().chain(removed.nodes.iter()) {
-                    let callee = callee_of(n).ok_or(ApplyError::Rejected)?;
-                    *counts.entry(callee).or_insert(0) += 1;
-                }
-                for (d, count) in counts {
-                    if count >= 2 && new.hierarchy.has_state(d) {
-                        return Err(ApplyError::Rejected);
-                    }
-                }
-            }
-            let target = &mut m.children[*a];
-            let covered = callees
-                .iter()
-                .all(|&d| target.module().behavior_for(d).is_some());
-            if covered {
-                target.nodes.extend(removed.nodes);
-            } else {
-                let merged = embed(
-                    &new.hierarchy,
-                    target.module(),
-                    removed.module(),
-                    lib,
-                    format!("{}+{}", target.module().name(), removed.module().name()),
-                )?;
-                target.nodes.extend(removed.nodes);
-                target.kind = ChildKind::Opaque {
-                    module: merged.module,
-                    origin: "embedded".to_owned(),
-                };
-            }
-        }
-        Move::SplitChild { path, child, node } => {
-            let m = new.top.at_mut(path);
-            let c = m.children.get_mut(*child).ok_or(ApplyError::Rejected)?;
-            if c.nodes.len() < 2 || !c.nodes.contains(node) {
-                return Err(ApplyError::Rejected);
-            }
-            c.nodes.retain(|n| n != node);
-            let clone = Child {
-                nodes: vec![*node],
-                kind: c.kind.clone(),
-            };
-            m.children.push(clone);
-        }
-        Move::RebankMem { path, mem, banks } => {
-            let dfg = new.top.at(path).core.dfg;
-            check_rebank(&new, dfg, *mem, *banks)?;
-            new.hierarchy.dfg_mut(dfg).set_mem_banks(*mem, *banks);
-        }
-    }
-    // Rebuild only the edited module and its ancestors: every other
-    // module's spec is untouched and would rebuild to the identical RTL.
-    new.rebuild_at(lib, &dirty_path(mv))?;
-    Ok(new)
-}
-
-impl Move {
-    /// [`apply_in_place`] as a method — the transactional counterpart of
-    /// [`apply`]: edit `dp` directly, journaling the inverse of every edit
-    /// in `undo` so a rejected candidate is restored by replay instead of
-    /// a clone.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`apply`]'s errors; on error `dp` has already been rolled
-    /// back to its pre-call state.
-    #[allow(clippy::type_complexity)]
-    pub fn apply_in_place(
-        &self,
-        dp: &mut DesignPoint,
-        mlib: &ModuleLibrary,
-        resynth: &mut dyn FnMut(&DesignPoint, &[usize], usize) -> Option<ChildKind>,
-        undo: &mut UndoLog,
-    ) -> Result<ModulePath, ApplyError> {
-        apply_in_place(dp, self, mlib, resynth, undo)
-    }
-}
-
 /// Apply `mv` to `dp` **in place**, journaling the inverse of every edit in
-/// `undo` — the transactional counterpart of [`apply`]. Validation,
-/// rejection and rebuild behavior are bit-identical to [`apply`]; only the
-/// mechanics differ (speculate on the live design, undo by journal replay,
-/// instead of edit-a-clone, undo by dropping it). Returns the move's dirty
-/// path (as [`apply_tracked`]).
+/// `undo` so a rejected candidate is restored by replay instead of a clone.
+/// `resynth` supplies move-*B* implementations (the engine recurses into a
+/// bounded synthesis there). Returns the move's dirty path: the module
+/// whose subtree the move structurally changed. Everything rooted there
+/// must be re-fingerprinted; ancestors along the path only recombine
+/// (their own specs are untouched, but their fingerprints fold in the
+/// changed child), and subtrees off the path keep their builds.
 ///
 /// Every pre-condition is checked *before* the first mutation, so a
 /// rejected candidate usually journals nothing; if the post-edit rebuild
@@ -432,7 +218,8 @@ impl Move {
 ///
 /// # Errors
 ///
-/// Exactly [`apply`]'s errors.
+/// [`ApplyError`] when the resulting design fails to schedule or the move
+/// is not applicable.
 #[allow(clippy::type_complexity)]
 pub fn apply_in_place(
     dp: &mut DesignPoint,
@@ -462,9 +249,8 @@ pub fn apply_in_place(
 
 /// The spec-tree half of [`apply_in_place`]: the per-variant edit plus its
 /// inverse record. Mutates only after every precondition has passed, so an
-/// `Err` return needs no cleanup for most variants; `MergeChildren` is the
-/// one variant whose clone-based form mutated before validating, and is
-/// reordered here (validate → embed → mutate) with identical outcomes.
+/// `Err` return needs no cleanup (`MergeChildren` validates and embeds
+/// before its first edit for the same reason).
 #[allow(clippy::type_complexity)]
 fn edit_in_place(
     dp: &mut DesignPoint,
@@ -612,9 +398,9 @@ fn edit_in_place(
         }
         Move::MergeChildren { path, a, b } => {
             let parent_dfg = dp.top.at(path).core.dfg;
-            // Validate and (when needed) embed before touching anything:
-            // unlike the clone-based form, a half-done merge here would be
-            // visible, so every early return must precede the first edit.
+            // Validate and (when needed) embed before touching anything: a
+            // half-done merge would be visible, so every early return must
+            // precede the first edit.
             let merged_kind = {
                 let m = dp.top.at(path);
                 if *a >= *b || *b >= m.children.len() {
@@ -716,27 +502,6 @@ fn edit_in_place(
         }
     }
     Ok(())
-}
-
-/// [`apply`] plus dirty tracking for incremental evaluation: also returns
-/// the path of the module whose subtree the move structurally changed.
-/// Everything rooted there must be re-fingerprinted; ancestors along the
-/// path only recombine (their own specs are untouched, but their
-/// fingerprints fold in the changed child), and subtrees off the path
-/// rebuild deterministically to identical structures and can be reused.
-///
-/// # Errors
-///
-/// Exactly [`apply`]'s errors.
-#[allow(clippy::type_complexity)]
-pub fn apply_tracked(
-    dp: &DesignPoint,
-    mv: &Move,
-    mlib: &ModuleLibrary,
-    resynth: &mut dyn FnMut(&DesignPoint, &[usize], usize) -> Option<ChildKind>,
-) -> Result<(DesignPoint, ModulePath), ApplyError> {
-    let new = apply(dp, mv, mlib, resynth)?;
-    Ok((new, dirty_path(mv)))
 }
 
 /// The root of the subtree a move edits: every variant carries the path of
@@ -1057,7 +822,7 @@ pub fn sharing_candidates(
         // Children: merging identical behaviors is the big hierarchical
         // area win; anisomorphic pairs go through RTL embedding. Stateful
         // behaviors cannot be shared across contexts (cheap pre-filter;
-        // `apply` re-validates).
+        // `apply_in_place` re-validates).
         let g = dp.hierarchy.dfg(m.core.dfg);
         let child_callees = |c: &Child| -> Vec<DfgId> {
             c.nodes

@@ -80,8 +80,10 @@ pub struct ConfigTelemetry {
     /// Wall-clock spent optimizing this configuration, seconds. Varies
     /// between runs (as does `verify_s`); everything else is deterministic.
     pub elapsed_s: f64,
-    /// Wall-clock spent in the paranoid verifier within this configuration,
-    /// seconds — 0 when [`SynthesisConfig::paranoid`] is off.
+    /// Wall-clock spent in the paranoid verifier and in shadow-mode
+    /// reference evaluations within this configuration, seconds — 0 when
+    /// [`SynthesisConfig::paranoid`] and [`SynthesisConfig::shadow_eval`]
+    /// are both off.
     pub verify_s: f64,
     /// Candidate moves fully evaluated within this configuration.
     pub evaluated: u64,
@@ -89,8 +91,7 @@ pub struct ConfigTelemetry {
     pub rejected: u64,
     /// Improvement passes executed within this configuration.
     pub passes: u64,
-    /// Incremental-evaluation cache hits within this configuration (0 with
-    /// [`SynthesisConfig::incremental`] off).
+    /// Incremental-evaluation cache hits within this configuration.
     pub eval_cache_hits: u64,
     /// Incremental-evaluation cache misses within this configuration.
     pub eval_cache_misses: u64,
@@ -102,16 +103,10 @@ pub struct ConfigTelemetry {
     /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json):
     /// it varies with cache state while the result bytes must not.
     pub warm_area_hits: u64,
-    /// Wall-clock spent in full (uncached) search evaluations, seconds —
-    /// the whole evaluation load with incremental off, the shadow half with
-    /// [`SynthesisConfig::shadow_eval`] on.
-    pub eval_full_s: f64,
-    /// Wall-clock spent in cache-aware search evaluations, seconds (0 with
-    /// incremental evaluation off).
+    /// Wall-clock spent in cache-aware search evaluations, seconds.
     pub eval_incr_s: f64,
-    /// Wall-clock spent applying moves, seconds: clone + rebuild with
-    /// [`SynthesisConfig::transactional`] off, in-place apply + rollback +
-    /// winner re-apply with it on.
+    /// Wall-clock spent applying moves, seconds: in-place apply, rollback,
+    /// and winner re-apply.
     pub apply_s: f64,
     /// Wall-clock spent in large-neighborhood ruin→recreate refinement,
     /// seconds — 0 with [`SynthesisConfig::lns_iters`] at 0.
@@ -174,12 +169,12 @@ impl SynthesisReport {
     ///
     /// Deliberately excluded, because they legitimately differ between
     /// otherwise identical runs: wall-clock (`elapsed_s`, `verify_s`,
-    /// `eval_full_s`, `eval_incr_s`) and incremental-cache traffic
-    /// (`eval_cache_hits` / `eval_cache_misses`, which differ between
-    /// cached and uncached runs of the same search). Two runs are the same
-    /// search with the same result iff their `result_json` bytes match —
-    /// the contract the `incremental_equivalence` differential suite
-    /// enforces across cache-on/cache-off pairs.
+    /// `eval_incr_s`, `apply_s`, `lns_s`) and cache traffic
+    /// (`eval_cache_hits` / `eval_cache_misses` / `warm_area_hits`, which
+    /// differ with the state of a shared or persisted cache). Two runs are
+    /// the same search with the same result iff their `result_json` bytes
+    /// match — the contract the `incremental_equivalence` differential
+    /// suite enforces between shadow-checked and plain runs.
     pub fn result_json(&self) -> String {
         use hsyn_util::Json;
 
@@ -432,7 +427,6 @@ pub fn synthesize(
             stats: MoveStats,
             elapsed_s: f64,
             verify_s: f64,
-            eval_full_s: f64,
             eval_incr_s: f64,
             apply_s: f64,
             lns_s: f64,
@@ -508,7 +502,6 @@ pub fn synthesize(
                                 stats: engine.stats,
                                 elapsed_s: config_start.elapsed().as_secs_f64(),
                                 verify_s: engine.verify_s,
-                                eval_full_s: engine.eval_full_s,
                                 eval_incr_s: engine.eval_incr_s,
                                 apply_s: engine.apply_s,
                                 lns_s: engine.lns_s,
@@ -555,7 +548,6 @@ pub fn synthesize(
                 stats: config_stats,
                 elapsed_s,
                 verify_s,
-                eval_full_s,
                 eval_incr_s,
                 apply_s,
                 lns_s,
@@ -574,7 +566,6 @@ pub fn synthesize(
                     passes: config_stats.passes,
                     eval_cache_hits: config_stats.eval_cache_hits,
                     eval_cache_misses: config_stats.eval_cache_misses,
-                    eval_full_s,
                     eval_incr_s,
                     apply_s,
                     lns_s,

@@ -1,7 +1,7 @@
 //! The transactional move engine's undo journal.
 //!
 //! Candidate evaluation used to clone the whole [`DesignPoint`] per
-//! candidate (O(design size) per move). The transactional path instead
+//! candidate (O(design size) per move). The engine instead
 //! mutates the one live design in place and records the *inverse* of every
 //! edit here; a rejected candidate is restored by replaying the journal
 //! backwards (O(edit size)). See DESIGN.md, "Transaction invariants", for
@@ -424,7 +424,7 @@ impl<'a> Transaction<'a> {
     ///
     /// # Errors
     ///
-    /// Exactly [`apply`](crate::apply)'s errors.
+    /// Exactly [`apply_in_place`](crate::apply_in_place)'s errors.
     #[allow(clippy::type_complexity)]
     pub fn apply(
         &mut self,

@@ -2,8 +2,8 @@
 //! rejects correctly on concrete design points.
 
 use hsyn_core::{
-    apply, initial_solution, selection_candidates, sharing_candidates, splitting_candidates,
-    DesignPoint, Move, Objective, OperatingPoint,
+    apply_in_place, initial_solution, selection_candidates, sharing_candidates,
+    splitting_candidates, ApplyError, DesignPoint, Move, Objective, OperatingPoint, UndoLog,
 };
 use hsyn_dfg::benchmarks;
 use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
@@ -25,8 +25,11 @@ fn paulin_dp(period_ns: f64) -> (DesignPoint, ModuleLibrary) {
     )
 }
 
-fn no_resynth() -> impl FnMut(&DesignPoint, &[usize], usize) -> Option<hsyn_core::ChildKind> {
-    |_, _, _| None
+/// Apply `mv` to a clone of `dp` (no move-*B* resynthesis).
+fn apply(dp: &DesignPoint, mv: &Move, mlib: &ModuleLibrary) -> Result<DesignPoint, ApplyError> {
+    let mut new = dp.clone();
+    apply_in_place(&mut new, mv, mlib, &mut |_, _, _| None, &mut UndoLog::new())?;
+    Ok(new)
 }
 
 #[test]
@@ -47,10 +50,10 @@ fn set_fu_type_swaps_multiplier_variant() {
         group,
         fu_type: mult2,
     };
-    let new = apply(&dp, &mv, &mlib, &mut no_resynth()).expect("slack admits mult2");
+    let new = apply(&dp, &mv, &mlib).expect("slack admits mult2");
     assert_eq!(new.top.core.fu_groups[group].fu_type, mult2);
     // Same move again is rejected (no-op).
-    assert!(apply(&new, &mv, &mlib, &mut no_resynth()).is_err());
+    assert!(apply(&new, &mv, &mlib).is_err());
 }
 
 #[test]
@@ -65,7 +68,7 @@ fn merge_then_split_round_trips_group_count() {
             _ => None,
         })
         .expect("merge candidates exist");
-    let merged = apply(&dp, &merge, &mlib, &mut no_resynth()).expect("merge applies");
+    let merged = apply(&dp, &merge, &mlib).expect("merge applies");
     assert_eq!(merged.top.core.fu_groups.len(), n0 - 1);
     // Now split the merged group back apart.
     let cands = splitting_candidates(&merged, &mlib, Objective::Power);
@@ -76,7 +79,7 @@ fn merge_then_split_round_trips_group_count() {
             _ => None,
         })
         .expect("split candidates exist after a merge");
-    let split_dp = apply(&merged, &split, &mlib, &mut no_resynth()).expect("split applies");
+    let split_dp = apply(&merged, &split, &mlib).expect("split applies");
     assert_eq!(split_dp.top.core.fu_groups.len(), n0);
 }
 
@@ -84,29 +87,12 @@ fn merge_then_split_round_trips_group_count() {
 fn register_packing_shrinks_and_dedication_restores() {
     let (dp, mlib) = paulin_dp(400.0);
     let dedicated_regs = dp.top.built.regs().len();
-    let packed = apply(
-        &dp,
-        &Move::RepackRegs { path: vec![] },
-        &mlib,
-        &mut no_resynth(),
-    )
-    .expect("packing applies");
+    let packed = apply(&dp, &Move::RepackRegs { path: vec![] }, &mlib).expect("packing applies");
     assert!(packed.top.built.regs().len() < dedicated_regs);
     // Packing twice is a no-op ⇒ rejected.
-    assert!(apply(
-        &packed,
-        &Move::RepackRegs { path: vec![] },
-        &mlib,
-        &mut no_resynth()
-    )
-    .is_err());
-    let restored = apply(
-        &packed,
-        &Move::DedicateRegs { path: vec![] },
-        &mlib,
-        &mut no_resynth(),
-    )
-    .expect("dedication applies");
+    assert!(apply(&packed, &Move::RepackRegs { path: vec![] }, &mlib).is_err());
+    let restored =
+        apply(&packed, &Move::DedicateRegs { path: vec![] }, &mlib).expect("dedication applies");
     assert_eq!(restored.top.built.regs().len(), dedicated_regs);
 }
 
@@ -122,8 +108,7 @@ fn stale_moves_are_rejected_not_panicking() {
             group: n + 5,
             fu_type: mlib.simple.fu_by_name("add1").unwrap(),
         },
-        &mlib,
-        &mut no_resynth(),
+        &mlib
     )
     .is_err());
     // Merge with b out of range.
@@ -135,8 +120,7 @@ fn stale_moves_are_rejected_not_panicking() {
             b: n + 1,
             fu_type: mlib.simple.fu_by_name("add1").unwrap(),
         },
-        &mlib,
-        &mut no_resynth(),
+        &mlib
     )
     .is_err());
     // Split of a singleton group.
@@ -148,8 +132,7 @@ fn stale_moves_are_rejected_not_panicking() {
             group: 0,
             op,
         },
-        &mlib,
-        &mut no_resynth(),
+        &mlib
     )
     .is_err());
 }
@@ -174,7 +157,7 @@ fn merge_children_shares_stateless_instances() {
         a: 0,
         b: 1,
     };
-    let merged = apply(&dp, &mv, &mlib, &mut no_resynth()).expect("stateless merge");
+    let merged = apply(&dp, &mv, &mlib).expect("stateless merge");
     assert_eq!(merged.top.children.len(), 7);
     assert_eq!(merged.top.children[0].nodes.len(), 2);
     // Split it back out.
@@ -184,7 +167,7 @@ fn merge_children_shares_stateless_instances() {
         child: 0,
         node,
     };
-    let restored = apply(&merged, &split, &mlib, &mut no_resynth()).expect("split back");
+    let restored = apply(&merged, &split, &mlib).expect("split back");
     assert_eq!(restored.top.children.len(), 8);
 }
 
@@ -208,7 +191,7 @@ fn merge_children_rejects_stateful_sharing() {
         b: 1,
     };
     assert!(
-        apply(&dp, &mv, &mlib, &mut no_resynth()).is_err(),
+        apply(&dp, &mv, &mlib).is_err(),
         "stateful biquads must not share one instance"
     );
     // And the candidate generator does not even propose it.

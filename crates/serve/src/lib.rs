@@ -7,14 +7,14 @@
 //! - [`proto`] — the wire protocol: JSON bodies in length-prefixed frames
 //!   ([`hsyn_util::frame`]), a strict [`JobSpec`] parser, and the
 //!   content-addressed [`JobSpec::cache_key`] that names a job by its
-//!   semantic content (deadline, tag, and worker count excluded).
+//!   semantic content (deadline, tag, and `no_cache` excluded).
 //! - [`store`] — the persistent disk cache: a content-addressed job-result
 //!   cache plus a per-library area-cache snapshot, both written atomically
 //!   (temp file + rename), versioned and checksummed, with corrupt files
 //!   detected, discarded, and counted rather than trusted.
-//! - [`server`] — the daemon: accept loop, bounded job queue, worker pool
-//!   layered on the engine's `intra_parallelism`, per-job deadlines and
-//!   tag-based cancellation, telemetry, and a shutdown-drain path.
+//! - [`server`] — the daemon: accept loop, bounded job queue, worker pool,
+//!   per-job deadlines and tag-based cancellation, telemetry, and a
+//!   shutdown-drain path.
 //! - [`client`] — the synchronous client used by `hsyn submit` and the
 //!   differential test harness.
 //!

@@ -7,11 +7,10 @@
 //! `shutdown`. Response types: `pong`, `result`, `stats`, `cancel_ack`,
 //! `shutdown_ack`, `error`.
 //!
-//! A [`JobSpec`] mirrors the synthesis CLI flag for flag — same defaults,
-//! same [`SynthesisConfig`] construction — which is what makes the
-//! serve-vs-CLI differential suite meaningful: a default job submitted to
-//! the daemon and a default CLI run *must* produce byte-identical
-//! `result_json`.
+//! A [`JobSpec`] mirrors the synthesis CLI flag for flag, with the same
+//! defaults, which is what makes the serve-vs-CLI differential suite
+//! meaningful: a default job submitted to the daemon and a default CLI run
+//! *must* produce byte-identical `result_json`.
 
 use hsyn_core::{Objective, SynthesisConfig};
 use hsyn_util::Json;
@@ -67,8 +66,6 @@ pub struct JobSpec {
     pub flat: bool,
     /// Large-neighborhood refinement iterations.
     pub lns_iters: usize,
-    /// Intra-configuration candidate-scan workers (1 = serial).
-    pub intra_jobs: usize,
     /// Search-budget overrides.
     pub budget: Option<Budget>,
     /// Per-job deadline, milliseconds from dequeue; expiry aborts the job
@@ -95,7 +92,6 @@ impl JobSpec {
             seed: None,
             flat: false,
             lns_iters: 0,
-            intra_jobs: 1,
             budget: None,
             deadline_ms: None,
             tag: None,
@@ -104,10 +100,11 @@ impl JobSpec {
         }
     }
 
-    /// The [`SynthesisConfig`] this job runs under — the same construction
-    /// path as the CLI's `synth_main`, so serve and CLI can never drift.
-    /// `cancel` and `shared_area` are the daemon's runtime hooks; both are
-    /// inert with respect to result bytes.
+    /// The [`SynthesisConfig`] this job runs under. It mirrors the CLI's
+    /// `synth_main` flag for flag, but the CLI builds its own config; what
+    /// keeps the two aligned is the `daemon_matches_cli_result_json_bytes`
+    /// differential test. `cancel` and `shared_area` are the daemon's
+    /// runtime hooks; both are inert with respect to result bytes.
     pub fn to_config(
         &self,
         cancel: Option<hsyn_core::CancelToken>,
@@ -120,7 +117,6 @@ impl JobSpec {
         if let Some(s) = self.seed {
             config.seed = s;
         }
-        config.intra_parallelism = self.intra_jobs;
         config.lns_iters = self.lns_iters;
         if let Some(b) = &self.budget {
             if let Some(v) = b.max_passes {
@@ -217,10 +213,6 @@ impl JobSpec {
 
     /// The content-addressed cache key for this job: a stable 128-bit hash
     /// of [`canonical_json`](Self::canonical_json), as 32 hex characters.
-    ///
-    /// Note `intra_jobs` is *absent* from the canonical form: the intra
-    /// scan is byte-identical at every worker count (enforced in CI), so
-    /// jobs differing only in `intra_jobs` share one cache entry.
     pub fn cache_key(&self) -> String {
         hsyn_util::content_key(self.canonical_json().to_string_pretty().as_bytes())
     }
@@ -255,9 +247,6 @@ impl JobSpec {
         }
         if self.lns_iters > 0 {
             fields.push(("lns_iters".to_owned(), Json::Num(self.lns_iters as f64)));
-        }
-        if self.intra_jobs != 1 {
-            fields.push(("intra_jobs".to_owned(), Json::Num(self.intra_jobs as f64)));
         }
         if let Some(b) = &self.budget {
             let mut bf: Vec<(String, Json)> = Vec::new();
@@ -329,7 +318,6 @@ pub fn parse_job(v: &Json) -> Result<JobSpec, String> {
         "seed",
         "flat",
         "lns_iters",
-        "intra_jobs",
         "budget",
         "deadline_ms",
         "tag",
@@ -381,9 +369,6 @@ pub fn parse_job(v: &Json) -> Result<JobSpec, String> {
     job.flat = bool_field(v, "flat")?;
     if let Some(n) = usize_field(v, "lns_iters")? {
         job.lns_iters = n;
-    }
-    if let Some(n) = usize_field(v, "intra_jobs")? {
-        job.intra_jobs = n;
     }
     if let Some(b) = v.get("budget") {
         let Json::Obj(bfields) = b else {
@@ -455,7 +440,6 @@ mod tests {
         job.seed = Some(42);
         job.flat = true;
         job.lns_iters = 3;
-        job.intra_jobs = 4;
         job.budget = Some(Budget {
             max_passes: Some(2),
             candidate_limit: Some(2),
@@ -482,7 +466,6 @@ mod tests {
         same.deadline_ms = Some(10);
         same.tag = Some("x".into());
         same.no_cache = true;
-        same.intra_jobs = 4;
         assert_eq!(same.cache_key(), key);
         // ...every result-affecting knob forks it.
         for tweak in [

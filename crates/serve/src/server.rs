@@ -3,9 +3,11 @@
 //!
 //! One thread per connection reads frames and dispatches requests; `submit`
 //! requests enqueue onto a bounded queue drained by a fixed worker pool
-//! (`--jobs`), each worker running one synthesis at a time (layered on the
-//! engine's own `intra_parallelism`). Responses are written back over the
-//! submitting connection, matched by `seq`.
+//! (`--jobs`), each worker running one synthesis at a time (whose own
+//! `(Vdd, clk)` sweep may use further threads). Responses are written back
+//! over the submitting connection, matched by `seq`. A computed job's
+//! cache entry is written before its response is sent, so a repeat that
+//! arrives right after the answer is always a cache hit.
 //!
 //! Determinism contract: a job's `result_json` depends only on the job
 //! spec — not on queue order, worker count, concurrent load, cache
@@ -734,13 +736,17 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                 ),
             ];
             fields.extend(payload_fields);
-            send(&item.writer, &Json::Obj(fields));
-            // Write-through both persistent layers after answering.
+            // Write the job-cache entry *before* answering: a repeat sent
+            // the moment this answer arrives may reach another worker, and
+            // must find the entry rather than recompute.
             if let Some(store) = &ctx.store {
                 if !job.no_cache {
                     let _ = store.store_job(&key, &payload);
                 }
             }
+            send(&item.writer, &Json::Obj(fields));
+            // The area snapshot only warms later jobs; persist it after
+            // answering.
             ctx.persist_areas();
         }
         Err(SynthesisError::Cancelled) => finish_cancelled(ctx, item, seq),

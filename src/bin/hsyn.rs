@@ -12,12 +12,8 @@
 //!   --flat                   flattened synthesis (the baseline)
 //!   --paranoid               verify cross-layer invariants after every
 //!                            accepted move (observation-only when legal)
-//!   --no-incremental         recompute every cost from scratch instead of
-//!                            using the per-module evaluation cache
 //!   --shadow-eval            run the full evaluation alongside every cached
 //!                            one and panic on the first bit-level divergence
-//!   --no-transactional       clone the design per candidate instead of
-//!                            speculating in place with an undo journal
 //!   --cosim-check            co-simulate every optimized configuration
 //!                            against the behavioral reference and skip
 //!                            configurations whose outputs diverge
@@ -30,10 +26,6 @@
 //!   --parallel <n>           worker threads for the (Vdd, clock) sweep
 //!                            (default: one per core; results identical
 //!                            for every setting)
-//!   --intra-jobs <n>         worker threads for the candidate scan inside
-//!                            each configuration; 0 = one per core
-//!                            (default: 1; results identical for every
-//!                            setting, transactional mode only)
 //!   --result-json            print only the canonical deterministic report
 //!                            (what the serve differential suite compares)
 //!
@@ -86,8 +78,8 @@
 //! hsyn submit --connect HOST:PORT [<behavior.dfg> | --benchmark NAME] [options]
 //!
 //! options:
-//!   --objective/--laxity/--period/--library/--flat/--seed/--lns-iters/
-//!   --intra-jobs             as for synthesis, forwarded in the job spec
+//!   --objective/--laxity/--period/--library/--flat/--seed/--lns-iters
+//!                            as for synthesis, forwarded in the job spec
 //!   --deadline-ms <n>        abort the job after N ms (structured error)
 //!   --tag <t>                label for targeted --cancel T
 //!   --no-cache               bypass the daemon's response cache
@@ -116,10 +108,9 @@ fn usage() -> ExitCode {
         "usage: hsyn [<behavior.dfg> | --benchmark NAME] [--objective area|power]\n\
          \x20           [--laxity F] [--period NS]\n\
          \x20           [--library table1|realistic] [--flat] [--paranoid] [--netlist]\n\
-         \x20           [--no-incremental] [--shadow-eval] [--no-transactional]\n\
-         \x20           [--cosim-check] [--fsm] [--verilog FILE]\n\
+         \x20           [--shadow-eval] [--cosim-check] [--fsm] [--verilog FILE]\n\
          \x20           [--dot FILE] [--power-report] [--seed N] [--parallel N]\n\
-         \x20           [--intra-jobs N] [--lns-iters N]\n\
+         \x20           [--lns-iters N]\n\
          \x20      hsyn lint [<behavior.dfg> | --benchmark NAME | --all-benchmarks]\n\
          \x20           [--synthesize] [--objective area|power|both] [--laxity F]\n\
          \x20           [--library table1|realistic] [--allow CODE] [--json]\n\
@@ -136,7 +127,7 @@ fn usage() -> ExitCode {
          \x20      hsyn submit --connect HOST:PORT\n\
          \x20           [<behavior.dfg> | --benchmark NAME] [--objective area|power]\n\
          \x20           [--laxity F] [--period NS] [--library table1|realistic]\n\
-         \x20           [--flat] [--seed N] [--lns-iters N] [--intra-jobs N]\n\
+         \x20           [--flat] [--seed N] [--lns-iters N]\n\
          \x20           [--deadline-ms N] [--tag TAG] [--no-cache] [--verilog]\n\
          \x20           [--result-json] | --ping | --stats | --cancel TAG |\n\
          \x20           --shutdown"
@@ -776,11 +767,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     let mut power_report = false;
     let mut seed: Option<u64> = None;
     let mut parallel: Option<usize> = None;
-    let mut intra_jobs: Option<usize> = None;
     let mut paranoid = false;
-    let mut incremental = true;
     let mut shadow_eval = false;
-    let mut transactional = true;
     let mut cosim_check = false;
     let mut lns_iters = 0usize;
     let mut result_json_only = false;
@@ -822,9 +810,7 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             },
             "--flat" => flat = true,
             "--paranoid" => paranoid = true,
-            "--no-incremental" => incremental = false,
             "--shadow-eval" => shadow_eval = true,
-            "--no-transactional" => transactional = false,
             "--cosim-check" => cosim_check = true,
             "--netlist" => show_netlist = true,
             "--fsm" => show_fsm = true,
@@ -845,14 +831,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
                 Some(v) if v >= 1 => parallel = Some(v),
                 _ => {
                     eprintln!("--parallel expects a thread count of at least 1");
-                    return usage();
-                }
-            },
-            "--intra-jobs" => match take("--intra-jobs").and_then(|v| v.parse::<usize>().ok()) {
-                // 0 is meaningful here: one worker per available core.
-                Some(v) => intra_jobs = Some(v),
-                None => {
-                    eprintln!("--intra-jobs expects a thread count (0 = one per core)");
                     return usage();
                 }
             },
@@ -877,24 +855,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
                 return usage();
             }
         }
-    }
-    // Reject flag combinations that contradict each other rather than
-    // silently privileging one of them.
-    if shadow_eval && !incremental {
-        eprintln!(
-            "--shadow-eval conflicts with --no-incremental: shadow evaluation \
-             exists to cross-check the incremental cache, which --no-incremental \
-             disables"
-        );
-        return ExitCode::from(2);
-    }
-    if !transactional && intra_jobs.is_some_and(|n| n != 1) {
-        eprintln!(
-            "--no-transactional conflicts with --intra-jobs {}: the intra-config \
-             candidate scan requires transactional move application",
-            intra_jobs.unwrap_or(0)
-        );
-        return ExitCode::from(2);
     }
     let (path, hierarchy, equiv) = match (input, bench_name) {
         (Some(_), Some(_)) => {
@@ -951,13 +911,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     if parallel.is_some() {
         config.parallelism = parallel;
     }
-    if let Some(n) = intra_jobs {
-        config.intra_parallelism = n;
-    }
     config.paranoid = paranoid;
-    config.incremental = incremental;
     config.shadow_eval = shadow_eval;
-    config.transactional = transactional;
     config.cosim_check = cosim_check;
     config.lns_iters = lns_iters;
 
@@ -1024,9 +979,14 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     );
     if paranoid {
         println!(
-            "verifier            : clean, {:.3}s across {} configurations",
+            "verifier            : clean, {:.3}s across {} configurations{}",
             report.per_config.iter().map(|c| c.verify_s).sum::<f64>(),
-            report.per_config.len()
+            report.per_config.len(),
+            if shadow_eval {
+                " (includes the shadow reference evaluations)"
+            } else {
+                ""
+            }
         );
     }
     if cosim_check {
@@ -1041,26 +1001,23 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             flagged
         );
     }
-    if incremental || shadow_eval {
-        let incr_s: f64 = report.per_config.iter().map(|c| c.eval_incr_s).sum();
-        let full_s: f64 = report.per_config.iter().map(|c| c.eval_full_s).sum();
-        let mut line = format!(
-            "eval cache          : {} hits, {} misses, {incr_s:.3}s evaluating",
-            report.stats.eval_cache_hits, report.stats.eval_cache_misses
-        );
+    let incr_s: f64 = report.per_config.iter().map(|c| c.eval_incr_s).sum();
+    println!(
+        "eval cache          : {} hits, {} misses, {incr_s:.3}s evaluating{}",
+        report.stats.eval_cache_hits,
+        report.stats.eval_cache_misses,
         if shadow_eval {
-            line.push_str(&format!(" ({full_s:.3}s shadowed full, identical)"));
+            " (shadowed by full recomputation, identical)"
+        } else {
+            ""
         }
-        println!("{line}");
-    }
-    if transactional {
-        let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
-        println!(
-            "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",
-            report.stats.moves_rolled_back,
-            format_bytes(report.stats.undo_bytes_peak),
-        );
-    }
+    );
+    let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
+    println!(
+        "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",
+        report.stats.moves_rolled_back,
+        format_bytes(report.stats.undo_bytes_peak),
+    );
     if lns_iters > 0 {
         let lns_s: f64 = report.per_config.iter().map(|c| c.lns_s).sum();
         println!(
@@ -1207,7 +1164,6 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     let mut flat = false;
     let mut seed: Option<u64> = None;
     let mut lns_iters: Option<usize> = None;
-    let mut intra_jobs: Option<usize> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut tag: Option<String> = None;
     let mut no_cache = false;
@@ -1268,10 +1224,6 @@ fn submit_main(args: Vec<String>) -> ExitCode {
             },
             "--lns-iters" => match take("--lns-iters").and_then(|v| v.parse().ok()) {
                 Some(v) => lns_iters = Some(v),
-                None => return usage(),
-            },
-            "--intra-jobs" => match take("--intra-jobs").and_then(|v| v.parse().ok()) {
-                Some(v) => intra_jobs = Some(v),
                 None => return usage(),
             },
             "--deadline-ms" => match take("--deadline-ms").and_then(|v| v.parse().ok()) {
@@ -1396,9 +1348,6 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     job.seed = seed;
     if let Some(v) = lns_iters {
         job.lns_iters = v;
-    }
-    if let Some(v) = intra_jobs {
-        job.intra_jobs = v;
     }
     job.deadline_ms = deadline_ms;
     job.tag = tag;

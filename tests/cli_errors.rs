@@ -62,44 +62,30 @@ fn unknown_subcommand_lists_subcommands() {
     }
 }
 
+/// The engine has one search path, so the flags that used to select the
+/// clone-per-candidate scan, the uncached search, and the intra-config
+/// parallel scan are gone: each is an unknown argument, on the one-shot
+/// path and on `submit` alike, and never silently ignored.
 #[test]
-fn conflicting_flags_are_rejected_with_an_explanation() {
-    // Shadow evaluation cross-checks the incremental cache; disabling the
-    // cache while demanding the cross-check is a contradiction.
-    let (ok, stderr) = run(&["--benchmark", "paulin", "--shadow-eval", "--no-incremental"]);
-    assert!(!ok, "--shadow-eval --no-incremental must fail");
-    assert!(
-        stderr.contains("--shadow-eval") && stderr.contains("--no-incremental"),
-        "the error must name both flags: {stderr}"
-    );
-
-    // The parallel intra-config scan requires transactional application.
-    let (ok, stderr) = run(&[
-        "--benchmark",
-        "paulin",
-        "--no-transactional",
-        "--intra-jobs",
-        "2",
-    ]);
-    assert!(!ok, "--no-transactional --intra-jobs 2 must fail");
-    assert!(
-        stderr.contains("--no-transactional") && stderr.contains("--intra-jobs"),
-        "the error must name both flags: {stderr}"
-    );
-
-    // --intra-jobs 1 is the serial default and conflicts with nothing.
-    let (ok, stderr) = run(&[
-        "--benchmark",
-        "nope",
-        "--no-transactional",
-        "--intra-jobs",
-        "1",
-    ]);
-    assert!(!ok, "fails on the bad benchmark, not the flags");
-    assert!(
-        stderr.contains("unknown benchmark"),
-        "flag check must not fire for the serial default: {stderr}"
-    );
+fn removed_engine_flags_are_unknown_arguments() {
+    for flags in [
+        &["--no-transactional"][..],
+        &["--no-incremental"][..],
+        &["--intra-jobs", "2"][..],
+    ] {
+        for prefix in [
+            &["--benchmark", "paulin"][..],
+            &["submit", "--benchmark", "paulin"][..],
+        ] {
+            let args: Vec<&str> = prefix.iter().chain(flags).copied().collect();
+            let (ok, stderr) = run(&args);
+            assert!(!ok, "{args:?} must fail");
+            assert!(
+                stderr.contains(&format!("unknown argument `{}`", flags[0])),
+                "{args:?}: the error must name the removed flag: {stderr}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! relaxes.
 
 use hsyn::core::{
-    apply, initial_solution, selection_candidates, DesignPoint, Move, Objective, OperatingPoint,
+    apply_in_place, initial_solution, selection_candidates, DesignPoint, Move, Objective,
+    OperatingPoint, UndoLog,
 };
 use hsyn::lib::papers::TABLE1_CLOCK_NS;
 use hsyn::rtl::papers::test1_complex_library;
@@ -41,7 +42,15 @@ fn move_a_swaps_c1_for_equivalent_c2() {
         })
         .expect("a C1 -> C2 swap candidate must exist (equivalence class)");
 
-    let new = apply(&dp, swap, &mlib, &mut |_, _, _| None).expect("swap is schedulable");
+    let mut new = dp.clone();
+    apply_in_place(
+        &mut new,
+        swap,
+        &mlib,
+        &mut |_, _, _| None,
+        &mut UndoLog::new(),
+    )
+    .expect("swap is schedulable");
     // The hierarchical node now invokes the chain DFG, not the tree.
     let top_dfg = new.top.core.dfg;
     let g = new.hierarchy.dfg(top_dfg);

@@ -5,9 +5,9 @@
 //! produce byte-identical [`SynthesisReport::result_json`]:
 //!
 //! * across repeated runs of the same configuration, and
-//! * across `intra_parallelism` at 1, 2, and 4 workers — the parallel
-//!   candidate scan inside the recreate loop replays sequentially, so the
-//!   worker count can only change wall-clock, never the result.
+//! * across 1, 2, and 4 workers for the `(Vdd, clk)` sweep — each
+//!   configuration's LNS stream is seeded from its own operating point, so
+//!   the worker count can only change wall-clock, never the result.
 //!
 //! The canonical JSON pins the LNS counters (`lns_ruins`, `lns_accepts`)
 //! alongside every per-config cost, so a single diverging ruin or accept
@@ -21,7 +21,7 @@ use hsyn::dfg::benchmarks::{self, Benchmark};
 use hsyn::lib::papers::table1_library;
 use hsyn::rtl::ModuleLibrary;
 
-fn config(objective: Objective, intra: usize) -> SynthesisConfig {
+fn config(objective: Objective, workers: usize) -> SynthesisConfig {
     let mut c = SynthesisConfig::new(objective);
     c.laxity_factor = 2.2;
     c.max_passes = 3;
@@ -31,16 +31,14 @@ fn config(objective: Objective, intra: usize) -> SynthesisConfig {
     c.max_clock_candidates = 2;
     c.resynth_depth = 1;
     c.lns_iters = 6;
-    // Hold the outer sweep serial so only the intra-config knob varies.
-    c.parallelism = Some(1);
-    c.intra_parallelism = intra;
+    c.parallelism = Some(workers);
     c
 }
 
-fn run(bench: &Benchmark, objective: Objective, intra: usize) -> SynthesisReport {
+fn run(bench: &Benchmark, objective: Objective, workers: usize) -> SynthesisReport {
     let mut mlib = ModuleLibrary::from_simple(table1_library());
     mlib.equiv = bench.equiv.clone();
-    synthesize(&bench.hierarchy, &mlib, &config(objective, intra))
+    synthesize(&bench.hierarchy, &mlib, &config(objective, workers))
         .unwrap_or_else(|e| panic!("{} ({objective:?}): synthesis failed: {e}", bench.name))
 }
 
@@ -72,12 +70,12 @@ fn lns_result_json_is_identical_across_runs_and_worker_counts() {
                 "{} ({objective:?}): result_json diverged across repeated runs",
                 bench.name
             );
-            // Same seed across intra-config worker counts: byte-identical.
+            // Same seed across sweep worker counts: byte-identical.
             for workers in [2usize, 4] {
                 assert_eq!(
                     base_json,
                     run(&bench, objective, workers).result_json(),
-                    "{} ({objective:?}): result_json diverged at {workers} intra workers",
+                    "{} ({objective:?}): result_json diverged at {workers} sweep workers",
                     bench.name
                 );
             }

@@ -137,14 +137,13 @@ fn memory_suite_synthesizes_and_matches_goldens() {
 }
 
 /// Reports are a pure function of the configuration: byte-identical across
-/// repeated runs and across intra-config worker counts 1 / 2 / 4.
+/// repeated runs and across `(Vdd, clk)` sweep worker counts 1 / 2 / 4.
 #[test]
 fn memory_suite_reports_are_deterministic_across_worker_counts() {
     for bench in benchmarks::memory_suite() {
         for objective in [Objective::Area, Objective::Power] {
             let mut c = config(objective);
             c.parallelism = Some(1);
-            c.intra_parallelism = 1;
             let base = run(&bench, &c).result_json();
             assert_eq!(
                 base,
@@ -153,11 +152,11 @@ fn memory_suite_reports_are_deterministic_across_worker_counts() {
                 bench.name
             );
             for workers in [2usize, 4] {
-                c.intra_parallelism = workers;
+                c.parallelism = Some(workers);
                 assert_eq!(
                     base,
                     run(&bench, &c).result_json(),
-                    "{} ({objective:?}): diverged at {workers} intra workers",
+                    "{} ({objective:?}): diverged at {workers} sweep workers",
                     bench.name
                 );
             }

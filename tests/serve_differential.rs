@@ -39,6 +39,14 @@ fn cold_warm_nocache_and_restart_are_byte_identical() {
     let cold = client.submit(&job).expect("cold submit");
     assert!(!cold.cached, "first submission cannot be a cache hit");
     assert_eq!(cold.result_json, expected, "cold daemon run != reference");
+    // The job-cache entry is written before the answer is sent, so a
+    // repeat racing in right behind the answer can never miss.
+    let entry = cache.join("jobs").join(format!("{}.json", job.cache_key()));
+    assert!(
+        entry.is_file(),
+        "{} must exist once the cold answer is received",
+        entry.display()
+    );
 
     let warm = client.submit(&job).expect("warm submit");
     assert!(warm.cached, "repeat submission must hit the job cache");

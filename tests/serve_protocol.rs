@@ -156,6 +156,11 @@ fn submit_rejections_name_the_offending_field() {
         ),
         (r#"{"bench": "paulin", "laxity": -1.0}"#, "laxity"),
         (r#"{"bench": "paulin", "text": "dfg f {}"}"#, "exactly one"),
+        // The intra-config worker count is no longer a job knob.
+        (
+            r#"{"bench": "paulin", "intra_jobs": 2}"#,
+            "unknown job field `intra_jobs`",
+        ),
         (r#"{}"#, "bench"),
         (r#"{"bench": "paulin", "objective": "speed"}"#, "objective"),
     ] {
