@@ -5,9 +5,12 @@
 //! requests enqueue onto a bounded queue drained by a fixed worker pool
 //! (`--jobs`), each worker running one synthesis at a time (whose own
 //! `(Vdd, clk)` sweep may use further threads). Responses are written back
-//! over the submitting connection, matched by `seq`. A computed job's
-//! cache entry is written before its response is sent, so a repeat that
-//! arrives right after the answer is always a cache hit.
+//! over the submitting connection, matched by `seq`, as one write on a
+//! `TCP_NODELAY` socket. A computed job's cache entry is written before
+//! its response is sent, so a repeat that arrives right after the answer
+//! is always a cache hit. The area store only warms later jobs: a worker
+//! marks it dirty after answering and a persister thread writes it, one
+//! write for every burst of jobs; shutdown writes it before acking.
 //!
 //! Determinism contract: a job's `result_json` depends only on the job
 //! spec — not on queue order, worker count, concurrent load, cache
@@ -16,7 +19,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -156,6 +159,15 @@ impl JobQueue {
     }
 }
 
+/// Requests to the persister thread.
+#[derive(Default)]
+struct PersistSignal {
+    /// A job finished since the persister last started a write.
+    dirty: bool,
+    /// The daemon is stopping; `run` writes the final snapshot itself.
+    exit: bool,
+}
+
 /// Shared daemon state.
 struct Ctx {
     opts: ServeOptions,
@@ -173,6 +185,14 @@ struct Ctx {
     /// One cross-job area store per library name.
     areas: Mutex<HashMap<String, Arc<SharedAreaCache>>>,
     store: Option<DiskStore>,
+    /// Requests to the persister thread, and its wake-up.
+    persist: Mutex<PersistSignal>,
+    persist_cv: Condvar,
+    /// Area entry count of the last successful area-store write. The lock
+    /// also serializes every `persist_areas` call.
+    persisted: Mutex<Option<u64>>,
+    /// Where a throwaway connection wakes the blocking accept loop.
+    wake_addr: SocketAddr,
     started: Instant,
 }
 
@@ -191,9 +211,15 @@ impl Ctx {
             .clone()
     }
 
-    /// Persist the area stores (no-op without a cache directory).
+    /// Persist the area stores: a no-op without a cache directory, or when
+    /// the entry count is unchanged since the last write (the stores only
+    /// grow, so an equal count means equal contents). Calls are serialized.
     fn persist_areas(&self) {
         let Some(store) = &self.store else { return };
+        let mut persisted = self.persisted.lock().expect("persisted poisoned");
+        if *persisted == Some(self.area_entries()) {
+            return;
+        }
         let areas = self.areas.lock().expect("areas poisoned");
         let mut libs: Vec<(String, Vec<_>)> = areas
             .iter()
@@ -201,9 +227,18 @@ impl Ctx {
             .collect();
         drop(areas);
         libs.sort_by(|a, b| a.0.cmp(&b.0));
+        let count = libs.iter().map(|(_, e)| e.len() as u64).sum();
         // Persistence is best-effort: a failed write costs warmth, not
         // correctness, and the next job retries it.
-        let _ = store.store_areas(&libs);
+        if store.store_areas(&libs).is_ok() {
+            *persisted = Some(count);
+        }
+    }
+
+    /// Ask the persister for an area-store write.
+    fn request_persist(&self) {
+        self.persist.lock().expect("persist poisoned").dirty = true;
+        self.persist_cv.notify_one();
     }
 
     fn area_entries(&self) -> u64 {
@@ -232,7 +267,13 @@ impl Server {
     /// Bind failures and cache-directory creation failures.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let store = match &opts.cache_dir {
             Some(dir) => Some(DiskStore::open(dir)?),
             None => None,
@@ -247,6 +288,10 @@ impl Server {
             tags: Mutex::new(HashMap::new()),
             areas: Mutex::new(HashMap::new()),
             store,
+            persist: Mutex::new(PersistSignal::default()),
+            persist_cv: Condvar::new(),
+            persisted: Mutex::new(None),
+            wake_addr,
             started: Instant::now(),
             opts,
         });
@@ -298,16 +343,23 @@ impl Server {
             let ctx = ctx.clone();
             workers.push(std::thread::spawn(move || worker_loop(&ctx)));
         }
-        let mut conns = Vec::new();
-        while !ctx.stop.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
+        let persister = {
+            let ctx = ctx.clone();
+            std::thread::spawn(move || persister_loop(&ctx))
+        };
+        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        for stream in self.listener.incoming() {
+            // `shutdown` sets `stop`, then wakes this blocking accept with a
+            // throwaway connection.
+            if ctx.stop.load(Ordering::Acquire) {
+                break;
+            }
+            match stream {
+                Ok(stream) => {
                     ctx.stats.connections.fetch_add(1, Ordering::AcqRel);
+                    conns.retain(|c| !c.is_finished());
                     let ctx = ctx.clone();
                     conns.push(std::thread::spawn(move || connection_loop(&ctx, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -317,6 +369,9 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
+        ctx.persist.lock().expect("persist poisoned").exit = true;
+        ctx.persist_cv.notify_one();
+        let _ = persister.join();
         // Connection threads exit when their peers close or on the next
         // read timeout; don't block daemon exit on lingering idle peers.
         for c in conns {
@@ -360,6 +415,8 @@ fn connection_loop(ctx: &Arc<Ctx>, stream: TcpStream) {
     // A peer that stalls mid-frame for minutes is dropped rather than
     // pinning the reader thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(300)));
+    // Answers must not wait for the peer's delayed ACK (Nagle).
+    let _ = stream.set_nodelay(true);
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -489,6 +546,7 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
             );
             ctx.stop.store(true, Ordering::Release);
             ctx.queue.cv.notify_all();
+            let _ = TcpStream::connect(ctx.wake_addr);
             false
         }
         "submit" => {
@@ -596,6 +654,23 @@ fn worker_loop(ctx: &Arc<Ctx>) {
     }
 }
 
+/// Persister: write the area store whenever a job finished since the last
+/// write started, until `run` asks it to exit. Jobs that finish while a
+/// write runs are all covered by the next one.
+fn persister_loop(ctx: &Ctx) {
+    let mut signal = ctx.persist.lock().expect("persist poisoned");
+    while !signal.exit {
+        if signal.dirty {
+            signal.dirty = false;
+            drop(signal);
+            ctx.persist_areas();
+            signal = ctx.persist.lock().expect("persist poisoned");
+        } else {
+            signal = ctx.persist_cv.wait(signal).expect("persist poisoned");
+        }
+    }
+}
+
 /// Resolve a job's behavior source.
 fn resolve_source(source: &JobSource) -> Result<(String, Hierarchy, EquivClasses), String> {
     match source {
@@ -630,7 +705,7 @@ fn resolve_library(name: &str) -> Result<Library, String> {
 }
 
 /// Execute one job end to end: job-cache lookup, synthesis with the shared
-/// area store, response, write-through persistence.
+/// area store, job-cache write, response, area-store write request.
 fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
     let seq = item.seq;
     let job = &item.job;
@@ -745,9 +820,9 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                 }
             }
             send(&item.writer, &Json::Obj(fields));
-            // The area snapshot only warms later jobs; persist it after
-            // answering.
-            ctx.persist_areas();
+            // The area snapshot only warms later jobs: the persister writes
+            // it off this worker.
+            ctx.request_persist();
         }
         Err(SynthesisError::Cancelled) => finish_cancelled(ctx, item, seq),
         Err(e) => {

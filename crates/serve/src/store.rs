@@ -12,8 +12,8 @@
 //!   library. New jobs are seeded from it, so shared submodules (biquads,
 //!   dot-products) hit warm across jobs *and* across daemon restarts.
 //!
-//! Both layers are write-through with atomic rename (write `*.tmp`, then
-//! rename), versioned, and checksummed: a truncated, bit-flipped, or
+//! Both layers are written with atomic rename (write a temp file unique to
+//! the write, then rename), versioned, and checksummed: a truncated, bit-flipped, or
 //! version-skewed file is detected on load, discarded (and deleted, for
 //! job files), and counted — the daemon then recomputes cold and rewrites.
 //! Floats persist as `f64::to_bits` hex, so a round trip is bit-exact.
@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hsyn_rtl::AreaBreakdown;
 use hsyn_util::{content_key, Json};
@@ -77,12 +78,20 @@ impl DiskStore {
         self.root.join("area.json")
     }
 
-    /// Atomic write: `path.tmp` then rename over `path`. A crash mid-write
-    /// leaves either the old file or a stray `.tmp`, never a torn target.
+    /// Atomic write: a temp file named for this write (pid and a
+    /// process-wide counter), then rename over `path`. Concurrent writers
+    /// of one path never share a temp file, so the last rename wins with a
+    /// whole file. A crash mid-write leaves either the old file or a stray
+    /// `.tmp`, never a torn target.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, path)
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("json.{}.{n}.tmp", std::process::id()));
+        let written = fs::write(&tmp, bytes).and_then(|()| fs::rename(&tmp, path));
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Look up a job by content key, validating version, key echo, and
@@ -295,6 +304,33 @@ mod tests {
             .replace("\"version\": 1", "\"version\": 2");
         fs::write(&path, skewed).unwrap();
         assert!(matches!(store.load_job(key), JobLookup::Corrupt));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_leave_a_whole_entry() {
+        let dir = tmp_dir("race");
+        let store = DiskStore::open(&dir).unwrap();
+        let key = "ffeeddccbbaa99887766554433221100";
+        let payload = Json::Obj(vec![(
+            "result_json".to_owned(),
+            Json::Str("x".repeat(64 * 1024)),
+        )]);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| store.store_job(key, &payload).unwrap());
+            }
+        });
+        match store.load_job(key) {
+            JobLookup::Hit(p) => assert_eq!(p.to_string_pretty(), payload.to_string_pretty()),
+            other => panic!("expected hit, got {other:?}"),
+        }
+        let strays: Vec<_> = fs::read_dir(dir.join("jobs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(strays.is_empty(), "stray temp files: {strays:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -62,6 +62,10 @@ impl std::error::Error for FrameError {}
 
 /// Write one frame: 4-byte big-endian length, then the payload.
 ///
+/// Header and payload go out as one buffer in one `write_all`. Two writes
+/// let Nagle's algorithm hold the payload on a TCP stream until the peer
+/// acknowledges the header, which a delayed ACK can postpone by ~40 ms.
+///
 /// # Errors
 ///
 /// `InvalidInput` if `payload` exceeds `u32::MAX` bytes; otherwise any
@@ -73,8 +77,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             "frame payload exceeds u32::MAX bytes",
         )
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -160,6 +166,26 @@ mod tests {
             assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), payload);
             // The stream is positioned exactly at the next frame boundary.
             assert_eq!(read_frame(&mut r, MAX_FRAME), Err(FrameError::Closed));
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        /// Records the size of every `write` call.
+        struct Counting(Vec<usize>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for payload in [&b""[..], b"{\"type\":\"ping\"}", &[0u8; 100_000]] {
+            let mut w = Counting(Vec::new());
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.0, vec![4 + payload.len()]);
         }
     }
 
