@@ -3,7 +3,10 @@
 //! certificate must survive certified re-execution (every value truncated
 //! to its certified width) byte-for-byte against the flattened behavioral
 //! reference, the width-sized cost models must never exceed the baseline,
-//! and the analysis must be deterministic.
+//! and the analysis must be deterministic. The full `result_json` of the
+//! narrow-coefficient and memory benchmarks is pinned in
+//! `tests/golden/analyze_*.json`
+//! (`UPDATE_GOLDEN=1 cargo test --test analyze_certificates` regenerates).
 
 use hsyn::core::{analyze, AnalyzeReport, Objective, SynthesisConfig};
 use hsyn::dataflow::{analyze_hierarchy, certified_outputs, WidthCertificate};
@@ -11,6 +14,9 @@ use hsyn::dfg::{benchmarks, reference_outputs};
 use hsyn::lib::papers::table1_library;
 use hsyn::power::dsp_default;
 use hsyn::rtl::ModuleLibrary;
+
+mod common;
+use common::check_golden;
 
 const W: u32 = 16;
 
@@ -133,4 +139,23 @@ fn analyze_report_json_is_deterministic() {
     let a = run_analyze("fir8").result_json();
     let b = run_analyze("fir8").result_json();
     assert_eq!(a, b);
+}
+
+/// Baseline and width-sized pricing pinned bit for bit: every float of the
+/// report (both objectives) rendered as its bit pattern. `dct` and `iir`
+/// exercise narrowed FUs, registers and sinks; `matmul` the memory path.
+#[test]
+fn analyze_reports_match_golden_snapshots() {
+    let mut drift = Vec::new();
+    for name in ["dct", "iir", "matmul"] {
+        let mut got = run_analyze(name).result_json();
+        got.push('\n');
+        check_golden(&format!("analyze_{name}"), &got, &mut drift);
+    }
+    assert!(
+        drift.is_empty(),
+        "analyze golden snapshots drifted (UPDATE_GOLDEN=1 regenerates them \
+         if the change is deliberate):\n{}",
+        drift.join("\n")
+    );
 }

@@ -11,7 +11,9 @@ use hsyn::dfg::benchmarks;
 use hsyn::lib::papers::table1_library;
 use hsyn::rtl::ModuleLibrary;
 use hsyn_util::Json;
-use std::path::PathBuf;
+
+mod common;
+use common::check_golden;
 
 fn golden_config(objective: Objective) -> SynthesisConfig {
     let mut c = SynthesisConfig::new(objective);
@@ -47,19 +49,16 @@ fn snapshot(report: &SynthesisReport) -> String {
     text
 }
 
-fn golden_path(name: &str, objective: Objective, suffix: &str) -> PathBuf {
+fn golden_name(name: &str, objective: Objective, suffix: &str) -> String {
     let obj = match objective {
         Objective::Area => "area",
         Objective::Power => "power",
     };
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}_{obj}{suffix}.json"))
+    format!("{name}_{obj}{suffix}")
 }
 
 #[test]
 fn paper_suite_matches_golden_snapshots() {
-    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let mut drift = Vec::new();
     for bench in benchmarks::paper_suite() {
         for objective in [Objective::Area, Objective::Power] {
@@ -67,27 +66,11 @@ fn paper_suite_matches_golden_snapshots() {
             mlib.equiv = bench.equiv.clone();
             let report = synthesize(&bench.hierarchy, &mlib, &golden_config(objective))
                 .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", bench.name));
-            let got = snapshot(&report);
-            let path = golden_path(bench.name, objective, "");
-            if update {
-                std::fs::create_dir_all(path.parent().expect("golden dir")).unwrap();
-                std::fs::write(&path, &got).unwrap();
-                continue;
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "{}: missing golden file (run UPDATE_GOLDEN=1 to create): {e}",
-                    path.display()
-                )
-            });
-            if got != want {
-                drift.push(format!(
-                    "{} {objective:?}:\n  expected {}  actual   {}",
-                    bench.name,
-                    want.replace('\n', "\n  "),
-                    got.replace('\n', "\n  ")
-                ));
-            }
+            check_golden(
+                &golden_name(bench.name, objective, ""),
+                &snapshot(&report),
+                &mut drift,
+            );
         }
     }
     assert!(
@@ -105,7 +88,6 @@ fn paper_suite_matches_golden_snapshots() {
 /// so any regression here is an engine bug, not a tuning matter.
 #[test]
 fn paper_suite_matches_lns_golden_snapshots() {
-    let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1");
     let mut drift = Vec::new();
     for bench in benchmarks::paper_suite() {
         for objective in [Objective::Area, Objective::Power] {
@@ -124,27 +106,11 @@ fn paper_suite_matches_lns_golden_snapshots() {
                 report.evaluation.cost,
                 plain.evaluation.cost
             );
-            let got = snapshot(&report);
-            let path = golden_path(bench.name, objective, "_lns");
-            if update {
-                std::fs::create_dir_all(path.parent().expect("golden dir")).unwrap();
-                std::fs::write(&path, &got).unwrap();
-                continue;
-            }
-            let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!(
-                    "{}: missing golden file (run UPDATE_GOLDEN=1 to create): {e}",
-                    path.display()
-                )
-            });
-            if got != want {
-                drift.push(format!(
-                    "{} {objective:?} (lns):\n  expected {}  actual   {}",
-                    bench.name,
-                    want.replace('\n', "\n  "),
-                    got.replace('\n', "\n  ")
-                ));
-            }
+            check_golden(
+                &golden_name(bench.name, objective, "_lns"),
+                &snapshot(&report),
+                &mut drift,
+            );
         }
     }
     assert!(

@@ -14,7 +14,9 @@ use hsyn::dfg::benchmarks::{self, Benchmark};
 use hsyn::lib::papers::table1_library;
 use hsyn::rtl::ModuleLibrary;
 use hsyn_util::Json;
-use std::path::PathBuf;
+
+mod common;
+use common::check_golden;
 
 fn config(objective: Objective) -> SynthesisConfig {
     let mut c = SynthesisConfig::new(objective);
@@ -33,37 +35,6 @@ fn run(bench: &Benchmark, config: &SynthesisConfig) -> SynthesisReport {
     mlib.equiv = bench.equiv.clone();
     synthesize(&bench.hierarchy, &mlib, config)
         .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", bench.name))
-}
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
-}
-
-/// Compare `got` against the pinned golden file, or rewrite it under
-/// `UPDATE_GOLDEN=1`; drift is collected, not asserted, so one run reports
-/// every divergence.
-fn check_golden(name: &str, got: &str, drift: &mut Vec<String>) {
-    let path = golden_path(name);
-    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).unwrap();
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: missing golden file (run UPDATE_GOLDEN=1 to create): {e}",
-            path.display()
-        )
-    });
-    if got != want {
-        drift.push(format!(
-            "{name}:\n  expected {}  actual   {}",
-            want.replace('\n', "\n  "),
-            got.replace('\n', "\n  ")
-        ));
-    }
 }
 
 /// The pinned surface of one report: the paper-suite headline numbers plus
