@@ -42,20 +42,22 @@ pub(crate) fn evaluate_search(
 ) -> Evaluation {
     match objective {
         Objective::Power => evaluate(dp, lib, traces, objective),
-        Objective::Area => {
-            let area = module_area(&dp.hierarchy, &dp.top.built, lib);
-            let power = PowerReport {
-                energy_breakdown: Default::default(),
-                energy_per_iteration: 0.0,
-                power: 0.0,
-                vdd: dp.op.vdd,
-            };
-            Evaluation {
-                area,
-                power,
-                cost: area.total(),
-            }
-        }
+        Objective::Area => area_only(dp, module_area(&dp.hierarchy, &dp.top.built, lib)),
+    }
+}
+
+/// The area-mode search evaluation of `dp`: `area` is the cost, and the
+/// power report is zeroed (the search never reads it).
+fn area_only(dp: &DesignPoint, area: AreaBreakdown) -> Evaluation {
+    Evaluation {
+        area,
+        power: PowerReport {
+            energy_breakdown: Default::default(),
+            energy_per_iteration: 0.0,
+            power: 0.0,
+            vdd: dp.op.vdd,
+        },
+        cost: area.total(),
     }
 }
 
@@ -72,20 +74,10 @@ pub(crate) fn evaluate_search_cached(
 ) -> Evaluation {
     match objective {
         Objective::Power => evaluate_cached(dp, lib, traces, objective, fp, cache),
-        Objective::Area => {
-            let area = module_area_cached(&dp.hierarchy, &dp.top.built, lib, fp, &mut cache.area);
-            let power = PowerReport {
-                energy_breakdown: Default::default(),
-                energy_per_iteration: 0.0,
-                power: 0.0,
-                vdd: dp.op.vdd,
-            };
-            Evaluation {
-                area,
-                power,
-                cost: area.total(),
-            }
-        }
+        Objective::Area => area_only(
+            dp,
+            module_area_cached(&dp.hierarchy, &dp.top.built, lib, fp, &mut cache.area),
+        ),
     }
 }
 

@@ -55,8 +55,17 @@ impl EnergyBreakdown {
             + self.subs
     }
 
-    fn add_scaled(&mut self, other: &EnergyBreakdown) {
-        self.subs += other.total();
+    /// Raw whole-simulation totals → per-iteration averages. `clock` is
+    /// not accumulated over the simulation and is left as it is.
+    pub(crate) fn per_iteration(mut self, iterations: f64) -> Self {
+        self.fu /= iterations;
+        self.reg /= iterations;
+        self.mux /= iterations;
+        self.wire /= iterations;
+        self.controller /= iterations;
+        self.mem /= iterations;
+        self.subs /= iterations;
+        self
     }
 }
 
@@ -91,20 +100,82 @@ pub fn estimate(
     clk_ns: f64,
     sampling_period_cycles: u32,
 ) -> PowerReport {
+    estimate_walk(
+        h,
+        module,
+        lib,
+        traces,
+        vdd,
+        clk_ns,
+        sampling_period_cycles,
+        None,
+    )
+}
+
+/// [`estimate`] with every resource priced at its certified width: Hamming
+/// activity is masked to the width of the carrying resource (sign-extension
+/// bits above a proven width cannot toggle in sized hardware), FU effective
+/// capacitance scales with [`fu_scale`], the wire-length footprint uses
+/// sized areas, and the clock network scales with `Σ (reg width / nominal)`.
+///
+/// Bit-exact with [`estimate`] when `widths` is [`ModuleWidths::uniform`].
+///
+/// # Panics
+///
+/// Panics if traces are empty or their input count mismatches the design.
+#[allow(clippy::too_many_arguments)]
+pub fn estimate_sized(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    traces: &TraceSet,
+    vdd: f64,
+    clk_ns: f64,
+    sampling_period_cycles: u32,
+    widths: &ModuleWidths,
+) -> PowerReport {
+    estimate_walk(
+        h,
+        module,
+        lib,
+        traces,
+        vdd,
+        clk_ns,
+        sampling_period_cycles,
+        Some(widths),
+    )
+}
+
+/// The uncached estimate, nominal (`widths == None`) or sized.
+#[allow(clippy::too_many_arguments)]
+fn estimate_walk(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    traces: &TraceSet,
+    vdd: f64,
+    clk_ns: f64,
+    sampling_period_cycles: u32,
+    widths: Option<&ModuleWidths>,
+) -> PowerReport {
     assert!(
         !traces.is_empty(),
         "power estimation needs at least one sample"
     );
     let (act, _) = simulate(h, module, traces);
-    let breakdown = module_energy(h, module, lib, &act, traces.width);
+    let breakdown = module_energy(h, module, lib, &act, traces.width, widths);
+    let effective_regs = match widths {
+        None => module.total_reg_count() as f64,
+        Some(w) => w.reg_width_factor_total(),
+    };
     finish_estimate(
-        module,
         lib,
         breakdown,
         traces.len() as f64,
         vdd,
         clk_ns,
         sampling_period_cycles,
+        effective_regs,
     )
 }
 
@@ -136,45 +207,23 @@ pub fn estimate_cached(
         "power estimation needs at least one sample"
     );
     let (act, _) = simulate_cached(h, module, traces, fp, cache);
-    let mut breakdown = module_own_energy(h, module, lib, &act, traces.width);
+    let mut breakdown = module_own_energy(h, module, lib, &act, traces.width, None);
     for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
         let sub_fp = fp.subs[i].fp;
         let sub_e = match cache.energy(i, sub_fp) {
             Some(e) => e,
             None => {
-                let e = module_energy(h, sub, lib, sub_act, traces.width);
+                let e = module_energy(h, sub, lib, sub_act, traces.width, None);
                 cache.set_energy(i, sub_fp, e);
                 e
             }
         };
-        breakdown.add_scaled(&sub_e);
+        breakdown.subs += sub_e.total();
     }
     finish_estimate(
-        module,
         lib,
         breakdown,
         traces.len() as f64,
-        vdd,
-        clk_ns,
-        sampling_period_cycles,
-    )
-}
-
-/// Shared tail of [`estimate`] / [`estimate_cached`]: normalization, clock
-/// network, voltage scaling.
-fn finish_estimate(
-    module: &RtlModule,
-    lib: &Library,
-    breakdown: EnergyBreakdown,
-    iterations: f64,
-    vdd: f64,
-    clk_ns: f64,
-    sampling_period_cycles: u32,
-) -> PowerReport {
-    finish_estimate_with(
-        lib,
-        breakdown,
-        iterations,
         vdd,
         clk_ns,
         sampling_period_cycles,
@@ -182,26 +231,20 @@ fn finish_estimate(
     )
 }
 
-/// [`finish_estimate`] with an explicit effective register count — the
-/// width-sized path passes `Σ (reg width / nominal)` so the clock network
-/// scales with the bits actually clocked.
-fn finish_estimate_with(
+/// Shared tail of every estimate: per-iteration normalization, the clock
+/// network over `effective_regs` registers (the plain register count, or
+/// `Σ (reg width / nominal)` when sized, so the network scales with the
+/// bits actually clocked), voltage scaling.
+fn finish_estimate(
     lib: &Library,
-    mut breakdown: EnergyBreakdown,
+    breakdown: EnergyBreakdown,
     iterations: f64,
     vdd: f64,
     clk_ns: f64,
     sampling_period_cycles: u32,
     effective_regs: f64,
 ) -> PowerReport {
-    // Normalize raw totals to per-iteration averages once, at the top.
-    breakdown.fu /= iterations;
-    breakdown.reg /= iterations;
-    breakdown.mux /= iterations;
-    breakdown.wire /= iterations;
-    breakdown.controller /= iterations;
-    breakdown.mem /= iterations;
-    breakdown.subs /= iterations;
+    let mut breakdown = breakdown.per_iteration(iterations);
     let period_ns = f64::from(sampling_period_cycles) * clk_ns;
     // Clock network: every register's clock pin toggles every cycle of the
     // sampling period, busy or not.
@@ -216,108 +259,100 @@ fn finish_estimate_with(
     }
 }
 
-/// [`estimate`] with every resource priced at its certified width: Hamming
-/// activity is masked to the width of the carrying resource (sign-extension
-/// bits above a proven width cannot toggle in sized hardware), FU effective
-/// capacitance scales with [`fu_scale`], the wire-length footprint uses
-/// sized areas, and the clock network scales with `Σ (reg width / nominal)`.
-///
-/// Bit-exact with [`estimate`] when `widths` is [`ModuleWidths::uniform`].
-///
-/// # Panics
-///
-/// Panics if traces are empty or their input count mismatches the design.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_sized(
-    h: &Hierarchy,
-    module: &RtlModule,
-    lib: &Library,
-    traces: &TraceSet,
-    vdd: f64,
-    clk_ns: f64,
-    sampling_period_cycles: u32,
-    widths: &ModuleWidths,
-) -> PowerReport {
-    assert!(
-        !traces.is_empty(),
-        "power estimation needs at least one sample"
-    );
-    let (act, _) = simulate(h, module, traces);
-    let breakdown = module_energy_sized(h, module, lib, &act, traces.width, widths);
-    finish_estimate_with(
-        lib,
-        breakdown,
-        traces.len() as f64,
-        vdd,
-        clk_ns,
-        sampling_period_cycles,
-        widths.reg_width_factor_total(),
-    )
-}
-
 /// Raw (un-normalized) energy of one module instance across the whole
-/// simulation, at the reference voltage, recursing over submodules.
+/// simulation, at the reference voltage, recursing over submodules (each
+/// sized by its own entry of `widths.subs`).
 fn module_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
     act: &ModuleActivity,
     width: u32,
+    widths: Option<&ModuleWidths>,
 ) -> EnergyBreakdown {
-    let mut e = module_own_energy(h, module, lib, act, width);
-    for (sub, sub_act) in module.subs().iter().zip(&act.subs) {
-        let sub_e = module_energy(h, sub, lib, sub_act, width);
-        e.add_scaled(&sub_e);
+    let mut e = module_own_energy(h, module, lib, act, width, widths);
+    for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
+        let sub_e = module_energy(h, sub, lib, sub_act, width, widths.map(|w| &w.subs[i]));
+        e.subs += sub_e.total();
     }
     e
 }
 
+/// Mask for the low `bits` bits.
+fn width_mask(bits: u32) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
 /// Raw energy of one module's *own* resources (no submodules) across the
 /// whole simulation — the attribution unit of the per-module report.
+///
+/// `widths` masks each resource's activity to its certified width and
+/// scales FU capacitance by [`fu_scale`]; `None` prices everything at the
+/// nominal `width`. Masks and scale factors are fixed per resource before
+/// its event loop; at nominal every mask is the full-width mask and every
+/// factor exactly `1.0`, so both cases share every float operation the
+/// nominal figures depend on.
 pub(crate) fn module_own_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
     act: &ModuleActivity,
     width: u32,
+    widths: Option<&ModuleWidths>,
 ) -> EnergyBreakdown {
     let mut e = EnergyBreakdown::default();
     let conn = connectivity(h, module);
+    let ratio = |w: &ModuleWidths, bits: u32| f64::from(bits) / f64::from(w.nominal);
     // Average wire length grows with the module's footprint (≈ √area): a
     // sprawling datapath pays more capacitance per toggle. Uses the
-    // FU+register area as the footprint proxy.
+    // FU+register area as the footprint proxy, at sized areas when sized (a
+    // narrowed datapath is also physically smaller).
     let footprint: f64 = module
         .fus()
         .iter()
-        .map(|f| lib.fu(f.fu_type).area())
+        .enumerate()
+        .map(|(i, f)| {
+            let t = lib.fu(f.fu_type);
+            t.area() * widths.map_or(1.0, |w| fu_scale(t, w.fu_width(i), w.nominal))
+        })
         .sum::<f64>()
-        + module.regs().len() as f64 * lib.register.area;
+        + (0..module.regs().len())
+            .map(|i| widths.map_or(1.0, |w| ratio(w, w.reg_width(i))))
+            .fold(0.0, |a, r| a + r)
+            * lib.register.area;
     let wire_length = (footprint / 100.0).sqrt().max(1.0);
     let w = f64::from(width);
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    let ham = |a: i64, b: i64| -> f64 { f64::from(crate::hamming(a, b, mask)) / w };
+    // Activity is normalized by the *nominal* width throughout: a narrowed
+    // bus toggles at most its own bits of the nominal wires.
+    let ham = |a: i64, b: i64, mask: u64| -> f64 { f64::from(crate::hamming(a, b, mask)) / w };
+    let bus_mask = |bits: Option<u32>| width_mask(bits.map_or(width, |b| b.min(width)));
 
     // Functional units: operand-transition activity × effective capacitance.
     for (i, fu) in module.fus().iter().enumerate() {
         let t = lib.fu(fu.fu_type);
-        let mux_a = conn.source_count(Sink::FuPort(hsyn_rtl::FuInstId::from_index(i), 0)) > 1;
-        let mux_b = conn.source_count(Sink::FuPort(hsyn_rtl::FuInstId::from_index(i), 1)) > 1;
+        let id = hsyn_rtl::FuInstId::from_index(i);
+        let (port_a, port_b) = (Sink::FuPort(id, 0), Sink::FuPort(id, 1));
+        let mux_a = conn.source_count(port_a) > 1;
+        let mux_b = conn.source_count(port_b) > 1;
+        let mask_a = bus_mask(widths.map(|w| w.sink_width(port_a)));
+        let mask_b = bus_mask(widths.map(|w| w.sink_width(port_b)));
+        let cap = widths.map_or(1.0, |w| fu_scale(t, w.fu_width(i), w.nominal));
         let events = &act.fu_events[i];
         let mut fu_energy = 0.0;
         let mut mux_energy = 0.0;
         let mut wire_energy = 0.0;
         for pair in events.windows(2) {
-            let da = ham(pair[0].a, pair[1].a);
-            let db = ham(pair[0].b, pair[1].b);
+            let da = ham(pair[0].a, pair[1].a, mask_a);
+            let db = ham(pair[0].b, pair[1].b, mask_b);
             // Spurious transitions multiply through chained combinational
             // stages: registered operands (depth 0) see clean activity.
             let glitch = (1.0 + lib.glitch_factor).powi(pair[1].depth.min(8) as i32);
             let activity = (da + db) / 2.0 * glitch;
-            fu_energy += activity * t.energy();
+            fu_energy += activity * t.energy() * cap;
             if mux_a {
                 mux_energy += da * lib.mux.energy_per_access;
             }
@@ -331,11 +366,12 @@ pub(crate) fn module_own_energy(
         e.wire += wire_energy;
     }
 
-    // Registers: write-transition activity.
-    for writes in &act.reg_writes {
+    // Registers: write-transition activity at the register's width.
+    for (i, writes) in act.reg_writes.iter().enumerate() {
+        let mask = bus_mask(widths.map(|w| w.reg_width(i)));
         let mut reg_energy = 0.0;
         for pair in writes.windows(2) {
-            reg_energy += ham(pair[0], pair[1]) * lib.register.energy_write;
+            reg_energy += ham(pair[0], pair[1], mask) * lib.register.energy_write;
         }
         e.reg += reg_energy;
         e.wire += reg_energy / lib.register.energy_write.max(1e-12)
@@ -344,7 +380,7 @@ pub(crate) fn module_own_energy(
             * wire_length;
     }
 
-    // Controller: active cycles × control bits.
+    // Controller: active cycles × control bits (width-independent).
     let bits = control_bit_count(h, module, &conn) as f64;
     e.controller += act.busy_cycles as f64 * bits * lib.controller.energy_per_bit_cycle;
 
@@ -358,9 +394,8 @@ pub(crate) fn module_own_energy(
 /// pays leakage for each controller-active cycle (an imported external
 /// memory is the parent's hardware — the accessor pays only the access).
 ///
-/// Width-independent of datapath sizing: the array stores `elem_width` bits
-/// regardless of certified operand widths, so the sized estimator charges
-/// the same figure (keeping it bit-exact at uniform widths by construction).
+/// Independent of datapath sizing: the array stores `elem_width` bits
+/// whatever the certified operand widths.
 fn mem_energy(
     h: &Hierarchy,
     module: &RtlModule,
@@ -388,123 +423,5 @@ fn mem_energy(
             }
         }
     }
-    e
-}
-
-/// Width-aware recursion over [`module_own_energy_sized`].
-fn module_energy_sized(
-    h: &Hierarchy,
-    module: &RtlModule,
-    lib: &Library,
-    act: &ModuleActivity,
-    width: u32,
-    widths: &ModuleWidths,
-) -> EnergyBreakdown {
-    let mut e = module_own_energy_sized(h, module, lib, act, width, widths);
-    for ((sub, sub_act), sub_w) in module.subs().iter().zip(&act.subs).zip(&widths.subs) {
-        let sub_e = module_energy_sized(h, sub, lib, sub_act, width, sub_w);
-        e.add_scaled(&sub_e);
-    }
-    e
-}
-
-/// Mask for the low `w` bits.
-fn width_mask(w: u32) -> u64 {
-    if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// [`module_own_energy`] with activity masked to certified widths and FU
-/// capacitance scaled by [`fu_scale`]. Same event walk, same summation
-/// order — with uniform widths every mask is the nominal mask and every
-/// scale factor exactly `1.0`, so the result is bit-identical.
-fn module_own_energy_sized(
-    h: &Hierarchy,
-    module: &RtlModule,
-    lib: &Library,
-    act: &ModuleActivity,
-    width: u32,
-    widths: &ModuleWidths,
-) -> EnergyBreakdown {
-    let mut e = EnergyBreakdown::default();
-    let conn = connectivity(h, module);
-    // Footprint at sized areas: a narrowed datapath is also physically
-    // smaller, shortening the average net.
-    let footprint: f64 = module
-        .fus()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let t = lib.fu(f.fu_type);
-            t.area() * fu_scale(t, widths.fu_width(i), widths.nominal)
-        })
-        .sum::<f64>()
-        + (0..module.regs().len())
-            .map(|i| f64::from(widths.reg_width(i)) / f64::from(widths.nominal))
-            .sum::<f64>()
-            * lib.register.area;
-    let wire_length = (footprint / 100.0).sqrt().max(1.0);
-    let w = f64::from(width);
-    // Activity is normalized by the *nominal* width throughout: a w-bit
-    // value on a narrowed bus toggles at most w of the nominal W wires.
-    let ham = |a: i64, b: i64, bus: u32| -> f64 {
-        f64::from(crate::hamming(a, b, width_mask(bus.min(width)))) / w
-    };
-
-    // Functional units: operand-transition activity × effective capacitance.
-    for (i, fu) in module.fus().iter().enumerate() {
-        let t = lib.fu(fu.fu_type);
-        let id = hsyn_rtl::FuInstId::from_index(i);
-        let mux_a = conn.source_count(Sink::FuPort(id, 0)) > 1;
-        let mux_b = conn.source_count(Sink::FuPort(id, 1)) > 1;
-        let wa = widths.sink_width(Sink::FuPort(id, 0));
-        let wb = widths.sink_width(Sink::FuPort(id, 1));
-        let cap = fu_scale(t, widths.fu_width(i), widths.nominal);
-        let events = &act.fu_events[i];
-        let mut fu_energy = 0.0;
-        let mut mux_energy = 0.0;
-        let mut wire_energy = 0.0;
-        for pair in events.windows(2) {
-            let da = ham(pair[0].a, pair[1].a, wa);
-            let db = ham(pair[0].b, pair[1].b, wb);
-            let glitch = (1.0 + lib.glitch_factor).powi(pair[1].depth.min(8) as i32);
-            let activity = (da + db) / 2.0 * glitch;
-            fu_energy += activity * t.energy() * cap;
-            if mux_a {
-                mux_energy += da * lib.mux.energy_per_access;
-            }
-            if mux_b {
-                mux_energy += db * lib.mux.energy_per_access;
-            }
-            wire_energy += (da + db) * glitch * lib.wire.energy_per_toggle * wire_length;
-        }
-        e.fu += fu_energy;
-        e.mux += mux_energy;
-        e.wire += wire_energy;
-    }
-
-    // Registers: write-transition activity at the register's width.
-    for (i, writes) in act.reg_writes.iter().enumerate() {
-        let wr = widths.reg_width(i);
-        let mut reg_energy = 0.0;
-        for pair in writes.windows(2) {
-            reg_energy += ham(pair[0], pair[1], wr) * lib.register.energy_write;
-        }
-        e.reg += reg_energy;
-        e.wire += reg_energy / lib.register.energy_write.max(1e-12)
-            * lib.wire.energy_per_toggle
-            * 0.5
-            * wire_length;
-    }
-
-    // Controller: active cycles × control bits (width-independent).
-    let bits = control_bit_count(h, module, &conn) as f64;
-    e.controller += act.busy_cycles as f64 * bits * lib.controller.energy_per_bit_cycle;
-
-    // Memories: same figure as the unsized walk (see [`mem_energy`]).
-    e.mem += mem_energy(h, module, lib, act, width);
     e
 }

@@ -30,43 +30,27 @@ pub fn per_module_energy(
 ) -> Vec<ModuleEnergy> {
     let (act, _) = simulate(h, module, traces);
     let mut out = Vec::new();
-    walk(
-        h,
-        module,
-        lib,
-        &act,
-        traces.width,
-        traces.len() as f64,
-        "top",
-        &mut out,
-    );
+    walk(h, module, lib, &act, traces, "top", &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn walk(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
     act: &ModuleActivity,
-    width: u32,
-    iterations: f64,
+    traces: &TraceSet,
     path: &str,
     out: &mut Vec<ModuleEnergy>,
 ) {
-    let mut own = crate::estimate::module_own_energy(h, module, lib, act, width);
-    own.fu /= iterations;
-    own.reg /= iterations;
-    own.mux /= iterations;
-    own.wire /= iterations;
-    own.controller /= iterations;
+    let own = crate::estimate::module_own_energy(h, module, lib, act, traces.width, None);
     out.push(ModuleEnergy {
         path: path.to_owned(),
-        breakdown: own,
+        breakdown: own.per_iteration(traces.len() as f64),
     });
     for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
         let sub_path = format!("{path}/{}#{i}", sub.name());
-        walk(h, sub, lib, sub_act, width, iterations, &sub_path, out);
+        walk(h, sub, lib, sub_act, traces, &sub_path, out);
     }
 }
 
@@ -88,8 +72,8 @@ pub fn report_text(
     );
     let _ = writeln!(
         s,
-        "  by class: fu {:.1}  reg {:.1}  mux {:.1}  wire {:.1}  ctrl {:.1}  clock {:.1}",
-        b.fu, b.reg, b.mux, b.wire, b.controller, b.clock
+        "  by class: fu {:.1}  reg {:.1}  mux {:.1}  wire {:.1}  ctrl {:.1}  mem {:.1}  clock {:.1}",
+        b.fu, b.reg, b.mux, b.wire, b.controller, b.mem, b.clock
     );
     let mut modules = per_module_energy(h, module, lib, traces);
     modules.sort_by(|a, b| b.breakdown.total().total_cmp(&a.breakdown.total()));
@@ -116,58 +100,51 @@ mod tests {
     use super::*;
     use crate::estimate::estimate;
     use crate::traces::dsp_default;
+    use hsyn_dfg::DfgId;
     use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
     use hsyn_rtl::{build, BuildCtx, ModuleSpec};
 
+    /// The completely parallel implementation of `dfg` and, recursively,
+    /// of every callee.
+    fn dedicated(h: &Hierarchy, dfg: DfgId, lib: &Library, ctx: &BuildCtx) -> RtlModule {
+        let spec = ModuleSpec::dedicated(
+            h,
+            dfg,
+            h.dfg(dfg).name(),
+            |_, op| lib.fastest_for(op).unwrap(),
+            |_, callee| dedicated(h, callee, lib, ctx),
+        );
+        build(h, &spec, ctx).unwrap()
+    }
+
     #[test]
     fn per_module_attribution_sums_to_the_total() {
-        let bench = hsyn_dfg::benchmarks::iir();
         let lib = table1_library();
-        let h = &bench.hierarchy;
-        // Build hierarchically: biquad children + top.
-        let df2 = h.dfg_by_name("biquad_df2").unwrap();
         let ctx = BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None);
-        let child_spec = ModuleSpec::dedicated(
-            h,
-            df2,
-            "biquad",
-            |_, op| lib.fastest_for(op).unwrap(),
-            |_, _| unreachable!(),
-        );
-        let child = build(h, &child_spec, &ctx).unwrap();
-        let top_dfg = h.top();
-        let g = h.dfg(top_dfg);
-        let hier_nodes: Vec<_> = g
-            .nodes()
-            .filter(|(_, n)| matches!(n.kind(), hsyn_dfg::NodeKind::Hier { .. }))
-            .map(|(id, _)| id)
-            .collect();
-        let spec = ModuleSpec {
-            name: "iir_top".into(),
-            dfg: top_dfg,
-            fu_groups: vec![],
-            subs: hier_nodes
-                .iter()
-                .map(|&n| hsyn_rtl::SubSpec {
-                    module: child.clone(),
-                    nodes: vec![n],
-                })
-                .collect(),
-            reg_policy: hsyn_rtl::RegPolicy::Dedicated,
-        };
-        let top = build(h, &spec, &ctx).unwrap();
-        let traces = dsp_default(1, 48, 16, 9);
-        let report = estimate(h, &top, &lib, &traces, 5.0, TABLE1_CLOCK_NS, 40);
-        let modules = per_module_energy(h, &top, &lib, &traces);
-        assert_eq!(modules.len(), 3, "top + two biquad instances");
-        let sum: f64 = modules.iter().map(|m| m.breakdown.total()).sum();
-        let total_no_clock = report.energy_breakdown.total() - report.energy_breakdown.clock;
-        assert!(
-            (sum - total_no_clock).abs() < 1e-6 * total_no_clock.max(1.0),
-            "per-module sum {sum} vs class total {total_no_clock}"
-        );
-        let text = report_text(h, &top, &lib, &traces, &report);
-        assert!(text.contains("by module"));
-        assert!(text.contains("top/"));
+        // iir: top + two biquad instances; matmul: top + four dot products
+        // loading from the top's memories, so memory energy is attributed
+        // to both levels.
+        for (bench, instances) in [
+            (hsyn_dfg::benchmarks::iir(), 3),
+            (hsyn_dfg::benchmarks::matmul(), 5),
+        ] {
+            let h = &bench.hierarchy;
+            let top = dedicated(h, h.top(), &lib, &ctx);
+            let traces = dsp_default(h.dfg(h.top()).input_count(), 48, 16, 9);
+            let report = estimate(h, &top, &lib, &traces, 5.0, TABLE1_CLOCK_NS, 40);
+            let modules = per_module_energy(h, &top, &lib, &traces);
+            assert_eq!(modules.len(), instances, "{}", bench.name);
+            let sum: f64 = modules.iter().map(|m| m.breakdown.total()).sum();
+            let total_no_clock = report.energy_breakdown.total() - report.energy_breakdown.clock;
+            assert!(
+                (sum - total_no_clock).abs() < 1e-6 * total_no_clock.max(1.0),
+                "{}: per-module sum {sum} vs class total {total_no_clock}",
+                bench.name
+            );
+            let text = report_text(h, &top, &lib, &traces, &report);
+            assert!(text.contains("by module"));
+            assert!(text.contains("top/"));
+            assert!(text.contains(" mem "));
+        }
     }
 }

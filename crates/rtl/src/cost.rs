@@ -3,10 +3,11 @@
 //! measured post-layout area; here the same quantities come from the
 //! parametric cost models in [`hsyn_lib`] (see DESIGN.md).
 
-use crate::connect::connectivity;
+use crate::connect::{connectivity, Sink};
 use crate::fingerprint::FpTree;
 use crate::fsm::control_bit_count;
 use crate::module::RtlModule;
+use crate::sizing::{fu_scale, ModuleWidths};
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
 use std::collections::HashMap;
@@ -39,25 +40,81 @@ impl AreaBreakdown {
 
 /// Compute the area of `module`, including all submodules.
 pub fn module_area(h: &Hierarchy, module: &RtlModule, lib: &Library) -> AreaBreakdown {
+    area_walk(h, module, lib, None)
+}
+
+/// [`module_area`] with every resource priced at its certified width (from
+/// [`derive_widths`](crate::derive_widths)): FUs scale by [`fu_scale`],
+/// registers, muxes and nets linearly. Bit-exact with the unsized model
+/// when `widths` is [`ModuleWidths::uniform`].
+pub fn module_area_sized(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    widths: &ModuleWidths,
+) -> AreaBreakdown {
+    area_walk(h, module, lib, Some(widths))
+}
+
+/// The one area recursion: [`own_area`] of `module` over the totals of its
+/// submodules, each sized by its own entry of `widths.subs`.
+fn area_walk(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    widths: Option<&ModuleWidths>,
+) -> AreaBreakdown {
     let subs: f64 = module
         .subs()
         .iter()
-        .map(|s| module_area(h, s, lib).total())
+        .enumerate()
+        .map(|(i, s)| area_walk(h, s, lib, widths.map(|w| &w.subs[i])).total())
         .sum();
-    own_area(h, module, lib, subs)
+    own_area(h, module, lib, widths, subs)
 }
 
-/// The non-recursive part of [`module_area`]: everything except the subs
+/// The non-recursive part of the area model: everything except the subs
 /// total, which the caller supplies (either recursively or from a cache).
-fn own_area(h: &Hierarchy, module: &RtlModule, lib: &Library, subs: f64) -> AreaBreakdown {
+///
+/// `widths` prices each FU, register, mux and net at its certified width;
+/// `None` prices every resource at the nominal width. Controller and
+/// memories are width-independent. At nominal every scale factor is
+/// exactly `1.0` and the width-weighted counts are sums of `1.0`, so both
+/// cases share every float operation the nominal figures depend on.
+fn own_area(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    widths: Option<&ModuleWidths>,
+    subs: f64,
+) -> AreaBreakdown {
     let conn = connectivity(h, module);
-    let fu: f64 = module.fus().iter().map(|f| lib.fu(f.fu_type).area()).sum();
-    let reg = module.regs().len() as f64 * lib.register.area;
+    let ratio = |w: &ModuleWidths, bits: u32| f64::from(bits) / f64::from(w.nominal);
+    let fu: f64 = module
+        .fus()
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let t = lib.fu(f.fu_type);
+            t.area() * widths.map_or(1.0, |w| fu_scale(t, w.fu_width(i), w.nominal))
+        })
+        .sum();
+    // Width-weighted counts start from +0.0 so an empty set prices like
+    // the plain `0 as f64` count.
+    let regs = (0..module.regs().len())
+        .map(|i| widths.map_or(1.0, |w| ratio(w, w.reg_width(i))))
+        .fold(0.0, |a, r| a + r);
+    let reg = regs * lib.register.area;
+    let sink_scale = |s: Sink| widths.map_or(1.0, |w| ratio(w, w.sink_width(s)));
     let mux: f64 = conn
         .sinks()
-        .map(|(_, sources)| lib.mux.area(sources.len()))
+        .map(|(s, sources)| lib.mux.area(sources.len()) * sink_scale(s))
         .sum();
-    let wire = conn.net_count() as f64 * lib.wire.area_per_net;
+    let nets = conn
+        .sinks()
+        .map(|(s, sources)| sources.len() as f64 * sink_scale(s))
+        .fold(0.0, |a, n| a + n);
+    let wire = nets * lib.wire.area_per_net;
     let states: usize = module
         .behaviors()
         .iter()
@@ -68,6 +125,7 @@ fn own_area(h: &Hierarchy, module: &RtlModule, lib: &Library, subs: f64) -> Area
         .area(states, control_bit_count(h, module, &conn));
     // Owned memories are this module's hardware; an external memory is the
     // parent's bank reached through the call interface, priced at its owner.
+    // A bank stores `elem_width` bits whatever the certified datapath widths.
     let mem: f64 = module
         .behaviors()
         .iter()
@@ -174,7 +232,7 @@ pub fn module_area_cached(
         .zip(&fp.subs)
         .map(|(s, sfp)| module_area_cached(h, s, lib, sfp, cache).total())
         .sum();
-    let area = own_area(h, module, lib, subs);
+    let area = own_area(h, module, lib, None, subs);
     cache.map.insert(fp.fp, area);
     area
 }

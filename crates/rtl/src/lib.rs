@@ -39,7 +39,7 @@ pub use affinity::{module_affinity, AffinityMatrix};
 pub use assignment::{assignment_gain, max_weight_assignment};
 pub use connect::{connectivity, Connectivity, Sink, Source};
 pub use cosim::{cosimulate, CosimDivergence, CosimDivergenceKind, CosimRun, CosimStats};
-pub use cost::{module_area, module_area_cached, AreaBreakdown, AreaCache};
+pub use cost::{module_area, module_area_cached, module_area_sized, AreaBreakdown, AreaCache};
 pub use embed::{embed, EmbedError, EmbedMaps, EmbedResult};
 pub use fingerprint::{
     dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,
@@ -50,7 +50,7 @@ pub use instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
 pub use library::{ComplexModule, ModuleLibrary};
 pub use module::{Behavior, Binding, RtlModule};
 pub use netlist::netlist_text;
-pub use sizing::{derive_widths, fu_scale, module_area_sized, ModuleWidths};
+pub use sizing::{derive_widths, fu_scale, ModuleWidths};
 pub use spec::{
     build, storage_analysis, window_of, BuildCtx, BuildError, FuGroup, ModuleSpec, RegPolicy,
     StorageAnalysis, SubSpec,

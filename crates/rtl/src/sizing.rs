@@ -1,29 +1,30 @@
 //! Width-aware datapath sizing from analysis certificates.
 //!
-//! The base cost models ([`module_area`](crate::module_area), power
-//! estimation) price every FU, register, mux and net at the nominal
+//! Without widths, the cost models ([`module_area`](crate::module_area),
+//! power estimation) price every FU, register, mux and net at the nominal
 //! datapath width. A [`WidthCertificate`](hsyn_dataflow::WidthCertificate)
 //! proves smaller widths for individual variables; [`derive_widths`] folds
 //! those per-variable proofs through a module's bindings into per-resource
 //! widths — an FU must accommodate the widest operand/result bound to it
 //! across all behaviors, a register the widest variable stored in it, a
-//! sink the widest value steered into it — and [`module_area_sized`]
-//! reprices the module accordingly.
+//! sink the widest value steered into it. Sizing is an argument of the
+//! same pricing walk, not a second model:
+//! [`module_area_sized`](crate::module_area_sized) and
+//! `hsyn_power::estimate_sized` hand these widths to the walk the unsized
+//! entry points run with none.
 //!
 //! Scaling rules: linear in width for registers, muxes, wiring and
 //! adder-class FUs; quadratic for multiplier-capable FUs (array-multiplier
-//! area grows with the product of operand widths). Controller area is
-//! width-independent. With every width at nominal, each scale factor is
-//! exactly `1.0` and the sized figures reproduce the base model bit for
-//! bit — the parity anchor the tests pin.
+//! area grows with the product of operand widths). Controller and memory
+//! area are width-independent. With every width at nominal, each scale
+//! factor is exactly `1.0` and the sized figures reproduce the base model
+//! bit for bit — the parity anchor the tests pin.
 
-use crate::connect::{connectivity, Sink};
-use crate::cost::AreaBreakdown;
-use crate::fsm::control_bit_count;
+use crate::connect::Sink;
 use crate::module::RtlModule;
 use hsyn_dataflow::WidthCertificate;
 use hsyn_dfg::{Hierarchy, Operation};
-use hsyn_lib::{FuType, Library};
+use hsyn_lib::FuType;
 use std::collections::BTreeMap;
 
 /// Per-resource proven widths for one module (and, recursively, its
@@ -64,20 +65,16 @@ impl ModuleWidths {
 
     /// Width of functional unit `i` (nominal when unknown).
     pub fn fu_width(&self, i: usize) -> u32 {
-        self.fu
-            .get(i)
-            .copied()
-            .filter(|&w| w > 0)
-            .unwrap_or(self.nominal)
+        self.known_or_nominal(self.fu.get(i))
     }
 
     /// Width of register `i` (nominal when unknown).
     pub fn reg_width(&self, i: usize) -> u32 {
-        self.reg
-            .get(i)
-            .copied()
-            .filter(|&w| w > 0)
-            .unwrap_or(self.nominal)
+        self.known_or_nominal(self.reg.get(i))
+    }
+
+    fn known_or_nominal(&self, w: Option<&u32>) -> u32 {
+        w.copied().filter(|&w| w > 0).unwrap_or(self.nominal)
     }
 
     /// Width of datapath sink `s` (nominal when unknown).
@@ -173,87 +170,12 @@ pub fn derive_widths(h: &Hierarchy, module: &RtlModule, cert: &WidthCertificate)
         .iter()
         .map(|s| derive_widths(h, s, cert))
         .collect();
+    let or_nominal = |w: u32| if w == 0 { nominal } else { w };
     ModuleWidths {
         nominal,
-        fu: fu
-            .into_iter()
-            .map(|w| if w == 0 { nominal } else { w })
-            .collect(),
-        reg: reg
-            .into_iter()
-            .map(|w| if w == 0 { nominal } else { w })
-            .collect(),
-        sink: sink
-            .into_iter()
-            .map(|(k, w)| (k, if w == 0 { nominal } else { w }))
-            .collect(),
-        subs,
-    }
-}
-
-/// [`module_area`](crate::module_area) with every resource priced at its
-/// certified width. Bit-exact with the unsized model when `widths` is
-/// [`ModuleWidths::uniform`].
-pub fn module_area_sized(
-    h: &Hierarchy,
-    module: &RtlModule,
-    lib: &Library,
-    widths: &ModuleWidths,
-) -> AreaBreakdown {
-    let subs: f64 = module
-        .subs()
-        .iter()
-        .zip(&widths.subs)
-        .map(|(s, sw)| module_area_sized(h, s, lib, sw).total())
-        .sum();
-    let conn = connectivity(h, module);
-    let wn = f64::from(widths.nominal);
-    let fu: f64 = module
-        .fus()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let t = lib.fu(f.fu_type);
-            t.area() * fu_scale(t, widths.fu_width(i), widths.nominal)
-        })
-        .sum();
-    let reg_factor: f64 = (0..module.regs().len())
-        .map(|i| f64::from(widths.reg_width(i)) / wn)
-        .sum();
-    let reg = reg_factor * lib.register.area;
-    let mux: f64 = conn
-        .sinks()
-        .map(|(s, sources)| lib.mux.area(sources.len()) * (f64::from(widths.sink_width(s)) / wn))
-        .sum();
-    let scaled_nets: f64 = conn
-        .sinks()
-        .map(|(s, sources)| sources.len() as f64 * (f64::from(widths.sink_width(s)) / wn))
-        .sum();
-    let wire = scaled_nets * lib.wire.area_per_net;
-    let states: usize = module
-        .behaviors()
-        .iter()
-        .map(|b| b.schedule.makespan() as usize + 1)
-        .sum();
-    let controller = lib
-        .controller
-        .area(states, control_bit_count(h, module, &conn));
-    // Memories store `elem_width` bits regardless of certified datapath
-    // widths, so the sized model charges the same figure as the baseline.
-    let mem: f64 = module
-        .behaviors()
-        .iter()
-        .flat_map(|b| h.dfg(b.dfg).mems())
-        .filter(|(_, m)| matches!(m.scope, hsyn_dfg::MemScope::Owned))
-        .map(|(_, m)| lib.memory.area(m.words, m.elem_width, m.ports, m.banks))
-        .sum();
-    AreaBreakdown {
-        fu,
-        reg,
-        mux,
-        wire,
-        controller,
-        mem,
+        fu: fu.into_iter().map(or_nominal).collect(),
+        reg: reg.into_iter().map(or_nominal).collect(),
+        sink: sink.into_iter().map(|(k, w)| (k, or_nominal(w))).collect(),
         subs,
     }
 }
@@ -261,7 +183,7 @@ pub fn module_area_sized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::module_area;
+    use crate::cost::{module_area, module_area_sized};
     use crate::spec::{build, BuildCtx, ModuleSpec};
     use hsyn_dfg::{Dfg, Hierarchy, Operation};
     use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
