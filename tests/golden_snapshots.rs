@@ -1,8 +1,12 @@
 //! Golden snapshot tests: the headline numbers of every paper-suite
 //! benchmark at both objectives — final area, power, supply voltage and
 //! clock period — are pinned in `tests/golden/*.json`, with every float
-//! carried both human-readable and as its exact bit pattern. A perf PR
-//! (incremental evaluation, parallelism, …) must not shift any of them; a
+//! carried both human-readable and as its exact bit pattern. The full
+//! [`SynthesisReport::result_json`] of every registry benchmark at both
+//! objectives is pinned too (`tests/golden/result_*.json`), so the engine's
+//! deterministic work counters (`evaluated`, `rejected`, `passes`,
+//! `applied_*`) are a regression gate as well. A perf PR (incremental
+//! evaluation, parallelism, memoization, …) must not shift any of them; a
 //! deliberate modeling change regenerates the files with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_snapshots`.
 
@@ -77,6 +81,36 @@ fn paper_suite_matches_golden_snapshots() {
         drift.is_empty(),
         "golden snapshots drifted (UPDATE_GOLDEN=1 regenerates them if the \
          change is deliberate):\n{}",
+        drift.join("\n")
+    );
+}
+
+/// The whole canonical `result_json` — final design fingerprint, every
+/// evaluation float as bits, the work counters and the per-configuration
+/// telemetry — of every registry benchmark at both objectives, pinned as
+/// `tests/golden/result_<bench>_<obj>.json`.
+#[test]
+fn registry_result_json_matches_goldens() {
+    let mut drift = Vec::new();
+    for bench in benchmarks::all() {
+        for objective in [Objective::Area, Objective::Power] {
+            let mut mlib = ModuleLibrary::from_simple(table1_library());
+            mlib.equiv = bench.equiv.clone();
+            let report = synthesize(&bench.hierarchy, &mlib, &golden_config(objective))
+                .unwrap_or_else(|e| panic!("{} {objective:?}: {e}", bench.name));
+            let mut got = report.result_json();
+            got.push('\n');
+            check_golden(
+                &format!("result_{}", golden_name(bench.name, objective, "")),
+                &got,
+                &mut drift,
+            );
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "result_json goldens drifted (UPDATE_GOLDEN=1 regenerates them if \
+         the change is deliberate):\n{}",
         drift.join("\n")
     );
 }
