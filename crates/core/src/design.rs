@@ -10,7 +10,7 @@
 use hsyn_dfg::{DfgId, Hierarchy, NodeId, NodeKind};
 use hsyn_lib::Library;
 use hsyn_rtl::{
-    build, BuildCtx, BuildError, FuGroup, ModuleLibrary, ModuleSpec, RegPolicy, RtlModule, SubSpec,
+    build_ref, BuildCtx, BuildError, FuGroup, ModuleLibrary, RegPolicy, RtlModule, SpecRef,
 };
 
 /// The operating point of a design: supply voltage, reference clock, and
@@ -165,22 +165,21 @@ impl ModuleState {
         lib: &Library,
         op: &OperatingPoint,
     ) -> Result<RtlModule, BuildError> {
-        let spec = ModuleSpec {
-            name: self.core.name.clone(),
+        // Borrowed: the children are cloned into the new build only when it
+        // succeeds.
+        let spec = SpecRef {
+            name: &self.core.name,
             dfg: self.core.dfg,
-            fu_groups: self.core.fu_groups.clone(),
+            fu_groups: &self.core.fu_groups,
             subs: self
                 .children
                 .iter()
-                .map(|c| SubSpec {
-                    module: c.module().clone(),
-                    nodes: c.nodes.clone(),
-                })
+                .map(|c| (c.module(), c.nodes.as_slice()))
                 .collect(),
-            reg_policy: self.core.reg_policy.clone(),
+            reg_policy: &self.core.reg_policy,
         };
         let ctx = self.core.build_ctx(lib, op);
-        let new = build(h, &spec, &ctx)?;
+        let new = build_ref(h, &spec, &ctx)?;
         Ok(std::mem::replace(&mut self.built, new))
     }
 

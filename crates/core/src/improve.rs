@@ -490,6 +490,8 @@ impl<'a> Engine<'a> {
         let families = self.config.moves;
         let sharing = if families.c {
             let cands = sharing_candidates(dp, self.mlib, self.objective());
+            #[cfg(test)]
+            crate::moves::tests::assert_matches_reference(dp, self.mlib, self.objective(), &cands);
             self.best_from(dp, cur_fp, base_cost, cands, log)
         } else {
             None

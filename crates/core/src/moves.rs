@@ -571,22 +571,6 @@ fn group_ops(dp: &DesignPoint, m: &ModuleState, group: usize) -> BTreeSet<Operat
         .collect()
 }
 
-/// The cheapest library type (by objective) able to execute all `ops`.
-fn best_type_for(
-    lib: &Library,
-    ops: &BTreeSet<Operation>,
-    objective: Objective,
-) -> Option<FuTypeId> {
-    let ops: Vec<Operation> = ops.iter().copied().collect();
-    lib.fus()
-        .filter(|(_, f)| f.supports_all(&ops))
-        .min_by(|(_, x), (_, y)| match objective {
-            Objective::Area => x.area().total_cmp(&y.area()),
-            Objective::Power => x.energy().total_cmp(&y.energy()),
-        })
-        .map(|(id, _)| id)
-}
-
 /// Rough per-module energy proxy of an RTL module: Σ FU energies.
 fn module_energy_proxy(m: &hsyn_rtl::RtlModule, lib: &Library) -> f64 {
     let own: f64 = m.fus().iter().map(|f| lib.fu(f.fu_type).energy()).sum();
@@ -698,37 +682,130 @@ pub fn selection_candidates(
     out
 }
 
-/// The zero-delay operand sources of a group's operations — used to score
-/// merge candidates: operations reading the same producers interleave
-/// *correlated* operand streams on a shared unit (cheap in power, and the
-/// shared source avoids a mux leg in area).
-fn group_sources(dp: &DesignPoint, m: &ModuleState, group: usize) -> BTreeSet<hsyn_dfg::VarRef> {
-    let g = dp.hierarchy.dfg(m.core.dfg);
-    let mut out = BTreeSet::new();
-    for &op in &m.core.fu_groups[group].ops {
-        for (_, e) in g.in_edges(op) {
-            if e.delay == 0 {
-                out.insert(e.from);
-            }
-        }
-    }
-    out
+/// Bit of `op` in an operation-kind mask: its position in
+/// [`Operation::ALL`].
+fn op_bit(op: Operation) -> u16 {
+    let i = Operation::ALL
+        .iter()
+        .position(|&o| o == op)
+        .expect("every operation is listed in Operation::ALL");
+    1 << i
 }
 
-/// Busy cycles and earliest start of a functional-unit group in the current
-/// schedule (cheap feasibility signals for merge candidates).
-fn group_busy(m: &ModuleState, group: usize) -> (u32, u32) {
-    let Some(b) = m.built.behaviors().first() else {
-        return (0, 0);
-    };
-    let mut busy = 0u32;
-    let mut earliest = u32::MAX;
-    for &op in &m.core.fu_groups[group].ops {
-        let t = b.schedule.time(op);
-        busy += t.occupied.1 - t.occupied.0;
-        earliest = earliest.min(t.occupied.0);
+/// What move-*C* pair scoring reads of one functional-unit group, computed
+/// once per module instead of once per pair.
+struct GroupSummary {
+    /// Operation kinds the group executes, as a mask of [`op_bit`]s.
+    ops: u16,
+    /// The zero-delay operand sources of the group's operations, sorted and
+    /// deduplicated. Operations reading the same producers interleave
+    /// *correlated* operand streams on a shared unit (cheap in power, and
+    /// the shared source avoids a mux leg in area).
+    sources: Vec<hsyn_dfg::VarRef>,
+    /// Earliest occupied cycle in the current schedule (0 for a group
+    /// without operations or a module without a schedule): a cheap
+    /// feasibility signal for merges.
+    start: u32,
+}
+
+impl GroupSummary {
+    fn of(dp: &DesignPoint, m: &ModuleState, group: usize) -> Self {
+        let g = dp.hierarchy.dfg(m.core.dfg);
+        let members = &m.core.fu_groups[group].ops;
+        let mut ops = 0u16;
+        let mut sources = Vec::new();
+        for &n in members {
+            if let NodeKind::Op(op) = g.node(n).kind() {
+                ops |= op_bit(*op);
+            }
+            for (_, e) in g.in_edges(n) {
+                if e.delay == 0 {
+                    sources.push(e.from);
+                }
+            }
+        }
+        sources.sort_unstable();
+        sources.dedup();
+        let start = m.built.behaviors().first().map_or(0, |b| {
+            members
+                .iter()
+                .map(|&n| b.schedule.time(n).occupied.0)
+                .min()
+                .unwrap_or(0)
+        });
+        GroupSummary {
+            ops,
+            sources,
+            start,
+        }
     }
-    (busy, if earliest == u32::MAX { 0 } else { earliest })
+
+    /// Number of sources shared with `other` (a merge of two sorted lists).
+    fn common_sources(&self, other: &GroupSummary) -> usize {
+        let (mut i, mut j, mut common) = (0, 0, 0);
+        while i < self.sources.len() && j < other.sources.len() {
+            match self.sources[i].cmp(&other.sources[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    common += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        common
+    }
+}
+
+/// Library facts per operation-kind mask, memoized over one candidate
+/// scan: which types support a mask, and the smallest-area type that does.
+struct TypeTable<'l> {
+    lib: &'l Library,
+    /// Per library type, the mask of operations it supports.
+    supported: Vec<u16>,
+    /// Per mask, the smallest-area supporting type (`None` inside: no
+    /// type supports the mask); `None` outside: not computed yet.
+    best: Vec<Option<Option<FuTypeId>>>,
+}
+
+impl<'l> TypeTable<'l> {
+    fn new(lib: &'l Library) -> Self {
+        let supported = lib
+            .fus()
+            .map(|(_, f)| {
+                Operation::ALL
+                    .iter()
+                    .filter(|&&op| f.supports(op))
+                    .fold(0, |m, &op| m | op_bit(op))
+            })
+            .collect();
+        TypeTable {
+            lib,
+            supported,
+            best: vec![None; 1 << Operation::ALL.len()],
+        }
+    }
+
+    fn supports_all(&self, t: FuTypeId, mask: u16) -> bool {
+        mask & !self.supported[t.index()] == 0
+    }
+
+    /// The smallest-area library type able to execute every operation in
+    /// `mask` (the first such type on ties).
+    fn smallest(&mut self, mask: u16) -> Option<FuTypeId> {
+        if let Some(best) = self.best[usize::from(mask)] {
+            return best;
+        }
+        let best = self
+            .lib
+            .fus()
+            .filter(|&(id, _)| self.supports_all(id, mask))
+            .min_by(|(_, x), (_, y)| x.area().total_cmp(&y.area()))
+            .map(|(id, _)| id);
+        self.best[usize::from(mask)] = Some(best);
+        best
+    }
 }
 
 /// Move *C* candidates: FU merging, register packing, child merging.
@@ -738,44 +815,35 @@ pub fn sharing_candidates(
     objective: Objective,
 ) -> Vec<Candidate> {
     let lib = &mlib.simple;
+    let mut types = TypeTable::new(lib);
     let mut out = Vec::new();
     dp.top.for_each(|path, m| {
         let budget = m.core.deadline.unwrap_or(u32::MAX);
-        let n = m.core.fu_groups.len();
-        for a in 0..n {
-            let ops_a = group_ops(dp, m, a);
-            let src_a = group_sources(dp, m, a);
-            let (busy_a, start_a) = group_busy(m, a);
-            for b in (a + 1)..n {
-                let mut ops = ops_a.clone();
-                ops.extend(group_ops(dp, m, b));
-                let ta = m.core.fu_groups[a].fu_type;
-                let tb = m.core.fu_groups[b].fu_type;
-                let src_b = group_sources(dp, m, b);
-                let common_sources = src_a.intersection(&src_b).count();
-                // Cheap feasibility prune: the serialized busy time must fit
-                // between the earliest start and the deadline.
-                let (_busy_b, start_b) = group_busy(m, b);
-                let earliest = start_a.min(start_b);
-                let _ = busy_a;
-                // Two shared-type choices: cheapest by objective, and the
-                // faster of the two current types (when the cheap one would
-                // lengthen the schedule too much).
-                let mut types: Vec<FuTypeId> = Vec::new();
-                if let Some(t) = best_type_for(lib, &ops, Objective::Area) {
-                    types.push(t);
-                }
-                let ops_list: Vec<Operation> = ops.iter().copied().collect();
+        let groups = &m.core.fu_groups;
+        let summaries: Vec<GroupSummary> = (0..groups.len())
+            .map(|gi| GroupSummary::of(dp, m, gi))
+            .collect();
+        for (a, sa) in summaries.iter().enumerate() {
+            for (b, sb) in summaries.iter().enumerate().skip(a + 1) {
+                let mask = sa.ops | sb.ops;
+                let ta = groups[a].fu_type;
+                let tb = groups[b].fu_type;
+                let common_sources = sa.common_sources(sb);
+                let earliest = sa.start.min(sb.start);
+                // Two shared-type choices: the smallest-area type (for both
+                // objectives), and the faster of the two current types
+                // (when the small one would lengthen the schedule too
+                // much).
+                let smallest = types.smallest(mask);
                 let faster = if lib.fu(ta).delay_ns() <= lib.fu(tb).delay_ns() {
                     ta
                 } else {
                     tb
                 };
-                if lib.fu(faster).supports_all(&ops_list) && !types.contains(&faster) {
-                    types.push(faster);
-                }
-                let n_ops = (m.core.fu_groups[a].ops.len() + m.core.fu_groups[b].ops.len()) as u32;
-                for shared in types {
+                let faster = (types.supports_all(faster, mask) && smallest != Some(faster))
+                    .then_some(faster);
+                let n_ops = (groups[a].ops.len() + groups[b].ops.len()) as u32;
+                for shared in smallest.into_iter().chain(faster) {
                     // Feasibility prune under the *candidate* type: the
                     // serialized occupancy must fit before the deadline.
                     let est_busy =
@@ -1021,5 +1089,263 @@ impl ModuleState {
     /// registers).
     fn regs_trivial(&self) -> bool {
         self.built.regs().len() <= 1
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    //! Differential check of the move-*C* generator against the
+    //! straightforward per-pair generator it replaced.
+
+    use super::*;
+    use crate::{synthesize, SynthesisConfig};
+    use hsyn_dfg::benchmarks;
+    use hsyn_lib::papers::table1_library;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The zero-delay operand sources of a group's operations — used to score
+    /// merge candidates: operations reading the same producers interleave
+    /// *correlated* operand streams on a shared unit (cheap in power, and the
+    /// shared source avoids a mux leg in area).
+    fn group_sources(
+        dp: &DesignPoint,
+        m: &ModuleState,
+        group: usize,
+    ) -> BTreeSet<hsyn_dfg::VarRef> {
+        let g = dp.hierarchy.dfg(m.core.dfg);
+        let mut out = BTreeSet::new();
+        for &op in &m.core.fu_groups[group].ops {
+            for (_, e) in g.in_edges(op) {
+                if e.delay == 0 {
+                    out.insert(e.from);
+                }
+            }
+        }
+        out
+    }
+
+    /// Busy cycles and earliest start of a functional-unit group in the current
+    /// schedule (cheap feasibility signals for merge candidates).
+    fn group_busy(m: &ModuleState, group: usize) -> (u32, u32) {
+        let Some(b) = m.built.behaviors().first() else {
+            return (0, 0);
+        };
+        let mut busy = 0u32;
+        let mut earliest = u32::MAX;
+        for &op in &m.core.fu_groups[group].ops {
+            let t = b.schedule.time(op);
+            busy += t.occupied.1 - t.occupied.0;
+            earliest = earliest.min(t.occupied.0);
+        }
+        (busy, if earliest == u32::MAX { 0 } else { earliest })
+    }
+
+    /// The generator as it was before per-group summaries: every pair
+    /// rebuilds both groups' operation and source sets.
+    pub(crate) fn reference_sharing_candidates(
+        dp: &DesignPoint,
+        mlib: &ModuleLibrary,
+        objective: Objective,
+    ) -> Vec<Candidate> {
+        let lib = &mlib.simple;
+        let mut out = Vec::new();
+        dp.top.for_each(|path, m| {
+            let budget = m.core.deadline.unwrap_or(u32::MAX);
+            let n = m.core.fu_groups.len();
+            for a in 0..n {
+                let ops_a = group_ops(dp, m, a);
+                let src_a = group_sources(dp, m, a);
+                let (busy_a, start_a) = group_busy(m, a);
+                for b in (a + 1)..n {
+                    let mut ops = ops_a.clone();
+                    ops.extend(group_ops(dp, m, b));
+                    let ta = m.core.fu_groups[a].fu_type;
+                    let tb = m.core.fu_groups[b].fu_type;
+                    let src_b = group_sources(dp, m, b);
+                    let common_sources = src_a.intersection(&src_b).count();
+                    // Cheap feasibility prune: the serialized busy time must fit
+                    // between the earliest start and the deadline.
+                    let (_busy_b, start_b) = group_busy(m, b);
+                    let earliest = start_a.min(start_b);
+                    let _ = busy_a;
+                    // Two shared-type choices: cheapest by objective, and the
+                    // faster of the two current types (when the cheap one would
+                    // lengthen the schedule too much).
+                    let mut types: Vec<FuTypeId> = Vec::new();
+                    if let Some(t) = best_type_for(lib, &ops, Objective::Area) {
+                        types.push(t);
+                    }
+                    let ops_list: Vec<Operation> = ops.iter().copied().collect();
+                    let faster = if lib.fu(ta).delay_ns() <= lib.fu(tb).delay_ns() {
+                        ta
+                    } else {
+                        tb
+                    };
+                    if lib.fu(faster).supports_all(&ops_list) && !types.contains(&faster) {
+                        types.push(faster);
+                    }
+                    let n_ops =
+                        (m.core.fu_groups[a].ops.len() + m.core.fu_groups[b].ops.len()) as u32;
+                    for shared in types {
+                        // Feasibility prune under the *candidate* type: the
+                        // serialized occupancy must fit before the deadline.
+                        let est_busy = n_ops
+                            * lib.latency_cycles(shared, dp.op.clk_ref_ns, lib.technology.vref());
+                        let slack_bonus = if budget == u32::MAX {
+                            0.0
+                        } else {
+                            if earliest + est_busy > budget {
+                                continue;
+                            }
+                            (budget - earliest - est_busy) as f64 * 0.01
+                        };
+                        let saved = lib.fu(ta).area() + lib.fu(tb).area()
+                            - lib.fu(shared).area()
+                            - 2.0 * lib.mux.area_per_input;
+                        // Correlated-operand bonus: shared sources keep the
+                        // merged unit's switching low (power) and avoid mux
+                        // legs (area).
+                        let affinity = common_sources as f64
+                            * match objective {
+                                Objective::Power => 0.5 * lib.fu(shared).energy(),
+                                Objective::Area => lib.mux.area_per_input,
+                            };
+                        out.push((
+                            saved + slack_bonus + affinity,
+                            Move::MergeFu {
+                                path: path.to_vec(),
+                                a,
+                                b,
+                                fu_type: shared,
+                            },
+                        ));
+                    }
+                }
+            }
+            if !matches!(m.core.reg_policy, RegPolicy::Packed) && !m.regs_trivial() {
+                out.push((
+                    lib.register.area * m.built.regs().len() as f64 * 0.25,
+                    Move::RepackRegs {
+                        path: path.to_vec(),
+                    },
+                ));
+            }
+            // Children: merging identical behaviors is the big hierarchical
+            // area win; anisomorphic pairs go through RTL embedding. Stateful
+            // behaviors cannot be shared across contexts (cheap pre-filter;
+            // `apply_in_place` re-validates).
+            let g = dp.hierarchy.dfg(m.core.dfg);
+            let child_callees = |c: &Child| -> Vec<DfgId> {
+                c.nodes
+                    .iter()
+                    .filter_map(|&n| match g.node(n).kind() {
+                        NodeKind::Hier { callee } => Some(*callee),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            for a in 0..m.children.len() {
+                let callees_a = child_callees(&m.children[a]);
+                for b in (a + 1)..m.children.len() {
+                    let callees_b = child_callees(&m.children[b]);
+                    let state_clash = callees_b
+                        .iter()
+                        .any(|d| callees_a.contains(d) && dp.hierarchy.has_state(*d));
+                    if state_clash {
+                        continue;
+                    }
+                    let smaller = module_area_proxy(m.children[a].module(), lib)
+                        .min(module_area_proxy(m.children[b].module(), lib));
+                    out.push((
+                        smaller,
+                        Move::MergeChildren {
+                            path: path.to_vec(),
+                            a,
+                            b,
+                        },
+                    ));
+                }
+            }
+            // Memory: halve an owned memory's banks — fewer bank instances
+            // mean less port periphery (area) and less standing leakage
+            // (power); the scheduler re-serializes accesses and rejects the
+            // move if the tightened port constraint misses the deadline.
+            rebank_candidates(dp, path, m, lib, objective, false, &mut out);
+        });
+        out
+    }
+
+    /// The cheapest library type (by objective) able to execute all `ops`.
+    fn best_type_for(
+        lib: &Library,
+        ops: &BTreeSet<Operation>,
+        objective: Objective,
+    ) -> Option<FuTypeId> {
+        let ops: Vec<Operation> = ops.iter().copied().collect();
+        lib.fus()
+            .filter(|(_, f)| f.supports_all(&ops))
+            .min_by(|(_, x), (_, y)| match objective {
+                Objective::Area => x.area().total_cmp(&y.area()),
+                Objective::Power => x.energy().total_cmp(&y.energy()),
+            })
+            .map(|(id, _)| id)
+    }
+
+    /// Scans checked by [`assert_matches_reference`], over all threads.
+    static CHECKED_SCANS: AtomicUsize = AtomicUsize::new(0);
+
+    /// The engine calls this on every move-*C* scan in test builds: `got`
+    /// must equal the reference list move for move, score bit for bit.
+    pub(crate) fn assert_matches_reference(
+        dp: &DesignPoint,
+        mlib: &ModuleLibrary,
+        objective: Objective,
+        got: &[Candidate],
+    ) {
+        let want = reference_sharing_candidates(dp, mlib, objective);
+        assert_eq!(got.len(), want.len(), "candidate count ({objective:?})");
+        for (i, ((gs, gm), (ws, wm))) in got.iter().zip(&want).enumerate() {
+            assert_eq!(gm, wm, "candidate {i} ({objective:?})");
+            assert_eq!(
+                gs.to_bits(),
+                ws.to_bits(),
+                "score of candidate {i}: {gm} ({objective:?})"
+            );
+        }
+        CHECKED_SCANS.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Every registry design × {hierarchical, flat} × {area, power}: a
+    /// short engine run checks the initial design and the design after
+    /// every step (see [`assert_matches_reference`]).
+    #[test]
+    fn sharing_candidates_match_the_reference_generator() {
+        for bench in benchmarks::all() {
+            let mut mlib = ModuleLibrary::from_simple(table1_library());
+            mlib.equiv = bench.equiv.clone();
+            for hierarchical in [true, false] {
+                for objective in [Objective::Area, Objective::Power] {
+                    let mut c = SynthesisConfig::new(objective);
+                    c.hierarchical = hierarchical;
+                    c.laxity_factor = 2.2;
+                    c.max_passes = 2;
+                    c.candidate_limit = 2;
+                    c.max_moves_per_pass = Some(6);
+                    c.eval_trace_len = 8;
+                    c.report_trace_len = 16;
+                    c.max_clock_candidates = 1;
+                    c.resynth_depth = 1;
+                    let before = CHECKED_SCANS.load(Ordering::Relaxed);
+                    synthesize(&bench.hierarchy, &mlib, &c).unwrap_or_else(|e| {
+                        panic!("{} hierarchical={hierarchical}: {e}", bench.name)
+                    });
+                    assert!(
+                        CHECKED_SCANS.load(Ordering::Relaxed) > before,
+                        "{}: no move-C scan was checked",
+                        bench.name
+                    );
+                }
+            }
+        }
     }
 }

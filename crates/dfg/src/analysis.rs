@@ -16,42 +16,14 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// Topological order of `g` over zero-delay edges.
+/// Topological order of `g` over zero-delay edges: an owned copy of the
+/// order [`Dfg::topo_order`] caches with the graph's adjacency.
 ///
 /// # Errors
 ///
 /// Returns [`CycleError`] if the zero-delay subgraph is cyclic.
 pub fn topo_order(g: &Dfg) -> Result<Vec<NodeId>, CycleError> {
-    let n = g.node_count();
-    let adj = g.adj();
-    let mut indeg = vec![0usize; n];
-    for (_, e) in g.edges() {
-        if e.delay == 0 {
-            indeg[e.to.index()] += 1;
-        }
-    }
-    // A FIFO keeps sibling order close to insertion order, which keeps
-    // downstream heuristics deterministic.
-    let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(i) = queue.pop_front() {
-        let nid = node_id(i);
-        order.push(nid);
-        for &ei in adj.out_edge_indices(nid) {
-            let e = g.edge(EdgeId::from_index(ei as usize));
-            if e.delay == 0 {
-                let t = e.to.index();
-                indeg[t] -= 1;
-                if indeg[t] == 0 {
-                    queue.push_back(t);
-                }
-            }
-        }
-    }
-    if order.len() != n {
-        return Err(CycleError);
-    }
-    Ok(order)
+    g.topo_order().map(<[NodeId]>::to_vec)
 }
 
 fn node_id(index: usize) -> NodeId {
@@ -74,12 +46,12 @@ pub fn asap(
     g: &Dfg,
     mut duration: impl FnMut(NodeId) -> u64,
 ) -> Result<(Vec<u64>, Vec<u64>), CycleError> {
-    let order = topo_order(g)?;
+    let order = g.topo_order()?;
     let n = g.node_count();
     let adj = g.adj();
     let mut start = vec![0u64; n];
     let mut finish = vec![0u64; n];
-    for nid in order {
+    for &nid in order {
         let mut s = 0;
         for &ei in adj.in_edge_indices(nid) {
             let e = g.edge(EdgeId::from_index(ei as usize));
@@ -111,7 +83,7 @@ pub fn alap(
     deadline: u64,
     mut duration: impl FnMut(NodeId) -> u64,
 ) -> Result<Vec<u64>, CycleError> {
-    let order = topo_order(g)?;
+    let order = g.topo_order()?;
     let n = g.node_count();
     let adj = g.adj();
     let mut latest_finish = vec![deadline; n];

@@ -25,6 +25,12 @@
 //! the synthesis moves perform) changes a node's *kind* but no edge, so the
 //! cache survives move application and rollback untouched.
 //!
+//! The adjacency also carries the graph's zero-delay topological order
+//! ([`Dfg::topo_order`]), computed on first use from the same slices. It
+//! depends only on the edge list, so it lives and dies with the adjacency:
+//! `connect` and `push_node`, the only mutators that change the graph's
+//! shape, drop both at once.
+//!
 //! ```
 //! use hsyn_dfg::{Dfg, Operation};
 //!
@@ -47,7 +53,9 @@
 //! );
 //! ```
 
+use crate::analysis::CycleError;
 use crate::graph::{Dfg, EdgeId, NodeId};
+use std::sync::OnceLock;
 
 /// Sentinel for "no edge" slots in the driver table.
 const NONE: u32 = u32::MAX;
@@ -69,6 +77,9 @@ pub struct Adjacency {
     driver_start: Vec<u32>,
     /// Per-(node, in-port) driving edge index, [`NONE`] when undriven.
     drivers: Vec<u32>,
+    /// Zero-delay topological order of the owning graph, built on first
+    /// use by [`Adjacency::topo_order`].
+    topo: OnceLock<Result<Vec<NodeId>, CycleError>>,
 }
 
 impl Adjacency {
@@ -122,7 +133,52 @@ impl Adjacency {
             out_edges,
             driver_start,
             drivers,
+            topo: OnceLock::new(),
         }
+    }
+
+    /// The zero-delay topological order of `g`, the graph this adjacency
+    /// was built from: Kahn's algorithm with a FIFO queue seeded in node
+    /// order, successors visited in ascending edge-id order. Computed on
+    /// first call and cached with the adjacency.
+    pub(crate) fn topo_order(&self, g: &Dfg) -> Result<&[NodeId], CycleError> {
+        self.topo
+            .get_or_init(|| self.kahn(g))
+            .as_deref()
+            .map_err(|_| CycleError)
+    }
+
+    fn kahn(&self, g: &Dfg) -> Result<Vec<NodeId>, CycleError> {
+        let n = g.node_count();
+        let mut indeg = vec![0usize; n];
+        for (_, e) in g.edges() {
+            if e.delay == 0 {
+                indeg[e.to.index()] += 1;
+            }
+        }
+        // A FIFO keeps sibling order close to insertion order, which keeps
+        // downstream heuristics deterministic.
+        let mut queue: std::collections::VecDeque<usize> =
+            (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = queue.pop_front() {
+            let nid = NodeId::from_index(i);
+            order.push(nid);
+            for &ei in self.out_edge_indices(nid) {
+                let e = g.edge(EdgeId::from_index(ei as usize));
+                if e.delay == 0 {
+                    let t = e.to.index();
+                    indeg[t] -= 1;
+                    if indeg[t] == 0 {
+                        queue.push_back(t);
+                    }
+                }
+            }
+        }
+        if order.len() != n {
+            return Err(CycleError);
+        }
+        Ok(order)
     }
 
     /// Number of nodes this adjacency describes.

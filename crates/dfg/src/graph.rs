@@ -372,6 +372,19 @@ impl Dfg {
         self.adj.get_or_init(|| Adjacency::build(self))
     }
 
+    /// Topological order over zero-delay edges, computed on first use and
+    /// cached with the adjacency (dropped with it on the next node/edge
+    /// mutation). [`analysis::topo_order`](crate::analysis::topo_order)
+    /// returns an owned copy of the same order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CycleError`](crate::analysis::CycleError) if the
+    /// zero-delay subgraph is cyclic.
+    pub fn topo_order(&self) -> Result<&[NodeId], crate::analysis::CycleError> {
+        self.adj().topo_order(self)
+    }
+
     /// The DFG's name.
     pub fn name(&self) -> &str {
         &self.name

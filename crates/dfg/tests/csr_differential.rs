@@ -3,7 +3,9 @@
 //! `out_edges_scan` / `driver_scan` are the executable specification, and
 //! [`Dfg::adj`] must reproduce them edge for edge — including the
 //! first-edge-wins rule for (illegal but representable) duplicate drivers
-//! and across cache-dropping mutations.
+//! and across cache-dropping mutations. The zero-delay topological order
+//! cached with the adjacency ([`Dfg::topo_order`]) is checked the same way
+//! against Kahn's algorithm run on the linear scans.
 
 use hsyn_dfg::{Dfg, EdgeId, NodeId, Operation, VarRef};
 
@@ -110,13 +112,74 @@ fn assert_csr_matches_scans(g: &Dfg) {
     }
 }
 
+/// Kahn's algorithm over zero-delay edges from the linear scans: FIFO
+/// queue seeded in node order, successors in ascending edge-id order.
+/// `None` when the zero-delay subgraph is cyclic.
+fn scan_kahn(g: &Dfg) -> Option<Vec<NodeId>> {
+    let n = g.node_count();
+    let mut indeg: Vec<usize> = g
+        .node_ids()
+        .map(|v| g.in_edges_scan(v).filter(|(_, e)| e.delay == 0).count())
+        .collect();
+    let mut queue: std::collections::VecDeque<NodeId> =
+        g.node_ids().filter(|v| indeg[v.index()] == 0).collect();
+    let mut order = Vec::new();
+    while let Some(v) = queue.pop_front() {
+        order.push(v);
+        for (_, e) in g.out_edges_scan(v).filter(|(_, e)| e.delay == 0) {
+            indeg[e.to.index()] -= 1;
+            if indeg[e.to.index()] == 0 {
+                queue.push_back(e.to);
+            }
+        }
+    }
+    (order.len() == n).then_some(order)
+}
+
+/// The cached order (asked twice: computed, then served from the cache)
+/// and the owned copy both equal a fresh Kahn run.
+fn assert_topo_matches_kahn(g: &Dfg) {
+    let want = scan_kahn(g);
+    for _ in 0..2 {
+        assert_eq!(g.topo_order().ok().map(<[NodeId]>::to_vec), want);
+    }
+    assert_eq!(hsyn_dfg::analysis::topo_order(g).ok(), want);
+}
+
 #[test]
 fn csr_matches_scans_on_random_graphs() {
     let mut rng = SplitMix64(0xD1FF_5EED);
+    let mut cyclic = 0;
     for _ in 0..200 {
         let g = random_dfg(&mut rng);
         assert_csr_matches_scans(&g);
+        assert_topo_matches_kahn(&g);
+        cyclic += usize::from(g.topo_order().is_err());
     }
+    assert!(cyclic > 0, "the sweep covers cyclic graphs");
+}
+
+#[test]
+fn cached_topo_order_stays_an_error_on_a_cyclic_graph() {
+    let mut g = Dfg::new("cyc");
+    let a = g.add_input("a");
+    let n1 = g.add_op_detached(Operation::Add, "n1");
+    let n2 = g.add_op_detached(Operation::Neg, "n2");
+    g.connect(a, n1, 0, 0);
+    g.connect(VarRef::new(n2, 0), n1, 1, 0);
+    g.connect(VarRef::new(n1, 0), n2, 0, 0);
+    g.add_output("y", VarRef::new(n1, 0));
+    for _ in 0..3 {
+        assert!(g.topo_order().is_err());
+        assert!(hsyn_dfg::analysis::asap(&g, |_| 1).is_err());
+    }
+    assert_topo_matches_kahn(&g);
+    // Growing the graph drops the cached error with the adjacency; the
+    // cycle is still there.
+    let b = g.add_input("b");
+    assert!(g.topo_order().is_err());
+    g.add_output("z", b);
+    assert_topo_matches_kahn(&g);
 }
 
 #[test]
@@ -147,13 +210,16 @@ fn csr_matches_scans_across_mutations() {
         let op = OPS[rng.below(OPS.len() as u64) as usize];
         let n = g.add_op_detached(op, format!("n{i}"));
         assert_csr_matches_scans(&g);
+        assert_topo_matches_kahn(&g);
         for port in 0..op.arity() as u16 {
             let from = nodes[rng.below(nodes.len() as u64) as usize];
             g.connect(VarRef::new(from, 0), n, port, rng.below(2) as u32);
             assert_csr_matches_scans(&g);
+            assert_topo_matches_kahn(&g);
         }
         nodes.push(n);
     }
     g.add_output("y", VarRef::new(*nodes.last().unwrap(), 0));
     assert_csr_matches_scans(&g);
+    assert_topo_matches_kahn(&g);
 }

@@ -694,10 +694,9 @@ fn check_behavior(
     // `RTL004`/`RTL007`: storage. Re-derive lifetimes from the schedule and
     // check the register binding against them.
     let sa = storage_analysis(g, &b.schedule);
-    for &v in &sa.stored_vars {
+    for (&v, &(birth, _, _)) in sa.stored_vars.iter().zip(&sa.lifetimes) {
         match b.binding.var_to_reg.get(&v) {
             None => {
-                let (birth, _, _) = sa.lifetimes[&v];
                 sink.emit(
                     RuleCode::Rtl004,
                     Severity::Error,
@@ -720,7 +719,7 @@ fn check_behavior(
     }
     let mut by_reg: BTreeMap<usize, Vec<hsyn_dfg::VarRef>> = BTreeMap::new();
     for (&v, &r) in &b.binding.var_to_reg {
-        if r.index() < module.regs().len() && sa.lifetimes.contains_key(&v) {
+        if r.index() < module.regs().len() && sa.lifetime(v).is_some() {
             by_reg.entry(r.index()).or_default().push(v);
         }
     }

@@ -272,12 +272,8 @@ impl Prep {
         let mut births: Vec<(u32, usize, VarRef)> = st
             .stored_vars
             .iter()
-            .filter_map(|v| {
-                b.binding
-                    .var_to_reg
-                    .get(v)
-                    .map(|r| (st.lifetimes[v].0, r.index(), *v))
-            })
+            .zip(&st.lifetimes)
+            .filter_map(|(v, life)| b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v)))
             .collect();
         births.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
         let mut reg_writes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(births.len());

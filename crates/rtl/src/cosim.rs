@@ -375,19 +375,15 @@ impl Plan {
         let mut births_sorted: Vec<(u32, usize, VarRef)> = st
             .stored_vars
             .iter()
-            .filter_map(|v| {
-                b.binding
-                    .var_to_reg
-                    .get(v)
-                    .map(|r| (st.lifetimes[v].0, r.index(), *v))
-            })
+            .zip(&st.lifetimes)
+            .filter_map(|(v, life)| b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v)))
             .collect();
         births_sorted.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
         let mut writes_at: Vec<Vec<WriteGroup>> = vec![Vec::new(); n_cycles];
         let mut last_key = None;
         for (birth, reg, v) in births_sorted {
             let c = (birth.saturating_sub(1) as usize).min(n_cycles - 1);
-            let live = st.lifetimes[&v].1 >= birth;
+            let live = st.lifetime(v).expect("stored variable").1 >= birth;
             if last_key == Some((birth, reg)) {
                 writes_at[c]
                     .last_mut()
@@ -411,8 +407,9 @@ impl Plan {
             .collect();
 
         let births = st
-            .lifetimes
+            .stored_vars
             .iter()
+            .zip(&st.lifetimes)
             .map(|(v, &(birth, _, _))| (*v, birth))
             .collect();
 

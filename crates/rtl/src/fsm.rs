@@ -135,9 +135,8 @@ pub fn generate_fsm(h: &Hierarchy, module: &RtlModule) -> Fsm {
                 _ => {}
             }
         }
-        for v in &st.stored_vars {
+        for (v, &(birth, _, _)) in st.stored_vars.iter().zip(&st.lifetimes) {
             if let Some(&reg) = b.binding.var_to_reg.get(v) {
-                let (birth, _, _) = st.lifetimes[v];
                 // The write occurs at the end of cycle birth−1 (external
                 // loads — inputs arriving at cycle 0 — map to state 0).
                 let c = birth.saturating_sub(1) as usize;

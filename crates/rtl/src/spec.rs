@@ -17,7 +17,6 @@ use hsyn_sched::{
     alap_starts, asap_priority, derive_orderings, schedule, NodeDelay, Profile, SchedContext,
     SchedError, Schedule,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// One functional-unit instance to create: a library type plus the operation
@@ -213,6 +212,26 @@ impl From<SchedError> for BuildError {
     }
 }
 
+/// A borrowed [`ModuleSpec`]: the same fields, with the submodules and
+/// groups left wherever the caller keeps them. [`build_ref`] clones the
+/// submodules into the result only when the build succeeds, so a caller
+/// that owns its children elsewhere (the synthesis engine's spec tree)
+/// pays no copy for a rejected candidate.
+#[derive(Clone, Debug)]
+pub struct SpecRef<'a> {
+    /// Module name.
+    pub name: &'a str,
+    /// The DFG to implement.
+    pub dfg: DfgId,
+    /// Functional-unit instances and their operation groups.
+    pub fu_groups: &'a [FuGroup],
+    /// Submodule instances: each implementation with its hierarchical
+    /// nodes.
+    pub subs: Vec<(&'a RtlModule, &'a [NodeId])>,
+    /// Register sharing policy.
+    pub reg_policy: &'a RegPolicy,
+}
+
 /// Build (schedule + assign + validate) an RTL module from `spec`.
 ///
 /// # Errors
@@ -224,41 +243,81 @@ pub fn build(
     spec: &ModuleSpec,
     ctx: &BuildCtx<'_>,
 ) -> Result<RtlModule, BuildError> {
+    let spec = SpecRef {
+        name: &spec.name,
+        dfg: spec.dfg,
+        fu_groups: &spec.fu_groups,
+        subs: spec
+            .subs
+            .iter()
+            .map(|s| (&s.module, s.nodes.as_slice()))
+            .collect(),
+        reg_policy: &spec.reg_policy,
+    };
+    build_ref(h, &spec, ctx)
+}
+
+/// Marks a node no group covers in the builder's node-indexed tables.
+const UNCOVERED: u32 = u32::MAX;
+
+/// Node-indexed group table: `table[n]` is the index of the group listing
+/// node `n`, [`UNCOVERED`] if none does.
+///
+/// # Errors
+///
+/// [`BuildError::BadCover`] for a node listed twice or outside the DFG.
+fn cover_table<'s>(
+    node_count: usize,
+    groups: impl Iterator<Item = &'s [NodeId]>,
+) -> Result<Vec<u32>, BuildError> {
+    let mut table = vec![UNCOVERED; node_count];
+    for (gi, members) in groups.enumerate() {
+        for &n in members {
+            match table.get_mut(n.index()) {
+                Some(slot) if *slot == UNCOVERED => *slot = gi as u32,
+                _ => return Err(BuildError::BadCover { node: n }),
+            }
+        }
+    }
+    Ok(table)
+}
+
+/// [`build`] from a borrowed spec.
+///
+/// # Errors
+///
+/// As [`build`].
+pub fn build_ref(
+    h: &Hierarchy,
+    spec: &SpecRef<'_>,
+    ctx: &BuildCtx<'_>,
+) -> Result<RtlModule, BuildError> {
     let g = h.dfg(spec.dfg);
 
-    // --- Coverage maps -----------------------------------------------------
-    let mut op_group: HashMap<NodeId, usize> = HashMap::new();
-    for (gi, group) in spec.fu_groups.iter().enumerate() {
-        for &n in &group.ops {
-            if op_group.insert(n, gi).is_some() {
-                return Err(BuildError::BadCover { node: n });
-            }
-        }
-    }
-    let mut sub_group: HashMap<NodeId, usize> = HashMap::new();
-    for (si, sub) in spec.subs.iter().enumerate() {
-        for &n in &sub.nodes {
-            if sub_group.insert(n, si).is_some() {
-                return Err(BuildError::BadCover { node: n });
-            }
-        }
-    }
+    // --- Coverage tables -----------------------------------------------------
+    let op_group = cover_table(
+        g.node_count(),
+        spec.fu_groups.iter().map(|grp| grp.ops.as_slice()),
+    )?;
+    let sub_group = cover_table(g.node_count(), spec.subs.iter().map(|s| s.1))?;
     for (nid, node) in g.nodes() {
         match node.kind() {
             NodeKind::Op(op) => {
-                let gi = *op_group
-                    .get(&nid)
-                    .ok_or(BuildError::BadCover { node: nid })?;
-                let fu = ctx.lib.fu(spec.fu_groups[gi].fu_type);
+                let gi = op_group[nid.index()];
+                if gi == UNCOVERED {
+                    return Err(BuildError::BadCover { node: nid });
+                }
+                let fu = ctx.lib.fu(spec.fu_groups[gi as usize].fu_type);
                 if !fu.supports(*op) {
                     return Err(BuildError::UnsupportedOp { node: nid });
                 }
             }
             NodeKind::Hier { callee } => {
-                let si = *sub_group
-                    .get(&nid)
-                    .ok_or(BuildError::BadCover { node: nid })?;
-                if spec.subs[si].module.behavior_for(*callee).is_none() {
+                let si = sub_group[nid.index()];
+                if si == UNCOVERED {
+                    return Err(BuildError::BadCover { node: nid });
+                }
+                if spec.subs[si as usize].0.behavior_for(*callee).is_none() {
                     return Err(BuildError::MissingBehavior { node: nid });
                 }
             }
@@ -267,18 +326,17 @@ pub fn build(
     }
 
     // --- Delays and orderings ---------------------------------------------
-    let node_delay = |nid: NodeId| -> NodeDelay {
-        match g.node(nid).kind() {
+    // One delay per node, computed once for the priorities and the
+    // schedule.
+    let delays: Vec<NodeDelay> = g
+        .nodes()
+        .map(|(nid, node)| match node.kind() {
             NodeKind::Op(_) => {
-                let gi = op_group[&nid];
-                let fu = ctx.lib.fu(spec.fu_groups[gi].fu_type);
+                let fu_type = spec.fu_groups[op_group[nid.index()] as usize].fu_type;
+                let fu = ctx.lib.fu(fu_type);
                 if fu.is_pipelined() {
                     NodeDelay::Pipelined {
-                        stages: ctx.lib.latency_cycles(
-                            spec.fu_groups[gi].fu_type,
-                            ctx.clk_ns,
-                            ctx.vdd,
-                        ),
+                        stages: ctx.lib.latency_cycles(fu_type, ctx.clk_ns, ctx.vdd),
                     }
                 } else {
                     NodeDelay::Combinational {
@@ -287,9 +345,8 @@ pub fn build(
                 }
             }
             NodeKind::Hier { callee } => {
-                let si = sub_group[&nid];
-                let profile = spec.subs[si]
-                    .module
+                let profile = spec.subs[sub_group[nid.index()] as usize]
+                    .0
                     .profile_for(*callee)
                     .expect("checked above")
                     .clone();
@@ -300,150 +357,59 @@ pub fn build(
             // next boundary, so results are registered, never chained.
             NodeKind::Load { .. } | NodeKind::Store { .. } => NodeDelay::Pipelined { stages: 1 },
             _ => NodeDelay::Free,
-        }
-    };
+        })
+        .collect();
 
     // Ordering priorities: unconstrained ASAP in rough cycle units.
-    let prio = asap_priority(g, |n| match node_delay(n) {
+    let prio = asap_priority(g, |n| match &delays[n.index()] {
         NodeDelay::Free => 0,
-        NodeDelay::Combinational { ns } => {
+        &NodeDelay::Combinational { ns } => {
             ((ns / (ctx.clk_ns - ctx.lib.register.overhead_ns)).ceil() as u64).max(1)
         }
-        NodeDelay::Pipelined { stages } => u64::from(stages),
+        &NodeDelay::Pipelined { stages } => u64::from(stages),
         NodeDelay::Profiled(p) => u64::from(p.latency()).max(1),
     });
-    // Resource keys for ordering: FU groups and sub groups with >= 2 nodes.
-    let serial = derive_orderings(
+    // Resource keys for ordering: FU groups and sub groups with >= 2 nodes,
+    // as dense indices (sub groups numbered after the FU groups).
+    let fu_count = spec.fu_groups.len();
+    let mut serial = derive_orderings(
         g,
         |n| {
-            if let Some(&gi) = op_group.get(&n) {
-                if spec.fu_groups[gi].ops.len() > 1 {
-                    return Some(("fu", gi));
-                }
+            let gi = op_group[n.index()];
+            if gi != UNCOVERED && spec.fu_groups[gi as usize].ops.len() > 1 {
+                return Some(gi as usize);
             }
-            if let Some(&si) = sub_group.get(&n) {
-                if spec.subs[si].nodes.len() > 1 {
-                    return Some(("sub", si));
-                }
+            let si = sub_group[n.index()];
+            if si != UNCOVERED && spec.subs[si as usize].1.len() > 1 {
+                return Some(fu_count + si as usize);
             }
             None
         },
         &prio,
     );
     // Memory correctness (program order) and per-bank port limits ride the
-    // same serialization mechanism as shared functional units.
-    let serial = {
-        let mut serial = serial;
-        serial.extend(hsyn_sched::mem_serial_edges(g));
+    // same serialization mechanism as shared functional units. Ordering
+    // edges come from disjoint groups and are unique already; only memory
+    // edges can repeat one.
+    let mem_edges = hsyn_sched::mem_serial_edges(g);
+    if !mem_edges.is_empty() {
+        serial.extend(mem_edges);
         let mut seen = std::collections::HashSet::new();
         serial.retain(|&e| seen.insert(e));
-        serial
-    };
+    }
 
     // --- Schedule -----------------------------------------------------------
     let sctx = ctx.sched_context();
-    let sched = schedule(g, node_delay, &serial, &sctx)?;
+    let sched = schedule(g, |n| delays[n.index()].clone(), &serial, &sctx)?;
 
     // --- Registers ----------------------------------------------------------
     let storage = storage_analysis(g, &sched);
-    let mut var_to_reg: HashMap<VarRef, RegId> = HashMap::new();
-    let mut regs: Vec<RegInstance> = Vec::new();
-    match &spec.reg_policy {
-        RegPolicy::Dedicated => {
-            for v in &storage.stored_vars {
-                let id = RegId::from_index(regs.len());
-                regs.push(RegInstance {
-                    name: format!("r{}", regs.len()),
-                });
-                var_to_reg.insert(*v, id);
-            }
-        }
-        RegPolicy::Groups(groups) => {
-            let mut assigned: HashMap<VarRef, RegId> = HashMap::new();
-            for group in groups {
-                let members: Vec<VarRef> = group
-                    .iter()
-                    .copied()
-                    .filter(|v| storage.stored_vars.contains(v))
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                // Pairwise lifetime compatibility.
-                for i in 0..members.len() {
-                    for j in (i + 1)..members.len() {
-                        if storage.conflicts(members[i], members[j]) {
-                            return Err(BuildError::RegisterConflict {
-                                a: members[i],
-                                b: members[j],
-                            });
-                        }
-                    }
-                }
-                let id = RegId::from_index(regs.len());
-                regs.push(RegInstance {
-                    name: format!("r{}", regs.len()),
-                });
-                for v in members {
-                    assigned.insert(v, id);
-                }
-            }
-            for v in &storage.stored_vars {
-                if !assigned.contains_key(v) {
-                    let id = RegId::from_index(regs.len());
-                    regs.push(RegInstance {
-                        name: format!("r{}", regs.len()),
-                    });
-                    assigned.insert(*v, id);
-                }
-            }
-            var_to_reg = assigned;
-        }
-        RegPolicy::Packed => {
-            // Left-edge allocation: sort by birth, reuse the first register
-            // whose last occupant died before this value is born.
-            let mut order: Vec<VarRef> = storage.stored_vars.clone();
-            order.sort_by_key(|v| {
-                let (b, d, _) = storage.lifetimes[v];
-                (b, d, *v)
-            });
-            let mut reg_death: Vec<u32> = Vec::new(); // shareable pool
-            let mut slot_of: HashMap<VarRef, usize> = HashMap::new();
-            for v in order {
-                let (b, d, sticky) = storage.lifetimes[&v];
-                if sticky {
-                    let id = RegId::from_index(regs.len());
-                    regs.push(RegInstance {
-                        name: format!("r{}", regs.len()),
-                    });
-                    var_to_reg.insert(v, id);
-                    continue;
-                }
-                // Non-conflict with the previous occupant: its death is
-                // strictly before this birth (see StorageAnalysis::conflicts).
-                match reg_death.iter().position(|&death| death < b) {
-                    Some(slot) => {
-                        reg_death[slot] = reg_death[slot].max(d);
-                        slot_of.insert(v, slot);
-                    }
-                    None => {
-                        reg_death.push(d);
-                        slot_of.insert(v, reg_death.len() - 1);
-                    }
-                }
-            }
-            // Materialize the shareable pool after the sticky registers.
-            let base = regs.len();
-            for _ in 0..reg_death.len() {
-                regs.push(RegInstance {
-                    name: format!("r{}", regs.len()),
-                });
-            }
-            for (v, slot) in slot_of {
-                var_to_reg.insert(v, RegId::from_index(base + slot));
-            }
-        }
-    }
+    let (reg_of, reg_count) = allocate_registers(&storage, spec.reg_policy)?;
+    let regs: Vec<RegInstance> = (0..reg_count)
+        .map(|i| RegInstance {
+            name: format!("r{i}"),
+        })
+        .collect();
 
     // --- Assemble -----------------------------------------------------------
     let fus: Vec<FuInstance> = spec
@@ -461,12 +427,17 @@ pub fn build(
             binding.op_to_fu.insert(n, FuInstId::from_index(gi));
         }
     }
-    for (si, sub) in spec.subs.iter().enumerate() {
-        for &n in &sub.nodes {
+    for (si, (_, nodes)) in spec.subs.iter().enumerate() {
+        for &n in *nodes {
             binding.hier_to_sub.insert(n, SubId::from_index(si));
         }
     }
-    binding.var_to_reg = var_to_reg;
+    binding.var_to_reg = storage
+        .stored_vars
+        .iter()
+        .zip(&reg_of)
+        .map(|(&v, &r)| (v, RegId::from_index(r as usize)))
+        .collect();
 
     let profile = derive_profile(g, &sched, &sctx);
     let behavior = Behavior {
@@ -477,12 +448,106 @@ pub fn build(
         profile,
     };
     Ok(RtlModule::new(
-        spec.name.clone(),
+        spec.name,
         fus,
         regs,
-        spec.subs.iter().map(|s| s.module.clone()).collect(),
+        spec.subs.iter().map(|(m, _)| (*m).clone()).collect(),
         vec![behavior],
     ))
+}
+
+/// Register allocation under `policy`: the register index of every stored
+/// variable, aligned with `storage.stored_vars`, and the register count.
+/// Registers are numbered in creation order.
+///
+/// # Errors
+///
+/// [`BuildError::RegisterConflict`] when an explicit sharing group holds
+/// two variables with overlapping lifetimes.
+fn allocate_registers(
+    storage: &StorageAnalysis,
+    policy: &RegPolicy,
+) -> Result<(Vec<u32>, u32), BuildError> {
+    /// Not assigned yet: no register, or no pool slot.
+    const UNASSIGNED: u32 = u32::MAX;
+    let stored = &storage.stored_vars;
+    let n = stored.len() as u32;
+    match policy {
+        RegPolicy::Dedicated => Ok(((0..n).collect(), n)),
+        RegPolicy::Groups(groups) => {
+            let mut reg_of = vec![UNASSIGNED; stored.len()];
+            let mut count = 0u32;
+            for group in groups {
+                let members: Vec<usize> = group
+                    .iter()
+                    .filter_map(|v| stored.binary_search(v).ok())
+                    .collect();
+                if members.is_empty() {
+                    continue;
+                }
+                // Pairwise lifetime compatibility.
+                for i in 0..members.len() {
+                    for j in (i + 1)..members.len() {
+                        if storage.conflicts_at(members[i], members[j]) {
+                            return Err(BuildError::RegisterConflict {
+                                a: stored[members[i]],
+                                b: stored[members[j]],
+                            });
+                        }
+                    }
+                }
+                for m in members {
+                    reg_of[m] = count;
+                }
+                count += 1;
+            }
+            for r in &mut reg_of {
+                if *r == UNASSIGNED {
+                    *r = count;
+                    count += 1;
+                }
+            }
+            Ok((reg_of, count))
+        }
+        RegPolicy::Packed => {
+            // Left-edge allocation: sort by birth, reuse the first register
+            // whose last occupant died before this value is born.
+            let life = &storage.lifetimes;
+            let mut order: Vec<usize> = (0..stored.len()).collect();
+            order.sort_by_key(|&i| (life[i].0, life[i].1, stored[i]));
+            let mut reg_of = vec![UNASSIGNED; stored.len()];
+            let mut sticky_count = 0u32;
+            let mut reg_death: Vec<u32> = Vec::new(); // shareable pool
+            let mut slot_of = vec![UNASSIGNED; stored.len()];
+            for i in order {
+                let (b, d, sticky) = life[i];
+                if sticky {
+                    reg_of[i] = sticky_count;
+                    sticky_count += 1;
+                    continue;
+                }
+                // Non-conflict with the previous occupant: its death is
+                // strictly before this birth (see StorageAnalysis::conflicts).
+                match reg_death.iter().position(|&death| death < b) {
+                    Some(slot) => {
+                        reg_death[slot] = reg_death[slot].max(d);
+                        slot_of[i] = slot as u32;
+                    }
+                    None => {
+                        reg_death.push(d);
+                        slot_of[i] = (reg_death.len() - 1) as u32;
+                    }
+                }
+            }
+            // The shareable pool is numbered after the sticky registers.
+            for (r, slot) in reg_of.iter_mut().zip(slot_of) {
+                if slot != UNASSIGNED {
+                    *r = sticky_count + slot;
+                }
+            }
+            Ok((reg_of, sticky_count + reg_death.len() as u32))
+        }
+    }
 }
 
 /// The profile a freshly built module exposes: its assumed input arrivals
@@ -514,23 +579,42 @@ fn derive_profile(g: &hsyn_dfg::Dfg, sched: &Schedule, sctx: &SchedContext) -> P
 /// Which variables need storage, their lifetimes, and per-edge chaining
 /// classification.
 pub struct StorageAnalysis {
-    /// Variables that must be registered, in deterministic order.
+    /// Variables that must be registered, sorted.
     pub stored_vars: Vec<VarRef>,
     /// `(birth, death, sticky)` per stored var, aligned with `stored_vars`;
     /// sticky variables live across iterations (delayed consumers).
-    pub lifetimes: HashMap<VarRef, (u32, u32, bool)>,
+    pub lifetimes: Vec<(u32, u32, bool)>,
     /// Edges consumed combinationally (chained), by edge index.
     pub chained_edges: Vec<bool>,
 }
 
 impl StorageAnalysis {
+    /// `(birth, death, sticky)` of `v`, if it is stored.
+    pub fn lifetime(&self, v: VarRef) -> Option<(u32, u32, bool)> {
+        let i = self.stored_vars.binary_search(&v).ok()?;
+        Some(self.lifetimes[i])
+    }
+
     /// Whether two stored variables cannot share a register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a != b` and either is not stored.
     pub fn conflicts(&self, a: VarRef, b: VarRef) -> bool {
         if a == b {
             return false;
         }
-        let (ba, da, sa) = self.lifetimes[&a];
-        let (bb, db, sb) = self.lifetimes[&b];
+        let index = |v: &VarRef| self.stored_vars.binary_search(v).expect("stored variable");
+        self.conflicts_at(index(&a), index(&b))
+    }
+
+    /// [`conflicts`](Self::conflicts) by position in `stored_vars`.
+    fn conflicts_at(&self, a: usize, b: usize) -> bool {
+        if a == b {
+            return false;
+        }
+        let (ba, da, sa) = self.lifetimes[a];
+        let (bb, db, sb) = self.lifetimes[b];
         if sa || sb {
             return true; // cross-iteration values get dedicated registers
         }
@@ -550,7 +634,9 @@ impl StorageAnalysis {
 pub fn storage_analysis(g: &hsyn_dfg::Dfg, sched: &Schedule) -> StorageAnalysis {
     let horizon = sched.makespan();
     let mut chained_edges = vec![false; g.edge_count()];
-    let mut needs: HashMap<VarRef, (u32, u32, bool)> = HashMap::new();
+    // One `(var, birth, death, sticky)` record per registered edge; records
+    // of one variable are merged after sorting.
+    let mut needs: Vec<(VarRef, u32, u32, bool)> = Vec::new();
 
     for (eid, e) in g.edges() {
         let producer_kind = g.node(e.from.node).kind();
@@ -573,7 +659,6 @@ pub fn storage_analysis(g: &hsyn_dfg::Dfg, sched: &Schedule) -> StorageAnalysis 
             continue;
         }
 
-        let var = e.from;
         let (death, sticky) = if e.delay > 0 {
             (horizon, true)
         } else {
@@ -584,17 +669,26 @@ pub fn storage_analysis(g: &hsyn_dfg::Dfg, sched: &Schedule) -> StorageAnalysis 
                 _ => (consumer_start.cycle, false),
             }
         };
-        let entry = needs.entry(var).or_insert((birth, death, sticky));
-        entry.0 = entry.0.min(birth);
-        entry.1 = entry.1.max(death);
-        entry.2 |= sticky;
+        needs.push((e.from, birth, death, sticky));
     }
 
-    let mut stored_vars: Vec<VarRef> = needs.keys().copied().collect();
-    stored_vars.sort();
+    needs.sort_unstable_by_key(|r| r.0);
+    let mut stored_vars: Vec<VarRef> = Vec::new();
+    let mut lifetimes: Vec<(u32, u32, bool)> = Vec::new();
+    for (var, birth, death, sticky) in needs {
+        if stored_vars.last() == Some(&var) {
+            let l = lifetimes.last_mut().expect("aligned with stored_vars");
+            l.0 = l.0.min(birth);
+            l.1 = l.1.max(death);
+            l.2 |= sticky;
+        } else {
+            stored_vars.push(var);
+            lifetimes.push((birth, death, sticky));
+        }
+    }
     StorageAnalysis {
         stored_vars,
-        lifetimes: needs,
+        lifetimes,
         chained_edges,
     }
 }
@@ -614,4 +708,64 @@ pub fn window_of(
     let sctx = ctx.sched_context();
     let alap = alap_starts(g, &b.schedule, &b.serial, &sctx);
     hsyn_sched::module_window(g, &b.schedule, &alap, &sctx, node)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hsyn_dfg::{Dfg, Operation};
+    use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
+
+    /// A 4-node DFG, `y = a + b`, as the top of a fresh hierarchy.
+    fn adder() -> (Hierarchy, DfgId) {
+        let mut h = Hierarchy::new();
+        let mut g = Dfg::new("add");
+        let a = g.add_input("a");
+        let b = g.add_input("b");
+        let s = g.add_op(Operation::Add, "s", &[a, b]);
+        g.add_output("y", s);
+        let id = h.add_dfg(g);
+        h.set_top(id);
+        h.validate().unwrap();
+        (h, id)
+    }
+
+    #[test]
+    fn cover_nodes_outside_the_dfg_are_rejected() {
+        let (h, dfg) = adder();
+        let lib = table1_library();
+        let ctx = BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, Some(12));
+        let add1 = lib.fu_by_name("add1").unwrap();
+        let spec = ModuleSpec::dedicated(&h, dfg, "m", |_, _| add1, |_, _| unreachable!());
+        let leaf = build(&h, &spec, &ctx).expect("the dedicated spec builds");
+        let stray = NodeId::from_index(999);
+
+        // An FU group listing a node past the end of the DFG.
+        let mut bad_op = spec.clone();
+        bad_op.fu_groups[0].ops.push(stray);
+        assert_eq!(
+            build(&h, &bad_op, &ctx).unwrap_err(),
+            BuildError::BadCover { node: stray }
+        );
+
+        // A sub group listing one, on a DFG without hierarchical nodes.
+        let mut bad_sub = spec.clone();
+        bad_sub.subs.push(SubSpec {
+            module: leaf,
+            nodes: vec![stray],
+        });
+        assert_eq!(
+            build(&h, &bad_sub, &ctx).unwrap_err(),
+            BuildError::BadCover { node: stray }
+        );
+
+        // The first node past the end is out of range too.
+        let mut edge = spec;
+        let past = NodeId::from_index(h.dfg(dfg).node_count());
+        edge.fu_groups[0].ops.push(past);
+        assert_eq!(
+            build(&h, &edge, &ctx).unwrap_err(),
+            BuildError::BadCover { node: past }
+        );
+    }
 }

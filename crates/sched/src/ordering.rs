@@ -19,18 +19,22 @@ pub fn derive_orderings<K: Eq + Hash>(
     mut assignment: impl FnMut(NodeId) -> Option<K>,
     priority: &[u64],
 ) -> Vec<(NodeId, NodeId)> {
-    let mut groups: HashMap<K, Vec<NodeId>> = HashMap::new();
+    // Groups are numbered by their first member in node order, which is
+    // also their smallest member: the edge order is deterministic
+    // regardless of hash iteration.
+    let mut number: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Vec<NodeId>> = Vec::new();
     for nid in g.node_ids() {
         if let Some(k) = assignment(nid) {
-            groups.entry(k).or_default().push(nid);
+            let gi = *number.entry(k).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[gi].push(nid);
         }
     }
     let mut edges = Vec::new();
-    // Deterministic edge order regardless of hash iteration: sort groups by
-    // their smallest member.
-    let mut ordered_groups: Vec<Vec<NodeId>> = groups.into_values().collect();
-    ordered_groups.sort_by_key(|g| g.iter().map(|n| n.index()).min().unwrap_or(0));
-    for group in &mut ordered_groups {
+    for group in &mut groups {
         group.sort_by_key(|n| (priority.get(n.index()).copied().unwrap_or(0), n.index()));
         for pair in group.windows(2) {
             edges.push((pair[0], pair[1]));

@@ -216,15 +216,10 @@ pub fn schedule(
         return Err(SchedError::UnusableClock { clk_ns: ctx.clk_ns });
     }
     let n = g.node_count();
-    let order = combined_topo(g, serial)?;
-
-    // Serialization successors per node, precomputed once: the floor-update
-    // loop below was O(V·S) when it re-scanned the whole `serial` slice for
-    // every scheduled node.
-    let mut serial_succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for &(a, b) in serial {
-        serial_succ[a.index()].push(b.index() as u32);
-    }
+    // Serialization successors per node, built once for both the
+    // topological sort and the floor-update loop below.
+    let serial_succ = SerialSucc::new(n, serial);
+    let order = combined_topo(g, &serial_succ)?;
 
     let mut serial_floor = vec![0u32; n];
     let mut times: Vec<Option<NodeTime>> = vec![None; n];
@@ -246,7 +241,7 @@ pub fn schedule(
         }
     };
 
-    for nid in order {
+    for &nid in order.iter() {
         let mut ready = Tick::zero();
         for (_, e) in g.in_edges(nid) {
             if e.delay == 0 {
@@ -314,7 +309,7 @@ pub fn schedule(
         };
 
         let release = time.occupied.1;
-        for &b in &serial_succ[nid.index()] {
+        for &b in serial_succ.of(nid.index()) {
             let f = &mut serial_floor[b as usize];
             *f = (*f).max(release);
         }
@@ -418,28 +413,72 @@ fn schedule_combinational(ready: Tick, floor: u32, ns: f64, usable: f64) -> Node
     }
 }
 
+/// Serialization successors in compressed-sparse-row form: node `a`'s
+/// successors are the `b` of every `(a, b)` in the `serial` slice, in slice
+/// order.
+struct SerialSucc {
+    /// `start[a]..start[a + 1]` bounds node `a`'s slice of `succ`.
+    start: Vec<u32>,
+    succ: Vec<u32>,
+}
+
+impl SerialSucc {
+    fn new(n: usize, serial: &[(NodeId, NodeId)]) -> Self {
+        let mut start = vec![0u32; n + 1];
+        for &(a, _) in serial {
+            start[a.index() + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut cur = start.clone();
+        let mut succ = vec![0u32; serial.len()];
+        for &(a, b) in serial {
+            let c = &mut cur[a.index()];
+            succ[*c as usize] = b.index() as u32;
+            *c += 1;
+        }
+        SerialSucc { start, succ }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.succ.is_empty()
+    }
+
+    fn of(&self, a: usize) -> &[u32] {
+        &self.succ[self.start[a] as usize..self.start[a + 1] as usize]
+    }
+}
+
 /// Topological order over data edges (delay 0) plus serialization edges.
 ///
 /// Data-edge successors come straight from the graph's CSR
-/// [`Adjacency`](hsyn_dfg::Adjacency) — no per-node `Vec` adjacency is
-/// allocated anymore; only the (typically small) serialization overlay is
-/// materialized. Successors are visited in the exact order the old
-/// per-node push lists produced (data edges in ascending edge-id order,
-/// then serial edges in input order), so the resulting order — and every
-/// schedule built from it — is byte-identical.
-fn combined_topo(g: &Dfg, serial: &[(NodeId, NodeId)]) -> Result<Vec<NodeId>, SchedError> {
+/// [`Adjacency`](hsyn_dfg::Adjacency); only the serialization overlay is
+/// materialized. Successors are visited in a fixed order (data edges in
+/// ascending edge-id order, then serial edges in input order), so the
+/// resulting order — and every schedule built from it — is deterministic.
+/// Without serialization edges this is exactly Kahn's order over the data
+/// edges, which the graph caches ([`Dfg::topo_order`]).
+fn combined_topo<'g>(
+    g: &'g Dfg,
+    serial_succ: &SerialSucc,
+) -> Result<std::borrow::Cow<'g, [NodeId]>, SchedError> {
+    if serial_succ.is_empty() {
+        return g
+            .topo_order()
+            .map(std::borrow::Cow::Borrowed)
+            .map_err(|_| SchedError::Cycle);
+    }
     let n = g.node_count();
     let adj = g.adj();
-    let mut serial_succ: Vec<Vec<u32>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for (_, e) in g.edges() {
         if e.delay == 0 {
             indeg[e.to.index()] += 1;
         }
     }
-    for &(a, b) in serial {
-        serial_succ[a.index()].push(b.index() as u32);
-        indeg[b.index()] += 1;
+    for &b in &serial_succ.succ {
+        indeg[b as usize] += 1;
     }
     let mut queue: std::collections::VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
@@ -456,7 +495,7 @@ fn combined_topo(g: &Dfg, serial: &[(NodeId, NodeId)]) -> Result<Vec<NodeId>, Sc
                 }
             }
         }
-        for &t in &serial_succ[i] {
+        for &t in serial_succ.of(i) {
             let t = t as usize;
             indeg[t] -= 1;
             if indeg[t] == 0 {
@@ -467,5 +506,5 @@ fn combined_topo(g: &Dfg, serial: &[(NodeId, NodeId)]) -> Result<Vec<NodeId>, Sc
     if order.len() != n {
         return Err(SchedError::Cycle);
     }
-    Ok(order)
+    Ok(std::borrow::Cow::Owned(order))
 }

@@ -7,6 +7,7 @@
 use hsyn_dfg::{Dfg, NodeId, Operation, VarRef};
 use hsyn_sched::{alap_starts, derive_orderings, schedule, NodeDelay, SchedContext};
 use hsyn_util::Rng;
+use std::collections::HashMap;
 
 const CLK: f64 = 10.0;
 const OVH: f64 = 1.0;
@@ -122,6 +123,49 @@ fn schedules_respect_dependencies_and_serialization() {
         // (4) Makespan covers all activity.
         for nid in g.node_ids() {
             assert!(sched.time(nid).occupied.1 <= sched.makespan());
+        }
+    }
+}
+
+/// The ordering derivation as first written: hash the groups, then sort
+/// them by their smallest member.
+fn reference_orderings(
+    g: &Dfg,
+    assignment: impl Fn(NodeId) -> Option<u8>,
+    priority: &[u64],
+) -> Vec<(NodeId, NodeId)> {
+    let mut groups: HashMap<u8, Vec<NodeId>> = HashMap::new();
+    for nid in g.node_ids() {
+        if let Some(k) = assignment(nid) {
+            groups.entry(k).or_default().push(nid);
+        }
+    }
+    let mut ordered: Vec<Vec<NodeId>> = groups.into_values().collect();
+    ordered.sort_by_key(|grp| grp.iter().map(|n| n.index()).min().unwrap_or(0));
+    let mut edges = Vec::new();
+    for grp in &mut ordered {
+        grp.sort_by_key(|n| (priority.get(n.index()).copied().unwrap_or(0), n.index()));
+        for pair in grp.windows(2) {
+            edges.push((pair[0], pair[1]));
+        }
+    }
+    edges
+}
+
+#[test]
+fn derive_orderings_matches_the_sorted_reference() {
+    let mut rng = Rng::seed_from_u64(0x5C_01);
+    for _ in 0..cases() {
+        let (g, _, groups) = arb_case(&mut rng);
+        let key = |n: NodeId| g.node(n).kind().is_schedulable().then(|| groups[n.index()]);
+        let asap = hsyn_sched::asap_priority(&g, |n| u64::from(key(n).is_some()));
+        // Reversed node order as a second priority: ties and inversions.
+        let reversed: Vec<u64> = (0..g.node_count() as u64).rev().collect();
+        for prio in [&asap, &reversed] {
+            assert_eq!(
+                derive_orderings(&g, key, prio),
+                reference_orderings(&g, key, prio)
+            );
         }
     }
 }
