@@ -18,10 +18,11 @@ use hsyn_lint::{error_count, verify_design, DesignView, Diagnostic, Severity};
 use hsyn_power::{dsp_default, TraceSet};
 use hsyn_rtl::{
     dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,
-    refresh_fingerprint_tree, window_of, FpTree, ModuleLibrary,
+    refresh_fingerprint_tree, window_of, FpTree, ModuleLibrary, RtlModule,
 };
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Instant;
 
 /// A paranoid-mode verifier failure: the design under optimization stopped
@@ -75,7 +76,9 @@ impl From<Box<ParanoidViolation>> for Abort {
 /// run; the experiment harness prints them alongside the results).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MoveStats {
-    /// Candidate moves fully evaluated (rebuild + reschedule + simulate).
+    /// Candidate moves fully evaluated (rebuild + reschedule + simulate),
+    /// including those answered from the candidate memo: a repeated
+    /// speculation counts exactly as the live one it stands for.
     pub evaluated: u64,
     /// Candidates rejected by validity checks.
     pub rejected: u64,
@@ -97,7 +100,9 @@ pub struct MoveStats {
     /// for the reasons).
     pub configs_skipped: u64,
     /// Incremental-evaluation cache lookups answered from the cache
-    /// (area + simulation).
+    /// (area + simulation). Candidates answered from the candidate memo
+    /// never reach the cache, so repeated speculations no longer show up
+    /// here as hits; the misses (first speculations) are unaffected.
     pub eval_cache_hits: u64,
     /// Incremental-evaluation cache lookups that fell through to a fresh
     /// computation.
@@ -125,6 +130,13 @@ pub struct MoveStats {
     pub resynth_hits: u64,
     /// Move-*B* resynthesis requests that ran the nested engine.
     pub resynth_misses: u64,
+    /// Candidate speculations answered from the engine's candidate memo
+    /// (the stored cost or rejection; apply, rebuild, evaluation and
+    /// rollback are skipped). Memo traffic, excluded from
+    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
+    pub cand_hits: u64,
+    /// Candidate speculations that ran live and filled the memo.
+    pub cand_misses: u64,
 }
 
 impl MoveStats {
@@ -163,6 +175,8 @@ impl MoveStats {
         self.lns_accepts += other.lns_accepts;
         self.resynth_hits += other.resynth_hits;
         self.resynth_misses += other.resynth_misses;
+        self.cand_hits += other.cand_hits;
+        self.cand_misses += other.cand_misses;
     }
 
     /// The part of a nested move-*B* engine's counters its parent folds in
@@ -210,8 +224,89 @@ struct Resynthesis {
 /// resynthesis recursion and dropped with the configuration's engine.
 type ResynthMemo = HashMap<ResynthKey, Resynthesis>;
 
-/// A fully evaluated candidate application. The scan rolled the candidate
-/// back; the winner is re-applied in place from `mv` (and `resynth`).
+/// The design a candidate scan speculates from: the root of its built
+/// fingerprint tree plus [`spec_digest`], the spec state that fingerprint
+/// omits.
+type CandBase = (u64, u64);
+
+/// The candidate memo of one engine: per base design, every move speculated
+/// from it and the outcome — the candidate's cost, or `None` when it was
+/// rejected. Dropped with the engine (see DESIGN.md, "Candidate memo").
+type CandMemo = HashMap<CandBase, HashMap<Move, Option<f64>>>;
+
+/// Entry cap of the candidate memo: it is cleared when a scan would grow it
+/// past this (a bound, not a tuning knob; a configuration's search stores a
+/// few thousand entries).
+const CAND_MEMO_CAP: usize = 1 << 14;
+
+/// Digest of everything about `dp` a candidate's outcome depends on that
+/// its built fingerprint omits. The fingerprint hashes built structure, with
+/// DFGs by content, so two designs can share a root while a move's rebuild
+/// on them differs:
+///
+/// * each module's spec windows — `input_arrivals`, `output_deadlines`,
+///   `deadline` — which constrain every rebuild but do not show in a build
+///   that already meets them;
+/// * each module's `reg_policy`, which the next rebuild re-applies;
+/// * each child's kind (`Single` or `Opaque`) and an opaque child's origin;
+/// * the [`DfgId`]s of every behavior and of every hierarchical node's
+///   callee, which moves resolve by id, plus every memory's bank count;
+/// * the operating point.
+fn spec_digest(dp: &DesignPoint) -> u64 {
+    fn spec(m: &ModuleState, h: &mut DefaultHasher) {
+        let c = &m.core;
+        c.dfg.hash(h);
+        c.reg_policy.hash(h);
+        c.input_arrivals.hash(h);
+        c.output_deadlines.hash(h);
+        c.deadline.hash(h);
+        h.write_usize(m.children.len());
+        for child in &m.children {
+            match &child.kind {
+                ChildKind::Single(s) => {
+                    h.write_u8(0);
+                    spec(s, h);
+                }
+                ChildKind::Opaque { origin, .. } => {
+                    h.write_u8(1);
+                    origin.hash(h);
+                }
+            }
+        }
+    }
+    fn behaviors(m: &RtlModule, h: &mut DefaultHasher) {
+        for b in m.behaviors() {
+            b.dfg.hash(h);
+        }
+        h.write_usize(m.subs().len());
+        for s in m.subs() {
+            behaviors(s, h);
+        }
+    }
+    let mut h = DefaultHasher::new();
+    spec(&dp.top, &mut h);
+    behaviors(&dp.top.built, &mut h);
+    for (_, g) in dp.hierarchy.dfgs() {
+        for (_, mem) in g.mems() {
+            mem.banks.hash(&mut h);
+        }
+        for (_, node) in g.nodes() {
+            if let NodeKind::Hier { callee } = node.kind() {
+                callee.hash(&mut h);
+            }
+        }
+    }
+    for v in [dp.op.vdd, dp.op.clk_ref_ns, dp.op.period_ns] {
+        v.to_bits().hash(&mut h);
+    }
+    dp.op.sampling_cycles.hash(&mut h);
+    h.finish()
+}
+
+/// A candidate that survived the scan. The scan rolled it back; the winner
+/// is re-applied in place from `mv` (and `resynth`) by
+/// [`Engine::reapply`], which also refreshes its fingerprint tree and
+/// evaluates it.
 pub(crate) struct Applied {
     pub(crate) gain: f64,
     pub(crate) mv: Move,
@@ -219,9 +314,6 @@ pub(crate) struct Applied {
     /// the winner does not re-run (and re-account) the recursive
     /// resynthesis.
     pub(crate) resynth: Option<ChildKind>,
-    /// Fingerprint tree of the candidate's build.
-    pub(crate) fp: FpTree,
-    pub(crate) eval: Evaluation,
 }
 
 /// The per-configuration optimizer.
@@ -252,6 +344,11 @@ pub(crate) struct Engine<'a> {
     /// Move-*B* memo: each distinct resynthesis request runs once per
     /// configuration (see DESIGN.md, "Move-B memo").
     memo: ResynthMemo,
+    /// Candidate memo: each `(base design, move)` speculation runs once per
+    /// engine.
+    cands: CandMemo,
+    /// Entries held in `cands`, across all base designs.
+    cands_len: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -273,6 +370,8 @@ impl<'a> Engine<'a> {
             apply_s: 0.0,
             lns_s: 0.0,
             memo: ResynthMemo::new(),
+            cands: CandMemo::new(),
+            cands_len: 0,
         }
     }
 
@@ -348,46 +447,87 @@ impl<'a> Engine<'a> {
         incr
     }
 
-    /// Apply + evaluate one candidate: speculate the move **in place** on
-    /// the live design, evaluate, then roll the journal back — `dp` is
-    /// bit-identical to its pre-call state on return, success or failure.
-    /// `cur_fp` is the fingerprint tree of `dp`; the candidate's tree is
-    /// derived from it by re-fingerprinting only the move's dirty subtree
-    /// and recombining its ancestors. Returns the resynthesized child
-    /// implementation (move *B* only; re-applying the winner must not
-    /// re-run resynthesis), the candidate's fingerprint tree, and its
-    /// evaluation; `None` if the candidate is invalid.
+    /// Price one candidate against the base design `dp` (fingerprint tree
+    /// `cur_fp`): its cost, or `None` if it is invalid. `seen` holds the
+    /// outcomes already speculated from this base; a repeat is answered
+    /// from it, anything else is speculated live ([`Engine::speculate`])
+    /// and remembered. Either way the work counters move exactly as a live
+    /// speculation moves them, and `dp` is unchanged on return. Move *B*
+    /// resolves its resynthesis first (replaying the nested engine's
+    /// counters on a move-B memo hit) and also returns the implementation,
+    /// so re-applying the winner does not re-run it.
     fn try_move(
         &mut self,
         dp: &mut DesignPoint,
         cur_fp: &FpTree,
+        seen: &mut HashMap<Move, Option<f64>>,
         mv: &Move,
         log: &mut UndoLog,
-    ) -> Option<(Option<ChildKind>, FpTree, Evaluation)> {
-        let depth = self.depth;
-        let mut resynth_kind: Option<ChildKind> = None;
+    ) -> Option<(Option<ChildKind>, f64)> {
+        let mut resynth: Option<ChildKind> = None;
         if let Move::ResynthChild { path, child } = mv {
-            if depth == 0 {
+            if self.depth == 0 {
                 return None;
             }
-            resynth_kind = self.resynthesize_child(dp, path, *child);
-            resynth_kind.as_ref()?;
+            resynth = self.resynthesize_child(dp, path, *child);
+            resynth.as_ref()?;
         }
-        let mark = log.mark();
-        let t0 = Instant::now();
-        let outcome = apply_in_place(dp, mv, self.mlib, &mut |_, _, _| resynth_kind.clone(), log);
-        self.apply_s += t0.elapsed().as_secs_f64();
-        let Ok(dirty) = outcome else {
+        let outcome = match seen.get(mv) {
+            Some(&stored) => {
+                self.stats.cand_hits += 1;
+                if self.config.shadow_eval {
+                    self.shadow_candidate(dp, cur_fp, mv, &resynth, stored);
+                }
+                stored
+            }
+            None => {
+                self.stats.cand_misses += 1;
+                let fresh = self.speculate(dp, cur_fp, mv, &resynth, log, false);
+                seen.insert(mv.clone(), fresh);
+                fresh
+            }
+        };
+        let Some(cost) = outcome else {
             self.stats.rejected += 1;
             return None;
         };
         self.stats.evaluated += 1;
-        let fp = refresh_fingerprint_tree(&dp.hierarchy, &dp.top.built, cur_fp, &dirty);
-        let eval = self.eval(dp, &fp, Some(mv));
+        self.stats.moves_rolled_back += 1;
+        Some((resynth, cost))
+    }
+
+    /// Speculate one candidate **in place** on the live design: apply,
+    /// evaluate, then roll the journal back — `dp` is bit-identical to its
+    /// pre-call state on return, success or failure. The candidate's
+    /// fingerprint tree is derived from `cur_fp` by re-fingerprinting only
+    /// the move's dirty subtree and recombining its ancestors. With
+    /// `uncached`, the candidate is priced by the full reference evaluation
+    /// instead, leaving the eval cache untouched. Returns the candidate's
+    /// cost, `None` if the move is invalid. Books wall-clock and eval-cache
+    /// traffic; the candidate counters are the caller's.
+    fn speculate(
+        &mut self,
+        dp: &mut DesignPoint,
+        cur_fp: &FpTree,
+        mv: &Move,
+        resynth: &Option<ChildKind>,
+        log: &mut UndoLog,
+        uncached: bool,
+    ) -> Option<f64> {
+        let mark = log.mark();
+        let t0 = Instant::now();
+        let outcome = apply_in_place(dp, mv, self.mlib, &mut |_, _, _| resynth.clone(), log);
+        self.apply_s += t0.elapsed().as_secs_f64();
+        let dirty = outcome.ok()?;
+        let cost = if uncached {
+            evaluate_search(dp, &self.mlib.simple, &self.traces, self.objective()).cost
+        } else {
+            let fp = refresh_fingerprint_tree(&dp.hierarchy, &dp.top.built, cur_fp, &dirty);
+            self.eval(dp, &fp, Some(mv)).cost
+        };
         let t1 = Instant::now();
         log.rollback_to(dp, mark);
         self.apply_s += t1.elapsed().as_secs_f64();
-        self.stats.moves_rolled_back += 1;
         // Rollback-validity hook (paranoid mode): the retained fingerprint
         // tree must still describe the rolled-back design, or every later
         // `EvalCache` hit keyed through it would silently return results
@@ -403,7 +543,38 @@ impl<'a> Engine<'a> {
                  the undo journal missed an edit"
             );
         }
-        Some((resynth_kind, fp, eval))
+        Some(cost)
+    }
+
+    /// Shadow mode for the candidate memo: speculate a hit live again, in a
+    /// journal of its own and priced by the full reference evaluation
+    /// (leaving no trace on the counters, the eval cache or the pass
+    /// journal's peak; its wall-clock is booked to `verify_s`), and require
+    /// the same outcome, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the move and the base design's fingerprint when the
+    /// recomputation differs from the stored outcome.
+    fn shadow_candidate(
+        &mut self,
+        dp: &mut DesignPoint,
+        cur_fp: &FpTree,
+        mv: &Move,
+        resynth: &Option<ChildKind>,
+        stored: Option<f64>,
+    ) {
+        let t0 = Instant::now();
+        let saved = (self.verify_s, self.apply_s);
+        let fresh = self.speculate(dp, cur_fp, mv, resynth, &mut UndoLog::new(), true);
+        (self.verify_s, self.apply_s) = saved;
+        self.verify_s += t0.elapsed().as_secs_f64();
+        assert!(
+            fresh.map(f64::to_bits) == stored.map(f64::to_bits),
+            "candidate memo diverged for move {mv} on base design {:016x}: \
+             stored {stored:?}, recomputed {fresh:?}",
+            cur_fp.fp
+        );
     }
 
     /// Evaluate the top candidates by heuristic score and return the best
@@ -424,6 +595,13 @@ impl<'a> Engine<'a> {
         log: &mut UndoLog,
     ) -> Option<Applied> {
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
+        if self.cands_len >= CAND_MEMO_CAP {
+            self.cands.clear();
+            self.cands_len = 0;
+        }
+        let base = (cur_fp.fp, spec_digest(dp));
+        let mut seen = self.cands.remove(&base).unwrap_or_default();
+        let known = seen.len();
         let mut best: Option<Applied> = None;
         let mut evaluated = 0usize;
         let mut rejected = 0usize;
@@ -433,24 +611,47 @@ impl<'a> Engine<'a> {
             {
                 break;
             }
-            match self.try_move(dp, cur_fp, &mv, log) {
-                Some((resynth, fp, eval)) => {
+            match self.try_move(dp, cur_fp, &mut seen, &mv, log) {
+                Some((resynth, cost)) => {
                     evaluated += 1;
-                    let gain = base_cost - eval.cost;
+                    let gain = base_cost - cost;
                     if best.as_ref().is_none_or(|b| gain > b.gain) {
-                        best = Some(Applied {
-                            gain,
-                            mv,
-                            resynth,
-                            fp,
-                            eval,
-                        });
+                        best = Some(Applied { gain, mv, resynth });
                     }
                 }
                 None => rejected += 1,
             }
         }
+        self.cands_len += seen.len() - known;
+        self.cands.insert(base, seen);
         best
+    }
+
+    /// Re-apply a scan winner in place (the scan rolled it back), reusing
+    /// its saved move-*B* implementation, then refresh its fingerprint tree
+    /// from `base_fp` along the dirty path and evaluate it. The pass loop
+    /// and LNS recreation both step through here.
+    ///
+    /// # Errors
+    ///
+    /// In paranoid mode, a cross-layer invariant the re-applied move broke.
+    pub(crate) fn reapply(
+        &mut self,
+        dp: &mut DesignPoint,
+        base_fp: &FpTree,
+        won: Applied,
+        log: &mut UndoLog,
+    ) -> Result<(Move, FpTree, Evaluation), Box<ParanoidViolation>> {
+        let Applied { mv, resynth, .. } = won;
+        let mut saved = resynth;
+        let t0 = Instant::now();
+        let dirty = apply_in_place(dp, &mv, self.mlib, &mut |_, _, _| saved.take(), log)
+            .expect("re-apply of a just-validated move on the identical design");
+        self.apply_s += t0.elapsed().as_secs_f64();
+        let fp = refresh_fingerprint_tree(&dp.hierarchy, &dp.top.built, base_fp, &dirty);
+        let eval = self.eval(dp, &fp, Some(&mv));
+        self.paranoid_check(dp, Some(&mv))?;
+        Ok((mv, fp, eval))
     }
 
     /// `GET_BEST_TYPE_A_AND_B_MOVE` (Figure 5 wrapped into one selector).
@@ -580,23 +781,11 @@ impl<'a> Engine<'a> {
                     (a, b) => a.or(b),
                 };
                 let Some(chosen) = chosen else { break };
-                // Re-apply the winner (the scan rolled it back).
                 let mark = log.mark();
-                let mut saved = chosen.resynth;
-                let t0 = Instant::now();
-                apply_in_place(
-                    &mut cur,
-                    &chosen.mv,
-                    self.mlib,
-                    &mut |_, _, _| saved.take(),
-                    &mut log,
-                )
-                .expect("re-apply of a just-validated move on the identical design");
-                self.apply_s += t0.elapsed().as_secs_f64();
-                self.paranoid_check(&cur, Some(&chosen.mv))?;
-                seq_moves.push(chosen.mv);
+                let (mv, fp, eval) = self.reapply(&mut cur, work_fp, chosen, &mut log)?;
+                seq_moves.push(mv);
                 step_marks.push(mark);
-                history.push((chosen.eval, chosen.fp));
+                history.push((eval, fp));
             }
             // Commit the best-cumulative-gain prefix; unwind the rest.
             let (best_idx, _) = history
@@ -789,6 +978,8 @@ impl<'a> Engine<'a> {
         self.memo = std::mem::take(&mut inner.memo);
         self.stats.resynth_hits += inner.stats.resynth_hits;
         self.stats.resynth_misses += inner.stats.resynth_misses;
+        self.stats.cand_hits += inner.stats.cand_hits;
+        self.stats.cand_misses += inner.stats.cand_misses;
         self.verify_s += inner.verify_s;
         self.eval_incr_s += inner.eval_incr_s;
         self.apply_s += inner.apply_s;
@@ -939,6 +1130,7 @@ mod tests {
     use crate::moves::Candidate;
     use hsyn_dfg::benchmarks;
     use hsyn_lib::papers::table1_library;
+    use hsyn_rtl::RegPolicy;
     use hsyn_rtl::{module_fingerprint, ModuleLibrary};
 
     fn paulin_fixture() -> (DesignPoint, ModuleLibrary, TraceSet) {
@@ -1131,6 +1323,143 @@ mod tests {
             entry.delta.evaluated += 1;
         }
         engine.resynthesize_child(&dp, &[], 0);
+    }
+
+    /// lat at the reference voltage with the Table 1 library: every child
+    /// is a `Single` spec tree.
+    fn lat_fixture() -> (DesignPoint, ModuleLibrary, TraceSet) {
+        let b = benchmarks::lat();
+        let mlib = ModuleLibrary::from_simple(table1_library());
+        let op =
+            OperatingPoint::derive(&mlib.simple, mlib.simple.technology.vref(), 10.0, 10_000.0);
+        let top = initial_solution(&b.hierarchy, &mlib, &op).expect("lat builds");
+        let traces = dsp_default(b.hierarchy.dfg(b.hierarchy.top()).input_count(), 4, 16, 1);
+        let dp = DesignPoint {
+            hierarchy: b.hierarchy.clone(),
+            op,
+            top,
+        };
+        (dp, mlib, traces)
+    }
+
+    /// Scan `mv` alone from `dp` (base cost 0): the candidate's cost bits,
+    /// `None` when rejected.
+    fn scan_one(engine: &mut Engine, dp: &mut DesignPoint, mv: &Move) -> Option<u64> {
+        let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+        let mut log = UndoLog::new();
+        engine
+            .best_from(dp, &fp, 0.0, vec![(0.0, mv.clone())], &mut log)
+            .map(|won| (-won.gain).to_bits())
+    }
+
+    /// Two designs with one built fingerprint tree, told apart only by the
+    /// spec state `edit` rewrites in child 0 (left unbuilt, so its build
+    /// and every fingerprint stay as they were). Some move on that child
+    /// must price differently on the two, and one engine scanning that move
+    /// from both must speculate it twice and report the edited design's
+    /// own outcome — a key of the built root and the move alone would
+    /// answer the second scan with the first design's cost.
+    fn assert_spec_edit_is_a_new_base(edit: impl Fn(&mut ModuleState)) {
+        let (dp, mlib, traces) = lat_fixture();
+        let config = SynthesisConfig::new(Objective::Area);
+        let mut edited = dp.clone();
+        let ChildKind::Single(child) = &mut edited.top.children[0].kind else {
+            panic!("lat children are spec trees under the Table 1 library")
+        };
+        edit(child);
+        assert_eq!(
+            fingerprint_tree(&dp.hierarchy, &dp.top.built),
+            fingerprint_tree(&edited.hierarchy, &edited.top.built),
+            "the edit must not show in the built fingerprint"
+        );
+        let objective = config.objective;
+        let mut moves = selection_candidates(&dp, &mlib, objective, false);
+        moves.extend(sharing_candidates(&dp, &mlib, objective));
+        moves.extend(splitting_candidates(&dp, &mlib, objective));
+        let fresh = |dp: &DesignPoint, mv: &Move| {
+            let mut engine = Engine::new(&mlib, &config, traces.clone(), 0);
+            scan_one(&mut engine, &mut dp.clone(), mv)
+        };
+        let (mv, want) = moves
+            .into_iter()
+            .map(|(_, mv)| mv)
+            .filter(|mv| crate::moves::dirty_path(mv) == [0])
+            .find_map(|mv| {
+                let want = fresh(&edited, &mv);
+                (fresh(&dp, &mv) != want).then_some((mv, want))
+            })
+            .expect("some move on child 0 prices the edit");
+        let mut engine = Engine::new(&mlib, &config, traces.clone(), 0);
+        scan_one(&mut engine, &mut dp.clone(), &mv);
+        let got = scan_one(&mut engine, &mut edited, &mv);
+        assert_eq!(
+            (engine.stats.cand_misses, engine.stats.cand_hits),
+            (2, 0),
+            "{mv} from the edited design must be speculated, not recalled"
+        );
+        assert_eq!(got, want, "{mv} on the edited design");
+    }
+
+    /// A child's output deadlines constrain its next rebuild but do not
+    /// show in a build that already meets them.
+    #[test]
+    fn candidate_memo_key_covers_output_deadlines() {
+        assert_spec_edit_is_a_new_base(|child| {
+            let outputs = child.built.behaviors()[0].profile.outputs.len();
+            child.core.output_deadlines = Some(vec![0; outputs]);
+        });
+    }
+
+    /// A child's register policy is re-applied by its next rebuild.
+    #[test]
+    fn candidate_memo_key_covers_reg_policy() {
+        assert_spec_edit_is_a_new_base(|child| {
+            assert!(matches!(child.core.reg_policy, RegPolicy::Dedicated));
+            child.core.reg_policy = RegPolicy::Packed;
+        });
+    }
+
+    /// A repeated candidate is answered from the memo and moves the
+    /// counters exactly as the live speculation did.
+    #[test]
+    fn repeated_candidate_replays_its_counters() {
+        let (mut dp, mlib, traces) = paulin_fixture();
+        let config = SynthesisConfig::new(Objective::Area);
+        let mut engine = Engine::new(&mlib, &config, traces, 0);
+        let mv = Move::RepackRegs { path: vec![] };
+        let first = scan_one(&mut engine, &mut dp, &mv);
+        let after_first = engine.stats;
+        let second = scan_one(&mut engine, &mut dp, &mv);
+        assert!(first.is_some());
+        assert_eq!(first, second);
+        assert_eq!((after_first.cand_misses, after_first.cand_hits), (1, 0));
+        assert_eq!((engine.stats.cand_misses, engine.stats.cand_hits), (1, 1));
+        assert_eq!(engine.stats.evaluated, 2 * after_first.evaluated);
+        assert_eq!(
+            engine.stats.moves_rolled_back,
+            2 * after_first.moves_rolled_back
+        );
+        assert_eq!(
+            engine.stats.eval_cache_misses,
+            after_first.eval_cache_misses
+        );
+    }
+
+    /// Shadow mode speculates every candidate-memo hit again; a stored
+    /// outcome that no longer matches panics, naming the move.
+    #[test]
+    #[should_panic(expected = "candidate memo diverged for move")]
+    fn shadow_mode_catches_a_stale_candidate_entry() {
+        let (mut dp, mlib, traces) = paulin_fixture();
+        let mut config = SynthesisConfig::new(Objective::Area);
+        config.shadow_eval = true;
+        let mut engine = Engine::new(&mlib, &config, traces, 0);
+        let mv = Move::RepackRegs { path: vec![] };
+        scan_one(&mut engine, &mut dp, &mv);
+        for cost in engine.cands.values_mut().flat_map(|seen| seen.values_mut()) {
+            *cost = cost.map(|c| c + 1.0);
+        }
+        scan_one(&mut engine, &mut dp, &mv);
     }
 
     /// Shadow mode turns a cache/full divergence into a panic naming the

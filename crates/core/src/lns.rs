@@ -572,20 +572,9 @@ impl<'a> Engine<'a> {
                     }
                     // No family produced even one valid candidate.
                     let Some((f, won)) = chosen else { break };
-                    // Re-apply the winner (the scan rolled it back),
-                    // reusing its saved move-B implementation.
                     let mark = log.mark();
-                    let Applied {
-                        gain,
-                        mv,
-                        resynth,
-                        fp: won_fp,
-                        eval,
-                    } = won;
-                    let mut saved = resynth;
-                    apply_in_place(dp, &mv, self.mlib, &mut |_, _, _| saved.take(), log)
-                        .expect("re-apply of a just-validated move on the identical design");
-                    self.paranoid_check(dp, Some(&mv))?;
+                    let gain = won.gain;
+                    let (mv, won_fp, eval) = self.reapply(dp, work_fp, won, log)?;
                     portfolio.reward(f, gain / entry_cost.abs().max(f64::MIN_POSITIVE));
                     if eval.cost < traj_best - 1e-9 {
                         traj_best = eval.cost;

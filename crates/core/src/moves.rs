@@ -26,7 +26,7 @@ use std::fmt;
 pub type ModulePath = Vec<usize>;
 
 /// One candidate transformation of a design point.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Move {
     /// Move *A* (simple): change the library type of a functional-unit
     /// group.

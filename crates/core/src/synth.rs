@@ -101,6 +101,12 @@ pub struct ConfigTelemetry {
     pub resynth_hits: u64,
     /// Move-*B* resynthesis requests that ran the nested engine.
     pub resynth_misses: u64,
+    /// Candidate speculations answered from this configuration's candidate
+    /// memo. Memo traffic, excluded from
+    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
+    pub cand_hits: u64,
+    /// Candidate speculations that ran live.
+    pub cand_misses: u64,
     /// Area-cache hits answered by entries *seeded* from a
     /// [`SharedAreaCache`](crate::SharedAreaCache) — work a previous run
     /// already paid for. Always 0 without
@@ -178,8 +184,8 @@ impl SynthesisReport {
     /// `eval_incr_s`, `apply_s`, `lns_s`) and cache traffic
     /// (`eval_cache_hits` / `eval_cache_misses` / `warm_area_hits`, which
     /// differ with the state of a shared or persisted cache, and
-    /// `resynth_hits` / `resynth_misses`, which count memo traffic, not
-    /// search work). Two runs are the same search with the same result iff
+    /// `resynth_hits` / `resynth_misses` and `cand_hits` / `cand_misses`,
+    /// which count memo traffic, not search work). Two runs are the same search with the same result iff
     /// their `result_json` bytes match — the contract the
     /// `incremental_equivalence` differential suite enforces between
     /// shadow-checked and plain runs.
@@ -576,6 +582,8 @@ pub fn synthesize(
                     eval_cache_misses: config_stats.eval_cache_misses,
                     resynth_hits: config_stats.resynth_hits,
                     resynth_misses: config_stats.resynth_misses,
+                    cand_hits: config_stats.cand_hits,
+                    cand_misses: config_stats.cand_misses,
                     eval_incr_s,
                     apply_s,
                     lns_s,

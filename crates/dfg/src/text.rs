@@ -18,7 +18,8 @@
 //! equiv <dfg-name> <dfg-name> ...        # declare functional equivalence
 //! ```
 //!
-//! A memory marked `external` is part of the DFG's call interface: each
+//! A memory holds between 1 and [`MAX_MEM_WORDS`] words. A memory marked
+//! `external` is part of the DFG's call interface: each
 //! call site binds one caller memory per callee external memory with
 //! `using`, in the callee's declaration order. Loads and stores execute in
 //! the order they appear in the block (program order).
@@ -47,6 +48,13 @@ use crate::{
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// Largest word count a `mem` line may declare. The simulators and the
+/// co-simulator allocate every word of every bank up front, so an
+/// unchecked count from untrusted text (`mem m 4000000000`) would abort
+/// the process on a failed allocation; every in-repo memory has at most 16
+/// words.
+pub const MAX_MEM_WORDS: u32 = 65_536;
 
 /// Result of parsing a textual description.
 #[derive(Clone, Debug)]
@@ -435,6 +443,12 @@ fn parse_stmt(toks: &[&str], lno: usize) -> Result<Stmt, ParseError> {
             })?;
             if words == 0 {
                 return err(lno, "memory word count must be positive");
+            }
+            if words > MAX_MEM_WORDS {
+                return err(
+                    lno,
+                    format!("memory word count {words} exceeds the limit of {MAX_MEM_WORDS}"),
+                );
             }
             let (mut width, mut ports, mut banks, mut external) = (32u32, 1u32, 1u32, false);
             let mut i = 3;
@@ -943,6 +957,17 @@ top top
             .contains("unknown memory attribute"));
         let src3 = "dfg g {\n  mem m 4 ports\n  input a\n  output y = a\n}\ntop g\n";
         assert!(parse(src3).unwrap_err().message.contains("needs a value"));
+    }
+
+    #[test]
+    fn error_on_oversized_memory() {
+        let at_cap =
+            format!("dfg g {{\n  mem m {MAX_MEM_WORDS}\n  input a\n  output y = a\n}}\ntop g\n");
+        assert!(parse(&at_cap).is_ok());
+        let src = "dfg g {\n  mem m 4000000000\n  input a\n  output y = a\n}\ntop g\n";
+        let e = parse(src).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("exceeds the limit of 65536"), "{e}");
     }
 
     #[test]

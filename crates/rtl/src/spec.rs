@@ -40,7 +40,7 @@ pub struct SubSpec {
 }
 
 /// Register assignment policy.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RegPolicy {
     /// One register per stored variable (the completely parallel
     /// architecture of `INITIAL_SOLUTION`).

@@ -1016,6 +1016,10 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         "move B memo         : {} hits, {} misses",
         report.stats.resynth_hits, report.stats.resynth_misses,
     );
+    println!(
+        "candidate memo      : {} hits, {} misses",
+        report.stats.cand_hits, report.stats.cand_misses,
+    );
     let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
     println!(
         "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",

@@ -97,3 +97,37 @@ fn submit_requires_a_daemon_address() {
         "submit without --connect must say what is missing: {stderr}"
     );
 }
+
+/// A behavior whose memory declares four billion words: eight bytes a word
+/// would be a 32 GB allocation, which aborts the process (exit 134) instead
+/// of failing.
+const OVERSIZED_MEMORY_DFG: &str = "\
+dfg g {
+  mem m 4000000000
+  input a
+  l = load m a
+  store m a l
+  output y = l
+}
+top g
+";
+
+#[test]
+fn oversized_memory_is_a_parse_error() {
+    let dir = std::env::temp_dir().join(format!("hsyn-cli-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("oversized_memory.dfg");
+    std::fs::write(&path, OVERSIZED_MEMORY_DFG).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .arg(&path)
+        .arg("--result-json")
+        .output()
+        .expect("hsyn binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: memory word count 4000000000 exceeds the limit of 65536"),
+        "the parse error must name the line and the limit: {stderr}"
+    );
+}

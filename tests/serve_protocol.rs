@@ -9,6 +9,7 @@ mod harness;
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::process::Command;
 use std::time::Duration;
 
 use harness::start_server;
@@ -176,6 +177,44 @@ fn submit_rejections_name_the_offending_field() {
         );
     }
     drop(s);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+/// `hsyn submit` of a behavior declaring a four-billion-word memory gets
+/// the parse error back; the daemon neither aborts on the allocation nor
+/// stops answering.
+#[test]
+fn oversized_memory_submission_fails_and_the_daemon_survives() {
+    let (addr, handle) = start_server(ServeOptions::default());
+    let dir = std::env::temp_dir().join(format!("hsyn-serve-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("oversized_memory.dfg");
+    std::fs::write(
+        &path,
+        "dfg g {\n  mem m 4000000000\n  input a\n  l = load m a\n  store m a l\n  \
+         output y = l\n}\ntop g\n",
+    )
+    .unwrap();
+    let submit = |extra: &[&std::ffi::OsStr]| {
+        Command::new(env!("CARGO_BIN_EXE_hsyn"))
+            .args(["submit", "--connect", &addr.to_string()])
+            .args(extra)
+            .output()
+            .expect("hsyn binary runs")
+    };
+    let out = submit(&[path.as_os_str(), "--result-json".as_ref()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the job must fail: {out:?}");
+    assert!(
+        stderr.contains("memory word count 4000000000 exceeds the limit"),
+        "the parse error must reach the client: {stderr}"
+    );
+    let ping = submit(&["--ping".as_ref()]);
+    assert!(ping.status.success(), "daemon stopped answering: {ping:?}");
+    assert_alive(&addr);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
