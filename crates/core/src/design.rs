@@ -474,7 +474,7 @@ fn initial_module(
             deadline,
         },
         children,
-        built: RtlModule::new(name, vec![], vec![], vec![], vec![]),
+        built: RtlModule::new(h, name, vec![], vec![], vec![], vec![]),
     };
     state.rebuild(h, lib, op)?;
     Ok(state)

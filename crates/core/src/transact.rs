@@ -284,6 +284,7 @@ fn module_bytes(m: &RtlModule) -> usize {
         + m.fus().len() * 64
         + m.regs().len() * 48
         + m.behaviors().len() * 256
+        + m.view().heap_bytes()
         + m.subs().iter().map(module_bytes).sum::<usize>()
 }
 
@@ -610,6 +611,59 @@ mod tests {
         // A no-op rebank (same count) is rejected without journaling.
         let mut tx = Transaction::begin(&mut dp);
         assert!(tx.apply(&mv, &mlib, &mut |_, _, _| None).is_err());
+    }
+
+    /// A rebank and its rollback through the journal leave the memory
+    /// serialization edges and order the DFG caches equal to a fresh
+    /// computation, and every rebuilt module's datapath view equal to a
+    /// fresh derivation.
+    #[test]
+    fn rebank_rollback_keeps_cached_memory_edges_fresh() {
+        let b = benchmarks::matmul();
+        let mlib = ModuleLibrary::from_simple(table1_library());
+        let op =
+            OperatingPoint::derive(&mlib.simple, mlib.simple.technology.vref(), 10.0, 100_000.0);
+        let top = initial_solution(&b.hierarchy, &mlib, &op).expect("matmul builds");
+        let mut dp = DesignPoint {
+            hierarchy: b.hierarchy.clone(),
+            op,
+            top,
+        };
+        let dfg = dp.top.core.dfg;
+        let check = |dp: &DesignPoint| {
+            let g = dp.hierarchy.dfg(dfg);
+            assert_eq!(g.mem_serial_edges(), hsyn_dfg::mem_serial_edges(g));
+            assert_eq!(
+                g.mem_topo_order().unwrap(),
+                hsyn_dfg::mem_topo_order(g).unwrap()
+            );
+            assert_eq!(g.mem_order_pairs(), hsyn_dfg::mem_order_pairs(g));
+            assert_eq!(hsyn_rtl::view_mismatch(&dp.hierarchy, &dp.top.built), None);
+            g.mem_serial_edges().to_vec()
+        };
+        let before = check(&dp);
+        let (mid, mem) = dp
+            .hierarchy
+            .dfg(dfg)
+            .mems()
+            .next()
+            .expect("matmul owns a memory");
+        let mv = Move::RebankMem {
+            path: vec![],
+            mem: mid,
+            banks: mem.banks.max(1) * 2,
+        };
+        let mut log = UndoLog::new();
+        let mark = log.mark();
+        crate::moves::apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log)
+            .expect("rebank applies");
+        let rebanked = check(&dp);
+        assert_ne!(
+            rebanked, before,
+            "doubling the banks must change the bank chains"
+        );
+        log.rollback_to(&mut dp, mark);
+        assert_eq!(check(&dp), before);
     }
 
     /// Dropping an open transaction rolls back; committing keeps the edit.

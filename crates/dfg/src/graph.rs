@@ -1,5 +1,6 @@
 use crate::csr::Adjacency;
 use crate::hierarchy::DfgId;
+use crate::mem::MemCache;
 use crate::op::Operation;
 use std::fmt;
 use std::sync::OnceLock;
@@ -305,6 +306,10 @@ pub struct Dfg {
     /// Lazily-built CSR adjacency (see [`Adjacency`]). Derived data: never
     /// compared, never cloned, dropped on any node/edge mutation.
     adj: OnceLock<Adjacency>,
+    /// Lazily derived memory ordering and serialization edges (see
+    /// [`crate::mem`]). Derived data like `adj`, but dropped on *every*
+    /// mutation, bank reassignment included.
+    mem: MemCache,
 }
 
 impl Clone for Dfg {
@@ -319,6 +324,7 @@ impl Clone for Dfg {
             outputs: self.outputs.clone(),
             mems: self.mems.clone(),
             adj: OnceLock::new(),
+            mem: MemCache::default(),
         }
     }
 }
@@ -359,6 +365,7 @@ impl Dfg {
             outputs: Vec::new(),
             mems: Vec::new(),
             adj: OnceLock::new(),
+            mem: MemCache::default(),
         }
     }
 
@@ -370,6 +377,10 @@ impl Dfg {
     /// through synthesis-move application and transactional rollback.
     pub fn adj(&self) -> &Adjacency {
         self.adj.get_or_init(|| Adjacency::build(self))
+    }
+
+    pub(crate) fn mem_cache(&self) -> &MemCache {
+        &self.mem
     }
 
     /// Topological order over zero-delay edges, computed on first use and
@@ -550,6 +561,7 @@ impl Dfg {
 
     /// Declare a memory object; returns its id.
     pub fn add_mem(&mut self, mem: MemObject) -> MemId {
+        self.mem = MemCache::default();
         let id = MemId::new(self.mems.len());
         self.mems.push(mem);
         id
@@ -558,13 +570,16 @@ impl Dfg {
     /// Set the bank count of memory `id`, returning the previous count —
     /// the undo record a transactional caller replays to reverse the
     /// reassignment. Banks affect scheduling and cost only, never behavior,
-    /// so (like [`Dfg::replace_hier_callee`]) the adjacency cache survives.
+    /// so (like [`Dfg::replace_hier_callee`]) the adjacency cache survives;
+    /// the memory cache drops, since the bank chains of
+    /// [`Dfg::mem_serial_edges`] depend on the count.
     ///
     /// # Panics
     ///
     /// Panics if `id` is not in this DFG or `banks` is 0.
     pub fn set_mem_banks(&mut self, id: MemId, banks: u32) -> u32 {
         assert!(banks >= 1, "memory needs at least one bank");
+        self.mem = MemCache::default();
         std::mem::replace(&mut self.mems[id.index()].banks, banks)
     }
 
@@ -725,6 +740,7 @@ impl Dfg {
     ///
     /// Panics if `node` is not a hierarchical node.
     pub fn replace_hier_callee(&mut self, node: NodeId, callee: DfgId) -> DfgId {
+        self.mem = MemCache::default();
         match &mut self.nodes[node.index()].kind {
             NodeKind::Hier { callee: c } => std::mem::replace(c, callee),
             other => panic!("set_hier_callee on non-hierarchical node {node} ({other:?})"),
@@ -735,6 +751,7 @@ impl Dfg {
     /// sample periods. Feedback loops must use `delay >= 1`.
     pub fn connect(&mut self, from: VarRef, to: NodeId, to_port: u16, delay: u32) -> EdgeId {
         self.adj.take();
+        self.mem = MemCache::default();
         let id = EdgeId::new(self.edges.len());
         self.edges.push(Edge {
             from,
@@ -785,6 +802,7 @@ impl Dfg {
 
     fn push_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
         self.adj.take();
+        self.mem = MemCache::default();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(Node {
             kind,

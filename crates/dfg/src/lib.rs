@@ -71,5 +71,7 @@ pub use equiv::EquivClasses;
 pub use eval::reference_outputs;
 pub use graph::{Dfg, Edge, EdgeId, MemId, MemObject, MemScope, Node, NodeId, NodeKind, VarRef};
 pub use hierarchy::{DfgId, Hierarchy, HierarchyError};
-pub use mem::{bank_of, const_address, mem_order_pairs, mem_topo_order};
+pub use mem::{
+    bank_assignment, bank_of, const_address, mem_order_pairs, mem_serial_edges, mem_topo_order,
+};
 pub use op::Operation;

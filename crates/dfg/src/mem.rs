@@ -10,9 +10,85 @@
 //! with memory bindings count as read-write accesses of every bound memory,
 //! which is what keeps parent and callee accesses to a shared bank in
 //! lockstep.
+//!
+//! On top of program order, a memory bank is a limited per-cycle resource:
+//! a bank accepts at most `ports` accesses per cycle, so within each
+//! `(memory, bank)` group [`mem_serial_edges`] chains the accesses
+//! `access[i] → access[i + ports]` — the same serialization mechanism
+//! functional units use (paper, Section 4), and by pigeonhole no valid
+//! schedule can then issue more than `ports` same-bank accesses in one
+//! cycle. Bank assignment is deterministic: an access whose address port is
+//! driven by a constant maps to bank `address mod banks` ([`bank_of`]);
+//! accesses with data-dependent addresses — and hierarchical calls bound to
+//! the memory, whose internal access pattern is opaque here — conservatively
+//! conflict with *every* bank.
+//!
+//! The free functions here compute from scratch. [`Dfg::mem_order_pairs`],
+//! [`Dfg::mem_topo_order`] and [`Dfg::mem_serial_edges`] answer the same
+//! questions from a per-graph cache that every graph mutation drops
+//! (bank reassignment included), so a builder that schedules one graph
+//! many times derives them once.
 
 use crate::analysis::CycleError;
 use crate::graph::{Dfg, MemId, MemObject, NodeId, NodeKind};
+use std::sync::OnceLock;
+
+/// The lazily derived memory facts of one [`Dfg`]: program-order pairs,
+/// the memory-aware topological order and the serialization edges. Derived
+/// data: never compared, never cloned, reset by every graph mutation.
+#[derive(Debug, Default)]
+pub(crate) struct MemCache {
+    pairs: OnceLock<Vec<(NodeId, NodeId)>>,
+    /// Only filled when `pairs` is non-empty; otherwise the graph's cached
+    /// zero-delay order answers.
+    topo: OnceLock<Result<Vec<NodeId>, CycleError>>,
+    serial: OnceLock<Vec<(NodeId, NodeId)>>,
+}
+
+impl Dfg {
+    /// [`mem_order_pairs`], computed on first use and cached until the next
+    /// mutation of this graph.
+    pub fn mem_order_pairs(&self) -> &[(NodeId, NodeId)] {
+        self.mem_cache().pairs.get_or_init(|| mem_order_pairs(self))
+    }
+
+    /// [`mem_topo_order`], computed on first use and cached until the next
+    /// mutation of this graph. A graph without memory dependence pairs
+    /// answers with its zero-delay order ([`Dfg::topo_order`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`mem_topo_order`].
+    pub fn mem_topo_order(&self) -> Result<&[NodeId], CycleError> {
+        let pairs = self.mem_order_pairs();
+        if pairs.is_empty() {
+            return self.topo_order();
+        }
+        self.mem_cache()
+            .topo
+            .get_or_init(|| topo_with_pairs(self, pairs))
+            .as_deref()
+            .map_err(|_| CycleError)
+    }
+
+    /// [`mem_serial_edges`], computed on first use and cached until the
+    /// next mutation of this graph ([`Dfg::set_mem_banks`] included).
+    ///
+    /// # Panics
+    ///
+    /// As [`mem_serial_edges`].
+    pub fn mem_serial_edges(&self) -> &[(NodeId, NodeId)] {
+        self.mem_cache().serial.get_or_init(|| {
+            if self.mem_count() == 0 {
+                return Vec::new();
+            }
+            let order = self
+                .mem_topo_order()
+                .expect("memory serialization requires a validated (acyclic) DFG");
+            serial_edges(self, self.mem_order_pairs(), order)
+        })
+    }
+}
 
 /// How a node touches a memory.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -89,6 +165,11 @@ pub fn mem_topo_order(g: &Dfg) -> Result<Vec<NodeId>, CycleError> {
     if pairs.is_empty() {
         return crate::analysis::topo_order(g);
     }
+    topo_with_pairs(g, &pairs)
+}
+
+/// Kahn's algorithm over zero-delay data edges plus `pairs`.
+fn topo_with_pairs(g: &Dfg, pairs: &[(NodeId, NodeId)]) -> Result<Vec<NodeId>, CycleError> {
     let n = g.node_count();
     let mut indeg = vec![0usize; n];
     let mut extra_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
@@ -97,7 +178,7 @@ pub fn mem_topo_order(g: &Dfg) -> Result<Vec<NodeId>, CycleError> {
             indeg[e.to.index()] += 1;
         }
     }
-    for &(a, b) in &pairs {
+    for &(a, b) in pairs {
         indeg[b.index()] += 1;
         extra_out[a.index()].push(b);
     }
@@ -147,6 +228,119 @@ pub fn const_address(g: &Dfg, node: NodeId) -> Option<i64> {
 /// The bank a word address maps to: word `w` lives in bank `w % banks`.
 pub fn bank_of(mem: &MemObject, addr: i64) -> u32 {
     (addr.rem_euclid(i64::from(mem.banks.max(1)))) as u32
+}
+
+/// Deterministic bank assignment for every node of `g`: `Some(bank)` for a
+/// load or store whose address is a compile-time constant, `None` for
+/// accesses with unknown addresses and for all non-access nodes.
+pub fn bank_assignment(g: &Dfg) -> Vec<Option<u32>> {
+    g.node_ids()
+        .map(|nid| {
+            let mem = g.node(nid).kind().mem_access()?;
+            let addr = const_address(g, nid)?;
+            Some(bank_of(g.mem(mem), addr))
+        })
+        .collect()
+}
+
+/// ASAP start levels over zero-delay data edges *plus* the memory
+/// dependence `pairs`, visiting nodes in `order` (the memory-aware
+/// topological order), with every schedulable node lasting one level.
+/// These are the priorities the port-conflict chains sort by: because every
+/// access has nonzero duration, the levels strictly increase along any
+/// dependence path, so chains built in level order can never conflict with
+/// data or program-order dependencies.
+fn mem_asap_levels(g: &Dfg, pairs: &[(NodeId, NodeId)], order: &[NodeId]) -> Vec<u64> {
+    let n = g.node_count();
+    let mut extra_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    for &(a, b) in pairs {
+        extra_out[a.index()].push(b);
+    }
+    let adj = g.adj();
+    let mut finish = vec![0u64; n];
+    let mut level = vec![0u64; n];
+    for &nid in order {
+        // Start from the eagerly-propagated program-order level (below):
+        // overwriting it with the data-edge level alone would let a
+        // shallow-address load sort *before* the store it must follow,
+        // and the port chain would then close a cycle with the
+        // program-order pair.
+        let mut s = level[nid.index()];
+        for &ei in adj.in_edge_indices(nid) {
+            let e = g.edge(crate::graph::EdgeId::from_index(ei as usize));
+            if e.delay == 0 {
+                s = s.max(finish[e.from.node.index()]);
+            }
+        }
+        level[nid.index()] = s;
+        let dur = u64::from(g.node(nid).kind().is_schedulable());
+        finish[nid.index()] = finish[nid.index()].max(s + dur);
+        for &b in &extra_out[nid.index()] {
+            // Program-order successor: starts after this access finishes.
+            // Propagated eagerly (predecessors precede in the topo order).
+            level[b.index()] = level[b.index()].max(finish[nid.index()]);
+            finish[b.index()] = finish[b.index()].max(finish[nid.index()]);
+        }
+    }
+    level
+}
+
+/// All memory serialization edges of `g`, ready to pass to a scheduler as
+/// ordering edges: the program-order dependence pairs (correctness)
+/// followed by the per-`(memory, bank)` port-conflict chains (resource
+/// limits). Deterministic — memories in declaration order, banks
+/// ascending, chain members ordered by (memory-aware ASAP level, node id) —
+/// and duplicate pairs are emitted once. Computed from scratch;
+/// [`Dfg::mem_serial_edges`] caches it.
+///
+/// # Panics
+///
+/// Panics if the combined dependence relation is cyclic; validate the
+/// hierarchy first ([`crate::Hierarchy::validate`] rejects such graphs).
+pub fn mem_serial_edges(g: &Dfg) -> Vec<(NodeId, NodeId)> {
+    if g.mem_count() == 0 {
+        return Vec::new();
+    }
+    let order = mem_topo_order(g).expect("memory serialization requires a validated (acyclic) DFG");
+    serial_edges(g, &mem_order_pairs(g), &order)
+}
+
+/// [`mem_serial_edges`] from already derived program-order `pairs` and
+/// memory-aware topological `order`.
+fn serial_edges(g: &Dfg, pairs: &[(NodeId, NodeId)], order: &[NodeId]) -> Vec<(NodeId, NodeId)> {
+    let mut edges = pairs.to_vec();
+    let levels = mem_asap_levels(g, pairs, order);
+    let banks_of = bank_assignment(g);
+    for (mid, mem) in g.mems() {
+        // Accesses of this memory, in node-id order.
+        let accesses: Vec<NodeId> = g
+            .node_ids()
+            .filter(|&nid| {
+                let node = g.node(nid);
+                node.kind().mem_access() == Some(mid)
+                    || (matches!(node.kind(), NodeKind::Hier { .. })
+                        && node.mem_binds().contains(&mid))
+            })
+            .collect();
+        let ports = mem.ports.max(1) as usize;
+        for bank in 0..mem.banks.max(1) {
+            // Known same-bank accesses plus every unknown-address access.
+            let mut members: Vec<NodeId> = accesses
+                .iter()
+                .copied()
+                .filter(|&nid| banks_of[nid.index()].is_none_or(|b| b == bank))
+                .collect();
+            members.sort_by_key(|n| (levels[n.index()], n.index()));
+            for i in 0..members.len().saturating_sub(ports) {
+                edges.push((members[i], members[i + ports]));
+            }
+        }
+    }
+    // Bank chains can duplicate program-order pairs (and each other, for
+    // unknown-address accesses present in several bank groups).
+    let mut seen = std::collections::HashSet::new();
+    edges.retain(|&e| seen.insert(e));
+    edges
 }
 
 #[cfg(test)]
@@ -223,6 +417,43 @@ mod tests {
         g.add_output("y", s);
         assert_eq!(const_address(&g, l1.node), Some(2)); // 6 mod 4
         assert_eq!(const_address(&g, l2.node), None);
+    }
+
+    /// The cached edges and order follow a bank reassignment: the read
+    /// after `set_mem_banks` equals a fresh computation, not the cached one.
+    #[test]
+    fn cached_memory_edges_drop_on_rebank() {
+        let mut g = Dfg::new("ld4");
+        let m = g.add_mem(MemObject::owned("a", 8, 16));
+        let mut acc: Option<crate::VarRef> = None;
+        for i in 0..4 {
+            let k = g.add_const(format!("k{i}"), i);
+            let l = g.add_load(m, format!("l{i}"), k);
+            acc = Some(match acc {
+                None => l,
+                Some(p) => g.add_op(Operation::Add, format!("s{i}"), &[p, l]),
+            });
+        }
+        g.add_store(m, "st", acc.unwrap(), acc.unwrap());
+        g.add_output("y", acc.unwrap());
+        let one_bank = g.mem_serial_edges().to_vec();
+        assert_eq!(one_bank, mem_serial_edges(&g));
+        assert_eq!(g.mem_topo_order().unwrap(), mem_topo_order(&g).unwrap());
+        assert_eq!(g.set_mem_banks(m, 2), 1);
+        assert_eq!(g.mem_serial_edges(), mem_serial_edges(&g));
+        assert_ne!(
+            g.mem_serial_edges(),
+            one_bank,
+            "two banks chain differently"
+        );
+        assert_eq!(g.mem_topo_order().unwrap(), mem_topo_order(&g).unwrap());
+        assert_eq!(g.mem_order_pairs(), mem_order_pairs(&g));
+        // A graph edit drops the cache too.
+        let k = g.add_const("k_late", 1);
+        let l = g.add_load(m, "late", k);
+        g.add_output("z", l);
+        assert_eq!(g.mem_serial_edges(), mem_serial_edges(&g));
+        assert_eq!(g.mem_order_pairs(), mem_order_pairs(&g));
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! equiv <dfg-name> <dfg-name> ...        # declare functional equivalence
 //! ```
 //!
-//! A memory holds between 1 and [`MAX_MEM_WORDS`] words. A memory marked
+//! A memory holds between 1 and [`MAX_MEM_WORDS`] words, split over at
+//! most as many banks as it has words, each with at most
+//! [`MAX_MEM_PORTS`] ports. A memory marked
 //! `external` is part of the DFG's call interface: each
 //! call site binds one caller memory per callee external memory with
 //! `using`, in the callee's declaration order. Loads and stores execute in
@@ -55,6 +57,13 @@ use std::fmt::Write as _;
 /// the process on a failed allocation; every in-repo memory has at most 16
 /// words.
 pub const MAX_MEM_WORDS: u32 = 65_536;
+
+/// Largest per-bank port count a `mem` line may declare. The scheduler
+/// chains same-bank accesses `ports` apart and the controller drives an
+/// enable and a write strobe per bank port, so together with the bank
+/// limit (at most one bank per word) this bounds both at parse time; every
+/// in-repo memory has at most 2 ports.
+pub const MAX_MEM_PORTS: u32 = 16;
 
 /// Result of parsing a textual description.
 #[derive(Clone, Debug)]
@@ -478,6 +487,18 @@ fn parse_stmt(toks: &[&str], lno: usize) -> Result<Stmt, ParseError> {
                     }
                     other => return err(lno, format!("unknown memory attribute `{other}`")),
                 }
+            }
+            if ports > MAX_MEM_PORTS {
+                return err(
+                    lno,
+                    format!("memory port count {ports} exceeds the limit of {MAX_MEM_PORTS}"),
+                );
+            }
+            if banks > words {
+                return err(
+                    lno,
+                    format!("memory bank count {banks} exceeds its word count {words}"),
+                );
             }
             Ok(Stmt::Mem {
                 name: toks[1].to_owned(),
@@ -968,6 +989,30 @@ top top
         let e = parse(src).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("exceeds the limit of 65536"), "{e}");
+    }
+
+    #[test]
+    fn error_on_oversized_ports_and_banks() {
+        let mem = |attrs: &str| {
+            format!("dfg g {{\n  mem m 4 {attrs}\n  input a\n  output y = a\n}}\ntop g\n")
+        };
+        assert!(parse(&mem(&format!("ports {MAX_MEM_PORTS} banks 4"))).is_ok());
+        let e = parse(&mem(&format!("ports {}", MAX_MEM_PORTS + 1))).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("port count 17 exceeds the limit of 16"),
+            "{e}"
+        );
+        let e = parse(&mem("ports 2147483648 banks 4")).unwrap_err();
+        assert!(e.message.contains("exceeds the limit of 16"), "{e}");
+        let e = parse(&mem("banks 5")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("bank count 5 exceeds its word count 4"),
+            "{e}"
+        );
+        let e = parse(&mem("banks 200000")).unwrap_err();
+        assert!(e.message.contains("exceeds its word count"), "{e}");
     }
 
     #[test]

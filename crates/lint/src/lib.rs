@@ -82,6 +82,7 @@ pub enum RuleCode {
     Rtl004,
     Rtl005,
     Rtl007,
+    Rtl008,
     Pwr001,
     Pwr002,
     Dfa001,
@@ -92,7 +93,7 @@ pub enum RuleCode {
 
 impl RuleCode {
     /// Every rule, in code order.
-    pub const ALL: [RuleCode; 26] = [
+    pub const ALL: [RuleCode; 27] = [
         RuleCode::Dfg001,
         RuleCode::Dfg002,
         RuleCode::Dfg003,
@@ -113,6 +114,7 @@ impl RuleCode {
         RuleCode::Rtl004,
         RuleCode::Rtl005,
         RuleCode::Rtl007,
+        RuleCode::Rtl008,
         RuleCode::Pwr001,
         RuleCode::Pwr002,
         RuleCode::Dfa001,
@@ -144,6 +146,7 @@ impl RuleCode {
             RuleCode::Rtl004 => "RTL004",
             RuleCode::Rtl005 => "RTL005",
             RuleCode::Rtl007 => "RTL007",
+            RuleCode::Rtl008 => "RTL008",
             RuleCode::Pwr001 => "PWR001",
             RuleCode::Pwr002 => "PWR002",
             RuleCode::Dfa001 => "DFA001",
@@ -176,6 +179,7 @@ impl RuleCode {
             RuleCode::Rtl004 => "stored value has no register: datapath mux input undriven",
             RuleCode::Rtl005 => "op bound to a functional unit that cannot execute it",
             RuleCode::Rtl007 => "register holds two live values at once",
+            RuleCode::Rtl008 => "stored datapath view disagrees with a fresh derivation",
             RuleCode::Pwr001 => "supply voltage outside the calibrated technology range",
             RuleCode::Pwr002 => "clock period does not exceed the register overhead",
             RuleCode::Dfa001 => "operation has only constant operands: constant-foldable",

@@ -10,7 +10,7 @@ use crate::{Diagnostic, LintConfig, Location, RuleCode, Severity};
 use hsyn_dataflow::{analyze_hierarchy, AbstractValue};
 use hsyn_dfg::{Dfg, DfgId, Hierarchy, HierarchyError, MemScope, NodeId, NodeKind, Operation};
 use hsyn_lib::Library;
-use hsyn_rtl::{storage_analysis, Behavior, RtlModule};
+use hsyn_rtl::{storage_analysis, view_mismatch, Behavior, RtlModule};
 use std::collections::BTreeMap;
 
 /// Everything the verifier needs to see of a synthesized design: the
@@ -90,7 +90,39 @@ pub fn verify_design_with(view: &DesignView<'_>, cfg: &LintConfig) -> Vec<Diagno
         view.sampling_period,
         &mut sink,
     );
+    // The fresh derivation walks every edge of every behavior, so it needs
+    // a structurally valid hierarchy.
+    if hier_errors.is_empty() && cfg.enabled(RuleCode::Rtl008) {
+        check_views(view.hierarchy, view.module, view.module.name(), &mut sink);
+    }
     sink.diags
+}
+
+/// `RTL008`: the [`DatapathView`](hsyn_rtl::DatapathView) each module
+/// stores — the source counts and control bits the area and energy models
+/// read — must equal a from-scratch derivation, or every later pricing of
+/// the module reads a stale figure. Modules whose schedules do not cover
+/// their graphs (`SCH001`) are skipped: nothing can be derived from them.
+fn check_views(h: &Hierarchy, module: &RtlModule, path: &str, sink: &mut Sink<'_>) {
+    let derivable = module.behaviors().iter().all(|b| {
+        b.dfg.index() < h.dfg_count() && b.schedule.times().len() == h.dfg(b.dfg).node_count()
+    });
+    if derivable {
+        if let Some(diff) = view_mismatch(h, module) {
+            sink.emit(
+                RuleCode::Rtl008,
+                Severity::Error,
+                Location {
+                    module: Some(path.to_owned()),
+                    ..Location::default()
+                },
+                format!("stale datapath view: {diff}"),
+            );
+        }
+    }
+    for sub in module.subs() {
+        check_views(h, sub, &format!("{path}/{}", sub.name()), sink);
+    }
 }
 
 /// Lint a bare behavioral description (the `DFG0xx` family only).

@@ -191,6 +191,7 @@ fn sch002_data_precedence_violation() {
     let mut behavior = module.behaviors()[0].clone();
     behavior.dfg = strict;
     let tampered = RtlModule::new(
+        &h,
         "twin",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -210,6 +211,7 @@ fn sch003_serialization_violation() {
     let mut behavior = module.behaviors()[0].clone();
     behavior.serial.push((s1, s2));
     let tampered = RtlModule::new(
+        &h,
         "par",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -271,6 +273,7 @@ fn rtl001_missing_binding() {
     let mut behavior = module.behaviors()[0].clone();
     behavior.binding.op_to_fu.remove(&m1);
     let tampered = RtlModule::new(
+        &h,
         "sop",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -291,6 +294,7 @@ fn rtl002_fu_double_booked() {
     let fu_of_s1 = behavior.binding.op_to_fu[&s1];
     behavior.binding.op_to_fu.insert(s2, fu_of_s1);
     let tampered = RtlModule::new(
+        &h,
         "par",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -345,6 +349,7 @@ fn rtl003_submodule_double_booked() {
     let sub_of_f1 = behavior.binding.hier_to_sub[&f1];
     behavior.binding.hier_to_sub.insert(f2, sub_of_f1);
     let tampered = RtlModule::new(
+        &h,
         "top",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -369,6 +374,7 @@ fn rtl004_undriven_mux_input() {
         .expect("sop stores values");
     behavior.binding.var_to_reg.remove(&victim);
     let tampered = RtlModule::new(
+        &h,
         "sop",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -391,6 +397,7 @@ fn rtl005_incompatible_fu() {
     behavior.binding.op_to_fu.insert(m1, fu_s);
     behavior.binding.op_to_fu.insert(s, fu_m);
     let tampered = RtlModule::new(
+        &h,
         "sop",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -414,6 +421,7 @@ fn rtl007_register_lifetime_overlap() {
         *r = r0;
     }
     let tampered = RtlModule::new(
+        &h,
         "sop",
         module.fus().to_vec(),
         module.regs().to_vec(),
@@ -426,6 +434,40 @@ fn rtl007_register_lifetime_overlap() {
 }
 
 // --- PWR family ------------------------------------------------------------
+
+/// A module priced against a hierarchy it was not built from: the twin
+/// graph differs only in one constant address, so both loads now share one
+/// address source and the stored mux count on the memory's address bus is
+/// stale.
+#[test]
+fn rtl008_stale_datapath_view() {
+    let lib = lib();
+    let make = |second: i64| {
+        let mut g = Dfg::new("twin_loads");
+        let m = g.add_mem(hsyn_dfg::MemObject::owned("a", 4, 16));
+        let k0 = g.add_const("k0", 0);
+        let k1 = g.add_const("k1", second);
+        let l0 = g.add_load(m, "l0", k0);
+        let l1 = g.add_load(m, "l1", k1);
+        let s = g.add_op(Operation::Add, "s", &[l0, l1]);
+        g.add_output("y", s);
+        let mut h = Hierarchy::new();
+        let id = h.add_dfg(g);
+        h.set_top(id);
+        (h, id)
+    };
+    let (built_on, id) = make(1);
+    let module = dedicated_build(&built_on, id, &lib, "twin");
+    assert!(verify_design(&view(&built_on, &module, &lib)).is_empty());
+    let (priced_on, _) = make(0);
+    let diags = verify_design(&view(&priced_on, &module, &lib));
+    assert_eq!(codes(&diags), vec![RuleCode::Rtl008], "{diags:?}");
+    assert_eq!(diags[0].location.module.as_deref(), Some("twin"));
+    assert!(
+        diags[0].message.contains("stale datapath view"),
+        "{diags:?}"
+    );
+}
 
 #[test]
 fn pwr001_vdd_out_of_range() {
@@ -466,6 +508,7 @@ fn suppressed_rules_do_not_fire() {
     let mut behavior = module.behaviors()[0].clone();
     behavior.serial.push((s1, s2));
     let tampered = RtlModule::new(
+        &h,
         "par",
         module.fus().to_vec(),
         module.regs().to_vec(),

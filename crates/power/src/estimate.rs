@@ -19,7 +19,7 @@ use crate::sim::{simulate, simulate_cached, ModuleActivity, SimCache};
 use crate::traces::TraceSet;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
-use hsyn_rtl::{connectivity, control_bit_count, fu_scale, FpTree, ModuleWidths, RtlModule, Sink};
+use hsyn_rtl::{control_bits, fu_scale, FpTree, ModuleWidths, RtlModule, Sink};
 
 /// Energy per iteration, split by resource class (reference voltage).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -305,7 +305,7 @@ pub(crate) fn module_own_energy(
     widths: Option<&ModuleWidths>,
 ) -> EnergyBreakdown {
     let mut e = EnergyBreakdown::default();
-    let conn = connectivity(h, module);
+    let view = module.view();
     let ratio = |w: &ModuleWidths, bits: u32| f64::from(bits) / f64::from(w.nominal);
     // Average wire length grows with the module's footprint (≈ √area): a
     // sprawling datapath pays more capacitance per toggle. Uses the
@@ -336,8 +336,8 @@ pub(crate) fn module_own_energy(
         let t = lib.fu(fu.fu_type);
         let id = hsyn_rtl::FuInstId::from_index(i);
         let (port_a, port_b) = (Sink::FuPort(id, 0), Sink::FuPort(id, 1));
-        let mux_a = conn.source_count(port_a) > 1;
-        let mux_b = conn.source_count(port_b) > 1;
+        let mux_a = view.source_count(port_a) > 1;
+        let mux_b = view.source_count(port_b) > 1;
         let mask_a = bus_mask(widths.map(|w| w.sink_width(port_a)));
         let mask_b = bus_mask(widths.map(|w| w.sink_width(port_b)));
         let cap = widths.map_or(1.0, |w| fu_scale(t, w.fu_width(i), w.nominal));
@@ -381,7 +381,7 @@ pub(crate) fn module_own_energy(
     }
 
     // Controller: active cycles × control bits (width-independent).
-    let bits = control_bit_count(h, module, &conn) as f64;
+    let bits = control_bits(h, module) as f64;
     e.controller += act.busy_cycles as f64 * bits * lib.controller.energy_per_bit_cycle;
 
     // Memories: per-access dynamic energy plus standing bank leakage.

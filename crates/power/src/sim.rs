@@ -173,7 +173,7 @@ impl Prep {
         let g = h.dfg(b.dfg);
         // Memory-aware order: program-order pairs (store-before-load on one
         // memory) are evaluation constraints just like data edges.
-        let order = hsyn_dfg::mem_topo_order(g).expect("bound dfg is acyclic");
+        let order = g.mem_topo_order().expect("bound dfg is acyclic").to_vec();
         let st = storage_analysis(g, &b.schedule);
         let n = g.node_count();
 

@@ -2137,6 +2137,7 @@ mod tests {
         let r1 = behaviors[0].binding.var_to_reg[&m1];
         behaviors[0].binding.var_to_reg.insert(m2, r1);
         let bad = RtlModule::new(
+            &h,
             m.name().to_string(),
             m.fus().to_vec(),
             m.regs().to_vec(),

@@ -3,9 +3,9 @@
 //! measured post-layout area; here the same quantities come from the
 //! parametric cost models in [`hsyn_lib`] (see DESIGN.md).
 
-use crate::connect::{connectivity, Sink};
+use crate::connect::Sink;
 use crate::fingerprint::FpTree;
-use crate::fsm::control_bit_count;
+use crate::fsm::control_bits;
 use crate::module::RtlModule;
 use crate::sizing::{fu_scale, ModuleWidths};
 use hsyn_dfg::Hierarchy;
@@ -88,7 +88,7 @@ fn own_area(
     widths: Option<&ModuleWidths>,
     subs: f64,
 ) -> AreaBreakdown {
-    let conn = connectivity(h, module);
+    let view = module.view();
     let ratio = |w: &ModuleWidths, bits: u32| f64::from(bits) / f64::from(w.nominal);
     let fu: f64 = module
         .fus()
@@ -106,13 +106,13 @@ fn own_area(
         .fold(0.0, |a, r| a + r);
     let reg = regs * lib.register.area;
     let sink_scale = |s: Sink| widths.map_or(1.0, |w| ratio(w, w.sink_width(s)));
-    let mux: f64 = conn
+    let mux: f64 = view
         .sinks()
-        .map(|(s, sources)| lib.mux.area(sources.len()) * sink_scale(s))
+        .map(|(s, sources)| lib.mux.area(sources) * sink_scale(s))
         .sum();
-    let nets = conn
+    let nets = view
         .sinks()
-        .map(|(s, sources)| sources.len() as f64 * sink_scale(s))
+        .map(|(s, sources)| sources as f64 * sink_scale(s))
         .fold(0.0, |a, n| a + n);
     let wire = nets * lib.wire.area_per_net;
     let states: usize = module
@@ -120,9 +120,7 @@ fn own_area(
         .iter()
         .map(|b| b.schedule.makespan() as usize + 1)
         .sum();
-    let controller = lib
-        .controller
-        .area(states, control_bit_count(h, module, &conn));
+    let controller = lib.controller.area(states, control_bits(h, module));
     // Owned memories are this module's hardware; an external memory is the
     // parent's bank reached through the call interface, priced at its owner.
     // A bank stores `elem_width` bits whatever the certified datapath widths.

@@ -325,7 +325,7 @@ pub fn embed(
     );
 
     Ok(EmbedResult {
-        module: RtlModule::new(name, merged_fus, merged_regs, merged_subs, behaviors),
+        module: RtlModule::new(h, name, merged_fus, merged_regs, merged_subs, behaviors),
         maps: EmbedMaps {
             fu_a: fu_map_a,
             fu_b: fu_map_b,

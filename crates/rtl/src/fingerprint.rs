@@ -493,6 +493,7 @@ mod tests {
         let sub_a = built(&h, d, "sub_a");
         let sub_b = built(&h, d, "sub_b");
         let parent = RtlModule::new(
+            &h,
             "parent",
             m.fus().to_vec(),
             m.regs().to_vec(),
@@ -515,6 +516,7 @@ mod tests {
         let mut regs = fewer_regs.regs().to_vec();
         regs.pop();
         fewer_regs = RtlModule::new(
+            &h,
             "m",
             fewer_regs.fus().to_vec(),
             regs,

@@ -151,8 +151,10 @@ pub fn generate_fsm(h: &Hierarchy, module: &RtlModule) -> Fsm {
 }
 
 /// Number of control output bits the controller drives: per-FU enables and
-/// op selects, per-register load enables, mux select lines, and submodule
-/// start strobes.
+/// op selects, per-register load enables, mux select lines, submodule
+/// start strobes and memory port controls. The pricing walks read the same
+/// number through [`control_bits`]; this from-scratch derivation (one scan
+/// of the binding per FU) is the reference it is checked against.
 pub fn control_bit_count(h: &Hierarchy, module: &RtlModule, conn: &Connectivity) -> usize {
     let mut bits = 0usize;
     // FU enables + operation select (distinct ops over all behaviors).
@@ -174,17 +176,42 @@ pub fn control_bit_count(h: &Hierarchy, module: &RtlModule, conn: &Connectivity)
     bits += module.regs().len();
     // Submodule start strobes.
     bits += module.subs().len();
-    // Memory port control: an enable and a write strobe per bank port, for
-    // every memory a behavior touches (owned banks or a shared interface).
-    for b in module.behaviors() {
-        let g = h.dfg(b.dfg);
-        for (_, m) in g.mems() {
-            bits += (m.banks.max(1) * m.ports.max(1) * 2) as usize;
-        }
-    }
+    bits += mem_port_bits(h, module);
     // Mux selects.
     bits += conn.select_bits();
     bits
+}
+
+/// [`control_bit_count`] from the module's stored
+/// [`DatapathView`](crate::DatapathView): the binding's share is read, not
+/// rescanned; register, submodule and memory terms are counted here.
+pub fn control_bits(h: &Hierarchy, module: &RtlModule) -> usize {
+    module.view().binding_control_bits()
+        + module.regs().len()
+        + module.subs().len()
+        + mem_port_bits(h, module)
+}
+
+/// Memory port control: an enable and a write strobe per bank port, for
+/// every memory a behavior touches (owned banks or a shared interface).
+/// Read from the DFGs, so it always reflects the current bank counts.
+///
+/// # Panics
+///
+/// Panics if the count overflows `usize`. Parsed DFGs cannot reach that:
+/// the parser bounds banks by the word count and ports by
+/// [`MAX_MEM_PORTS`](hsyn_dfg::text::MAX_MEM_PORTS).
+fn mem_port_bits(h: &Hierarchy, module: &RtlModule) -> usize {
+    module
+        .behaviors()
+        .iter()
+        .flat_map(|b| h.dfg(b.dfg).mems())
+        .try_fold(0usize, |bits, (_, m)| {
+            let banks = usize::try_from(m.banks.max(1)).ok()?;
+            let ports = usize::try_from(m.ports.max(1)).ok()?;
+            bits.checked_add(banks.checked_mul(ports)?.checked_mul(2)?)
+        })
+        .expect("memory port control bits overflow usize")
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ mod verilog;
 
 pub use affinity::{module_affinity, AffinityMatrix};
 pub use assignment::{assignment_gain, max_weight_assignment};
-pub use connect::{connectivity, Connectivity, Sink, Source};
+pub use connect::{connectivity, view_mismatch, Connectivity, DatapathView, Sink, Source};
 pub use cosim::{cosimulate, CosimDivergence, CosimDivergenceKind, CosimRun, CosimStats};
 pub use cost::{module_area, module_area_cached, module_area_sized, AreaBreakdown, AreaCache};
 pub use embed::{embed, EmbedError, EmbedMaps, EmbedResult};
@@ -45,7 +45,7 @@ pub use fingerprint::{
     dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,
     refresh_fingerprint_tree, FpTree,
 };
-pub use fsm::{control_bit_count, generate_fsm, ControlWord, Fsm, FsmProgram};
+pub use fsm::{control_bit_count, control_bits, generate_fsm, ControlWord, Fsm, FsmProgram};
 pub use instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
 pub use library::{ComplexModule, ModuleLibrary};
 pub use module::{Behavior, Binding, RtlModule};

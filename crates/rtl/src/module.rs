@@ -1,5 +1,6 @@
+use crate::connect::DatapathView;
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
-use hsyn_dfg::{DfgId, NodeId, VarRef};
+use hsyn_dfg::{DfgId, Hierarchy, NodeId, VarRef};
 use hsyn_sched::{Profile, Schedule};
 use std::collections::HashMap;
 
@@ -38,8 +39,11 @@ pub struct Behavior {
 
 /// An RTL module: functional units, registers, submodule instances, and the
 /// behaviors they implement. Multiplexers, wiring, and the FSM controller
-/// are derived (see [`connectivity`](crate::connectivity) and
-/// [`fsm`](crate::Fsm)).
+/// are derived from the behaviors' bindings. The area and energy models
+/// read the counts they need from the module's [`DatapathView`], fixed when
+/// the module is assembled; [`connectivity`](crate::connectivity) (the
+/// full source sets) and [`generate_fsm`](crate::generate_fsm) (the
+/// control words) derive the rest on demand.
 #[derive(Clone, Debug)]
 pub struct RtlModule {
     name: String,
@@ -47,16 +51,33 @@ pub struct RtlModule {
     regs: Vec<RegInstance>,
     subs: Vec<RtlModule>,
     behaviors: Vec<Behavior>,
+    view: DatapathView,
 }
 
 impl RtlModule {
-    /// Assemble a module from parts (used by the builder and by embedding).
+    /// Assemble a module from parts, deriving its [`DatapathView`] from the
+    /// behaviors over `h` (the hierarchy holding their DFGs).
     pub fn new(
+        h: &Hierarchy,
         name: impl Into<String>,
         fus: Vec<FuInstance>,
         regs: Vec<RegInstance>,
         subs: Vec<RtlModule>,
         behaviors: Vec<Behavior>,
+    ) -> Self {
+        let view = DatapathView::derive(h, fus.len(), &behaviors);
+        RtlModule::with_view(name, fus, regs, subs, behaviors, view)
+    }
+
+    /// [`new`](Self::new) with a view the caller already derived (the
+    /// builder, which holds the storage analysis and binding it needs).
+    pub(crate) fn with_view(
+        name: impl Into<String>,
+        fus: Vec<FuInstance>,
+        regs: Vec<RegInstance>,
+        subs: Vec<RtlModule>,
+        behaviors: Vec<Behavior>,
+        view: DatapathView,
     ) -> Self {
         RtlModule {
             name: name.into(),
@@ -64,6 +85,7 @@ impl RtlModule {
             regs,
             subs,
             behaviors,
+            view,
         }
     }
 
@@ -101,6 +123,12 @@ impl RtlModule {
     /// The behaviors this module implements.
     pub fn behaviors(&self) -> &[Behavior] {
         &self.behaviors
+    }
+
+    /// The datapath facts the area and energy models read, derived when
+    /// the module was assembled.
+    pub fn view(&self) -> &DatapathView {
+        &self.view
     }
 
     /// The behavior executing `dfg`, if any.

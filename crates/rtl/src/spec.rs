@@ -9,6 +9,7 @@
 //! move is validated exactly the way the paper prescribes ("when a move is
 //! performed, its validity is checked by scheduling").
 
+use crate::connect::{behavior_links, DatapathView};
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
 use crate::module::{Behavior, Binding, RtlModule};
 use hsyn_dfg::{DfgId, Hierarchy, NodeId, NodeKind, VarRef};
@@ -391,9 +392,9 @@ pub fn build_ref(
     // same serialization mechanism as shared functional units. Ordering
     // edges come from disjoint groups and are unique already; only memory
     // edges can repeat one.
-    let mem_edges = hsyn_sched::mem_serial_edges(g);
+    let mem_edges = g.mem_serial_edges();
     if !mem_edges.is_empty() {
-        serial.extend(mem_edges);
+        serial.extend_from_slice(mem_edges);
         let mut seen = std::collections::HashSet::new();
         serial.retain(|&e| seen.insert(e));
     }
@@ -447,12 +448,18 @@ pub fn build_ref(
         serial,
         profile,
     };
-    Ok(RtlModule::new(
+    // The datapath view from the storage analysis and binding in hand.
+    let mut links = Vec::new();
+    behavior_links(g, &behavior, &storage, &mut links);
+    let behaviors = vec![behavior];
+    let view = DatapathView::from_links(h, fus.len(), &behaviors, links);
+    Ok(RtlModule::with_view(
         spec.name,
         fus,
         regs,
         spec.subs.iter().map(|(m, _)| (*m).clone()).collect(),
-        vec![behavior],
+        behaviors,
+        view,
     ))
 }
 

@@ -53,6 +53,7 @@
 #![deny(missing_docs)]
 
 mod list;
+#[cfg(test)]
 mod mem;
 mod ordering;
 mod profile;
@@ -61,7 +62,6 @@ mod slack;
 mod time;
 
 pub use list::{list_schedule, ListSchedError, ListSchedule};
-pub use mem::{bank_assignment, mem_serial_edges};
 pub use ordering::{asap_priority, derive_orderings};
 pub use profile::{Environment, Profile};
 pub use schedule::{

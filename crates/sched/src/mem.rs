@@ -1,133 +1,10 @@
-//! Memory serialization: program-order dependence edges plus per-bank port
-//! conflicts.
-//!
-//! Loads and stores of one memory carry no data edges between each other;
-//! correctness requires the scheduler to respect *program order* (each
-//! access after the last write, each write after the reads since the
-//! previous write — [`hsyn_dfg::mem_order_pairs`]). On top of that, a
-//! memory bank is a limited per-cycle resource: a bank accepts at most
-//! `ports` accesses per cycle, so within each `(memory, bank)` group the
-//! accesses are chained `access[i] → access[i + ports]` — the same
-//! serialization mechanism functional units use (paper, Section 4), and by
-//! pigeonhole no valid schedule can then issue more than `ports` same-bank
-//! accesses in one cycle.
-//!
-//! Bank assignment is deterministic: an access whose address port is driven
-//! by a constant maps to bank `address mod banks` ([`hsyn_dfg::bank_of`]);
-//! accesses with data-dependent addresses — and hierarchical calls bound to
-//! the memory, whose internal access pattern is opaque here — conservatively
-//! conflict with *every* bank.
+//! Scheduling under memory serialization: the program-order pairs and
+//! per-bank port chains of [`hsyn_dfg::mem_serial_edges`] fed to
+//! [`schedule`](crate::schedule) as ordering edges, exactly as the RTL
+//! builder passes them.
 
-use hsyn_dfg::{bank_of, const_address, mem_order_pairs, Dfg, NodeId, NodeKind};
+use hsyn_dfg::{bank_assignment, mem_serial_edges, Dfg, NodeId, NodeKind};
 
-/// Deterministic bank assignment for every node of `g`: `Some(bank)` for a
-/// load or store whose address is a compile-time constant, `None` for
-/// accesses with unknown addresses and for all non-access nodes.
-pub fn bank_assignment(g: &Dfg) -> Vec<Option<u32>> {
-    g.node_ids()
-        .map(|nid| {
-            let mem = g.node(nid).kind().mem_access()?;
-            let addr = const_address(g, nid)?;
-            Some(bank_of(g.mem(mem), addr))
-        })
-        .collect()
-}
-
-/// ASAP start levels over zero-delay data edges *plus* the memory
-/// dependence pairs, with every schedulable node lasting one level. These
-/// are the priorities the port-conflict chains sort by: because every
-/// access has nonzero duration, the levels strictly increase along any
-/// dependence path, so chains built in level order can never conflict with
-/// data or program-order dependencies.
-fn mem_asap_levels(g: &Dfg) -> Vec<u64> {
-    let order = hsyn_dfg::mem_topo_order(g)
-        .expect("memory serialization requires a validated (acyclic) DFG");
-    let pairs = mem_order_pairs(g);
-    let n = g.node_count();
-    let mut extra_out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for &(a, b) in &pairs {
-        extra_out[a.index()].push(b);
-    }
-    let adj = g.adj();
-    let mut finish = vec![0u64; n];
-    let mut level = vec![0u64; n];
-    for nid in order {
-        // Start from the eagerly-propagated program-order level (below):
-        // overwriting it with the data-edge level alone would let a
-        // shallow-address load sort *before* the store it must follow,
-        // and the port chain would then close a cycle with the
-        // program-order pair.
-        let mut s = level[nid.index()];
-        for &ei in adj.in_edge_indices(nid) {
-            let e = g.edge(hsyn_dfg::EdgeId::from_index(ei as usize));
-            if e.delay == 0 {
-                s = s.max(finish[e.from.node.index()]);
-            }
-        }
-        level[nid.index()] = s;
-        let dur = u64::from(g.node(nid).kind().is_schedulable());
-        finish[nid.index()] = finish[nid.index()].max(s + dur);
-        for &b in &extra_out[nid.index()] {
-            // Program-order successor: starts after this access finishes.
-            // Propagated eagerly (predecessors precede in the topo order).
-            level[b.index()] = level[b.index()].max(finish[nid.index()]);
-            finish[b.index()] = finish[b.index()].max(finish[nid.index()]);
-        }
-    }
-    level
-}
-
-/// All memory serialization edges of `g`, ready to pass to
-/// [`schedule`](crate::schedule): the program-order dependence pairs
-/// (correctness) followed by the per-`(memory, bank)` port-conflict chains
-/// (resource limits). Deterministic — memories in declaration order, banks
-/// ascending, chain members ordered by (memory-aware ASAP level, node id) —
-/// and duplicate pairs are emitted once.
-///
-/// # Panics
-///
-/// Panics if the combined dependence relation is cyclic; validate the
-/// hierarchy first ([`hsyn_dfg::Hierarchy::validate`] rejects such graphs).
-pub fn mem_serial_edges(g: &Dfg) -> Vec<(NodeId, NodeId)> {
-    if g.mem_count() == 0 {
-        return Vec::new();
-    }
-    let mut edges = mem_order_pairs(g);
-    let levels = mem_asap_levels(g);
-    let banks_of = bank_assignment(g);
-    for (mid, mem) in g.mems() {
-        // Accesses of this memory, in node-id order.
-        let accesses: Vec<NodeId> = g
-            .node_ids()
-            .filter(|&nid| {
-                let node = g.node(nid);
-                node.kind().mem_access() == Some(mid)
-                    || (matches!(node.kind(), NodeKind::Hier { .. })
-                        && node.mem_binds().contains(&mid))
-            })
-            .collect();
-        let ports = mem.ports.max(1) as usize;
-        for bank in 0..mem.banks.max(1) {
-            // Known same-bank accesses plus every unknown-address access.
-            let mut members: Vec<NodeId> = accesses
-                .iter()
-                .copied()
-                .filter(|&nid| banks_of[nid.index()].is_none_or(|b| b == bank))
-                .collect();
-            members.sort_by_key(|n| (levels[n.index()], n.index()));
-            for i in 0..members.len().saturating_sub(ports) {
-                edges.push((members[i], members[i + ports]));
-            }
-        }
-    }
-    // Bank chains can duplicate program-order pairs (and each other, for
-    // unknown-address accesses present in several bank groups).
-    let mut seen = std::collections::HashSet::new();
-    edges.retain(|&e| seen.insert(e));
-    edges
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{schedule, NodeDelay, SchedContext};
@@ -252,7 +129,6 @@ mod tests {
     }
 }
 
-#[cfg(test)]
 mod review_probe {
     use super::*;
     use crate::{schedule, NodeDelay, SchedContext};

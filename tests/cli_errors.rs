@@ -98,36 +98,63 @@ fn submit_requires_a_daemon_address() {
     );
 }
 
-/// A behavior whose memory declares four billion words: eight bytes a word
-/// would be a 32 GB allocation, which aborts the process (exit 134) instead
-/// of failing.
-const OVERSIZED_MEMORY_DFG: &str = "\
-dfg g {
-  mem m 4000000000
-  input a
-  l = load m a
-  store m a l
-  output y = l
-}
-top g
-";
-
-#[test]
-fn oversized_memory_is_a_parse_error() {
-    let dir = std::env::temp_dir().join(format!("hsyn-cli-errors-{}", std::process::id()));
+/// Run `hsyn <file> --result-json` on a behavior that loads from and
+/// stores to one memory declared by `mem_line` (written as line 2), and
+/// return the exit code and stderr.
+fn run_memory_dfg(name: &str, mem_line: &str) -> (Option<i32>, String) {
+    let dir = std::env::temp_dir().join(format!("hsyn-cli-errors-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("oversized_memory.dfg");
-    std::fs::write(&path, OVERSIZED_MEMORY_DFG).unwrap();
+    let path = dir.join(format!("{name}.dfg"));
+    let text = format!(
+        "dfg g {{\n  {mem_line}\n  input a\n  l = load m a\n  store m a l\n  output y = l\n}}\ntop g\n"
+    );
+    std::fs::write(&path, text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
         .arg(&path)
         .arg("--result-json")
         .output()
         .expect("hsyn binary runs");
     let _ = std::fs::remove_dir_all(&dir);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A memory of four billion words: eight bytes a word would be a 32 GB
+/// allocation, which aborts the process (exit 134) instead of failing.
+#[test]
+fn oversized_memory_is_a_parse_error() {
+    let (code, stderr) = run_memory_dfg("oversized_memory", "mem m 4000000000");
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(
         stderr.contains("line 2: memory word count 4000000000 exceeds the limit of 65536"),
+        "the parse error must name the line and the limit: {stderr}"
+    );
+}
+
+/// More banks than words: scheduling costs one pass per bank, so
+/// `banks 200000` took a third of a second and `banks 4000000000` would
+/// run for hours.
+#[test]
+fn memory_with_more_banks_than_words_is_a_parse_error() {
+    let (code, stderr) = run_memory_dfg("banks_over_words", "mem m 4 banks 200000");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: memory bank count 200000 exceeds its word count 4"),
+        "the parse error must name the line and the limit: {stderr}"
+    );
+}
+
+/// A port count past the limit: `ports 2147483648 banks 4` once wrapped
+/// the controller's port-control bit count to zero and priced a smaller
+/// controller than `ports 1`.
+#[test]
+fn memory_with_too_many_ports_is_a_parse_error() {
+    let (code, stderr) = run_memory_dfg("too_many_ports", "mem m 4 ports 2147483648 banks 4");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 2: memory port count 2147483648 exceeds the limit of 16"),
         "the parse error must name the line and the limit: {stderr}"
     );
 }
