@@ -1,6 +1,7 @@
 //! The incremental evaluation cache: per-module cost results keyed by
-//! structural fingerprint, shared across candidate evaluations of one
-//! engine run.
+//! structural fingerprint, and whole-design evaluations keyed by root
+//! fingerprint and operating point, shared across candidate evaluations of
+//! one engine run.
 //!
 //! A fingerprint ([`hsyn_rtl::fingerprint_tree`]) covers everything the
 //! cost models read from a module, so a hit returns the bit-identical
@@ -17,19 +18,62 @@ use std::sync::Mutex;
 use hsyn_power::SimCache;
 use hsyn_rtl::{AreaBreakdown, AreaCache};
 
+use crate::cost::Evaluation;
+use crate::design::OperatingPoint;
+
+/// Entry cap of the whole-design memo: it is cleared when an insert would
+/// grow it past this (a bound, not a tuning knob; a configuration's search
+/// on the registry benchmarks prices at most about a thousand distinct
+/// designs).
+const DESIGN_MEMO_CAP: usize = 1 << 14;
+
+/// Key of the whole-design memo: the root structural fingerprint plus the
+/// bits of every operating-point field (`vdd`, `clk_ref_ns`, `period_ns`,
+/// `sampling_cycles`). The fingerprint covers everything the cost models
+/// read from the built tree; the operating point scales the energy and
+/// sets the clock period, and the fingerprint does not see it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct DesignKey {
+    fp: u64,
+    op: [u64; 3],
+    sampling_cycles: u32,
+}
+
+impl DesignKey {
+    fn new(fp: u64, op: &OperatingPoint) -> Self {
+        DesignKey {
+            fp,
+            op: [
+                op.vdd.to_bits(),
+                op.clk_ref_ns.to_bits(),
+                op.period_ns.to_bits(),
+            ],
+            sampling_cycles: op.sampling_cycles,
+        }
+    }
+}
+
 /// Per-engine evaluation cache: area breakdowns and power-simulation
-/// recordings, both keyed by structural fingerprint.
+/// recordings keyed by structural fingerprint, and a memo of whole-design
+/// power-mode evaluations.
 ///
-/// One cache serves one `Engine` run — the trace set is
-/// fixed there, which is what makes reusing simulation recordings sound.
-/// (Area entries would be valid across trace sets too, but an engine never
-/// changes traces mid-run, so no distinction is needed.)
+/// One cache serves one `Engine` run — the trace set, library and
+/// objective are fixed there, which is what makes reusing simulation
+/// recordings and whole evaluations sound. (Area entries would be valid
+/// across trace sets too, but an engine never changes traces mid-run, so no
+/// distinction is needed.) The whole-design memo is never shared beyond
+/// its engine: unlike area, an evaluation depends on the traces.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     /// Area results (per-module breakdowns).
     pub area: AreaCache,
     /// Power-simulation submodule recordings and energy memos.
     pub sim: SimCache,
+    /// Whole-design memo: the evaluation of every design this engine has
+    /// priced, by root fingerprint and operating point.
+    designs: HashMap<DesignKey, Evaluation>,
+    /// Lookups answered by `designs`.
+    design_hits: u64,
 }
 
 impl EvalCache {
@@ -38,14 +82,41 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Total lookups answered from the cache (area + simulation).
+    /// Total lookups answered from the cache (area + simulation + whole
+    /// designs).
     pub fn hits(&self) -> u64 {
-        self.area.hits + self.sim.hits
+        self.area.hits + self.sim.hits + self.design_hits
     }
 
-    /// Total lookups that fell through to a fresh computation.
+    /// Total lookups that fell through to a fresh computation. A
+    /// whole-design miss falls through to the area and simulation caches,
+    /// which count it.
     pub fn misses(&self) -> u64 {
         self.area.misses + self.sim.misses
+    }
+
+    /// The memoized evaluation of the design with root fingerprint `fp` at
+    /// `op`, counted as a hit when present.
+    pub(crate) fn design(&mut self, fp: u64, op: &OperatingPoint) -> Option<Evaluation> {
+        let hit = self.designs.get(&DesignKey::new(fp, op)).copied();
+        self.design_hits += u64::from(hit.is_some());
+        hit
+    }
+
+    /// Memoize the evaluation of the design with root fingerprint `fp` at
+    /// `op`, clearing the memo first when it is full.
+    pub(crate) fn remember_design(&mut self, fp: u64, op: &OperatingPoint, eval: Evaluation) {
+        if self.designs.len() >= DESIGN_MEMO_CAP {
+            self.designs.clear();
+        }
+        self.designs.insert(DesignKey::new(fp, op), eval);
+    }
+
+    /// The whole-design memo's entries, for tests that inspect or corrupt
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn design_entries(&mut self) -> impl Iterator<Item = &mut Evaluation> {
+        self.designs.values_mut()
     }
 }
 

@@ -63,7 +63,10 @@ fn area_only(dp: &DesignPoint, area: AreaBreakdown) -> Evaluation {
 
 /// [`evaluate_search`] through an incremental cache. `fp` must be the
 /// fingerprint tree of `dp.top.built`. Bit-exact with [`evaluate_search`]
-/// — same floats in every field (see [`EvalCache`]).
+/// — same floats in every field (see [`EvalCache`]). In power mode a design
+/// already priced at the same operating point is answered whole from the
+/// cache's design memo, skipping the area walk, the simulation and the
+/// energy walk; area mode's root-level area hit is already that cheap.
 pub(crate) fn evaluate_search_cached(
     dp: &DesignPoint,
     lib: &Library,
@@ -73,7 +76,14 @@ pub(crate) fn evaluate_search_cached(
     cache: &mut EvalCache,
 ) -> Evaluation {
     match objective {
-        Objective::Power => evaluate_cached(dp, lib, traces, objective, fp, cache),
+        Objective::Power => {
+            if let Some(eval) = cache.design(fp.fp, &dp.op) {
+                return eval;
+            }
+            let eval = evaluate_cached(dp, lib, traces, objective, fp, cache);
+            cache.remember_design(fp.fp, &dp.op, eval);
+            eval
+        }
         Objective::Area => area_only(
             dp,
             module_area_cached(&dp.hierarchy, &dp.top.built, lib, fp, &mut cache.area),

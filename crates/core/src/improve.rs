@@ -1070,7 +1070,7 @@ impl<'a> Engine<'a> {
 
 /// Every float of an [`Evaluation`], labeled — the shadow-mode comparison
 /// surface.
-fn eval_fields(e: &Evaluation) -> [(&'static str, f64); 17] {
+fn eval_fields(e: &Evaluation) -> [(&'static str, f64); 19] {
     let a = &e.area;
     let p = &e.power;
     let b = &p.energy_breakdown;
@@ -1080,12 +1080,14 @@ fn eval_fields(e: &Evaluation) -> [(&'static str, f64); 17] {
         ("area.mux", a.mux),
         ("area.wire", a.wire),
         ("area.controller", a.controller),
+        ("area.mem", a.mem),
         ("area.subs", a.subs),
         ("energy.fu", b.fu),
         ("energy.reg", b.reg),
         ("energy.mux", b.mux),
         ("energy.wire", b.wire),
         ("energy.controller", b.controller),
+        ("energy.mem", b.mem),
         ("energy.clock", b.clock),
         ("energy.subs", b.subs),
         ("power.energy_per_iteration", p.energy_per_iteration),
@@ -1460,6 +1462,76 @@ mod tests {
             *cost = cost.map(|c| c + 1.0);
         }
         scan_one(&mut engine, &mut dp, &mv);
+    }
+
+    /// A design priced twice at one operating point is answered whole by
+    /// the design memo: one eval-cache hit, the same bits, and no traffic
+    /// in the per-module caches.
+    #[test]
+    fn design_memo_answers_a_repeat_whole() {
+        let (dp, mlib, traces) = lat_fixture();
+        let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+        let mut cache = EvalCache::new();
+        let price = |cache: &mut EvalCache| {
+            evaluate_search_cached(&dp, &mlib.simple, &traces, Objective::Power, &fp, cache)
+        };
+        let first = price(&mut cache);
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let sim = (cache.sim.hits, cache.sim.misses);
+        let area = (cache.area.hits, cache.area.misses);
+        let second = price(&mut cache);
+        assert_shadow_identical(&second, &first, None);
+        assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses));
+        assert_eq!((cache.sim.hits, cache.sim.misses), sim);
+        assert_eq!((cache.area.hits, cache.area.misses), area);
+    }
+
+    /// The operating point is part of the memo key: the same built tree
+    /// priced at two supply voltages is two entries with different power.
+    #[test]
+    fn design_memo_key_covers_the_operating_point() {
+        let (dp, mlib, traces) = lat_fixture();
+        let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+        let mut low = dp.clone();
+        low.op.vdd = 3.3;
+        let mut cache = EvalCache::new();
+        let at_vref = evaluate_search_cached(
+            &dp,
+            &mlib.simple,
+            &traces,
+            Objective::Power,
+            &fp,
+            &mut cache,
+        );
+        let at_low = evaluate_search_cached(
+            &low,
+            &mlib.simple,
+            &traces,
+            Objective::Power,
+            &fp,
+            &mut cache,
+        );
+        assert_eq!(cache.design_entries().count(), 2);
+        assert_ne!(at_vref.power.power.to_bits(), at_low.power.power.to_bits());
+        let reference = evaluate_search(&low, &mlib.simple, &traces, Objective::Power);
+        assert_shadow_identical(&at_low, &reference, None);
+    }
+
+    /// Shadow mode re-prices every design-memo hit; a stored evaluation that
+    /// no longer matches the recomputation panics.
+    #[test]
+    #[should_panic(expected = "shadow evaluation diverged at the initial design")]
+    fn shadow_mode_catches_a_corrupted_design_entry() {
+        let (dp, mlib, traces) = lat_fixture();
+        let mut config = SynthesisConfig::new(Objective::Power);
+        config.shadow_eval = true;
+        let mut engine = Engine::new(&mlib, &config, traces, 0);
+        let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
+        engine.eval(&dp, &fp, None);
+        for eval in engine.cache.design_entries() {
+            eval.power.energy_breakdown.mem += 1.0;
+        }
+        engine.eval(&dp, &fp, None);
     }
 
     /// Shadow mode turns a cache/full divergence into a panic naming the

@@ -14,12 +14,22 @@
 //!
 //! Two things make repeated simulation cheap inside the improvement loop:
 //!
-//! * **per-behavior preparation** — the topological order, storage
-//!   analysis, glitch-depth map, per-FU event order, delay-history shift
-//!   list, flat value-slot layout, and per-port operand sources depend only
-//!   on the behavior, not on the data, so they are computed once per run
-//!   instead of once per trace iteration; the inner loop then runs on a
-//!   flat `Vec<i64>` value arena with no hash lookups;
+//! * **a flat kernel** — the topological order, storage analysis,
+//!   glitch-depth map, per-FU event order and slot layout depend only on
+//!   the behavior, not on the data, so each behavior is compiled once per
+//!   run into a list of steps over one `Vec<i64>` per instance and
+//!   behavior: the value slots (one per `(node, out-port)`, zeroed each
+//!   iteration) followed by the delay history (one slot per `(delayed
+//!   var, k)`, zero-initialized). Every operand is a precomputed slot
+//!   index, a delayed one included; each hierarchical node carries its
+//!   submodule instance and callee behavior index; buffers are reused
+//!   across iterations, and memory-free behaviors skip the memory map.
+//!   Until this layout, the delay history was a `HashMap<(VarRef, k), i64>`
+//!   probed on every delayed read and shifted entry by entry, and every
+//!   call of every iteration looked its submodule up in the binding's
+//!   `hier_to_sub` map and searched the submodule's behaviors for the
+//!   callee. The iteration loop now hashes nothing; the reference
+//!   interpreter kept in the tests pins the kernel to the old semantics;
 //! * **submodule replay** ([`SimCache`]) — a top-level submodule whose
 //!   structural fingerprint and per-call input stream match a recording
 //!   from an earlier run returns its recorded outputs and activity without
@@ -84,27 +94,47 @@ impl ModuleActivity {
 }
 
 /// Per-instance inter-iteration state (values crossing iteration boundaries
-/// through delayed edges), per behavior.
+/// through delayed edges, owned memory banks) and per-execution scratch, per
+/// behavior.
 #[derive(Clone, Debug, Default)]
 struct ModuleState {
-    /// `history[behavior][(var, k)]` = value of `var` from `k` iterations
-    /// ago (k >= 1).
-    history: Vec<HashMap<(VarRef, u32), i64>>,
-    /// Arena slot of each *owned* memory, per behavior, allocated on first
-    /// execution. Memory contents are state, like delay lines: they persist
-    /// across iterations.
-    mem_slots: Vec<Option<Vec<Option<usize>>>>,
+    behaviors: Vec<BehaviorState>,
     subs: Vec<ModuleState>,
 }
 
 impl ModuleState {
     fn for_module(m: &RtlModule) -> Self {
         ModuleState {
-            history: vec![HashMap::new(); m.behaviors().len()],
-            mem_slots: vec![None; m.behaviors().len()],
+            behaviors: vec![BehaviorState::default(); m.behaviors().len()],
             subs: m.subs().iter().map(ModuleState::for_module).collect(),
         }
     }
+}
+
+/// The state of one behavior of one module instance. Everything is sized on
+/// the behavior's first execution and reused after it, so a steady-state
+/// iteration allocates nothing.
+#[derive(Clone, Debug, Default)]
+struct BehaviorState {
+    /// Flat storage laid out by the behavior's [`Prep`]: the value arena
+    /// (`..Prep::n_vals`, one slot per `(node, out-port)`, reset to 0 at
+    /// the start of every iteration) followed by the delay history (one slot
+    /// per `(delayed var, k)`, zero-initialized, persisting across
+    /// iterations).
+    buf: Vec<i64>,
+    /// Arena slot of each *owned* memory, allocated on first execution.
+    /// Memory contents are state, like delay lines: they persist across
+    /// iterations.
+    mem_slots: Vec<Option<usize>>,
+    /// Arena slot of every memory of the behavior for the current
+    /// execution (external memories alias the caller's slots, which can
+    /// differ per call). Empty for memory-free behaviors.
+    mem_map: Vec<usize>,
+    /// Scratch for hierarchical calls: the callee's inputs, its memory
+    /// binds as arena slots, and its outputs.
+    call_in: Vec<i64>,
+    call_ext: Vec<usize>,
+    call_out: Vec<i64>,
 }
 
 /// Flat storage for every memory in the design. Owned memories allocate a
@@ -123,29 +153,72 @@ impl MemArena {
     }
 }
 
-/// Where the value feeding a `(node, in-port)` pair comes from, resolved
-/// once per behavior instead of through a driver lookup plus a hash-map
-/// probe on every trace iteration.
+/// One node of a behavior, compiled for the inner loop: every operand is a
+/// slot of [`BehaviorState::buf`] listed in [`Prep::srcs`] from `src` on,
+/// every result is written at `slot`.
 #[derive(Clone, Copy, Debug)]
-enum Src {
-    /// Same-iteration value at a flat slot index (see [`Prep::val_start`]).
-    Val(u32),
-    /// Delayed value: `var` from `delay` iterations ago, read from the
-    /// inter-iteration history.
-    Hist(VarRef, u32),
+enum Step {
+    Input {
+        slot: u32,
+        index: u32,
+    },
+    Const {
+        slot: u32,
+        value: i64,
+    },
+    Op {
+        op: Operation,
+        slot: u32,
+        src: u32,
+    },
+    /// A call of behavior `sub_bi` of submodule instance `sub`; `node`
+    /// names the call's memory binds.
+    Hier {
+        node: NodeId,
+        slot: u32,
+        src: u32,
+        arity: u32,
+        sub: u32,
+        sub_bi: u32,
+    },
+    Load {
+        mem: u32,
+        slot: u32,
+        src: u32,
+    },
+    Store {
+        mem: u32,
+        slot: u32,
+        src: u32,
+        elem_width: u32,
+    },
+}
+
+/// One operation bound to a functional unit: its operand slots (`b` is
+/// `None` for unary operations) and chained combinational depth.
+#[derive(Clone, Copy, Debug)]
+struct FuOp {
+    op: Operation,
+    a: u32,
+    b: Option<u32>,
+    depth: u32,
 }
 
 /// Iteration-invariant preparation for one behavior: everything the inner
 /// loop needs that does not depend on the data.
 struct Prep {
-    /// Topological evaluation order.
-    order: Vec<NodeId>,
-    /// Chained combinational depth per node (indexed by node id).
-    depth: Vec<u32>,
-    /// Per FU instance: `(op, node)` in event (schedule) order. The order is
-    /// total — two operations sharing a unit are serialized onto distinct
-    /// start ticks — so it equals the per-iteration sort it replaces.
-    fu_ops: Vec<Vec<(Operation, NodeId)>>,
+    /// The behavior's nodes in memory-aware topological order, outputs
+    /// left out (they compute nothing).
+    steps: Vec<Step>,
+    /// Operand slots: a step's (or output's) in-port `p` reads
+    /// `buf[srcs[src + p]]`, a value slot for a same-iteration edge and a
+    /// history slot for a delayed one.
+    srcs: Vec<u32>,
+    /// Per FU instance: its operations in event (schedule) order. The order
+    /// is total — two operations sharing a unit are serialized onto
+    /// distinct start ticks — so it equals the per-iteration sort it
+    /// replaces.
+    fu_ops: Vec<Vec<FuOp>>,
     /// Register writes in commit order, grouped by `(lifetime birth,
     /// register)`: `(register index, value slots sharing that key)`. Groups
     /// are almost always singletons; a multi-variable group's write order
@@ -153,33 +226,28 @@ struct Prep {
     /// `sort_unstable` this prep hoists keyed on `(birth, reg, value)`),
     /// so ties are resolved per iteration in [`run_behavior`].
     reg_writes: Vec<(usize, Vec<u32>)>,
-    /// Variables feeding delayed edges: `(var, maximum delay, value slot)`,
-    /// sorted by var.
-    max_delay: Vec<(VarRef, u32, u32)>,
-    /// Flat value-slot layout: node `i`'s out-port `p` lives at slot
-    /// `val_start[i] + p`; `val_start[n]` is the total slot count. This is
-    /// the arena that replaces the per-iteration `(node, port) → value`
-    /// hash map.
-    val_start: Vec<u32>,
-    /// Operand sources per `(node, in-port)`: node `i`'s in-port `p` reads
-    /// `srcs[src_start[i] + p]`.
-    src_start: Vec<u32>,
-    srcs: Vec<Src>,
+    /// Operand slot of each output, in output order.
+    out_srcs: Vec<u32>,
+    /// Variables feeding delayed edges, sorted by var: `(first history
+    /// slot, maximum delay d, value slot)`. The var's value from `k`
+    /// iterations ago (1 ≤ k ≤ d) lives at history slot `first + k − 1`.
+    hist: Vec<(u32, u32, u32)>,
+    /// Value slots (the history follows them in the buffer).
+    n_vals: usize,
+    /// Value plus history slots: the length of [`BehaviorState::buf`].
+    len: usize,
 }
 
 impl Prep {
     fn build(h: &Hierarchy, module: &RtlModule, bi: usize) -> Self {
         let b = &module.behaviors()[bi];
         let g = h.dfg(b.dfg);
-        // Memory-aware order: program-order pairs (store-before-load on one
-        // memory) are evaluation constraints just like data edges.
-        let order = g.mem_topo_order().expect("bound dfg is acyclic").to_vec();
         let st = storage_analysis(g, &b.schedule);
         let n = g.node_count();
 
-        // Flat value-slot layout: one i64 slot per (node, out-port), laid
-        // out contiguously per node. Arity comes from the node kind, raised
-        // defensively by any edge referencing a higher port.
+        // Value slots: one i64 per (node, out-port), laid out contiguously
+        // per node. Arity comes from the node kind, raised defensively by
+        // any edge referencing a higher port.
         let mut slots_per: Vec<u32> = (0..n)
             .map(|i| match g.node(NodeId::from_index(i)).kind() {
                 NodeKind::Input { .. } | NodeKind::Const { .. } | NodeKind::Op(_) => 1,
@@ -196,12 +264,33 @@ impl Prep {
         for i in 0..n {
             val_start[i + 1] = val_start[i] + slots_per[i];
         }
+        let n_vals = val_start[n];
         let slot_of = |v: VarRef| val_start[v.node.index()] + u32::from(v.port);
 
-        // Per-(node, in-port) operand sources, resolved through the driver
+        // History slots after the values: one per (delayed var, k), vars in
+        // ascending order.
+        let mut delays: HashMap<VarRef, u32> = HashMap::new();
+        for (_, e) in g.edges() {
+            if e.delay > 0 {
+                let d = delays.entry(e.from).or_insert(0);
+                *d = (*d).max(e.delay);
+            }
+        }
+        let mut delayed: Vec<(VarRef, u32)> = delays.into_iter().collect();
+        delayed.sort_unstable_by_key(|&(v, _)| v);
+        let mut hist_start: HashMap<VarRef, u32> = HashMap::with_capacity(delayed.len());
+        let mut hist = Vec::with_capacity(delayed.len());
+        let mut len = n_vals;
+        for (v, d) in delayed {
+            hist_start.insert(v, len);
+            hist.push((len, d, slot_of(v)));
+            len += d;
+        }
+
+        // Per-(node, in-port) operand slots, resolved through the driver
         // table once instead of on every trace iteration.
         let mut src_start = vec![0u32; n + 1];
-        let mut srcs: Vec<Src> = Vec::new();
+        let mut srcs: Vec<u32> = Vec::new();
         for i in 0..n {
             let nid = NodeId::from_index(i);
             let ports = match g.node(nid).kind() {
@@ -215,17 +304,68 @@ impl Prep {
             for p in 0..ports as u16 {
                 let e = g.driver(nid, p).expect("validated dfg");
                 srcs.push(if e.delay > 0 {
-                    Src::Hist(e.from, e.delay)
+                    hist_start[&e.from] + e.delay - 1
                 } else {
-                    Src::Val(slot_of(e.from))
+                    slot_of(e.from)
                 });
             }
             src_start[i + 1] = srcs.len() as u32;
         }
 
+        // Memory-aware order: program-order pairs (store-before-load on one
+        // memory) are evaluation constraints just like data edges. Each
+        // hierarchical node resolves its submodule instance and the
+        // behavior implementing its callee here, once.
+        let order = g.mem_topo_order().expect("bound dfg is acyclic");
+        let steps = order
+            .iter()
+            .filter_map(|&nid| {
+                let (slot, src) = (val_start[nid.index()], src_start[nid.index()]);
+                Some(match g.node(nid).kind() {
+                    NodeKind::Input { index } => Step::Input {
+                        slot,
+                        index: *index as u32,
+                    },
+                    NodeKind::Const { value } => Step::Const {
+                        slot,
+                        value: *value,
+                    },
+                    NodeKind::Op(op) => Step::Op { op: *op, slot, src },
+                    NodeKind::Hier { callee } => {
+                        let sub = b.binding.hier_to_sub[&nid].index();
+                        let sub_bi = module.subs()[sub]
+                            .behaviors()
+                            .iter()
+                            .position(|sb| sb.dfg == *callee)
+                            .expect("submodule implements the callee");
+                        Step::Hier {
+                            node: nid,
+                            slot,
+                            src,
+                            arity: h.in_arity(*callee) as u32,
+                            sub: sub as u32,
+                            sub_bi: sub_bi as u32,
+                        }
+                    }
+                    NodeKind::Load { mem } => Step::Load {
+                        mem: mem.index() as u32,
+                        slot,
+                        src,
+                    },
+                    NodeKind::Store { mem } => Step::Store {
+                        mem: mem.index() as u32,
+                        slot,
+                        src,
+                        elem_width: g.mem(*mem).elem_width,
+                    },
+                    NodeKind::Output { .. } => return None,
+                })
+            })
+            .collect();
+
         // Chained combinational depth per node (for glitch modeling).
-        let mut depth = vec![0u32; g.node_count()];
-        for &nid in &order {
+        let mut depth = vec![0u32; n];
+        for &nid in order {
             if !matches!(g.node(nid).kind(), NodeKind::Op(_)) {
                 continue;
             }
@@ -259,7 +399,17 @@ impl Prep {
                         .partial_cmp(&(y.0, y.1, y.3))
                         .expect("finite")
                 });
-                v.into_iter().map(|(_, _, op, n)| (op, n)).collect()
+                v.into_iter()
+                    .map(|(_, _, op, node)| {
+                        let src = src_start[node.index()] as usize;
+                        FuOp {
+                            op,
+                            a: srcs[src],
+                            b: (op.arity() > 1).then(|| srcs[src + 1]),
+                            depth: depth[node.index()],
+                        }
+                    })
+                    .collect()
             })
             .collect();
 
@@ -291,41 +441,22 @@ impl Prep {
             }
         }
 
-        let mut delays: HashMap<VarRef, u32> = HashMap::new();
-        for (_, e) in g.edges() {
-            if e.delay > 0 {
-                let d = delays.entry(e.from).or_insert(0);
-                *d = (*d).max(e.delay);
-            }
-        }
-        let mut max_delay: Vec<(VarRef, u32, u32)> = delays
-            .into_iter()
-            .map(|(v, d)| (v, d, slot_of(v)))
+        let out_srcs = g
+            .outputs()
+            .iter()
+            .map(|&o| srcs[src_start[o.index()] as usize])
             .collect();
-        max_delay.sort_unstable_by_key(|&(v, _, _)| v);
 
         Prep {
-            order,
-            depth,
+            steps,
+            srcs,
             fu_ops,
             reg_writes,
-            max_delay,
-            val_start,
-            src_start,
-            srcs,
+            out_srcs,
+            hist,
+            n_vals: n_vals as usize,
+            len: len as usize,
         }
-    }
-
-    /// Flat value slot of `(node, out-port)`.
-    #[inline]
-    fn slot(&self, node: NodeId, port: u16) -> usize {
-        self.val_start[node.index()] as usize + port as usize
-    }
-
-    /// Operand source of `(node, in-port)`.
-    #[inline]
-    fn src(&self, node: NodeId, port: u16) -> Src {
-        self.srcs[self.src_start[node.index()] as usize + port as usize]
     }
 }
 
@@ -430,11 +561,12 @@ fn simulate_impl(
     let n_out = g.output_count();
     let mut outputs: Vec<Vec<i64>> = vec![Vec::with_capacity(traces.len()); n_out];
     let mut inputs = vec![0i64; g.input_count()];
+    let mut out = Vec::with_capacity(n_out);
     for n in 0..traces.len() {
         for (i, s) in traces.samples.iter().enumerate() {
             inputs[i] = s[n];
         }
-        let out = run_behavior(
+        run_behavior(
             h,
             module,
             behavior,
@@ -446,6 +578,7 @@ fn simulate_impl(
             &mut drivers,
             &mut arena,
             &[],
+            &mut out,
         );
         for (o, v) in outputs.iter_mut().zip(&out) {
             o.push(*v);
@@ -469,7 +602,6 @@ fn simulate_impl(
                     c.misses += 1;
                     let sub = &module.subs()[i];
                     let mut sub_state = ModuleState::for_module(sub);
-                    let mut live_drivers = Vec::new();
                     for call in &rec.calls[..pos] {
                         run_behavior(
                             h,
@@ -480,9 +612,10 @@ fn simulate_impl(
                             &mut sub_state,
                             &mut act.subs[i],
                             &mut prep.subs[i],
-                            &mut live_drivers,
+                            &mut [],
                             &mut arena,
                             &[],
+                            &mut out,
                         );
                     }
                     let calls = rec.calls[..pos].to_vec();
@@ -610,9 +743,9 @@ impl SimCache {
 }
 
 impl SubDriver {
-    /// Serve one call, replaying when the recording matches and falling
-    /// back to live simulation (after rebuilding state from the recorded
-    /// prefix) when it diverges.
+    /// Serve one call into `out`, replaying when the recording matches and
+    /// falling back to live simulation (after rebuilding state from the
+    /// recorded prefix) when it diverges.
     #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
@@ -625,21 +758,22 @@ impl SubDriver {
         act: &mut ModuleActivity,
         prep: &mut PrepTree,
         arena: &mut MemArena,
-    ) -> Vec<i64> {
+        out: &mut Vec<i64>,
+    ) {
         if let SubDriver::Replaying { rec, pos } = self {
             let matches = rec
                 .calls
                 .get(*pos)
                 .is_some_and(|c| c.bi == bi && c.inputs == inputs);
             if matches {
-                let out = rec.calls[*pos].outputs.clone();
+                out.clear();
+                out.extend_from_slice(&rec.calls[*pos].outputs);
                 *pos += 1;
-                return out;
+                return;
             }
             // Divergence: rebuild live state by re-running the recorded
             // prefix (state and activity were untouched while replaying),
             // then continue live from here.
-            let mut live_drivers = Vec::new();
             for call in &rec.calls[..*pos] {
                 run_behavior(
                     h,
@@ -650,9 +784,10 @@ impl SubDriver {
                     state,
                     act,
                     prep,
-                    &mut live_drivers,
+                    &mut [],
                     arena,
                     &[],
+                    out,
                 );
             }
             let calls = rec.calls[..*pos].to_vec();
@@ -661,8 +796,7 @@ impl SubDriver {
         let SubDriver::Live { calls } = self else {
             unreachable!("replaying arm returns or converts to live; bypass never calls");
         };
-        let mut live_drivers = Vec::new();
-        let out = run_behavior(
+        run_behavior(
             h,
             sub,
             bi,
@@ -671,22 +805,22 @@ impl SubDriver {
             state,
             act,
             prep,
-            &mut live_drivers,
+            &mut [],
             arena,
             &[],
+            out,
         );
         calls.push(CallRecord {
             bi,
             inputs: inputs.to_vec(),
             outputs: out.clone(),
         });
-        out
     }
 }
 
-/// Execute one iteration of `module.behaviors()[bi]` on `inputs`.
-/// `drivers` is non-empty only for the design's top module when replay is
-/// armed; submodule recursion always runs live.
+/// Execute one iteration of `module.behaviors()[bi]` on `inputs`, leaving
+/// its outputs in `out`. `drivers` is non-empty only for the design's top
+/// module when replay is armed; submodule recursion always runs live.
 #[allow(clippy::too_many_arguments)]
 fn run_behavior(
     h: &Hierarchy,
@@ -700,33 +834,64 @@ fn run_behavior(
     drivers: &mut [SubDriver],
     arena: &mut MemArena,
     ext_slots: &[usize],
-) -> Vec<i64> {
+    out: &mut Vec<i64>,
+) {
     let b = &module.behaviors()[bi];
     let g = h.dfg(b.dfg);
+    // Split the borrows: this behavior's prep and state vs. the sub-trees
+    // the recursion needs.
+    prep_tree.get(h, module, bi);
+    let PrepTree {
+        behaviors: preps,
+        subs: sub_preps,
+    } = prep_tree;
+    let prep = preps[bi].as_ref().expect("prepared above");
+    let ModuleState {
+        behaviors: states,
+        subs: sub_states,
+    } = state;
+    let BehaviorState {
+        buf,
+        mem_slots,
+        mem_map,
+        call_in,
+        call_ext,
+        call_out,
+    } = &mut states[bi];
+    // Values never produced read 0 (feedback before the first iteration
+    // reads the zeroed history; the value arena is zeroed every iteration).
+    if buf.len() == prep.len {
+        buf[..prep.n_vals].fill(0);
+    } else {
+        *buf = vec![0; prep.len];
+    }
+
     // Resolve each memory of this behavior to its arena slot: owned
     // memories allocate (once — contents persist across iterations),
     // external ones alias the slots the caller passed, in declaration
     // order (the hierarchy checker validated arity and shape).
-    let mem_map: Vec<usize> = {
-        let slots = state.mem_slots[bi].get_or_insert_with(|| vec![None; g.mem_count()]);
+    if g.mem_count() > 0 {
+        if mem_slots.len() != g.mem_count() {
+            *mem_slots = vec![None; g.mem_count()];
+        }
         let mut ext = ext_slots.iter().copied();
-        g.mems()
-            .map(|(i, m)| match m.scope {
-                MemScope::Owned => {
-                    *slots[i.index()].get_or_insert_with(|| arena.alloc(m.words.max(1) as usize))
-                }
+        mem_map.clear();
+        mem_map.extend(g.mems().map(|(i, m)| {
+            match m.scope {
+                MemScope::Owned => *mem_slots[i.index()]
+                    .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
                 MemScope::External => match ext.next() {
                     Some(slot) => slot,
                     // Standalone evaluation (a child resynthesized in
                     // isolation sees no caller): an unbound import behaves
                     // as a private zero-initialized bank, matching the
                     // flattened reference evaluator.
-                    None => *slots[i.index()]
+                    None => *mem_slots[i.index()]
                         .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
                 },
-            })
-            .collect()
-    };
+            }
+        }));
+    }
     if act.mem_accesses.len() != module.behaviors().len() {
         act.mem_accesses
             .resize(module.behaviors().len(), Vec::new());
@@ -734,139 +899,120 @@ fn run_behavior(
     if act.mem_accesses[bi].len() != g.mem_count() {
         act.mem_accesses[bi] = vec![(0, 0); g.mem_count()];
     }
-    // Split the borrow: the prep for this behavior vs. the sub-prep trees
-    // needed by recursion.
-    prep_tree.get(h, module, bi);
-    let (behaviors, sub_preps) = (&mut prep_tree.behaviors, &mut prep_tree.subs);
-    let prep = behaviors[bi].as_ref().expect("prepared above");
-    // Flat value arena for this iteration: slot layout from the prep. Slots
-    // default to 0, matching the old hash map's `unwrap_or(0)` for values
-    // never produced (feedback before the first iteration).
-    let mut values: Vec<i64> = vec![0; prep.val_start[g.node_count()] as usize];
 
-    // Read a precomputed operand source — through history for delays.
-    fn read_src(state_hist: &HashMap<(VarRef, u32), i64>, values: &[i64], s: Src) -> i64 {
-        match s {
-            Src::Val(slot) => values[slot as usize],
-            Src::Hist(var, d) => state_hist.get(&(var, d)).copied().unwrap_or(0),
-        }
-    }
-
-    for &nid in &prep.order {
-        match g.node(nid).kind() {
-            NodeKind::Input { index } => {
-                values[prep.slot(nid, 0)] = inputs.get(*index).copied().unwrap_or(0);
+    let srcs = &prep.srcs;
+    for step in &prep.steps {
+        match *step {
+            Step::Input { slot, index } => {
+                buf[slot as usize] = inputs.get(index as usize).copied().unwrap_or(0);
             }
-            NodeKind::Const { value } => {
-                values[prep.slot(nid, 0)] = crate::truncate(*value, width);
+            Step::Const { slot, value } => {
+                buf[slot as usize] = crate::truncate(value, width);
             }
-            NodeKind::Op(op) => {
+            Step::Op { op, slot, src } => {
                 let ar = op.arity();
+                let src = src as usize;
                 let mut args = [0i64; 2];
-                for (p, a) in args.iter_mut().enumerate().take(ar) {
-                    *a = read_src(&state.history[bi], &values, prep.src(nid, p as u16));
+                for (a, &s) in args.iter_mut().zip(&srcs[src..src + ar]) {
+                    *a = buf[s as usize];
                 }
-                values[prep.slot(nid, 0)] = op.eval(&args[..ar], width);
+                buf[slot as usize] = op.eval(&args[..ar], width);
             }
-            NodeKind::Hier { callee } => {
-                let sub_id = b.binding.hier_to_sub[&nid];
-                let sub = &module.subs()[sub_id.index()];
-                let sub_bi = sub
-                    .behaviors()
-                    .iter()
-                    .position(|sb| sb.dfg == *callee)
-                    .expect("submodule implements the callee");
-                let arity = h.in_arity(*callee);
-                let mut sub_inputs = Vec::with_capacity(arity);
-                for p in 0..arity as u16 {
-                    sub_inputs.push(read_src(&state.history[bi], &values, prep.src(nid, p)));
-                }
-                let si = sub_id.index();
+            Step::Hier {
+                node,
+                slot,
+                src,
+                arity,
+                sub,
+                sub_bi,
+            } => {
+                let src = src as usize;
+                call_in.clear();
+                call_in.extend(
+                    srcs[src..src + arity as usize]
+                        .iter()
+                        .map(|&s| buf[s as usize]),
+                );
                 // Shared banks flow to the callee as arena slots, resolved
                 // through this call's positional memory binds.
-                let sub_ext: Vec<usize> = g
-                    .node(nid)
-                    .mem_binds()
-                    .iter()
-                    .map(|m| mem_map[m.index()])
-                    .collect();
-                let out = match drivers.get_mut(si) {
+                call_ext.clear();
+                call_ext.extend(g.node(node).mem_binds().iter().map(|m| mem_map[m.index()]));
+                let (si, sub_bi) = (sub as usize, sub_bi as usize);
+                let sub_m = &module.subs()[si];
+                match drivers.get_mut(si) {
                     Some(SubDriver::Bypass) | None => run_behavior(
                         h,
-                        sub,
+                        sub_m,
                         sub_bi,
-                        &sub_inputs,
+                        call_in,
                         width,
-                        &mut state.subs[si],
+                        &mut sub_states[si],
                         &mut act.subs[si],
                         &mut sub_preps[si],
-                        &mut Vec::new(),
+                        &mut [],
                         arena,
-                        &sub_ext,
+                        call_ext,
+                        call_out,
                     ),
                     Some(driver) => driver.call(
                         h,
-                        sub,
+                        sub_m,
                         sub_bi,
-                        &sub_inputs,
+                        call_in,
                         width,
-                        &mut state.subs[si],
+                        &mut sub_states[si],
                         &mut act.subs[si],
                         &mut sub_preps[si],
                         arena,
+                        call_out,
                     ),
-                };
-                let base = prep.slot(nid, 0);
-                for (p, v) in out.into_iter().enumerate() {
-                    values[base + p] = v;
                 }
+                let slot = slot as usize;
+                buf[slot..slot + call_out.len()].copy_from_slice(call_out);
             }
-            NodeKind::Load { mem } => {
-                let addr = read_src(&state.history[bi], &values, prep.src(nid, 0));
-                let bank = &arena.slots[mem_map[mem.index()]];
+            Step::Load { mem, slot, src } => {
+                let addr = buf[srcs[src as usize] as usize];
+                let bank = &arena.slots[mem_map[mem as usize]];
                 let v = bank[addr.rem_euclid(bank.len() as i64) as usize];
-                values[prep.slot(nid, 0)] = crate::truncate(v, width);
-                act.mem_accesses[bi][mem.index()].0 += 1;
+                buf[slot as usize] = crate::truncate(v, width);
+                act.mem_accesses[bi][mem as usize].0 += 1;
             }
-            NodeKind::Store { mem } => {
-                let addr = read_src(&state.history[bi], &values, prep.src(nid, 0));
-                let data = read_src(&state.history[bi], &values, prep.src(nid, 1));
-                let stored = crate::truncate(data, g.mem(*mem).elem_width.min(width));
-                let bank = &mut arena.slots[mem_map[mem.index()]];
+            Step::Store {
+                mem,
+                slot,
+                src,
+                elem_width,
+            } => {
+                let src = src as usize;
+                let addr = buf[srcs[src] as usize];
+                let data = buf[srcs[src + 1] as usize];
+                let stored = crate::truncate(data, elem_width.min(width));
+                let bank = &mut arena.slots[mem_map[mem as usize]];
                 let words = bank.len() as i64;
                 bank[addr.rem_euclid(words) as usize] = stored;
-                values[prep.slot(nid, 0)] = stored;
-                act.mem_accesses[bi][mem.index()].1 += 1;
+                buf[slot as usize] = stored;
+                act.mem_accesses[bi][mem as usize].1 += 1;
             }
-            NodeKind::Output { .. } => {}
         }
     }
 
     // Record FU events in schedule order per instance.
-    for (fu, ops) in prep.fu_ops.iter().enumerate() {
-        for &(op, node) in ops {
-            let a = read_src(&state.history[bi], &values, prep.src(node, 0));
-            let bv = if op.arity() > 1 {
-                read_src(&state.history[bi], &values, prep.src(node, 1))
-            } else {
-                0
-            };
-            act.fu_events[fu].push(FuEvent {
-                op,
-                a,
-                b: bv,
-                depth: prep.depth[node.index()],
-            });
-        }
+    for (events, ops) in act.fu_events.iter_mut().zip(&prep.fu_ops) {
+        events.extend(ops.iter().map(|o| FuEvent {
+            op: o.op,
+            a: buf[o.a as usize],
+            b: o.b.map_or(0, |s| buf[s as usize]),
+            depth: o.depth,
+        }));
     }
 
     // Register writes, ordered by lifetime birth; same-(birth, register)
     // groups commit in ascending value order (see `Prep::reg_writes`).
     for (reg, slots) in &prep.reg_writes {
         match slots.as_slice() {
-            [s] => act.reg_writes[*reg].push(values[*s as usize]),
+            [s] => act.reg_writes[*reg].push(buf[*s as usize]),
             tied => {
-                let mut vals: Vec<i64> = tied.iter().map(|&s| values[s as usize]).collect();
+                let mut vals: Vec<i64> = tied.iter().map(|&s| buf[s as usize]).collect();
                 vals.sort_unstable();
                 act.reg_writes[*reg].extend(vals);
             }
@@ -878,22 +1024,685 @@ fn run_behavior(
 
     // Collect outputs (before the history shift: a delayed output edge
     // delivers the value from `delay` iterations before this one).
-    let outputs: Vec<i64> = g
-        .outputs()
-        .iter()
-        .map(|&o| read_src(&state.history[bi], &values, prep.src(o, 0)))
-        .collect();
+    out.clear();
+    out.extend(prep.out_srcs.iter().map(|&s| buf[s as usize]));
 
-    // Update delay history *after* the iteration: shift k-levels.
-    let hist = &mut state.history[bi];
-    for &(var, maxd, slot) in &prep.max_delay {
-        for k in (2..=maxd).rev() {
-            if let Some(&prev) = hist.get(&(var, k - 1)) {
-                hist.insert((var, k), prev);
-            }
-        }
-        hist.insert((var, 1), values[slot as usize]);
+    // Update delay history *after* the iteration: every k-level moves one
+    // slot deeper, and this iteration's value enters at k = 1.
+    for &(first, maxd, slot) in &prep.hist {
+        let (first, maxd) = (first as usize, maxd as usize);
+        buf.copy_within(first..first + maxd - 1, first + 1);
+        buf[first] = buf[slot as usize];
+    }
+}
+
+/// The interpreter the flat kernel replaced, kept as the reference the
+/// differential tests hold [`simulate`] to: delay history in a
+/// `HashMap<(VarRef, k), i64>` per behavior (a missing entry reads 0, and
+/// `(var, k)` enters only once `(var, k − 1)` holds a value), a value
+/// arena allocated per iteration, and hierarchical calls resolved through
+/// `hier_to_sub` and a search of the submodule's behaviors on every call.
+#[cfg(test)]
+mod reference {
+    use super::{FuEvent, MemArena, ModuleActivity};
+    use crate::traces::TraceSet;
+    use hsyn_dfg::{Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
+    use hsyn_rtl::{storage_analysis, RtlModule};
+    use std::collections::HashMap;
+
+    /// Per-instance inter-iteration state (values crossing iteration boundaries
+    /// through delayed edges), per behavior.
+    #[derive(Clone, Debug, Default)]
+    struct ModuleState {
+        /// `history[behavior][(var, k)]` = value of `var` from `k` iterations
+        /// ago (k >= 1).
+        history: Vec<HashMap<(VarRef, u32), i64>>,
+        /// Arena slot of each *owned* memory, per behavior, allocated on first
+        /// execution. Memory contents are state, like delay lines: they persist
+        /// across iterations.
+        mem_slots: Vec<Option<Vec<Option<usize>>>>,
+        subs: Vec<ModuleState>,
     }
 
-    outputs
+    impl ModuleState {
+        fn for_module(m: &RtlModule) -> Self {
+            ModuleState {
+                history: vec![HashMap::new(); m.behaviors().len()],
+                mem_slots: vec![None; m.behaviors().len()],
+                subs: m.subs().iter().map(ModuleState::for_module).collect(),
+            }
+        }
+    }
+
+    /// Where the value feeding a `(node, in-port)` pair comes from, resolved
+    /// once per behavior instead of through a driver lookup plus a hash-map
+    /// probe on every trace iteration.
+    #[derive(Clone, Copy, Debug)]
+    enum Src {
+        /// Same-iteration value at a flat slot index (see [`Prep::val_start`]).
+        Val(u32),
+        /// Delayed value: `var` from `delay` iterations ago, read from the
+        /// inter-iteration history.
+        Hist(VarRef, u32),
+    }
+
+    /// Iteration-invariant preparation for one behavior: everything the inner
+    /// loop needs that does not depend on the data.
+    struct Prep {
+        /// Topological evaluation order.
+        order: Vec<NodeId>,
+        /// Chained combinational depth per node (indexed by node id).
+        depth: Vec<u32>,
+        /// Per FU instance: `(op, node)` in event (schedule) order. The order is
+        /// total — two operations sharing a unit are serialized onto distinct
+        /// start ticks — so it equals the per-iteration sort it replaces.
+        fu_ops: Vec<Vec<(Operation, NodeId)>>,
+        /// Register writes in commit order, grouped by `(lifetime birth,
+        /// register)`: `(register index, value slots sharing that key)`. Groups
+        /// are almost always singletons; a multi-variable group's write order
+        /// is value-dependent (ascending — the per-iteration
+        /// `sort_unstable` this prep hoists keyed on `(birth, reg, value)`),
+        /// so ties are resolved per iteration in [`run_behavior`].
+        reg_writes: Vec<(usize, Vec<u32>)>,
+        /// Variables feeding delayed edges: `(var, maximum delay, value slot)`,
+        /// sorted by var.
+        max_delay: Vec<(VarRef, u32, u32)>,
+        /// Flat value-slot layout: node `i`'s out-port `p` lives at slot
+        /// `val_start[i] + p`; `val_start[n]` is the total slot count. This is
+        /// the arena that replaces the per-iteration `(node, port) → value`
+        /// hash map.
+        val_start: Vec<u32>,
+        /// Operand sources per `(node, in-port)`: node `i`'s in-port `p` reads
+        /// `srcs[src_start[i] + p]`.
+        src_start: Vec<u32>,
+        srcs: Vec<Src>,
+    }
+
+    impl Prep {
+        fn build(h: &Hierarchy, module: &RtlModule, bi: usize) -> Self {
+            let b = &module.behaviors()[bi];
+            let g = h.dfg(b.dfg);
+            // Memory-aware order: program-order pairs (store-before-load on one
+            // memory) are evaluation constraints just like data edges.
+            let order = g.mem_topo_order().expect("bound dfg is acyclic").to_vec();
+            let st = storage_analysis(g, &b.schedule);
+            let n = g.node_count();
+
+            // Flat value-slot layout: one i64 slot per (node, out-port), laid
+            // out contiguously per node. Arity comes from the node kind, raised
+            // defensively by any edge referencing a higher port.
+            let mut slots_per: Vec<u32> = (0..n)
+                .map(|i| match g.node(NodeId::from_index(i)).kind() {
+                    NodeKind::Input { .. } | NodeKind::Const { .. } | NodeKind::Op(_) => 1,
+                    NodeKind::Load { .. } | NodeKind::Store { .. } => 1,
+                    NodeKind::Hier { callee } => h.out_arity(*callee) as u32,
+                    NodeKind::Output { .. } => 0,
+                })
+                .collect();
+            for (_, e) in g.edges() {
+                let i = e.from.node.index();
+                slots_per[i] = slots_per[i].max(u32::from(e.from.port) + 1);
+            }
+            let mut val_start = vec![0u32; n + 1];
+            for i in 0..n {
+                val_start[i + 1] = val_start[i] + slots_per[i];
+            }
+            let slot_of = |v: VarRef| val_start[v.node.index()] + u32::from(v.port);
+
+            // Per-(node, in-port) operand sources, resolved through the driver
+            // table once instead of on every trace iteration.
+            let mut src_start = vec![0u32; n + 1];
+            let mut srcs: Vec<Src> = Vec::new();
+            for i in 0..n {
+                let nid = NodeId::from_index(i);
+                let ports = match g.node(nid).kind() {
+                    NodeKind::Op(op) => op.arity(),
+                    NodeKind::Hier { callee } => h.in_arity(*callee),
+                    NodeKind::Output { .. } => 1,
+                    NodeKind::Load { .. } => 1,
+                    NodeKind::Store { .. } => 2,
+                    NodeKind::Input { .. } | NodeKind::Const { .. } => 0,
+                };
+                for p in 0..ports as u16 {
+                    let e = g.driver(nid, p).expect("validated dfg");
+                    srcs.push(if e.delay > 0 {
+                        Src::Hist(e.from, e.delay)
+                    } else {
+                        Src::Val(slot_of(e.from))
+                    });
+                }
+                src_start[i + 1] = srcs.len() as u32;
+            }
+
+            // Chained combinational depth per node (for glitch modeling).
+            let mut depth = vec![0u32; g.node_count()];
+            for &nid in &order {
+                if !matches!(g.node(nid).kind(), NodeKind::Op(_)) {
+                    continue;
+                }
+                let mut d = 0u32;
+                for (eid, e) in g.in_edges(nid) {
+                    if st.chained_edges[eid.index()] {
+                        d = d.max(depth[e.from.node.index()] + 1);
+                    }
+                }
+                depth[nid.index()] = d;
+            }
+
+            // Per-FU event order: ops sorted by start tick. Distinct ticks per
+            // unit (sharing serializes), so the order is independent of the
+            // hash-map iteration below.
+            let mut keyed: Vec<Vec<(u32, f64, Operation, NodeId)>> =
+                vec![Vec::new(); module.fus().len()];
+            for (&node, &fu) in &b.binding.op_to_fu {
+                if let NodeKind::Op(op) = g.node(node).kind() {
+                    let t = b.schedule.time(node);
+                    keyed[fu.index()].push((t.start.cycle, t.start.ns, *op, node));
+                }
+            }
+            let fu_ops = keyed
+                .into_iter()
+                .map(|mut v| {
+                    // Node id as the final tiebreak keeps the order total even
+                    // if a schedule ever produced same-tick ops on one unit.
+                    v.sort_by(|x, y| {
+                        (x.0, x.1, x.3)
+                            .partial_cmp(&(y.0, y.1, y.3))
+                            .expect("finite")
+                    });
+                    v.into_iter().map(|(_, _, op, n)| (op, n)).collect()
+                })
+                .collect();
+
+            // Register writes ordered by (lifetime birth, register). The pair
+            // is *usually* unique, but the binder does allow same-birth
+            // variables in one register; those ties were historically broken by
+            // the written value (the `sort_unstable` key ended `(birth, reg,
+            // value)`), which only an iteration can decide — so group them here
+            // and sort the group's values in `run_behavior`.
+            let mut births: Vec<(u32, usize, VarRef)> = st
+                .stored_vars
+                .iter()
+                .zip(&st.lifetimes)
+                .filter_map(|(v, life)| {
+                    b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v))
+                })
+                .collect();
+            births.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
+            let mut reg_writes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(births.len());
+            let mut last_key = None;
+            for (birth, reg, v) in births {
+                if last_key == Some((birth, reg)) {
+                    reg_writes
+                        .last_mut()
+                        .expect("key repeats")
+                        .1
+                        .push(slot_of(v));
+                } else {
+                    last_key = Some((birth, reg));
+                    reg_writes.push((reg, vec![slot_of(v)]));
+                }
+            }
+
+            let mut delays: HashMap<VarRef, u32> = HashMap::new();
+            for (_, e) in g.edges() {
+                if e.delay > 0 {
+                    let d = delays.entry(e.from).or_insert(0);
+                    *d = (*d).max(e.delay);
+                }
+            }
+            let mut max_delay: Vec<(VarRef, u32, u32)> = delays
+                .into_iter()
+                .map(|(v, d)| (v, d, slot_of(v)))
+                .collect();
+            max_delay.sort_unstable_by_key(|&(v, _, _)| v);
+
+            Prep {
+                order,
+                depth,
+                fu_ops,
+                reg_writes,
+                max_delay,
+                val_start,
+                src_start,
+                srcs,
+            }
+        }
+
+        /// Flat value slot of `(node, out-port)`.
+        #[inline]
+        fn slot(&self, node: NodeId, port: u16) -> usize {
+            self.val_start[node.index()] as usize + port as usize
+        }
+
+        /// Operand source of `(node, in-port)`.
+        #[inline]
+        fn src(&self, node: NodeId, port: u16) -> Src {
+            self.srcs[self.src_start[node.index()] as usize + port as usize]
+        }
+    }
+
+    /// Lazily-built [`Prep`]s mirroring the module tree.
+    struct PrepTree {
+        behaviors: Vec<Option<Prep>>,
+        subs: Vec<PrepTree>,
+    }
+
+    impl PrepTree {
+        fn for_module(m: &RtlModule) -> Self {
+            PrepTree {
+                behaviors: vec![],
+                subs: m.subs().iter().map(PrepTree::for_module).collect(),
+            }
+        }
+
+        fn get(&mut self, h: &Hierarchy, module: &RtlModule, bi: usize) -> &Prep {
+            if self.behaviors.is_empty() {
+                self.behaviors = module.behaviors().iter().map(|_| None).collect();
+            }
+            if self.behaviors[bi].is_none() {
+                self.behaviors[bi] = Some(Prep::build(h, module, bi));
+            }
+            self.behaviors[bi].as_ref().expect("just built")
+        }
+    }
+
+    /// Simulate `module` executing its first behavior once per trace
+    /// iteration, like [`super::simulate`].
+    pub(super) fn simulate(
+        h: &Hierarchy,
+        module: &RtlModule,
+        traces: &TraceSet,
+    ) -> (ModuleActivity, Vec<Vec<i64>>) {
+        let g = h.dfg(module.behaviors()[0].dfg);
+        let mut act = ModuleActivity::for_module(module);
+        let mut state = ModuleState::for_module(module);
+        let mut prep = PrepTree::for_module(module);
+        let mut arena = MemArena::default();
+        let mut outputs: Vec<Vec<i64>> = vec![Vec::with_capacity(traces.len()); g.output_count()];
+        let mut inputs = vec![0i64; g.input_count()];
+        for n in 0..traces.len() {
+            for (i, s) in traces.samples.iter().enumerate() {
+                inputs[i] = s[n];
+            }
+            let out = run_behavior(
+                h,
+                module,
+                0,
+                &inputs,
+                traces.width,
+                &mut state,
+                &mut act,
+                &mut prep,
+                &mut arena,
+                &[],
+            );
+            for (o, v) in outputs.iter_mut().zip(&out) {
+                o.push(*v);
+            }
+        }
+        (act, outputs)
+    }
+
+    /// Execute one iteration of `module.behaviors()[bi]` on `inputs`.
+    #[allow(clippy::too_many_arguments)]
+    fn run_behavior(
+        h: &Hierarchy,
+        module: &RtlModule,
+        bi: usize,
+        inputs: &[i64],
+        width: u32,
+        state: &mut ModuleState,
+        act: &mut ModuleActivity,
+        prep_tree: &mut PrepTree,
+        arena: &mut MemArena,
+        ext_slots: &[usize],
+    ) -> Vec<i64> {
+        let b = &module.behaviors()[bi];
+        let g = h.dfg(b.dfg);
+        // Resolve each memory of this behavior to its arena slot: owned
+        // memories allocate (once — contents persist across iterations),
+        // external ones alias the slots the caller passed, in declaration
+        // order (the hierarchy checker validated arity and shape).
+        let mem_map: Vec<usize> = {
+            let slots = state.mem_slots[bi].get_or_insert_with(|| vec![None; g.mem_count()]);
+            let mut ext = ext_slots.iter().copied();
+            g.mems()
+                .map(|(i, m)| match m.scope {
+                    MemScope::Owned => *slots[i.index()]
+                        .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
+                    MemScope::External => match ext.next() {
+                        Some(slot) => slot,
+                        // Standalone evaluation (a child resynthesized in
+                        // isolation sees no caller): an unbound import behaves
+                        // as a private zero-initialized bank, matching the
+                        // flattened reference evaluator.
+                        None => *slots[i.index()]
+                            .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
+                    },
+                })
+                .collect()
+        };
+        if act.mem_accesses.len() != module.behaviors().len() {
+            act.mem_accesses
+                .resize(module.behaviors().len(), Vec::new());
+        }
+        if act.mem_accesses[bi].len() != g.mem_count() {
+            act.mem_accesses[bi] = vec![(0, 0); g.mem_count()];
+        }
+        // Split the borrow: the prep for this behavior vs. the sub-prep trees
+        // needed by recursion.
+        prep_tree.get(h, module, bi);
+        let (behaviors, sub_preps) = (&mut prep_tree.behaviors, &mut prep_tree.subs);
+        let prep = behaviors[bi].as_ref().expect("prepared above");
+        // Flat value arena for this iteration: slot layout from the prep. Slots
+        // default to 0, matching the old hash map's `unwrap_or(0)` for values
+        // never produced (feedback before the first iteration).
+        let mut values: Vec<i64> = vec![0; prep.val_start[g.node_count()] as usize];
+
+        // Read a precomputed operand source — through history for delays.
+        fn read_src(state_hist: &HashMap<(VarRef, u32), i64>, values: &[i64], s: Src) -> i64 {
+            match s {
+                Src::Val(slot) => values[slot as usize],
+                Src::Hist(var, d) => state_hist.get(&(var, d)).copied().unwrap_or(0),
+            }
+        }
+
+        for &nid in &prep.order {
+            match g.node(nid).kind() {
+                NodeKind::Input { index } => {
+                    values[prep.slot(nid, 0)] = inputs.get(*index).copied().unwrap_or(0);
+                }
+                NodeKind::Const { value } => {
+                    values[prep.slot(nid, 0)] = crate::truncate(*value, width);
+                }
+                NodeKind::Op(op) => {
+                    let ar = op.arity();
+                    let mut args = [0i64; 2];
+                    for (p, a) in args.iter_mut().enumerate().take(ar) {
+                        *a = read_src(&state.history[bi], &values, prep.src(nid, p as u16));
+                    }
+                    values[prep.slot(nid, 0)] = op.eval(&args[..ar], width);
+                }
+                NodeKind::Hier { callee } => {
+                    let sub_id = b.binding.hier_to_sub[&nid];
+                    let sub = &module.subs()[sub_id.index()];
+                    let sub_bi = sub
+                        .behaviors()
+                        .iter()
+                        .position(|sb| sb.dfg == *callee)
+                        .expect("submodule implements the callee");
+                    let arity = h.in_arity(*callee);
+                    let mut sub_inputs = Vec::with_capacity(arity);
+                    for p in 0..arity as u16 {
+                        sub_inputs.push(read_src(&state.history[bi], &values, prep.src(nid, p)));
+                    }
+                    let si = sub_id.index();
+                    // Shared banks flow to the callee as arena slots, resolved
+                    // through this call's positional memory binds.
+                    let sub_ext: Vec<usize> = g
+                        .node(nid)
+                        .mem_binds()
+                        .iter()
+                        .map(|m| mem_map[m.index()])
+                        .collect();
+                    let out = run_behavior(
+                        h,
+                        sub,
+                        sub_bi,
+                        &sub_inputs,
+                        width,
+                        &mut state.subs[si],
+                        &mut act.subs[si],
+                        &mut sub_preps[si],
+                        arena,
+                        &sub_ext,
+                    );
+                    let base = prep.slot(nid, 0);
+                    for (p, v) in out.into_iter().enumerate() {
+                        values[base + p] = v;
+                    }
+                }
+                NodeKind::Load { mem } => {
+                    let addr = read_src(&state.history[bi], &values, prep.src(nid, 0));
+                    let bank = &arena.slots[mem_map[mem.index()]];
+                    let v = bank[addr.rem_euclid(bank.len() as i64) as usize];
+                    values[prep.slot(nid, 0)] = crate::truncate(v, width);
+                    act.mem_accesses[bi][mem.index()].0 += 1;
+                }
+                NodeKind::Store { mem } => {
+                    let addr = read_src(&state.history[bi], &values, prep.src(nid, 0));
+                    let data = read_src(&state.history[bi], &values, prep.src(nid, 1));
+                    let stored = crate::truncate(data, g.mem(*mem).elem_width.min(width));
+                    let bank = &mut arena.slots[mem_map[mem.index()]];
+                    let words = bank.len() as i64;
+                    bank[addr.rem_euclid(words) as usize] = stored;
+                    values[prep.slot(nid, 0)] = stored;
+                    act.mem_accesses[bi][mem.index()].1 += 1;
+                }
+                NodeKind::Output { .. } => {}
+            }
+        }
+
+        // Record FU events in schedule order per instance.
+        for (fu, ops) in prep.fu_ops.iter().enumerate() {
+            for &(op, node) in ops {
+                let a = read_src(&state.history[bi], &values, prep.src(node, 0));
+                let bv = if op.arity() > 1 {
+                    read_src(&state.history[bi], &values, prep.src(node, 1))
+                } else {
+                    0
+                };
+                act.fu_events[fu].push(FuEvent {
+                    op,
+                    a,
+                    b: bv,
+                    depth: prep.depth[node.index()],
+                });
+            }
+        }
+
+        // Register writes, ordered by lifetime birth; same-(birth, register)
+        // groups commit in ascending value order (see `Prep::reg_writes`).
+        for (reg, slots) in &prep.reg_writes {
+            match slots.as_slice() {
+                [s] => act.reg_writes[*reg].push(values[*s as usize]),
+                tied => {
+                    let mut vals: Vec<i64> = tied.iter().map(|&s| values[s as usize]).collect();
+                    vals.sort_unstable();
+                    act.reg_writes[*reg].extend(vals);
+                }
+            }
+        }
+
+        act.busy_cycles += u64::from(b.schedule.makespan());
+        act.runs += 1;
+
+        // Collect outputs (before the history shift: a delayed output edge
+        // delivers the value from `delay` iterations before this one).
+        let outputs: Vec<i64> = g
+            .outputs()
+            .iter()
+            .map(|&o| read_src(&state.history[bi], &values, prep.src(o, 0)))
+            .collect();
+
+        // Update delay history *after* the iteration: shift k-levels.
+        let hist = &mut state.history[bi];
+        for &(var, maxd, slot) in &prep.max_delay {
+            for k in (2..=maxd).rev() {
+                if let Some(&prev) = hist.get(&(var, k - 1)) {
+                    hist.insert((var, k), prev);
+                }
+            }
+            hist.insert((var, 1), values[slot as usize]);
+        }
+
+        outputs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Differential check of the flat kernel against the reference
+    //! interpreter it replaced: activity (every event, register write,
+    //! memory access and cycle count) and outputs must be equal.
+
+    use super::*;
+    use crate::traces::dsp_default;
+    use hsyn_dfg::{benchmarks, Dfg, DfgId, MemObject};
+    use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
+    use hsyn_lib::Library;
+    use hsyn_rtl::{build, BuildCtx, ModuleSpec, RegPolicy, SubSpec};
+
+    const W: u32 = 16;
+    /// Samples per trace.
+    const SAMPLES: usize = 16;
+
+    /// The fully parallel implementation of `dfg`: one fastest unit per
+    /// operation, one submodule instance per hierarchical node (built the
+    /// same way, recursively), registers under `policy`.
+    fn parallel(h: &Hierarchy, dfg: DfgId, lib: &Library, policy: &RegPolicy) -> RtlModule {
+        let mut spec = ModuleSpec::dedicated(
+            h,
+            dfg,
+            h.dfg(dfg).name().to_owned(),
+            |_, op| lib.fastest_for(op).expect("table 1 covers every op"),
+            |_, callee| parallel(h, callee, lib, policy),
+        );
+        spec.reg_policy = policy.clone();
+        build(h, &spec, &BuildCtx::new(lib, TABLE1_CLOCK_NS, 5.0, None)).expect("builds")
+    }
+
+    /// `simulate` and the reference agree on `m` over seeded traces.
+    fn assert_matches_reference(h: &Hierarchy, m: &RtlModule, what: &str) {
+        let inputs = h.dfg(m.behaviors()[0].dfg).input_count();
+        for seed in [1, 0xDAC_1998] {
+            let traces = dsp_default(inputs, SAMPLES, W, seed);
+            let flat = simulate(h, m, &traces);
+            let reference = reference::simulate(h, m, &traces);
+            assert_eq!(flat.1, reference.1, "{what} seed {seed:#x}: outputs");
+            assert!(
+                flat.0 == reference.0,
+                "{what} seed {seed:#x}: activity differs"
+            );
+        }
+    }
+
+    fn single(g: Dfg) -> Hierarchy {
+        let mut h = Hierarchy::new();
+        let id = h.add_dfg(g);
+        h.set_top(id);
+        h.validate().expect("valid fixture");
+        h
+    }
+
+    #[test]
+    fn registry_benchmarks_match_the_reference() {
+        let lib = table1_library();
+        for bench in benchmarks::all() {
+            let flat = single(bench.hierarchy.flatten());
+            let hier = &bench.hierarchy;
+            for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+                let m = parallel(&flat, flat.top(), &lib, policy);
+                assert_matches_reference(&flat, &m, &format!("{} flat {policy:?}", bench.name));
+                let m = parallel(hier, hier.top(), &lib, policy);
+                assert_matches_reference(hier, &m, &format!("{} hier {policy:?}", bench.name));
+            }
+        }
+    }
+
+    #[test]
+    fn deep_delay_lines_match_the_reference() {
+        // y0 = x[n-2] + x[n-3], y1 = s[n-3] * x[n-2], s = x + y0[n-2]:
+        // several vars delayed by 2 and 3, one of them through feedback.
+        let mut g = Dfg::new("delays");
+        let x = g.add_input("x");
+        let y0 = g.add_op_detached(Operation::Add, "y0");
+        g.connect(x, y0, 0, 2);
+        g.connect(x, y0, 1, 3);
+        let s = g.add_op_detached(Operation::Add, "s");
+        g.connect(x, s, 0, 0);
+        g.connect(VarRef::new(y0, 0), s, 1, 2);
+        let y1 = g.add_op_detached(Operation::Mult, "y1");
+        g.connect(VarRef::new(s, 0), y1, 0, 3);
+        g.connect(x, y1, 1, 2);
+        g.add_output("o0", VarRef::new(y0, 0));
+        g.add_output_delayed("o1", VarRef::new(y1, 0), 3);
+        let h = single(g);
+        let lib = table1_library();
+        for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+            let m = parallel(&h, h.top(), &lib, policy);
+            assert_matches_reference(&h, &m, &format!("delays {policy:?}"));
+        }
+    }
+
+    #[test]
+    fn shared_stateful_instance_matches_the_reference() {
+        // acc(a) = a + acc[n-1] with a 2-deep echo, called twice per
+        // iteration through one shared instance: the calls interleave on
+        // one delay state.
+        let mut h = Hierarchy::new();
+        let mut sub = Dfg::new("acc");
+        let a = sub.add_input("a");
+        let acc = sub.add_op_detached(Operation::Add, "acc");
+        sub.connect(a, acc, 0, 0);
+        sub.connect(VarRef::new(acc, 0), acc, 1, 1);
+        let echo = sub.add_op_detached(Operation::Sub, "echo");
+        sub.connect(VarRef::new(acc, 0), echo, 0, 0);
+        sub.connect(VarRef::new(acc, 0), echo, 1, 2);
+        sub.add_output("o", VarRef::new(echo, 0));
+        let sub_id = h.add_dfg(sub);
+        let mut top = Dfg::new("top");
+        let x = top.add_input("x");
+        let y = top.add_input("y");
+        let c1 = top.add_hier(sub_id, "A1", &[x]);
+        let c2 = top.add_hier(sub_id, "A2", &[y]);
+        let s = top.add_op(
+            Operation::Add,
+            "s",
+            &[top.hier_out(c1, 0), top.hier_out(c2, 0)],
+        );
+        top.add_output("z", s);
+        let top_id = h.add_dfg(top);
+        h.set_top(top_id);
+        h.validate().expect("valid fixture");
+
+        let lib = table1_library();
+        let child = parallel(&h, sub_id, &lib, &RegPolicy::Dedicated);
+        let mut spec = ModuleSpec::dedicated(
+            &h,
+            top_id,
+            "top",
+            |_, op| lib.fastest_for(op).expect("table 1 covers every op"),
+            |_, _| child.clone(),
+        );
+        // One instance serves both calls.
+        spec.subs = vec![SubSpec {
+            module: child,
+            nodes: vec![c1, c2],
+        }];
+        let m = build(&h, &spec, &BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None)).expect("builds");
+        assert_eq!(m.subs().len(), 1, "both calls share one instance");
+        assert_matches_reference(&h, &m, "shared stateful instance");
+    }
+
+    #[test]
+    fn owned_memory_matches_the_reference() {
+        // mem[x & 3] = x; y = mem[(x + 1) & 3] * x, plus a delayed tap on
+        // the loaded value: bank contents persist across iterations.
+        let mut g = Dfg::new("mem");
+        let mem = g.add_mem(MemObject::owned("m", 4, 8));
+        let x = g.add_input("x");
+        let one = g.add_const("one", 1);
+        let next = g.add_op(Operation::Add, "next", &[x, one]);
+        g.add_store(mem, "st", x, x);
+        let ld = g.add_load(mem, "ld", next);
+        let y = g.add_op(Operation::Mult, "y", &[ld, x]);
+        g.add_output("y", y);
+        g.add_output_delayed("ld_old", ld, 2);
+        let h = single(g);
+        let lib = table1_library();
+        let m = parallel(&h, h.top(), &lib, &RegPolicy::Dedicated);
+        assert_matches_reference(&h, &m, "owned memory");
+    }
 }

@@ -7,9 +7,12 @@
 //! float as its exact bit pattern, structural fingerprints standing in for
 //! the designs).
 //!
-//! The quick tier runs every built-in benchmark × {Area, Power} on one
-//! seed; release builds (and `HSYN_EQUIV_SEEDS=n`) widen to three seeds per
-//! cell, which is the matrix the CI release job enforces.
+//! The quick tier runs every built-in benchmark × {Area, Power}
+//! hierarchically on one seed, plus `lat` and `iir` flattened; release
+//! builds widen to every benchmark × {hierarchical, flat} and (with
+//! `HSYN_EQUIV_SEEDS=n`) three seeds per cell, which is the matrix the CI
+//! release job enforces. Flat designs are where the whole-design memo and
+//! the simulation kernel do most of their work.
 
 use hsyn::core::{synthesize, Objective, SynthesisConfig};
 use hsyn::dfg::benchmarks;
@@ -17,8 +20,9 @@ use hsyn::lib::papers::table1_library;
 use hsyn::rtl::ModuleLibrary;
 use hsyn_util::Json;
 
-fn tiny(objective: Objective, seed: u64) -> SynthesisConfig {
+fn tiny(objective: Objective, seed: u64, hierarchical: bool) -> SynthesisConfig {
     let mut c = SynthesisConfig::new(objective);
+    c.hierarchical = hierarchical;
     c.laxity_factor = 2.2;
     c.max_passes = 2;
     c.candidate_limit = 2;
@@ -43,44 +47,50 @@ fn cached_and_uncached_synthesis_are_byte_identical() {
         .unwrap_or(if cfg!(debug_assertions) { 1 } else { 3 })
         .min(seeds.len());
     for bench in benchmarks::all() {
+        // Debug builds run flat only where it is cheap.
+        let flat = !cfg!(debug_assertions) || ["lat", "iir"].contains(&bench.name);
+        let forms: &[bool] = if flat { &[true, false] } else { &[true] };
         for objective in [Objective::Area, Objective::Power] {
-            for &seed in &seeds[..seed_count] {
-                let mut mlib = ModuleLibrary::from_simple(table1_library());
-                mlib.equiv = bench.equiv.clone();
+            for &hierarchical in forms {
+                for &seed in &seeds[..seed_count] {
+                    let form = if hierarchical { "hier" } else { "flat" };
+                    let mut mlib = ModuleLibrary::from_simple(table1_library());
+                    mlib.equiv = bench.equiv.clone();
 
-                let plain = tiny(objective, seed);
-                let mut shadow = plain.clone();
-                shadow.shadow_eval = true;
+                    let plain = tiny(objective, seed, hierarchical);
+                    let mut shadow = plain.clone();
+                    shadow.shadow_eval = true;
 
-                let r_plain = synthesize(&bench.hierarchy, &mlib, &plain)
-                    .unwrap_or_else(|e| panic!("{} plain: {e}", bench.name));
-                let r_shadow = synthesize(&bench.hierarchy, &mlib, &shadow)
-                    .unwrap_or_else(|e| panic!("{} shadow-checked: {e}", bench.name));
+                    let r_plain = synthesize(&bench.hierarchy, &mlib, &plain)
+                        .unwrap_or_else(|e| panic!("{} {form} plain: {e}", bench.name));
+                    let r_shadow = synthesize(&bench.hierarchy, &mlib, &shadow)
+                        .unwrap_or_else(|e| panic!("{} {form} shadow-checked: {e}", bench.name));
 
-                let j_plain = r_plain.result_json();
-                let j_shadow = r_shadow.result_json();
-                // The rendering must be well-formed JSON (the codec is the
-                // comparison surface, so it has to parse on both sides).
-                Json::parse(&j_plain).expect("plain result_json parses");
-                Json::parse(&j_shadow).expect("shadow-checked result_json parses");
-                assert_eq!(
-                    j_plain, j_shadow,
-                    "{} {objective:?} seed {seed:#x}: shadow-checked and plain \
-                     synthesis diverged",
-                    bench.name
-                );
-                // The search actually went through the cache, and both runs
-                // drove it identically.
-                assert!(
-                    r_plain.stats.eval_cache_misses > 0,
-                    "{}: run recorded no cache traffic",
-                    bench.name
-                );
-                assert_eq!(
-                    r_plain.stats, r_shadow.stats,
-                    "{}: shadow checking changed the engine's counters",
-                    bench.name
-                );
+                    let j_plain = r_plain.result_json();
+                    let j_shadow = r_shadow.result_json();
+                    // The rendering must be well-formed JSON (the codec is the
+                    // comparison surface, so it has to parse on both sides).
+                    Json::parse(&j_plain).expect("plain result_json parses");
+                    Json::parse(&j_shadow).expect("shadow-checked result_json parses");
+                    assert_eq!(
+                        j_plain, j_shadow,
+                        "{} {form} {objective:?} seed {seed:#x}: shadow-checked and \
+                         plain synthesis diverged",
+                        bench.name
+                    );
+                    // The search actually went through the cache, and both runs
+                    // drove it identically.
+                    assert!(
+                        r_plain.stats.eval_cache_misses > 0,
+                        "{}: run recorded no cache traffic",
+                        bench.name
+                    );
+                    assert_eq!(
+                        r_plain.stats, r_shadow.stats,
+                        "{}: shadow checking changed the engine's counters",
+                        bench.name
+                    );
+                }
             }
         }
     }
@@ -93,7 +103,7 @@ fn shadow_mode_is_observation_only() {
     let bench = benchmarks::test1();
     let mut mlib = ModuleLibrary::from_simple(table1_library());
     mlib.equiv = bench.equiv.clone();
-    let plain = tiny(Objective::Power, 7);
+    let plain = tiny(Objective::Power, 7, true);
     let mut shadow = plain.clone();
     shadow.shadow_eval = true;
     let r_plain = synthesize(&bench.hierarchy, &mlib, &plain).unwrap();
