@@ -17,7 +17,8 @@ mod harness;
 use std::process::Command;
 
 use harness::{reference_result_json, start_server, temp_cache, tiny_job};
-use hsyn::serve::{Client, JobSpec, ServeOptions};
+use hsyn::core::Objective;
+use hsyn::serve::{Client, JobSource, JobSpec, ServeOptions};
 use hsyn::util::Json;
 
 fn stat(v: &Json, key: &str) -> f64 {
@@ -89,29 +90,96 @@ fn cold_warm_nocache_and_restart_are_byte_identical() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
+/// One row of the CLI-vs-daemon table: a one-shot CLI argv and the job
+/// that must be answered with the same `result_json` bytes.
+struct Row {
+    argv: &'static [&'static str],
+    job: JobSpec,
+}
+
+fn bench_job(name: &str, edit: impl FnOnce(&mut JobSpec)) -> JobSpec {
+    let mut job = JobSpec::new(JobSource::Bench(name.to_owned()));
+    edit(&mut job);
+    job
+}
+
 #[test]
 fn daemon_matches_cli_result_json_bytes() {
-    // A *default* job (no budget overrides) against a *default* CLI run:
-    // JobSpec::new mirrors synth_main flag for flag, and this is the test
-    // that keeps them from drifting.
+    // Full-budget jobs, no overrides: each row pairs a CLI invocation with
+    // the job `hsyn submit` would send for the same flags.
+    let biquad = std::fs::read_to_string("examples/dfg/biquad.dfg").expect("example DFG");
+    let rows = [
+        Row {
+            argv: &["--benchmark", "paulin"],
+            job: bench_job("paulin", |_| {}),
+        },
+        Row {
+            argv: &[
+                "--benchmark",
+                "paulin",
+                "--library",
+                "table1",
+                "--objective",
+                "area",
+                "--flat",
+            ],
+            job: bench_job("paulin", |j| {
+                j.library = "table1".to_owned();
+                j.objective = Objective::Area;
+                j.flat = true;
+            }),
+        },
+        Row {
+            argv: &[
+                "--benchmark",
+                "paulin",
+                "--laxity",
+                "1.2",
+                "--seed",
+                "7",
+                "--lns-iters",
+                "2",
+            ],
+            job: bench_job("paulin", |j| {
+                j.laxity = 1.2;
+                j.seed = Some(7);
+                j.lns_iters = 2;
+            }),
+        },
+        Row {
+            argv: &["--benchmark", "paulin", "--period", "120"],
+            job: bench_job("paulin", |j| j.period_ns = Some(120.0)),
+        },
+        Row {
+            argv: &["examples/dfg/biquad.dfg"],
+            job: JobSpec::new(JobSource::Text(biquad)),
+        },
+    ];
+
     let (addr, handle) = start_server(ServeOptions::default());
-    let job = JobSpec::new(hsyn::serve::JobSource::Bench("paulin".to_owned()));
     let mut client = Client::connect(&addr.to_string()).expect("connect");
-    let served = client.submit(&job).expect("submit");
+    let served: Vec<String> = rows
+        .iter()
+        .map(|row| client.submit(&row.job).expect("submit").result_json)
+        .collect();
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
-        .args(["--benchmark", "paulin", "--result-json"])
-        .output()
-        .expect("CLI runs");
-    assert!(out.status.success(), "CLI failed: {out:?}");
-    let cli = String::from_utf8(out.stdout).expect("CLI output is UTF-8");
-    assert_eq!(
-        cli.trim_end(),
-        served.result_json,
-        "daemon and CLI disagree on paulin's result_json bytes"
-    );
+    for (row, served) in rows.iter().zip(&served) {
+        let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+            .args(row.argv)
+            .arg("--result-json")
+            .output()
+            .expect("CLI runs");
+        assert!(out.status.success(), "CLI {:?} failed: {out:?}", row.argv);
+        let cli = String::from_utf8(out.stdout).expect("CLI output is UTF-8");
+        assert_eq!(
+            cli.trim_end(),
+            served,
+            "daemon and CLI {:?} disagree on result_json bytes",
+            row.argv
+        );
+    }
 }
 
 #[test]
