@@ -2,7 +2,7 @@
 //! libraries, the four-way (flat/hier × area/power) cell runner, and the
 //! normalization arithmetic of the paper's Tables 3 and 4.
 
-use hsyn_core::{synthesize, Objective, SynthesisConfig, SynthesisError, SynthesisReport};
+use hsyn_core::{synthesize, Budget, Objective, SynthesisConfig, SynthesisError, SynthesisReport};
 use hsyn_dfg::benchmarks::Benchmark;
 use hsyn_dfg::{DfgId, NodeKind, Operation};
 use hsyn_lib::papers::table1_library;
@@ -125,29 +125,21 @@ pub struct CellSet {
 /// minutes; `--quick` in the binaries reduces further).
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
-    /// Improvement passes bound.
-    pub max_passes: usize,
-    /// Candidates fully evaluated per selection.
-    pub candidate_limit: usize,
-    /// Gain-evaluation trace length.
-    pub eval_trace_len: usize,
-    /// Report trace length.
-    pub report_trace_len: usize,
-    /// Clock candidates.
-    pub max_clock_candidates: usize,
-    /// Move-B recursion depth.
-    pub resynth_depth: u32,
+    /// The search budget of every run.
+    pub budget: Budget,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
-            max_passes: 10,
-            candidate_limit: 6,
-            eval_trace_len: 32,
-            report_trace_len: 192,
-            max_clock_candidates: 3,
-            resynth_depth: 1,
+            budget: Budget {
+                max_passes: Some(10),
+                candidate_limit: Some(6),
+                eval_trace_len: Some(32),
+                report_trace_len: Some(192),
+                max_clock_candidates: Some(3),
+                resynth_depth: Some(1),
+            },
         }
     }
 }
@@ -156,12 +148,14 @@ impl SweepConfig {
     /// A faster variant for smoke runs.
     pub fn quick() -> Self {
         SweepConfig {
-            max_passes: 4,
-            candidate_limit: 4,
-            eval_trace_len: 16,
-            report_trace_len: 64,
-            max_clock_candidates: 2,
-            resynth_depth: 1,
+            budget: Budget {
+                max_passes: Some(4),
+                candidate_limit: Some(4),
+                eval_trace_len: Some(16),
+                report_trace_len: Some(64),
+                max_clock_candidates: Some(2),
+                resynth_depth: Some(1),
+            },
         }
     }
 
@@ -175,12 +169,7 @@ impl SweepConfig {
         let mut c = SynthesisConfig::new(objective);
         c.laxity_factor = laxity;
         c.hierarchical = hierarchical;
-        c.max_passes = self.max_passes;
-        c.candidate_limit = self.candidate_limit;
-        c.eval_trace_len = self.eval_trace_len;
-        c.report_trace_len = self.report_trace_len;
-        c.max_clock_candidates = self.max_clock_candidates;
-        c.resynth_depth = self.resynth_depth;
+        self.budget.apply(&mut c);
         c
     }
 }

@@ -27,6 +27,49 @@ impl Default for MoveFamilies {
     }
 }
 
+/// Search-budget overrides: each set field replaces its
+/// [`SynthesisConfig`] default, each absent one keeps it. The daemon's job
+/// spec and the experiment sweeps both carry one.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Budget {
+    /// Improvement passes per configuration.
+    pub max_passes: Option<usize>,
+    /// Candidate moves scored per family per step.
+    pub candidate_limit: Option<usize>,
+    /// Evaluation trace length, iterations.
+    pub eval_trace_len: Option<usize>,
+    /// Report trace length, iterations.
+    pub report_trace_len: Option<usize>,
+    /// Clock candidates probed.
+    pub max_clock_candidates: Option<usize>,
+    /// Move-B recursion depth.
+    pub resynth_depth: Option<usize>,
+}
+
+impl Budget {
+    /// Write every set field into `config`.
+    pub fn apply(&self, config: &mut SynthesisConfig) {
+        if let Some(v) = self.max_passes {
+            config.max_passes = v;
+        }
+        if let Some(v) = self.candidate_limit {
+            config.candidate_limit = v;
+        }
+        if let Some(v) = self.eval_trace_len {
+            config.eval_trace_len = v;
+        }
+        if let Some(v) = self.report_trace_len {
+            config.report_trace_len = v;
+        }
+        if let Some(v) = self.max_clock_candidates {
+            config.max_clock_candidates = v;
+        }
+        if let Some(v) = self.resynth_depth {
+            config.resynth_depth = v.try_into().unwrap_or(u32::MAX);
+        }
+    }
+}
+
 /// Tunable knobs of the synthesis run (paper defaults in brackets).
 #[derive(Clone, Debug)]
 pub struct SynthesisConfig {

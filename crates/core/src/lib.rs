@@ -54,7 +54,7 @@ mod transact;
 pub use analyze::{analyze, AnalyzeError, AnalyzeReport, ObjectiveAnalysis};
 pub use cache::{EvalCache, SharedAreaCache, SHARED_AREA_CAP};
 pub use cancel::CancelToken;
-pub use config::{MoveFamilies, SynthesisConfig};
+pub use config::{Budget, MoveFamilies, SynthesisConfig};
 pub use cost::{evaluate, Evaluation, Objective};
 pub use design::{
     initial_solution, probe_min_latency, Child, ChildKind, DesignPoint, ModuleState,

@@ -5,9 +5,11 @@
 //! submit`). The pieces:
 //!
 //! - [`proto`] — the wire protocol: JSON bodies in length-prefixed frames
-//!   ([`hsyn_util::frame`]), a strict [`JobSpec`] parser, and the
+//!   ([`hsyn_util::frame`]), a strict [`JobSpec`] parser, the
 //!   content-addressed [`JobSpec::cache_key`] that names a job by its
-//!   semantic content (deadline, tag, and `no_cache` excluded).
+//!   semantic content (deadline, tag, and `no_cache` excluded), and
+//!   [`JobSpec::resolve`], the one place a job becomes `synthesize`
+//!   inputs, for the daemon and the one-shot CLI alike.
 //! - [`store`] — the persistent disk cache: a content-addressed job-result
 //!   cache plus a per-library area-cache snapshot, both written atomically
 //!   (temp file + rename), versioned and checksummed, with corrupt files
@@ -38,6 +40,10 @@ pub mod server;
 pub mod store;
 
 pub use client::{Client, ClientError, JobResult};
-pub use proto::{parse_job, Budget, JobSource, JobSpec, PROTO_VERSION};
+pub use hsyn_core::Budget;
+pub use proto::{
+    named_benchmark, named_library, parse_job, JobError, JobSource, JobSpec, MAX_LNS_ITERS,
+    MAX_TRACE_LEN, PROTO_VERSION,
+};
 pub use server::{ServeOptions, Server, ServerStats};
 pub use store::{DiskStore, JobLookup, STORE_VERSION};

@@ -7,17 +7,34 @@
 //! `shutdown`. Response types: `pong`, `result`, `stats`, `cancel_ack`,
 //! `shutdown_ack`, `error`.
 //!
-//! A [`JobSpec`] mirrors the synthesis CLI flag for flag, with the same
-//! defaults, which is what makes the serve-vs-CLI differential suite
-//! meaningful: a default job submitted to the daemon and a default CLI run
-//! *must* produce byte-identical `result_json`.
+//! A [`JobSpec`] is one synthesis job wherever it runs. The one-shot CLI
+//! builds it from the same flags as `hsyn submit`, and the CLI and the
+//! daemon worker both turn it into `synthesize` inputs through
+//! [`JobSpec::resolve`]. Benchmark and library names, text parsing and
+//! the size limits all live there, so a served job and a one-shot run of
+//! the same spec are the same computation by construction.
 
-use hsyn_core::{Objective, SynthesisConfig};
+use std::fmt;
+use std::ops::RangeInclusive;
+
+use hsyn_core::{Budget, Objective, SynthesisConfig};
+use hsyn_dfg::benchmarks::{self, Benchmark};
+use hsyn_dfg::{text, Hierarchy};
+use hsyn_lib::{papers::table1_library, Library};
+use hsyn_rtl::ModuleLibrary;
 use hsyn_util::Json;
 
 /// Protocol version, embedded in the content-addressed job key so a
 /// protocol change can never resurrect a stale cached response.
 pub const PROTO_VERSION: u64 = 1;
+
+/// Longest evaluation or report trace a job may ask for, in samples: 16
+/// times the longest in-repo trace (the 256-sample default report trace).
+pub const MAX_TRACE_LEN: usize = 4_096;
+
+/// Most LNS iterations a job may ask for: 64 times the most any in-repo
+/// run uses (`--lns-iters 64`).
+pub const MAX_LNS_ITERS: usize = 4_096;
 
 /// What behavior a job synthesizes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,26 +45,89 @@ pub enum JobSource {
     Text(String),
 }
 
-/// Optional search-budget overrides, mirroring the reduced-budget configs
-/// the test suites use. Absent fields keep [`SynthesisConfig`] defaults.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Budget {
-    /// Improvement passes per configuration.
-    pub max_passes: Option<usize>,
-    /// Candidate moves scored per family per step.
-    pub candidate_limit: Option<usize>,
-    /// Evaluation trace length, iterations.
-    pub eval_trace_len: Option<usize>,
-    /// Report trace length, iterations.
-    pub report_trace_len: Option<usize>,
-    /// Clock candidates probed.
-    pub max_clock_candidates: Option<usize>,
-    /// Move-B recursion depth.
-    pub resynth_depth: Option<usize>,
+/// Why a job cannot run. The daemon answers each with `bad_request`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobError {
+    /// No built-in benchmark has this name.
+    UnknownBenchmark(String),
+    /// No component library has this name.
+    UnknownLibrary(String),
+    /// The text source does not parse, or its hierarchy is invalid.
+    Source(String),
+    /// A size knob is outside its fixed range.
+    OutOfRange {
+        /// The knob, as the job and the CLI name it.
+        field: &'static str,
+        /// The requested value.
+        value: usize,
+        /// The allowed values.
+        range: RangeInclusive<usize>,
+    },
 }
 
-/// One synthesis job, as submitted over the wire. Defaults mirror the
-/// `hsyn` CLI (`--objective power`, `--laxity 2.2`, `--library realistic`).
+impl fmt::Display for JobError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobError::UnknownBenchmark(name) => {
+                let names: Vec<&str> = benchmarks::all().iter().map(|b| b.name).collect();
+                write!(
+                    f,
+                    "unknown benchmark `{name}`; available benchmarks: {}",
+                    names.join(", ")
+                )
+            }
+            JobError::UnknownLibrary(name) => write!(
+                f,
+                "unknown library `{name}`; available libraries: table1, realistic"
+            ),
+            JobError::Source(msg) => f.write_str(msg),
+            JobError::OutOfRange {
+                field,
+                value,
+                range,
+            } => write!(
+                f,
+                "{field} is {value}; it must be from {} to {}",
+                range.start(),
+                range.end()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
+
+/// The built-in benchmark called `name`.
+pub fn named_benchmark(name: &str) -> Result<Benchmark, JobError> {
+    benchmarks::by_name(name).ok_or_else(|| JobError::UnknownBenchmark(name.to_owned()))
+}
+
+/// The component library called `name`: `table1` (the paper's Table 1)
+/// or `realistic`.
+pub fn named_library(name: &str) -> Result<Library, JobError> {
+    match name {
+        "table1" => Ok(table1_library()),
+        "realistic" => Ok(Library::realistic()),
+        _ => Err(JobError::UnknownLibrary(name.to_owned())),
+    }
+}
+
+/// `Ok` if `value` lies in `range`, else a [`JobError::OutOfRange`]
+/// naming `field`.
+fn check(field: &'static str, value: usize, range: RangeInclusive<usize>) -> Result<(), JobError> {
+    if range.contains(&value) {
+        Ok(())
+    } else {
+        Err(JobError::OutOfRange {
+            field,
+            value,
+            range,
+        })
+    }
+}
+
+/// One synthesis job: what the one-shot CLI runs and what `hsyn submit`
+/// sends over the wire.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
     /// The behavior to synthesize.
@@ -81,7 +161,10 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A default job for `source`: the CLI's defaults, flag for flag.
+    /// A default job for `source`: objective power, laxity 2.2, library
+    /// `realistic`, hierarchical, the engine's seed and no LNS. These are
+    /// also the one-shot CLI's defaults, because the CLI starts from this
+    /// spec.
     pub fn new(source: JobSource) -> Self {
         JobSpec {
             source,
@@ -100,11 +183,9 @@ impl JobSpec {
         }
     }
 
-    /// The [`SynthesisConfig`] this job runs under. It mirrors the CLI's
-    /// `synth_main` flag for flag, but the CLI builds its own config; what
-    /// keeps the two aligned is the `daemon_matches_cli_result_json_bytes`
-    /// differential test. `cancel` and `shared_area` are the daemon's
-    /// runtime hooks; both are inert with respect to result bytes.
+    /// The [`SynthesisConfig`] this job runs under, unchecked: use
+    /// [`resolve`](Self::resolve) to run a job. `cancel` and `shared_area`
+    /// are runtime hooks, inert with respect to result bytes.
     pub fn to_config(
         &self,
         cancel: Option<hsyn_core::CancelToken>,
@@ -119,28 +200,53 @@ impl JobSpec {
         }
         config.lns_iters = self.lns_iters;
         if let Some(b) = &self.budget {
-            if let Some(v) = b.max_passes {
-                config.max_passes = v;
-            }
-            if let Some(v) = b.candidate_limit {
-                config.candidate_limit = v;
-            }
-            if let Some(v) = b.eval_trace_len {
-                config.eval_trace_len = v;
-            }
-            if let Some(v) = b.report_trace_len {
-                config.report_trace_len = v;
-            }
-            if let Some(v) = b.max_clock_candidates {
-                config.max_clock_candidates = v;
-            }
-            if let Some(v) = b.resynth_depth {
-                config.resynth_depth = v as u32;
-            }
+            b.apply(&mut config);
         }
         config.cancel = cancel;
         config.shared_area = shared_area;
         config
+    }
+
+    /// Everything `synthesize` takes for this job: the behavior, the
+    /// component library with the behavior's equivalences, and the config
+    /// (no cancel token, no shared area store).
+    ///
+    /// # Errors
+    ///
+    /// An unknown benchmark or library name, a text source that does not
+    /// parse or validate, or a trace length or LNS iteration count outside
+    /// `1..=`[`MAX_TRACE_LEN`] or `0..=`[`MAX_LNS_ITERS`].
+    pub fn resolve(&self) -> Result<(Hierarchy, ModuleLibrary, SynthesisConfig), JobError> {
+        let (hierarchy, equiv) = match &self.source {
+            JobSource::Bench(name) => {
+                let b = named_benchmark(name)?;
+                (b.hierarchy, b.equiv)
+            }
+            JobSource::Text(src) => {
+                let parsed = text::parse(src).map_err(|e| JobError::Source(e.to_string()))?;
+                parsed
+                    .hierarchy
+                    .validate()
+                    .map_err(|e| JobError::Source(e.to_string()))?;
+                (parsed.hierarchy, parsed.equiv)
+            }
+        };
+        let mut library = ModuleLibrary::from_simple(named_library(&self.library)?);
+        library.equiv = equiv;
+        let config = self.to_config(None, None);
+        let trace = 1..=MAX_TRACE_LEN;
+        check(
+            "budget.eval_trace_len",
+            config.eval_trace_len,
+            trace.clone(),
+        )?;
+        check("budget.report_trace_len", config.report_trace_len, trace)?;
+        check(
+            "lns_iters (--lns-iters)",
+            config.lns_iters,
+            0..=MAX_LNS_ITERS,
+        )?;
+        Ok((hierarchy, library, config))
     }
 
     /// The canonical JSON rendering of everything that affects this job's
@@ -513,5 +619,67 @@ mod tests {
             let err = parse_job(&v).unwrap_err();
             assert!(err.contains(want), "{src}: {err}");
         }
+    }
+
+    #[test]
+    fn resolve_rejects_bad_names_sources_and_sizes() {
+        let bench = |edit: fn(&mut JobSpec)| {
+            let mut job = JobSpec::new(JobSource::Bench("paulin".into()));
+            edit(&mut job);
+            job.resolve().map(|_| ()).unwrap_err().to_string()
+        };
+        for (err, want) in [
+            (
+                bench(|j| j.source = JobSource::Bench("nope".into())),
+                "unknown benchmark `nope`; available benchmarks: ",
+            ),
+            (
+                bench(|j| j.library = "nope".into()),
+                "unknown library `nope`",
+            ),
+            (
+                bench(|j| j.source = JobSource::Text("dfg {".into())),
+                "line 1",
+            ),
+            (
+                bench(|j| {
+                    j.budget = Some(Budget {
+                        eval_trace_len: Some(0),
+                        ..Budget::default()
+                    })
+                }),
+                "budget.eval_trace_len is 0; it must be from 1 to 4096",
+            ),
+            (
+                bench(|j| {
+                    j.budget = Some(Budget {
+                        report_trace_len: Some(MAX_TRACE_LEN + 1),
+                        ..Budget::default()
+                    })
+                }),
+                "budget.report_trace_len is 4097; it must be from 1 to 4096",
+            ),
+            (
+                bench(|j| j.lns_iters = MAX_LNS_ITERS + 1),
+                "lns_iters (--lns-iters) is 4097; it must be from 0 to 4096",
+            ),
+        ] {
+            assert!(err.contains(want), "{err:?} lacks {want:?}");
+        }
+    }
+
+    #[test]
+    fn resolve_accepts_the_limits_themselves() {
+        let mut job = JobSpec::new(JobSource::Bench("paulin".into()));
+        job.lns_iters = MAX_LNS_ITERS;
+        job.budget = Some(Budget {
+            eval_trace_len: Some(1),
+            report_trace_len: Some(MAX_TRACE_LEN),
+            ..Budget::default()
+        });
+        let (_, _, config) = job.resolve().expect("in range");
+        assert_eq!(config.lns_iters, MAX_LNS_ITERS);
+        assert_eq!(config.eval_trace_len, 1);
+        assert_eq!(config.report_trace_len, MAX_TRACE_LEN);
     }
 }

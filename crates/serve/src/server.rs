@@ -26,12 +26,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hsyn_core::{synthesize, CancelToken, SharedAreaCache, SynthesisError};
-use hsyn_dfg::{benchmarks, text, EquivClasses, Hierarchy};
-use hsyn_lib::{papers::table1_library, Library};
-use hsyn_rtl::{verilog_text, ModuleLibrary};
+use hsyn_rtl::verilog_text;
 use hsyn_util::{read_frame, write_frame, FrameError, Json, MAX_FRAME};
 
-use crate::proto::{error_response, parse_job, JobSource, JobSpec};
+use crate::proto::{error_response, parse_job, JobSpec};
 use crate::store::{DiskStore, JobLookup};
 
 /// Server construction options.
@@ -671,39 +669,6 @@ fn persister_loop(ctx: &Ctx) {
     }
 }
 
-/// Resolve a job's behavior source.
-fn resolve_source(source: &JobSource) -> Result<(String, Hierarchy, EquivClasses), String> {
-    match source {
-        JobSource::Bench(name) => match benchmarks::by_name(name) {
-            Some(b) => Ok((b.name.to_owned(), b.hierarchy, b.equiv)),
-            None => Err(format!(
-                "unknown benchmark `{name}`; available benchmarks: {}",
-                benchmarks::all()
-                    .iter()
-                    .map(|b| b.name)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )),
-        },
-        JobSource::Text(src) => {
-            let parsed = text::parse(src).map_err(|e| e.to_string())?;
-            parsed.hierarchy.validate().map_err(|e| e.to_string())?;
-            Ok(("<text>".to_owned(), parsed.hierarchy, parsed.equiv))
-        }
-    }
-}
-
-/// Resolve a job's component library (same names as the CLI).
-fn resolve_library(name: &str) -> Result<Library, String> {
-    match name {
-        "table1" => Ok(table1_library()),
-        "realistic" => Ok(Library::realistic()),
-        _ => Err(format!(
-            "unknown library `{name}`; available libraries: table1, realistic"
-        )),
-    }
-}
-
 /// Execute one job end to end: job-cache lookup, synthesis with the shared
 /// area store, job-cache write, response, area-store write request.
 fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
@@ -756,26 +721,19 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
     }
 
     // Layer 2: synthesize, seeded from the shared per-library area store.
-    let (_name, hierarchy, equiv) = match resolve_source(&job.source) {
+    let (hierarchy, mlib, mut config) = match job.resolve() {
         Ok(t) => t,
         Err(e) => {
             ctx.stats.jobs_failed.fetch_add(1, Ordering::AcqRel);
-            send(&item.writer, &error_response(Some(seq), "bad_request", &e));
+            send(
+                &item.writer,
+                &error_response(Some(seq), "bad_request", &e.to_string()),
+            );
             return;
         }
     };
-    let simple = match resolve_library(&job.library) {
-        Ok(l) => l,
-        Err(e) => {
-            ctx.stats.jobs_failed.fetch_add(1, Ordering::AcqRel);
-            send(&item.writer, &error_response(Some(seq), "bad_request", &e));
-            return;
-        }
-    };
-    let mut mlib = ModuleLibrary::from_simple(simple);
-    mlib.equiv = equiv;
-    let shared = ctx.area_store(&job.library);
-    let config = job.to_config(Some(item.token.clone()), Some(shared));
+    config.cancel = Some(item.token.clone());
+    config.shared_area = Some(ctx.area_store(&job.library));
 
     match synthesize(&hierarchy, &mlib, &config) {
         Ok(report) => {

@@ -94,12 +94,13 @@
 
 use hsyn::core::{analyze, synthesize, Objective, SynthesisConfig};
 use hsyn::dfg::{benchmarks, reference_outputs, text, EquivClasses, Hierarchy};
-use hsyn::lib::{papers::table1_library, Library};
+use hsyn::lib::Library;
 use hsyn::lint::{
     diagnostics_to_json, error_count, lint_hierarchy_with, verify_design_with, DesignView,
     Diagnostic, LintConfig,
 };
 use hsyn::rtl::{cosimulate, generate_fsm, netlist_text, verilog_text, ModuleLibrary};
+use hsyn::serve::{named_benchmark, named_library, JobError, JobSource, JobSpec};
 use hsyn::util::Json;
 use std::process::ExitCode;
 
@@ -146,25 +147,120 @@ fn format_bytes(bytes: u64) -> String {
     }
 }
 
-/// Parse a library name shared by both subcommands.
-fn library_by_name(name: &str) -> Option<Library> {
-    match name {
-        "table1" => Some(table1_library()),
-        "realistic" => Some(Library::realistic()),
+/// The value after flag `name`, or `None` and a message saying it is
+/// missing.
+fn flag_value(name: &str, it: &mut impl Iterator<Item = String>) -> Option<String> {
+    let value = it.next();
+    if value.is_none() {
+        eprintln!("{name} expects a value");
+    }
+    value
+}
+
+/// Print `e` and return the failure status.
+fn fail(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+/// A positive finite number, or `msg` and the usage text.
+fn positive(value: Option<String>, msg: &str) -> Result<f64, ExitCode> {
+    match value.and_then(|v| v.parse::<f64>().ok()) {
+        Some(v) if v > 0.0 && v.is_finite() => Ok(v),
         _ => {
-            eprintln!("unknown library `{name}`; available libraries: table1, realistic");
-            None
+            eprintln!("{msg}");
+            Err(usage())
         }
     }
 }
 
-/// Every registered benchmark name on one line, for `--benchmark` error help.
-fn benchmark_names() -> String {
-    benchmarks::all()
-        .iter()
-        .map(|b| b.name)
-        .collect::<Vec<_>>()
-        .join(", ")
+/// The job flags one-shot synthesis and `hsyn submit` share: the behavior
+/// (`<behavior.dfg>` or `--benchmark`) and the knobs of its [`JobSpec`].
+struct JobArgs {
+    input: Option<String>,
+    bench_name: Option<String>,
+    /// Every knob but the source, which [`into_job`](Self::into_job) sets.
+    job: JobSpec,
+}
+
+impl JobArgs {
+    fn new() -> Self {
+        JobArgs {
+            input: None,
+            bench_name: None,
+            job: JobSpec::new(JobSource::Bench(String::new())),
+        }
+    }
+
+    /// Consume `arg`, and its value from `it`, if it is a job flag or the
+    /// behavior path; `Ok(false)` if it is neither.
+    fn take(&mut self, arg: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, ExitCode> {
+        let job = &mut self.job;
+        match arg {
+            "--benchmark" => self.bench_name = Some(flag_value(arg, it).ok_or_else(usage)?),
+            "--objective" => {
+                job.objective = match flag_value(arg, it).as_deref() {
+                    Some("area") => Objective::Area,
+                    Some("power") => Objective::Power,
+                    _ => return Err(usage()),
+                }
+            }
+            "--laxity" => job.laxity = positive(it.next(), "--laxity expects a positive number")?,
+            "--period" => {
+                let msg = "--period expects a positive number of nanoseconds";
+                job.period_ns = Some(positive(it.next(), msg)?);
+            }
+            "--library" => job.library = flag_value(arg, it).ok_or_else(usage)?,
+            "--flat" => job.flat = true,
+            "--seed" => match flag_value(arg, it).and_then(|v| v.parse().ok()) {
+                Some(v) => job.seed = Some(v),
+                None => return Err(usage()),
+            },
+            "--lns-iters" => match it.next().and_then(|v| v.parse().ok()) {
+                Some(v) => job.lns_iters = v,
+                None => {
+                    eprintln!("--lns-iters expects an iteration count");
+                    return Err(usage());
+                }
+            },
+            other if self.input.is_none() && !other.starts_with('-') => {
+                self.input = Some(other.to_owned());
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The job with its source read, and its label: the behavior path or
+    /// the benchmark name. Exactly one source must be given.
+    fn into_job(self) -> Result<(String, JobSpec), ExitCode> {
+        let mut job = self.job;
+        let label = match (self.input, self.bench_name) {
+            (Some(_), Some(_)) => {
+                eprintln!("choose one of <behavior.dfg> or --benchmark");
+                return Err(usage());
+            }
+            (None, None) => {
+                eprintln!("no job: give a <behavior.dfg> or --benchmark NAME");
+                return Err(usage());
+            }
+            (Some(path), None) => match std::fs::read_to_string(&path) {
+                Ok(text) => {
+                    job.source = JobSource::Text(text);
+                    path
+                }
+                Err(e) => {
+                    eprintln!("cannot read {path}: {e}");
+                    return Err(ExitCode::FAILURE);
+                }
+            },
+            (None, Some(name)) => {
+                job.source = JobSource::Bench(name.clone());
+                name
+            }
+        };
+        Ok((label, job))
+    }
 }
 
 fn main() -> ExitCode {
@@ -197,107 +293,110 @@ struct BehaviorTarget {
     equiv: EquivClasses,
 }
 
-/// Resolve the `<behavior.dfg> | --benchmark NAME | --all-benchmarks`
-/// selection shared by `lint` and `cosim` into concrete targets. Exactly
-/// one source must be given.
-fn collect_targets(
+/// The flags `lint`, `analyze` and `cosim` share: the behaviors to check
+/// (`<behavior.dfg> | --benchmark NAME | --all-benchmarks`), the
+/// objectives, the library and the laxity.
+struct TargetArgs {
     input: Option<String>,
     bench_name: Option<String>,
     all_benchmarks: bool,
-) -> Result<Vec<BehaviorTarget>, ExitCode> {
-    let sources = input.is_some() as u8 + bench_name.is_some() as u8 + all_benchmarks as u8;
-    if sources != 1 {
-        eprintln!("choose exactly one of <behavior.dfg>, --benchmark, --all-benchmarks");
-        return Err(usage());
+    objectives: Vec<Objective>,
+    library: String,
+    laxity: f64,
+}
+
+impl TargetArgs {
+    fn new() -> Self {
+        TargetArgs {
+            input: None,
+            bench_name: None,
+            all_benchmarks: false,
+            objectives: vec![Objective::Area, Objective::Power],
+            library: "realistic".to_owned(),
+            laxity: 2.2,
+        }
     }
-    let mut targets = Vec::new();
-    if let Some(path) = input {
-        let source = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return Err(ExitCode::FAILURE);
+
+    /// Consume `arg`, and its value from `it`, if it is one of these flags
+    /// or the behavior path; `Ok(false)` if it is neither.
+    fn take(&mut self, arg: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, ExitCode> {
+        match arg {
+            "--benchmark" => self.bench_name = Some(flag_value(arg, it).ok_or_else(usage)?),
+            "--all-benchmarks" => self.all_benchmarks = true,
+            "--objective" => {
+                self.objectives = match flag_value(arg, it).as_deref() {
+                    Some("area") => vec![Objective::Area],
+                    Some("power") => vec![Objective::Power],
+                    Some("both") => vec![Objective::Area, Objective::Power],
+                    _ => return Err(usage()),
+                }
             }
-        };
-        match text::parse(&source) {
-            Ok(p) => targets.push(BehaviorTarget {
-                name: path,
+            "--library" => self.library = flag_value(arg, it).ok_or_else(usage)?,
+            "--laxity" => self.laxity = positive(it.next(), "--laxity expects a positive number")?,
+            other if self.input.is_none() && !other.starts_with('-') => {
+                self.input = Some(other.to_owned());
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The selected behaviors and the component library. Exactly one
+    /// source must be given.
+    fn targets(&self) -> Result<(Vec<BehaviorTarget>, Library), ExitCode> {
+        let sources = self.input.is_some() as u8
+            + self.bench_name.is_some() as u8
+            + self.all_benchmarks as u8;
+        if sources != 1 {
+            eprintln!("choose exactly one of <behavior.dfg>, --benchmark, --all-benchmarks");
+            return Err(usage());
+        }
+        let targets = if let Some(path) = &self.input {
+            let source = std::fs::read_to_string(path)
+                .map_err(|e| fail(format!("cannot read {path}: {e}")))?;
+            let p = text::parse(&source).map_err(|e| fail(format!("{path}: {e}")))?;
+            vec![BehaviorTarget {
+                name: path.clone(),
                 hierarchy: p.hierarchy,
                 equiv: p.equiv,
-            }),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
-    } else if let Some(name) = bench_name {
-        match benchmarks::by_name(&name) {
-            Some(b) => targets.push(BehaviorTarget {
-                name: b.name.to_owned(),
-                hierarchy: b.hierarchy,
-                equiv: b.equiv,
-            }),
-            None => {
-                eprintln!(
-                    "unknown benchmark `{name}`; available benchmarks: {}",
-                    benchmark_names()
-                );
-                return Err(ExitCode::FAILURE);
-            }
-        }
-    } else {
-        for b in benchmarks::all() {
-            targets.push(BehaviorTarget {
-                name: b.name.to_owned(),
-                hierarchy: b.hierarchy,
-                equiv: b.equiv,
-            });
-        }
+            }]
+        } else {
+            let benches = match &self.bench_name {
+                Some(name) => vec![named_benchmark(name).map_err(fail)?],
+                None => benchmarks::all(),
+            };
+            benches
+                .into_iter()
+                .map(|b| BehaviorTarget {
+                    name: b.name.to_owned(),
+                    hierarchy: b.hierarchy,
+                    equiv: b.equiv,
+                })
+                .collect()
+        };
+        Ok((targets, named_library(&self.library).map_err(fail)?))
     }
-    Ok(targets)
 }
 
 /// The `hsyn lint` subcommand: verify cross-layer IR invariants of a
 /// textual DFG or a built-in benchmark, optionally synthesizing first and
 /// linting the resulting design at its operating point.
 fn lint_main(args: Vec<String>) -> ExitCode {
-    let mut input: Option<String> = None;
-    let mut bench_name: Option<String> = None;
-    let mut all_benchmarks = false;
     let mut do_synthesize = false;
-    let mut objectives = vec![Objective::Area, Objective::Power];
-    let mut library = "realistic".to_owned();
-    let mut laxity = 2.2f64;
     let mut json = false;
     let mut deny_warnings = false;
     let mut lint_cfg = LintConfig::new();
 
+    let mut sel = TargetArgs::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        match sel.take(&arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match arg.as_str() {
-            "--benchmark" => match it.next() {
-                Some(v) => bench_name = Some(v),
-                None => return usage(),
-            },
-            "--all-benchmarks" => all_benchmarks = true,
             "--synthesize" => do_synthesize = true,
-            "--objective" => match it.next().as_deref() {
-                Some("area") => objectives = vec![Objective::Area],
-                Some("power") => objectives = vec![Objective::Power],
-                Some("both") => objectives = vec![Objective::Area, Objective::Power],
-                _ => return usage(),
-            },
-            "--library" => match it.next() {
-                Some(v) => library = v,
-                None => return usage(),
-            },
-            "--laxity" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => laxity = v,
-                _ => {
-                    eprintln!("--laxity expects a positive number");
-                    return usage();
-                }
-            },
             "--allow" => match it.next() {
                 Some(code) => {
                     if !lint_cfg.allow_str(&code) {
@@ -310,9 +409,6 @@ fn lint_main(args: Vec<String>) -> ExitCode {
             "--json" => json = true,
             "--deny-warnings" => deny_warnings = true,
             "--help" | "-h" => return usage(),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_owned());
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
@@ -320,13 +416,9 @@ fn lint_main(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let targets = match collect_targets(input, bench_name, all_benchmarks) {
+    let (targets, simple) = match sel.targets() {
         Ok(t) => t,
         Err(code) => return code,
-    };
-
-    let Some(simple) = library_by_name(&library) else {
-        return ExitCode::FAILURE;
     };
 
     let mut failed = false;
@@ -340,7 +432,7 @@ fn lint_main(args: Vec<String>) -> ExitCode {
         if !do_synthesize {
             continue;
         }
-        for &objective in &objectives {
+        for &objective in &sel.objectives {
             let label = format!(
                 "{}[{}]",
                 target.name,
@@ -352,7 +444,7 @@ fn lint_main(args: Vec<String>) -> ExitCode {
             let mut mlib = ModuleLibrary::from_simple(simple.clone());
             mlib.equiv = target.equiv.clone();
             let mut config = SynthesisConfig::new(objective);
-            config.laxity_factor = laxity;
+            config.laxity_factor = sel.laxity;
             let report = match synthesize(&target.hierarchy, &mlib, &config) {
                 Ok(r) => r,
                 Err(e) => {
@@ -435,44 +527,19 @@ fn lint_main(args: Vec<String>) -> ExitCode {
 /// re-execution against the behavioral reference, and report baseline vs
 /// width-sized area and power.
 fn analyze_main(args: Vec<String>) -> ExitCode {
-    let mut input: Option<String> = None;
-    let mut bench_name: Option<String> = None;
-    let mut all_benchmarks = false;
-    let mut objectives = vec![Objective::Area, Objective::Power];
-    let mut library = "realistic".to_owned();
-    let mut laxity = 2.2f64;
     let mut json = false;
 
+    let mut sel = TargetArgs::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        match sel.take(&arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match arg.as_str() {
-            "--benchmark" => match it.next() {
-                Some(v) => bench_name = Some(v),
-                None => return usage(),
-            },
-            "--all-benchmarks" => all_benchmarks = true,
-            "--objective" => match it.next().as_deref() {
-                Some("area") => objectives = vec![Objective::Area],
-                Some("power") => objectives = vec![Objective::Power],
-                Some("both") => objectives = vec![Objective::Area, Objective::Power],
-                _ => return usage(),
-            },
-            "--library" => match it.next() {
-                Some(v) => library = v,
-                None => return usage(),
-            },
-            "--laxity" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => laxity = v,
-                _ => {
-                    eprintln!("--laxity expects a positive number");
-                    return usage();
-                }
-            },
             "--json" => json = true,
             "--help" | "-h" => return usage(),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_owned());
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
@@ -480,12 +547,9 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
         }
     }
 
-    let targets = match collect_targets(input, bench_name, all_benchmarks) {
+    let (targets, simple) = match sel.targets() {
         Ok(t) => t,
         Err(code) => return code,
-    };
-    let Some(simple) = library_by_name(&library) else {
-        return ExitCode::FAILURE;
     };
 
     let mut failed = false;
@@ -494,8 +558,8 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
         let mut mlib = ModuleLibrary::from_simple(simple.clone());
         mlib.equiv = target.equiv.clone();
         let mut config = SynthesisConfig::new(Objective::Area);
-        config.laxity_factor = laxity;
-        let report = match analyze(&target.hierarchy, &mlib, &config, &objectives) {
+        config.laxity_factor = sel.laxity;
+        let report = match analyze(&target.hierarchy, &mlib, &config, &sel.objectives) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{}: {e}", target.name);
@@ -560,43 +624,21 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
 /// requiring the outputs to match the flattened behavioral reference byte
 /// for byte.
 fn cosim_main(args: Vec<String>) -> ExitCode {
-    let mut input: Option<String> = None;
-    let mut bench_name: Option<String> = None;
-    let mut all_benchmarks = false;
-    let mut objectives = vec![Objective::Area, Objective::Power];
-    let mut library = "realistic".to_owned();
-    let mut laxity = 2.2f64;
     let mut flat = false;
     let mut iters = 32usize;
     let mut seed = 0xDAC_1998u64;
     let mut fuzz_cases: Option<u64> = None;
     let mut json_out: Option<String> = None;
 
+    let mut sel = TargetArgs::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        match sel.take(&arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match arg.as_str() {
-            "--benchmark" => match it.next() {
-                Some(v) => bench_name = Some(v),
-                None => return usage(),
-            },
-            "--all-benchmarks" => all_benchmarks = true,
-            "--objective" => match it.next().as_deref() {
-                Some("area") => objectives = vec![Objective::Area],
-                Some("power") => objectives = vec![Objective::Power],
-                Some("both") => objectives = vec![Objective::Area, Objective::Power],
-                _ => return usage(),
-            },
-            "--library" => match it.next() {
-                Some(v) => library = v,
-                None => return usage(),
-            },
-            "--laxity" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => laxity = v,
-                _ => {
-                    eprintln!("--laxity expects a positive number");
-                    return usage();
-                }
-            },
             "--flat" => flat = true,
             "--iters" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(v) if v >= 1 => iters = v,
@@ -621,9 +663,6 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
                 None => return usage(),
             },
             "--help" | "-h" => return usage(),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_owned());
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
@@ -633,7 +672,7 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
 
     // Fuzz mode: coverage-guided random DFGs instead of a fixed behavior.
     if let Some(cases) = fuzz_cases {
-        if input.is_some() || bench_name.is_some() || all_benchmarks {
+        if sel.input.is_some() || sel.bench_name.is_some() || sel.all_benchmarks {
             eprintln!("--fuzz takes no behavior argument");
             return usage();
         }
@@ -673,12 +712,9 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let targets = match collect_targets(input, bench_name, all_benchmarks) {
+    let (targets, simple) = match sel.targets() {
         Ok(t) => t,
         Err(code) => return code,
-    };
-    let Some(simple) = library_by_name(&library) else {
-        return ExitCode::FAILURE;
     };
 
     let mut failed = false;
@@ -689,7 +725,7 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
             continue;
         }
         let flat_ref = target.hierarchy.flatten();
-        for &objective in &objectives {
+        for &objective in &sel.objectives {
             let label = format!(
                 "{}[{}{}]",
                 target.name,
@@ -702,7 +738,7 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
             let mut mlib = ModuleLibrary::from_simple(simple.clone());
             mlib.equiv = target.equiv.clone();
             let mut config = SynthesisConfig::new(objective);
-            config.laxity_factor = laxity;
+            config.laxity_factor = sel.laxity;
             config.hierarchical = !flat;
             config.seed = seed;
             let report = match synthesize(&target.hierarchy, &mlib, &config) {
@@ -753,175 +789,72 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
 }
 
 fn synth_main(args: Vec<String>) -> ExitCode {
-    let mut input: Option<String> = None;
-    let mut bench_name: Option<String> = None;
-    let mut objective = Objective::Power;
-    let mut laxity = 2.2f64;
-    let mut period: Option<f64> = None;
-    let mut library = "realistic".to_owned();
-    let mut flat = false;
+    let mut job_args = JobArgs::new();
     let mut show_netlist = false;
     let mut show_fsm = false;
     let mut verilog_out: Option<String> = None;
     let mut dot_out: Option<String> = None;
     let mut power_report = false;
-    let mut seed: Option<u64> = None;
     let mut parallel: Option<usize> = None;
     let mut paranoid = false;
     let mut shadow_eval = false;
     let mut cosim_check = false;
-    let mut lns_iters = 0usize;
     let mut result_json_only = false;
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Option<String> {
-            match it.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("{name} expects a value");
-                    None
-                }
-            }
-        };
+        match job_args.take(&arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(code) => return code,
+        }
         match arg.as_str() {
-            "--objective" => match take("--objective").as_deref() {
-                Some("area") => objective = Objective::Area,
-                Some("power") => objective = Objective::Power,
-                _ => return usage(),
-            },
-            "--laxity" => match take("--laxity").and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => laxity = v,
-                _ => {
-                    eprintln!("--laxity expects a positive number");
-                    return usage();
-                }
-            },
-            "--period" => match take("--period").and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => period = Some(v),
-                _ => {
-                    eprintln!("--period expects a positive number of nanoseconds");
-                    return usage();
-                }
-            },
-            "--library" => match take("--library") {
-                Some(v) => library = v,
-                None => return usage(),
-            },
-            "--flat" => flat = true,
             "--paranoid" => paranoid = true,
             "--shadow-eval" => shadow_eval = true,
             "--cosim-check" => cosim_check = true,
             "--netlist" => show_netlist = true,
             "--fsm" => show_fsm = true,
-            "--verilog" => match take("--verilog") {
+            "--verilog" => match flag_value("--verilog", &mut it) {
                 Some(v) => verilog_out = Some(v),
                 None => return usage(),
             },
-            "--dot" => match take("--dot") {
+            "--dot" => match flag_value("--dot", &mut it) {
                 Some(v) => dot_out = Some(v),
                 None => return usage(),
             },
             "--power-report" => power_report = true,
-            "--seed" => match take("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => seed = Some(v),
-                None => return usage(),
-            },
-            "--parallel" => match take("--parallel").and_then(|v| v.parse::<usize>().ok()) {
+            "--parallel" => match flag_value("--parallel", &mut it).and_then(|v| v.parse().ok()) {
                 Some(v) if v >= 1 => parallel = Some(v),
                 _ => {
                     eprintln!("--parallel expects a thread count of at least 1");
                     return usage();
                 }
             },
-            "--lns-iters" => match take("--lns-iters").and_then(|v| v.parse::<usize>().ok()) {
-                Some(v) => lns_iters = v,
-                None => {
-                    eprintln!("--lns-iters expects an iteration count");
-                    return usage();
-                }
-            },
-            "--benchmark" => match take("--benchmark") {
-                Some(v) => bench_name = Some(v),
-                None => return usage(),
-            },
             "--result-json" => result_json_only = true,
             "--help" | "-h" => return usage(),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_owned());
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
             }
         }
     }
-    let (path, hierarchy, equiv) = match (input, bench_name) {
-        (Some(_), Some(_)) => {
-            eprintln!("choose one of <behavior.dfg> or --benchmark");
-            return usage();
-        }
-        (None, None) => return usage(),
-        (Some(path), None) => {
-            let source = match std::fs::read_to_string(&path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let parsed = match text::parse(&source) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = parsed.hierarchy.validate() {
-                eprintln!("{path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            (path, parsed.hierarchy, parsed.equiv)
-        }
-        (None, Some(name)) => match benchmarks::by_name(&name) {
-            Some(b) => (b.name.to_owned(), b.hierarchy, b.equiv),
-            None => {
-                eprintln!(
-                    "unknown benchmark `{name}`; available benchmarks: {}",
-                    benchmark_names()
-                );
-                return ExitCode::FAILURE;
-            }
-        },
+    let (path, job) = match job_args.into_job() {
+        Ok(j) => j,
+        Err(code) => return code,
     };
-
-    let Some(simple) = library_by_name(&library) else {
-        return ExitCode::FAILURE;
+    let (hierarchy, mlib, mut config) = match job.resolve() {
+        Ok(r) => r,
+        Err(e @ JobError::Source(_)) => return fail(format!("{path}: {e}")),
+        Err(e) => return fail(e),
     };
-    let mut mlib = ModuleLibrary::from_simple(simple);
-    mlib.equiv = equiv;
-
-    let mut config = SynthesisConfig::new(objective);
-    config.laxity_factor = laxity;
-    config.sampling_period_ns = period;
-    config.hierarchical = !flat;
-    if let Some(s) = seed {
-        config.seed = s;
-    }
-    if parallel.is_some() {
-        config.parallelism = parallel;
-    }
+    config.parallelism = parallel;
     config.paranoid = paranoid;
     config.shadow_eval = shadow_eval;
     config.cosim_check = cosim_check;
-    config.lns_iters = lns_iters;
 
     let report = match synthesize(&hierarchy, &mlib, &config) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("synthesis failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("synthesis failed: {e}")),
     };
 
     if result_json_only {
@@ -935,8 +868,12 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     println!("behavior            : {}", path);
     println!(
         "mode                : {} / {}",
-        if flat { "flattened" } else { "hierarchical" },
-        match objective {
+        if config.hierarchical {
+            "hierarchical"
+        } else {
+            "flattened"
+        },
+        match config.objective {
             Objective::Area => "area-optimized",
             Objective::Power => "power-optimized",
         }
@@ -1026,7 +963,7 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         report.stats.moves_rolled_back,
         format_bytes(report.stats.undo_bytes_peak),
     );
-    if lns_iters > 0 {
+    if config.lns_iters > 0 {
         let lns_s: f64 = report.per_config.iter().map(|c| c.lns_s).sum();
         println!(
             "lns                 : {} ruins, {} accepted, {lns_s:.3}s refining",
@@ -1100,41 +1037,34 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Option<String> {
-            match it.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("{name} expects a value");
-                    None
-                }
-            }
-        };
         match arg.as_str() {
-            "--port" => match take("--port").and_then(|v| v.parse::<u16>().ok()) {
+            "--port" => match flag_value("--port", &mut it).and_then(|v| v.parse::<u16>().ok()) {
                 Some(p) => opts.addr = format!("127.0.0.1:{p}"),
                 None => {
                     eprintln!("--port expects a port number");
                     return usage();
                 }
             },
-            "--cache-dir" => match take("--cache-dir") {
+            "--cache-dir" => match flag_value("--cache-dir", &mut it) {
                 Some(d) => opts.cache_dir = Some(std::path::PathBuf::from(d)),
                 None => return usage(),
             },
-            "--jobs" => match take("--jobs").and_then(|v| v.parse::<usize>().ok()) {
+            "--jobs" => match flag_value("--jobs", &mut it).and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => opts.workers = n,
                 _ => {
                     eprintln!("--jobs expects a worker count of at least 1");
                     return usage();
                 }
             },
-            "--queue-cap" => match take("--queue-cap").and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.queue_cap = n,
-                _ => {
-                    eprintln!("--queue-cap expects a capacity of at least 1");
-                    return usage();
+            "--queue-cap" => {
+                match flag_value("--queue-cap", &mut it).and_then(|v| v.parse::<usize>().ok()) {
+                    Some(n) if n >= 1 => opts.queue_cap = n,
+                    _ => {
+                        eprintln!("--queue-cap expects a capacity of at least 1");
+                        return usage();
+                    }
                 }
-            },
+            }
             "--help" | "-h" => return usage(),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -1144,10 +1074,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     }
     let server = match Server::bind(opts) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start daemon: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("cannot start daemon: {e}")),
     };
     match server.run() {
         Ok(()) => ExitCode::SUCCESS,
@@ -1160,22 +1087,10 @@ fn serve_main(args: Vec<String>) -> ExitCode {
 
 /// `hsyn submit`: one synchronous client interaction with a running daemon.
 fn submit_main(args: Vec<String>) -> ExitCode {
-    use hsyn::serve::{Client, JobSource, JobSpec};
+    use hsyn::serve::Client;
 
+    let mut job_args = JobArgs::new();
     let mut connect: Option<String> = None;
-    let mut input: Option<String> = None;
-    let mut bench_name: Option<String> = None;
-    let mut objective = Objective::Power;
-    let mut laxity: Option<f64> = None;
-    let mut period: Option<f64> = None;
-    let mut library: Option<String> = None;
-    let mut flat = false;
-    let mut seed: Option<u64> = None;
-    let mut lns_iters: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut tag: Option<String> = None;
-    let mut no_cache = false;
-    let mut want_verilog = false;
     let mut result_json_only = false;
     let mut do_ping = false;
     let mut do_stats = false;
@@ -1184,78 +1099,38 @@ fn submit_main(args: Vec<String>) -> ExitCode {
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Option<String> {
-            match it.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("{name} expects a value");
-                    None
-                }
-            }
-        };
+        match job_args.take(&arg, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(code) => return code,
+        }
+        let job = &mut job_args.job;
         match arg.as_str() {
-            "--connect" => match take("--connect") {
+            "--connect" => match flag_value("--connect", &mut it) {
                 Some(v) => connect = Some(v),
                 None => return usage(),
             },
-            "--benchmark" => match take("--benchmark") {
-                Some(v) => bench_name = Some(v),
-                None => return usage(),
-            },
-            "--objective" => match take("--objective").as_deref() {
-                Some("area") => objective = Objective::Area,
-                Some("power") => objective = Objective::Power,
-                _ => return usage(),
-            },
-            "--laxity" => match take("--laxity").and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => laxity = Some(v),
-                _ => {
-                    eprintln!("--laxity expects a positive number");
-                    return usage();
+            "--deadline-ms" => {
+                match flag_value("--deadline-ms", &mut it).and_then(|v| v.parse().ok()) {
+                    Some(v) => job.deadline_ms = Some(v),
+                    None => return usage(),
                 }
-            },
-            "--period" => match take("--period").and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => period = Some(v),
-                _ => {
-                    eprintln!("--period expects a positive number of nanoseconds");
-                    return usage();
-                }
-            },
-            "--library" => match take("--library") {
-                Some(v) => library = Some(v),
+            }
+            "--tag" => match flag_value("--tag", &mut it) {
+                Some(v) => job.tag = Some(v),
                 None => return usage(),
             },
-            "--flat" => flat = true,
-            "--seed" => match take("--seed").and_then(|v| v.parse().ok()) {
-                Some(v) => seed = Some(v),
-                None => return usage(),
-            },
-            "--lns-iters" => match take("--lns-iters").and_then(|v| v.parse().ok()) {
-                Some(v) => lns_iters = Some(v),
-                None => return usage(),
-            },
-            "--deadline-ms" => match take("--deadline-ms").and_then(|v| v.parse().ok()) {
-                Some(v) => deadline_ms = Some(v),
-                None => return usage(),
-            },
-            "--tag" => match take("--tag") {
-                Some(v) => tag = Some(v),
-                None => return usage(),
-            },
-            "--no-cache" => no_cache = true,
-            "--verilog" => want_verilog = true,
+            "--no-cache" => job.no_cache = true,
+            "--verilog" => job.want_verilog = true,
             "--result-json" => result_json_only = true,
             "--ping" => do_ping = true,
             "--stats" => do_stats = true,
             "--shutdown" => do_shutdown = true,
-            "--cancel" => match take("--cancel") {
+            "--cancel" => match flag_value("--cancel", &mut it) {
                 Some(v) => cancel_tag = Some(v),
                 None => return usage(),
             },
             "--help" | "-h" => return usage(),
-            other if input.is_none() && !other.starts_with('-') => {
-                input = Some(other.to_owned());
-            }
             other => {
                 eprintln!("unknown argument `{other}`");
                 return usage();
@@ -1269,10 +1144,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     };
     let mut client = match Client::connect(&addr) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("cannot connect to {addr}: {e}")),
     };
 
     // Action requests are exclusive of a job submission.
@@ -1282,10 +1154,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
                 println!("pong");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         };
     }
     if do_stats {
@@ -1294,10 +1163,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
                 println!("{}", v.to_string_pretty());
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         };
     }
     if let Some(t) = cancel_tag {
@@ -1306,10 +1172,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
                 println!("cancelled {n} job(s) tagged `{t}`");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         };
     }
     if do_shutdown {
@@ -1318,50 +1181,14 @@ fn submit_main(args: Vec<String>) -> ExitCode {
                 println!("daemon drained and stopped after {n} job(s)");
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         };
     }
 
-    let source = match (input, bench_name) {
-        (Some(_), Some(_)) => {
-            eprintln!("choose one of <behavior.dfg> or --benchmark");
-            return usage();
-        }
-        (None, None) => {
-            eprintln!("submit needs a job (<behavior.dfg> or --benchmark) or an action flag");
-            return usage();
-        }
-        (Some(path), None) => match std::fs::read_to_string(&path) {
-            Ok(s) => JobSource::Text(s),
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(name)) => JobSource::Bench(name),
+    let job = match job_args.into_job() {
+        Ok((_, job)) => job,
+        Err(code) => return code,
     };
-    let mut job = JobSpec::new(source);
-    job.objective = objective;
-    if let Some(v) = laxity {
-        job.laxity = v;
-    }
-    job.period_ns = period;
-    if let Some(l) = library {
-        job.library = l;
-    }
-    job.flat = flat;
-    job.seed = seed;
-    if let Some(v) = lns_iters {
-        job.lns_iters = v;
-    }
-    job.deadline_ms = deadline_ms;
-    job.tag = tag;
-    job.no_cache = no_cache;
-    job.want_verilog = want_verilog;
-
     match client.submit(&job) {
         Ok(result) => {
             if result_json_only {
@@ -1381,9 +1208,6 @@ fn submit_main(args: Vec<String>) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }

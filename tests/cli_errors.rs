@@ -158,3 +158,15 @@ fn memory_with_too_many_ports_is_a_parse_error() {
         "the parse error must name the line and the limit: {stderr}"
     );
 }
+
+/// `--lns-iters` above the limit fails before synthesis starts, naming the
+/// flag and the limit.
+#[test]
+fn lns_iters_above_the_limit_is_rejected() {
+    let (ok, stderr) = run(&["--benchmark", "paulin", "--lns-iters", "4097"]);
+    assert!(!ok, "an over-limit LNS count must fail");
+    assert!(
+        stderr.contains("--lns-iters") && stderr.contains("4096"),
+        "the error must name the flag and the limit: {stderr}"
+    );
+}

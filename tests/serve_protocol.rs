@@ -219,3 +219,66 @@ fn oversized_memory_submission_fails_and_the_daemon_survives() {
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
 }
+
+/// Submit `job`, a wire-form job object, on `s` and read the answer.
+fn submit_raw(s: &mut TcpStream, job: &str) -> Json {
+    let req = format!(r#"{{"type": "submit", "seq": 1, "job": {job}}}"#);
+    write_frame(s, req.as_bytes()).unwrap();
+    response(s)
+}
+
+/// Submit `job` and require a `bad_request` whose message holds `needle`.
+fn expect_rejection(s: &mut TcpStream, job: &str, needle: &str) {
+    let v = submit_raw(s, job);
+    let msg = v.get("message").and_then(Json::as_str).unwrap_or("");
+    assert_eq!(kind_of(&v), ("error", "bad_request"), "{job} -> {v:?}");
+    assert!(msg.contains(needle), "job {job}: {msg:?} lacks {needle:?}");
+}
+
+/// A trace length of zero or above the limit, or too many LNS iterations,
+/// gets a `bad_request` naming the field and the limit, and the worker
+/// lives on: a one-worker daemon answers the next valid job. A zero-length
+/// trace once panicked the worker, so the valid job behind it waited
+/// forever; the read timeout turns that into a failure here.
+#[test]
+fn out_of_range_budgets_are_rejected_and_the_worker_survives() {
+    let (addr, handle) = start_server(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let mut s = raw(&addr);
+    expect_rejection(
+        &mut s,
+        r#"{"bench": "paulin", "budget": {"eval_trace_len": 0}}"#,
+        "budget.eval_trace_len is 0; it must be from 1 to 4096",
+    );
+    expect_rejection(
+        &mut s,
+        r#"{"bench": "paulin", "budget": {"report_trace_len": 0}}"#,
+        "budget.report_trace_len is 0; it must be from 1 to 4096",
+    );
+    let valid = harness::tiny_job("paulin").to_json().to_string_pretty();
+    let v = submit_raw(&mut s, &valid);
+    assert_eq!(kind_of(&v).0, "result", "the worker must survive: {v:?}");
+    // The upper limits come last: a daemon without them would run these
+    // jobs, so they are only sent once the zero-length cases passed.
+    expect_rejection(
+        &mut s,
+        r#"{"bench": "paulin", "budget": {"eval_trace_len": 4097}}"#,
+        "budget.eval_trace_len is 4097; it must be from 1 to 4096",
+    );
+    expect_rejection(
+        &mut s,
+        r#"{"bench": "paulin", "budget": {"report_trace_len": 1000000000}}"#,
+        "budget.report_trace_len is 1000000000",
+    );
+    expect_rejection(
+        &mut s,
+        r#"{"bench": "paulin", "lns_iters": 4097}"#,
+        "lns_iters (--lns-iters) is 4097; it must be from 0 to 4096",
+    );
+    drop(s);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
