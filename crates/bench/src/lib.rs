@@ -366,49 +366,6 @@ pub fn save_cells(cells: &[CellSet]) {
     let _ = std::fs::write(RESULTS_PATH, cells_to_json(cells));
 }
 
-/// A criterion-free micro-benchmark runner for the `[[bench]]` targets:
-/// warms up, runs timed batches until a wall-clock budget is spent, and
-/// prints min/mean per-iteration times. Deliberately simple — the targets
-/// compare orders of magnitude, not nanoseconds.
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Time `f` for roughly `budget` of wall clock (after one warm-up
-    /// call), print `name  min .. mean per iter`, and return the mean
-    /// seconds per iteration.
-    pub fn bench(name: &str, budget: Duration, mut f: impl FnMut()) -> f64 {
-        f(); // warm-up (page in code, fill allocator pools)
-        let start = Instant::now();
-        let mut iters = 0u64;
-        let mut min = f64::INFINITY;
-        while start.elapsed() < budget {
-            let t = Instant::now();
-            f();
-            let dt = t.elapsed().as_secs_f64();
-            min = min.min(dt);
-            iters += 1;
-        }
-        let mean = start.elapsed().as_secs_f64() / iters as f64;
-        println!(
-            "{name:<44} {} iters   min {:>10}   mean {:>10}",
-            iters,
-            fmt_s(min),
-            fmt_s(mean)
-        );
-        mean
-    }
-
-    fn fmt_s(s: f64) -> String {
-        if s >= 1.0 {
-            format!("{s:.3} s")
-        } else if s >= 1e-3 {
-            format!("{:.3} ms", s * 1e3)
-        } else {
-            format!("{:.1} µs", s * 1e6)
-        }
-    }
-}
-
 /// Run the full Table 3 sweep (all paper benchmarks × laxities), printing
 /// progress to stderr. `names` filters benchmarks when non-empty.
 pub fn run_sweep(names: &[String], sweep: SweepConfig) -> Vec<CellSet> {

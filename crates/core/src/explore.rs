@@ -55,14 +55,6 @@ pub struct Exploration {
     pub points: Vec<ExplorePoint>,
     /// Grid points that failed to synthesize, with the reason.
     pub skipped: Vec<SkippedPoint>,
-    /// Wall-clock time of the whole sweep, seconds.
-    pub elapsed_s: f64,
-    /// Worker threads the sweep actually ran — `min(requested, grid size)`,
-    /// or 1 for a serial run (see [`hsyn_util::workers_for`]). Benchmarks
-    /// that report a speedup-per-thread curve read this instead of echoing
-    /// the requested count, which can overstate the workers in play when
-    /// the grid is smaller than the machine.
-    pub threads_used: usize,
 }
 
 impl Exploration {
@@ -109,7 +101,6 @@ pub fn explore(
     base: &SynthesisConfig,
     laxities: &[f64],
 ) -> Exploration {
-    let start = std::time::Instant::now();
     let grid: Vec<(f64, Objective)> = laxities
         .iter()
         .flat_map(|&laxity| [(laxity, Objective::Area), (laxity, Objective::Power)])
@@ -119,7 +110,6 @@ pub fn explore(
     // enough — grid points outnumber cores in realistic sweeps, and nested
     // thread pools would oversubscribe).
     let threads = hsyn_util::effective_threads(base.parallelism);
-    let threads_used = hsyn_util::workers_for(threads, grid.len());
     let results = hsyn_util::par_map(threads, &grid, |_, &(laxity, objective)| {
         let mut config = base.clone();
         config.laxity_factor = laxity;
@@ -144,12 +134,7 @@ pub fn explore(
             }),
         }
     }
-    Exploration {
-        points,
-        skipped,
-        elapsed_s: start.elapsed().as_secs_f64(),
-        threads_used,
-    }
+    Exploration { points, skipped }
 }
 
 /// The non-dominated subset of `points` on (area, power), sorted by area
@@ -218,10 +203,6 @@ mod tests {
         let points = sweep.points;
         assert_eq!(points.len(), 4, "2 laxities x 2 objectives, all feasible");
         assert!(sweep.skipped.is_empty());
-        assert!(sweep.elapsed_s >= 0.0);
-        // The sweep reports the workers that ran, capped by the grid size.
-        let threads = hsyn_util::effective_threads(base.parallelism);
-        assert_eq!(sweep.threads_used, hsyn_util::workers_for(threads, 4));
 
         let front = pareto_front(&points);
         assert!(!front.is_empty());

@@ -507,27 +507,6 @@ impl Dfg {
             .map(|id| &self.edges[id.index()])
     }
 
-    /// Linear-scan reference implementation of [`Dfg::in_edges`]: filters
-    /// the whole edge arena, O(E). Kept for differential tests and the
-    /// arena-vs-pointer micro-benchmark; not for hot paths.
-    pub fn in_edges_scan(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.edges().filter(move |(_, e)| e.to == node)
-    }
-
-    /// Linear-scan reference implementation of [`Dfg::out_edges`] (O(E));
-    /// see [`Dfg::in_edges_scan`].
-    pub fn out_edges_scan(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
-        self.edges().filter(move |(_, e)| e.from.node == node)
-    }
-
-    /// Linear-scan reference implementation of [`Dfg::driver`] (O(E)); see
-    /// [`Dfg::in_edges_scan`].
-    pub fn driver_scan(&self, node: NodeId, port: u16) -> Option<&Edge> {
-        self.edges
-            .iter()
-            .find(|e| e.to == node && e.to_port == port)
-    }
-
     /// Number of memory objects.
     pub fn mem_count(&self) -> usize {
         self.mems.len()

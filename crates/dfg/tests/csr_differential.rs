@@ -1,13 +1,29 @@
-//! Differential sweep of the CSR adjacency arena against the linear-scan
-//! reference accessors on fuzzer-generated DFGs: `in_edges_scan` /
-//! `out_edges_scan` / `driver_scan` are the executable specification, and
-//! [`Dfg::adj`] must reproduce them edge for edge — including the
-//! first-edge-wins rule for (illegal but representable) duplicate drivers
-//! and across cache-dropping mutations. The zero-delay topological order
-//! cached with the adjacency ([`Dfg::topo_order`]) is checked the same way
-//! against Kahn's algorithm run on the linear scans.
+//! Differential sweep of the CSR adjacency arena against a linear scan of
+//! the edge arena on fuzzer-generated DFGs and the flattened `dct`
+//! benchmark: the `*_scan` functions below, written over the public
+//! [`Dfg::edges`], are the executable specification, and [`Dfg::adj`] must
+//! reproduce them edge for edge — including the first-edge-wins rule for
+//! (illegal but representable) duplicate drivers and across cache-dropping
+//! mutations. The zero-delay topological order cached with the adjacency
+//! ([`Dfg::topo_order`]) is checked the same way against Kahn's algorithm
+//! run on the linear scans.
 
-use hsyn_dfg::{Dfg, EdgeId, NodeId, Operation, VarRef};
+use hsyn_dfg::{Dfg, Edge, EdgeId, NodeId, Operation, VarRef};
+
+/// Edges entering `node`, in edge-id order: an O(E) filter of the arena.
+fn in_edges_scan(g: &Dfg, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
+    g.edges().filter(move |(_, e)| e.to == node)
+}
+
+/// Edges leaving any output port of `node`, in edge-id order.
+fn out_edges_scan(g: &Dfg, node: NodeId) -> impl Iterator<Item = (EdgeId, &Edge)> + '_ {
+    g.edges().filter(move |(_, e)| e.from.node == node)
+}
+
+/// The lowest-id edge driving input `port` of `node`.
+fn driver_scan(g: &Dfg, node: NodeId, port: u16) -> Option<(EdgeId, &Edge)> {
+    g.edges().find(|(_, e)| e.to == node && e.to_port == port)
+}
 
 /// SplitMix64 — deterministic, dependency-free.
 struct SplitMix64(u64);
@@ -88,25 +104,31 @@ fn assert_csr_matches_scans(g: &Dfg) {
     let adj = g.adj();
     assert_eq!(adj.node_count(), g.node_count());
     for (n, _) in g.nodes() {
-        let ins: Vec<u32> = g
-            .in_edges_scan(n)
+        let ins: Vec<u32> = in_edges_scan(g, n)
             .map(|(id, _)| id.index() as u32)
             .collect();
         assert_eq!(adj.in_edge_indices(n), &ins[..], "in-edges of {n}");
+        assert!(g
+            .in_edges(n)
+            .map(|(id, _)| id.index() as u32)
+            .eq(ins.iter().copied()));
         assert_eq!(adj.in_degree(n), ins.len());
-        let outs: Vec<u32> = g
-            .out_edges_scan(n)
+        let outs: Vec<u32> = out_edges_scan(g, n)
             .map(|(id, _)| id.index() as u32)
             .collect();
         assert_eq!(adj.out_edge_indices(n), &outs[..], "out-edges of {n}");
+        assert!(g
+            .out_edges(n)
+            .map(|(id, _)| id.index() as u32)
+            .eq(outs.iter().copied()));
         assert_eq!(adj.out_degree(n), outs.len());
         for port in 0..8u16 {
-            let scan: Option<&hsyn_dfg::Edge> = g.driver_scan(n, port);
-            let csr = adj.driver_edge(n, port).map(|id| g.edge(id));
+            let scan = driver_scan(g, n, port).map(|(id, _)| id);
+            assert_eq!(adj.driver_edge(n, port), scan, "driver of {n} port {port}");
             assert_eq!(
-                scan.map(|e| (e.from, e.delay)),
-                csr.map(|e| (e.from, e.delay)),
-                "driver of {n} port {port}"
+                g.driver(n, port).map(|e| (e.from, e.delay)),
+                scan.map(|id| (g.edge(id).from, g.edge(id).delay)),
+                "Dfg::driver of {n} port {port}"
             );
         }
     }
@@ -119,14 +141,14 @@ fn scan_kahn(g: &Dfg) -> Option<Vec<NodeId>> {
     let n = g.node_count();
     let mut indeg: Vec<usize> = g
         .node_ids()
-        .map(|v| g.in_edges_scan(v).filter(|(_, e)| e.delay == 0).count())
+        .map(|v| in_edges_scan(g, v).filter(|(_, e)| e.delay == 0).count())
         .collect();
     let mut queue: std::collections::VecDeque<NodeId> =
         g.node_ids().filter(|v| indeg[v.index()] == 0).collect();
     let mut order = Vec::new();
     while let Some(v) = queue.pop_front() {
         order.push(v);
-        for (_, e) in g.out_edges_scan(v).filter(|(_, e)| e.delay == 0) {
+        for (_, e) in out_edges_scan(g, v).filter(|(_, e)| e.delay == 0) {
             indeg[e.to.index()] -= 1;
             if indeg[e.to.index()] == 0 {
                 queue.push_back(e.to);
@@ -157,6 +179,16 @@ fn csr_matches_scans_on_random_graphs() {
         cyclic += usize::from(g.topo_order().is_err());
     }
     assert!(cyclic > 0, "the sweep covers cyclic graphs");
+}
+
+/// The flattened dct benchmark: one fixed, realistic case beside the
+/// random graphs.
+#[test]
+fn csr_matches_scans_on_flattened_dct() {
+    let g = hsyn_dfg::benchmarks::dct().hierarchy.flatten();
+    assert_eq!(g.node_count(), 200);
+    assert_csr_matches_scans(&g);
+    assert_topo_matches_kahn(&g);
 }
 
 #[test]
@@ -191,7 +223,7 @@ fn duplicate_driver_resolves_to_first_edge() {
     g.connect(a, n, 0, 0);
     g.connect(b, n, 0, 0); // same port, later edge: must lose
     g.add_output("y", VarRef::new(n, 0));
-    let scan = g.driver_scan(n, 0).unwrap();
+    let (_, scan) = driver_scan(&g, n, 0).unwrap();
     assert_eq!(scan.from, a);
     let csr = g.adj().driver_edge(n, 0).unwrap();
     assert_eq!(csr, EdgeId::from_index(0));

@@ -28,5 +28,5 @@ pub mod rng;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME};
 pub use hash::{content_key, fnv1a_64};
 pub use json::Json;
-pub use par::{effective_threads, par_map, workers_for};
+pub use par::{effective_threads, par_map};
 pub use rng::Rng;

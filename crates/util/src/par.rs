@@ -23,22 +23,6 @@ pub fn effective_threads(parallelism: Option<usize>) -> usize {
     }
 }
 
-/// The number of worker threads [`par_map`] actually runs for `threads`
-/// requested workers over `n` items: inline (1) when either is 1 or the
-/// input is empty, `min(threads, n)` otherwise — spawning more workers
-/// than items would leave the excess idle.
-///
-/// Exposed so callers that *report* their worker count (benchmark
-/// harnesses, exploration telemetry) state what ran rather than what was
-/// requested.
-pub fn workers_for(threads: usize, n: usize) -> usize {
-    if threads <= 1 || n <= 1 {
-        1
-    } else {
-        threads.min(n)
-    }
-}
-
 /// Apply `f` to every item of `items`, using up to `threads` worker
 /// threads, and return the results **in input order**.
 ///
@@ -64,7 +48,8 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers_for(threads, n) {
+        // More workers than items would leave the excess idle.
+        for _ in 0..threads.min(n) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {

@@ -102,7 +102,28 @@ use hsyn::lint::{
 use hsyn::rtl::{cosimulate, generate_fsm, netlist_text, verilog_text, ModuleLibrary};
 use hsyn::serve::{named_benchmark, named_library, JobError, JobSource, JobSpec};
 use hsyn::util::Json;
+use std::io::Write;
 use std::process::ExitCode;
+
+/// Write to stdout through one locked handle. A reader that has gone away
+/// (`hsyn ... | head -1`) ends the process quietly with status 0, as it
+/// would end any Unix filter; any other write error exits 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -481,19 +502,19 @@ fn lint_main(args: Vec<String>) -> ExitCode {
                 ])
             })
             .collect();
-        println!("{}", Json::Arr(arr).to_string_pretty());
+        outln!("{}", Json::Arr(arr).to_string_pretty());
     } else {
         for (name, diags) in &results {
             if diags.is_empty() {
-                println!("{name}: clean");
+                outln!("{name}: clean");
             } else {
-                println!(
+                outln!(
                     "{name}: {} diagnostics ({} errors)",
                     diags.len(),
                     error_count(diags)
                 );
                 for d in diags {
-                    println!("  {d}");
+                    outln!("  {d}");
                 }
             }
         }
@@ -506,13 +527,13 @@ fn lint_main(args: Vec<String>) -> ExitCode {
             }
         }
         if by_code.is_empty() {
-            println!("rules fired: none");
+            outln!("rules fired: none");
         } else {
             let tally: Vec<String> = by_code
                 .iter()
                 .map(|(code, n)| format!("{code}x{n}"))
                 .collect();
-            println!("rules fired: {}", tally.join(" "));
+            outln!("rules fired: {}", tally.join(" "));
         }
     }
     if failed {
@@ -574,7 +595,7 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
             ]));
             continue;
         }
-        println!("{} (width {}):", target.name, report.width);
+        outln!("{} (width {}):", target.name, report.width);
         for o in &report.objectives {
             let base_area = o.baseline.area.total();
             let sized_area = o.sized_area.total();
@@ -587,7 +608,7 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
                     0.0
                 }
             };
-            println!(
+            outln!(
                 "  {:>5}: area {base_area:.0} -> {sized_area:.0} (-{:.1}%), power {base_power:.4} -> {sized_power:.4} (-{:.1}%)",
                 match o.objective {
                     Objective::Area => "area",
@@ -596,11 +617,11 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
                 pct(base_area, sized_area),
                 pct(base_power, sized_power),
             );
-            println!(
+            outln!(
                 "         certified {}/{} ports narrowed, {} resources below nominal, {} iterations verified",
                 o.narrowed_ports, o.total_ports, o.narrowed_resources, o.verified_iterations
             );
-            println!(
+            outln!(
                 "         fixpoint {:.3} ms over {} dfgs ({} summary runs, {} memo hits)",
                 o.stats.fixpoint_s * 1e3,
                 o.stats.dfgs_analyzed,
@@ -610,7 +631,7 @@ fn analyze_main(args: Vec<String>) -> ExitCode {
         }
     }
     if json {
-        println!("{}", Json::Arr(json_out).to_string_pretty());
+        outln!("{}", Json::Arr(json_out).to_string_pretty());
     }
     if failed {
         ExitCode::FAILURE
@@ -677,16 +698,18 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
             return usage();
         }
         let report = hsyn::core::fuzz_cosim(cases, seed);
-        println!(
+        outln!(
             "fuzz                : {} cases, {} executed, {} synthesis-infeasible",
-            report.cases, report.executed, report.synth_failures
+            report.cases,
+            report.executed,
+            report.synth_failures
         );
-        println!(
+        outln!(
             "coverage            : {} distinct structural features",
             report.coverage.distinct()
         );
         let Some(div) = report.divergence else {
-            println!("result              : clean");
+            outln!("result              : clean");
             return ExitCode::SUCCESS;
         };
         eprintln!(
@@ -760,7 +783,7 @@ fn cosim_main(args: Vec<String>) -> ExitCode {
                 traces.width,
             ) {
                 Ok(run) if run.outputs == want => {
-                    println!(
+                    outln!(
                         "{label}: ok ({} iterations, {} cycles, {} FU fires, \
                          {} register writes, {} sub calls)",
                         run.stats.iterations,
@@ -860,13 +883,13 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     if result_json_only {
         // The canonical deterministic report, nothing else: this is what
         // the serve differential suite byte-compares against daemon runs.
-        println!("{}", report.result_json());
+        outln!("{}", report.result_json());
         return ExitCode::SUCCESS;
     }
 
     let design = &report.design;
-    println!("behavior            : {}", path);
-    println!(
+    outln!("behavior            : {}", path);
+    outln!(
         "mode                : {} / {}",
         if config.hierarchical {
             "hierarchical"
@@ -878,25 +901,25 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             Objective::Power => "power-optimized",
         }
     );
-    println!("min sampling period : {:.1} ns", report.min_period_ns);
-    println!("sampling period     : {:.1} ns", report.period_ns);
-    println!("supply voltage      : {} V", design.op.vdd);
-    println!(
+    outln!("min sampling period : {:.1} ns", report.min_period_ns);
+    outln!("sampling period     : {:.1} ns", report.period_ns);
+    outln!("supply voltage      : {} V", design.op.vdd);
+    outln!(
         "clock               : {:.2} ns ({} cycles per sample)",
         design.op.physical_clk_ns(&mlib.simple),
         design.op.sampling_cycles
     );
-    println!(
+    outln!(
         "area                : {:.1}",
         report.evaluation.area.total()
     );
-    println!("power               : {:.4}", report.evaluation.power.power);
-    println!(
+    outln!("power               : {:.4}", report.evaluation.power.power);
+    outln!(
         "hardware            : {} functional units, {} registers",
         design.top.built.total_fu_count(),
         design.top.built.total_reg_count()
     );
-    println!(
+    outln!(
         "engine              : {} moves (A={} B={} C={} D={}), {} passes, {:.2}s",
         report.stats.applied_a
             + report.stats.applied_b
@@ -909,13 +932,13 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         report.stats.passes,
         report.elapsed_s
     );
-    println!(
+    outln!(
         "configurations      : {} optimized, {} infeasible",
         report.per_config.len(),
         report.skipped_configs.len()
     );
     if paranoid {
-        println!(
+        outln!(
             "verifier            : clean, {:.3}s across {} configurations{}",
             report.per_config.iter().map(|c| c.verify_s).sum::<f64>(),
             report.per_config.len(),
@@ -932,14 +955,14 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             .iter()
             .filter(|s| s.rule.as_deref() == Some("COSIM"))
             .count();
-        println!(
+        outln!(
             "cosim check         : {} configurations clean, {} diverged",
             report.per_config.len(),
             flagged
         );
     }
     let incr_s: f64 = report.per_config.iter().map(|c| c.eval_incr_s).sum();
-    println!(
+    outln!(
         "eval cache          : {} hits, {} misses, {incr_s:.3}s evaluating{}",
         report.stats.eval_cache_hits,
         report.stats.eval_cache_misses,
@@ -949,45 +972,49 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             ""
         }
     );
-    println!(
+    outln!(
         "move B memo         : {} hits, {} misses",
-        report.stats.resynth_hits, report.stats.resynth_misses,
+        report.stats.resynth_hits,
+        report.stats.resynth_misses,
     );
-    println!(
+    outln!(
         "candidate memo      : {} hits, {} misses",
-        report.stats.cand_hits, report.stats.cand_misses,
+        report.stats.cand_hits,
+        report.stats.cand_misses,
     );
     let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
-    println!(
+    outln!(
         "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",
         report.stats.moves_rolled_back,
         format_bytes(report.stats.undo_bytes_peak),
     );
     if config.lns_iters > 0 {
         let lns_s: f64 = report.per_config.iter().map(|c| c.lns_s).sum();
-        println!(
+        outln!(
             "lns                 : {} ruins, {} accepted, {lns_s:.3}s refining",
-            report.stats.lns_ruins, report.stats.lns_accepts
+            report.stats.lns_ruins,
+            report.stats.lns_accepts
         );
     }
     if let Some(scaled) = &report.vdd_scaled {
-        println!(
+        outln!(
             "voltage-scaled      : {} V, power {:.4}",
-            scaled.design.op.vdd, scaled.evaluation.power.power
+            scaled.design.op.vdd,
+            scaled.evaluation.power.power
         );
     }
 
     if show_netlist {
-        println!("\n== netlist ==\n");
-        println!(
+        outln!("\n== netlist ==\n");
+        outln!(
             "{}",
             netlist_text(&design.hierarchy, &design.top.built, &mlib.simple)
         );
     }
     if show_fsm {
         let fsm = generate_fsm(&design.hierarchy, &design.top.built);
-        println!("\n== controller ({} states) ==\n", fsm.state_count());
-        println!("{fsm}");
+        outln!("\n== controller ({} states) ==\n", fsm.state_count());
+        outln!("{fsm}");
     }
     if power_report {
         let traces = hsyn::power::dsp_default(
@@ -996,8 +1023,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             config.width,
             config.seed ^ 0x5eed,
         );
-        println!("\n== power attribution ==\n");
-        print!(
+        outln!("\n== power attribution ==\n");
+        write_stdout(format_args!(
             "{}",
             hsyn::power::report_text(
                 &design.hierarchy,
@@ -1006,7 +1033,7 @@ fn synth_main(args: Vec<String>) -> ExitCode {
                 &traces,
                 &report.evaluation.power,
             )
-        );
+        ));
     }
     if let Some(dpath) = dot_out {
         let dot = hsyn::dfg::dot::hierarchy_to_dot(&design.hierarchy);
@@ -1014,7 +1041,7 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             eprintln!("cannot write {dpath}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("dot written         : {dpath}");
+        outln!("dot written         : {dpath}");
     }
     if let Some(vpath) = verilog_out {
         let v = verilog_text(&design.hierarchy, &design.top.built, &mlib.simple, 16);
@@ -1022,7 +1049,7 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             eprintln!("cannot write {vpath}: {e}");
             return ExitCode::FAILURE;
         }
-        println!("verilog written     : {vpath}");
+        outln!("verilog written     : {vpath}");
     }
     ExitCode::SUCCESS
 }
@@ -1151,7 +1178,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     if do_ping {
         return match client.ping() {
             Ok(()) => {
-                println!("pong");
+                outln!("pong");
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
@@ -1160,7 +1187,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     if do_stats {
         return match client.stats() {
             Ok(v) => {
-                println!("{}", v.to_string_pretty());
+                outln!("{}", v.to_string_pretty());
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
@@ -1169,7 +1196,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     if let Some(t) = cancel_tag {
         return match client.cancel(&t) {
             Ok(n) => {
-                println!("cancelled {n} job(s) tagged `{t}`");
+                outln!("cancelled {n} job(s) tagged `{t}`");
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
@@ -1178,7 +1205,7 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     if do_shutdown {
         return match client.shutdown() {
             Ok(n) => {
-                println!("daemon drained and stopped after {n} job(s)");
+                outln!("daemon drained and stopped after {n} job(s)");
                 ExitCode::SUCCESS
             }
             Err(e) => fail(e),
@@ -1192,18 +1219,18 @@ fn submit_main(args: Vec<String>) -> ExitCode {
     match client.submit(&job) {
         Ok(result) => {
             if result_json_only {
-                println!("{}", result.result_json);
+                outln!("{}", result.result_json);
             } else {
-                println!(
+                outln!(
                     "served {} in {:.1} ms ({:.1} ms queued), {} warm area hits",
                     if result.cached { "from cache" } else { "fresh" },
                     result.wall_ms,
                     result.queue_ms,
                     result.warm_area_hits
                 );
-                println!("{}", result.result_json);
+                outln!("{}", result.result_json);
                 if let Some(v) = &result.verilog {
-                    println!("\n== verilog ==\n\n{v}");
+                    outln!("\n== verilog ==\n\n{v}");
                 }
             }
             ExitCode::SUCCESS

@@ -2,7 +2,7 @@
 //! names exit nonzero and list every available name so the user can
 //! correct the invocation without consulting the source.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
@@ -169,4 +169,27 @@ fn lns_iters_above_the_limit_is_rejected() {
         stderr.contains("--lns-iters") && stderr.contains("4096"),
         "the error must name the flag and the limit: {stderr}"
     );
+}
+
+/// A reader that goes away early (`hsyn ... | head -1`) ends the run
+/// quietly and successfully: the next write to stdout gets a broken pipe,
+/// which once panicked in `println!` and exited 101.
+#[test]
+fn closed_stdout_ends_quietly() {
+    for args in [
+        &["--benchmark", "paulin", "--netlist", "--fsm"][..],
+        &["lint", "--benchmark", "paulin"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hsyn binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("hsyn exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }
