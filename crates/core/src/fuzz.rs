@@ -512,7 +512,7 @@ fn observed_features(h: &Hierarchy, module: &RtlModule) -> Vec<String> {
     for b in module.behaviors() {
         let g = h.dfg(b.dfg);
         let mut per_fu: BTreeMap<usize, Vec<Operation>> = BTreeMap::new();
-        for (&node, &fu) in &b.binding.op_to_fu {
+        for (node, fu) in b.binding.op_to_fu.iter() {
             if let NodeKind::Op(op) = g.node(node).kind() {
                 per_fu.entry(fu.index()).or_default().push(*op);
             }

@@ -605,7 +605,7 @@ fn check_behavior(
                 let profile = b
                     .binding
                     .hier_to_sub
-                    .get(&e.to)
+                    .get(e.to)
                     .filter(|s| s.index() < module.subs().len())
                     .and_then(|s| module.subs()[s.index()].profile_for(*callee));
                 let Some(profile) = profile else {
@@ -727,7 +727,7 @@ fn check_behavior(
     // check the register binding against them.
     let sa = storage_analysis(g, &b.schedule);
     for (&v, &(birth, _, _)) in sa.stored_vars.iter().zip(&sa.lifetimes) {
-        match b.binding.var_to_reg.get(&v) {
+        match b.binding.var_to_reg.get(v) {
             None => {
                 sink.emit(
                     RuleCode::Rtl004,
@@ -750,13 +750,13 @@ fn check_behavior(
         }
     }
     let mut by_reg: BTreeMap<usize, Vec<hsyn_dfg::VarRef>> = BTreeMap::new();
-    for (&v, &r) in &b.binding.var_to_reg {
+    for (v, r) in b.binding.var_to_reg.iter() {
         if r.index() < module.regs().len() && sa.lifetime(v).is_some() {
             by_reg.entry(r.index()).or_default().push(v);
         }
     }
-    for (reg, mut vars) in by_reg {
-        vars.sort();
+    // Each list is in ascending variable order: the table iterates so.
+    for (reg, vars) in by_reg {
         for i in 0..vars.len() {
             for j in (i + 1)..vars.len() {
                 if sa.conflicts(vars[i], vars[j]) {
@@ -788,7 +788,7 @@ fn check_binding(
 ) {
     for (nid, node) in g.nodes() {
         match node.kind() {
-            NodeKind::Op(op) => match b.binding.op_to_fu.get(&nid) {
+            NodeKind::Op(op) => match b.binding.op_to_fu.get(nid) {
                 None => sink.emit(
                     RuleCode::Rtl001,
                     Severity::Error,
@@ -827,7 +827,7 @@ fn check_binding(
                     }
                 }
             },
-            NodeKind::Hier { callee } => match b.binding.hier_to_sub.get(&nid) {
+            NodeKind::Hier { callee } => match b.binding.hier_to_sub.get(nid) {
                 None => sink.emit(
                     RuleCode::Rtl001,
                     Severity::Error,
@@ -872,13 +872,13 @@ fn check_resource_conflicts(
     let overlap = |x: (u32, u32), y: (u32, u32)| x.0.max(y.0) < x.1.min(y.1);
 
     let mut by_fu: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for (&nid, &fu) in &b.binding.op_to_fu {
+    for (nid, fu) in b.binding.op_to_fu.iter() {
         if fu.index() < module.fus().len() && nid.index() < g.node_count() {
             by_fu.entry(fu.index()).or_default().push(nid);
         }
     }
-    for (fu, mut nodes) in by_fu {
-        nodes.sort();
+    // Each list is in ascending node order: the table iterates so.
+    for (fu, nodes) in by_fu {
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
                 let ta = b.schedule.time(nodes[i]).occupied;
@@ -900,13 +900,12 @@ fn check_resource_conflicts(
     }
 
     let mut by_sub: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for (&nid, &s) in &b.binding.hier_to_sub {
+    for (nid, s) in b.binding.hier_to_sub.iter() {
         if s.index() < module.subs().len() && nid.index() < g.node_count() {
             by_sub.entry(s.index()).or_default().push(nid);
         }
     }
-    for (si, mut nodes) in by_sub {
-        nodes.sort();
+    for (si, nodes) in by_sub {
         for i in 0..nodes.len() {
             for j in (i + 1)..nodes.len() {
                 let ta = b.schedule.time(nodes[i]).occupied;

@@ -271,7 +271,11 @@ fn rtl001_missing_binding() {
     let (h, id, m1, ..) = sop();
     let module = dedicated_build(&h, id, &lib, "sop");
     let mut behavior = module.behaviors()[0].clone();
-    behavior.binding.op_to_fu.remove(&m1);
+    assert!(
+        behavior.binding.op_to_fu.remove(m1).is_some(),
+        "m1 was bound"
+    );
+    assert_eq!(behavior.binding.op_to_fu.get(m1), None);
     let tampered = RtlModule::new(
         &h,
         "sop",
@@ -292,7 +296,7 @@ fn rtl002_fu_double_booked() {
     // Rebind the second add onto the first add's unit: both run in cycle 0.
     let mut behavior = module.behaviors()[0].clone();
     let fu_of_s1 = behavior.binding.op_to_fu[&s1];
-    behavior.binding.op_to_fu.insert(s2, fu_of_s1);
+    assert!(behavior.binding.op_to_fu.insert(s2, fu_of_s1).is_some());
     let tampered = RtlModule::new(
         &h,
         "par",
@@ -347,7 +351,7 @@ fn rtl003_submodule_double_booked() {
     // Claim both hierarchical nodes run on submodule 0 concurrently.
     let mut behavior = module.behaviors()[0].clone();
     let sub_of_f1 = behavior.binding.hier_to_sub[&f1];
-    behavior.binding.hier_to_sub.insert(f2, sub_of_f1);
+    assert!(behavior.binding.hier_to_sub.insert(f2, sub_of_f1).is_some());
     let tampered = RtlModule::new(
         &h,
         "top",
@@ -366,13 +370,15 @@ fn rtl004_undriven_mux_input() {
     let (h, id, ..) = sop();
     let module = dedicated_build(&h, id, &lib, "sop");
     let mut behavior = module.behaviors()[0].clone();
-    let victim = *behavior
+    // The smallest stored variable: the table iterates in ascending order.
+    let (victim, _) = behavior
         .binding
         .var_to_reg
-        .keys()
-        .min()
+        .iter()
+        .next()
         .expect("sop stores values");
-    behavior.binding.var_to_reg.remove(&victim);
+    assert!(behavior.binding.var_to_reg.remove(victim).is_some());
+    assert_eq!(behavior.binding.var_to_reg.get(victim), None);
     let tampered = RtlModule::new(
         &h,
         "sop",
@@ -394,8 +400,8 @@ fn rtl005_incompatible_fu() {
     let mut behavior = module.behaviors()[0].clone();
     let fu_m = behavior.binding.op_to_fu[&m1];
     let fu_s = behavior.binding.op_to_fu[&s];
-    behavior.binding.op_to_fu.insert(m1, fu_s);
-    behavior.binding.op_to_fu.insert(s, fu_m);
+    assert_eq!(behavior.binding.op_to_fu.insert(m1, fu_s), Some(fu_m));
+    assert_eq!(behavior.binding.op_to_fu.insert(s, fu_m), Some(fu_s));
     let tampered = RtlModule::new(
         &h,
         "sop",
@@ -417,7 +423,7 @@ fn rtl007_register_lifetime_overlap() {
     // multiplier results collide.
     let mut behavior = module.behaviors()[0].clone();
     let r0 = hsyn_rtl::RegId::from_index(0);
-    for r in behavior.binding.var_to_reg.values_mut() {
+    for r in behavior.binding.var_to_reg.regs_mut() {
         *r = r0;
     }
     let tampered = RtlModule::new(

@@ -378,12 +378,11 @@ impl Prep {
             depth[nid.index()] = d;
         }
 
-        // Per-FU event order: ops sorted by start tick. Distinct ticks per
-        // unit (sharing serializes), so the order is independent of the
-        // hash-map iteration below.
+        // Per-FU event order: ops sorted by start tick (distinct ticks per
+        // unit, since sharing serializes).
         let mut keyed: Vec<Vec<(u32, f64, Operation, NodeId)>> =
             vec![Vec::new(); module.fus().len()];
-        for (&node, &fu) in &b.binding.op_to_fu {
+        for (node, fu) in b.binding.op_to_fu.iter() {
             if let NodeKind::Op(op) = g.node(node).kind() {
                 let t = b.schedule.time(node);
                 keyed[fu.index()].push((t.start.cycle, t.start.ns, *op, node));
@@ -423,7 +422,12 @@ impl Prep {
             .stored_vars
             .iter()
             .zip(&st.lifetimes)
-            .filter_map(|(v, life)| b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v)))
+            .filter_map(|(v, life)| {
+                b.binding
+                    .var_to_reg
+                    .get(*v)
+                    .map(|r| (life.0, r.index(), *v))
+            })
             .collect();
         births.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
         let mut reg_writes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(births.len());
@@ -1189,12 +1193,11 @@ mod reference {
                 depth[nid.index()] = d;
             }
 
-            // Per-FU event order: ops sorted by start tick. Distinct ticks per
-            // unit (sharing serializes), so the order is independent of the
-            // hash-map iteration below.
+            // Per-FU event order: ops sorted by start tick (distinct ticks per
+            // unit, since sharing serializes).
             let mut keyed: Vec<Vec<(u32, f64, Operation, NodeId)>> =
                 vec![Vec::new(); module.fus().len()];
-            for (&node, &fu) in &b.binding.op_to_fu {
+            for (node, fu) in b.binding.op_to_fu.iter() {
                 if let NodeKind::Op(op) = g.node(node).kind() {
                     let t = b.schedule.time(node);
                     keyed[fu.index()].push((t.start.cycle, t.start.ns, *op, node));
@@ -1225,7 +1228,10 @@ mod reference {
                 .iter()
                 .zip(&st.lifetimes)
                 .filter_map(|(v, life)| {
-                    b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v))
+                    b.binding
+                        .var_to_reg
+                        .get(*v)
+                        .map(|r| (life.0, r.index(), *v))
                 })
                 .collect();
             births.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));

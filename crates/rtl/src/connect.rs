@@ -90,23 +90,47 @@ pub(crate) fn bits_for(n: usize) -> usize {
 /// the pricing walks read the counts from [`RtlModule::view`] instead.
 pub fn connectivity(h: &Hierarchy, module: &RtlModule) -> Connectivity {
     let mut conn = Connectivity::default();
-    for (sink, src) in links_of(h, module.behaviors()) {
-        conn.sinks.entry(sink).or_default().insert(src);
+    for b in module.behaviors() {
+        let g = h.dfg(b.dfg);
+        behavior_links(g, b, &storage_analysis(g, &b.schedule), |sink, src| {
+            conn.sinks.entry(sink).or_default().insert(src);
+        });
     }
     conn
 }
 
-/// The links of every behavior, each from a fresh storage analysis.
-fn links_of(h: &Hierarchy, behaviors: &[Behavior]) -> Vec<(Sink, Source)> {
-    let mut links = Vec::new();
-    for b in behaviors {
-        let g = h.dfg(b.dfg);
-        behavior_links(g, b, &storage_analysis(g, &b.schedule), &mut links);
-    }
+/// The links of behavior `b` ([`behavior_links`]), packed ([`pack_link`]).
+/// `st` is the storage analysis of `b`'s schedule.
+pub(crate) fn packed_links(g: &Dfg, b: &Behavior, st: &StorageAnalysis) -> Vec<u128> {
+    let mut links = Vec::with_capacity(g.edge_count() + st.stored_vars.len());
+    behavior_links(g, b, st, |sink, src| links.push(pack_link(sink, src)));
     links
 }
 
-/// Append every `(sink, source)` link of behavior `b` to `out`, possibly
+/// Bit position of the sink in a packed link: above the source's 3-bit
+/// tag and 64-bit payload.
+const SINK_SHIFT: u32 = 67;
+
+/// A `(sink, source)` link as one integer: the sink's [`SinkCount::key`]
+/// in the top bits, so packed links order by sink exactly as [`Sink`]
+/// does, then the source as a tag and a 64-bit payload (an order of its
+/// own; only distinctness matters within a sink). Sorting these is an
+/// integer sort, not a variant-by-variant comparison of enum pairs.
+fn pack_link(sink: Sink, src: Source) -> u128 {
+    let (tag, payload): (u8, u64) = match src {
+        Source::Fu(f) => (0, f.index() as u64),
+        Source::Sub(s, port) => (1, (s.index() as u64) << 16 | u64::from(port)),
+        Source::Reg(r) => (2, r.index() as u64),
+        Source::Const(v) => (3, v as u64),
+        Source::Input(i) => (4, i as u64),
+        Source::Mem(m) => (5, m.index() as u64),
+    };
+    u128::from(SinkCount::packed_key(sink)) << SINK_SHIFT
+        | u128::from(tag) << 64
+        | u128::from(payload)
+}
+
+/// Call `link(sink, source)` for every link of behavior `b`, possibly
 /// with repeats: data edges into their consumers, then the register write
 /// paths. `st` is the storage analysis of `b`'s schedule. A node the
 /// binding does not cover contributes no link.
@@ -114,24 +138,23 @@ pub(crate) fn behavior_links(
     g: &Dfg,
     b: &Behavior,
     st: &StorageAnalysis,
-    out: &mut Vec<(Sink, Source)>,
+    mut link: impl FnMut(Sink, Source),
 ) {
     let bind = &b.binding;
-    out.reserve(g.edge_count() + st.stored_vars.len());
     // The resource acting as source for a produced variable.
     let producer_source = |from: hsyn_dfg::VarRef, chained: bool| -> Option<Source> {
         match g.node(from.node).kind() {
             NodeKind::Const { value } => Some(Source::Const(*value)),
             NodeKind::Input { index } => Some(Source::Input(*index)),
-            NodeKind::Op(_) if chained => bind.op_to_fu.get(&from.node).map(|&f| Source::Fu(f)),
+            NodeKind::Op(_) if chained => bind.op_to_fu.get(from.node).map(Source::Fu),
             NodeKind::Hier { .. } if chained => bind
                 .hier_to_sub
-                .get(&from.node)
-                .map(|&s| Source::Sub(s, from.port)),
+                .get(from.node)
+                .map(|s| Source::Sub(s, from.port)),
             // Loads are pipelined (never chained), so their results
             // always land in a register before consumption.
             NodeKind::Op(_) | NodeKind::Hier { .. } | NodeKind::Load { .. } => {
-                bind.var_to_reg.get(&from).copied().map(Source::Reg)
+                bind.var_to_reg.get(from).map(Source::Reg)
             }
             // Stores produce no consumed value; no edge leaves them.
             NodeKind::Store { .. } => None,
@@ -145,12 +168,12 @@ pub(crate) fn behavior_links(
             continue;
         };
         let sink = match g.node(e.to).kind() {
-            NodeKind::Op(_) => match bind.op_to_fu.get(&e.to) {
-                Some(&f) => Sink::FuPort(f, e.to_port),
+            NodeKind::Op(_) => match bind.op_to_fu.get(e.to) {
+                Some(f) => Sink::FuPort(f, e.to_port),
                 None => continue,
             },
-            NodeKind::Hier { .. } => match bind.hier_to_sub.get(&e.to) {
-                Some(&s) => Sink::SubPort(s, e.to_port),
+            NodeKind::Hier { .. } => match bind.hier_to_sub.get(e.to) {
+                Some(s) => Sink::SubPort(s, e.to_port),
                 None => continue,
             },
             NodeKind::Output { index } => Sink::Output(*index),
@@ -167,28 +190,28 @@ pub(crate) fn behavior_links(
             }
             _ => continue,
         };
-        out.push((sink, src));
+        link(sink, src);
     }
 
     // Register write paths: the producing resource drives the register.
     for v in &st.stored_vars {
-        let Some(&reg) = bind.var_to_reg.get(v) else {
+        let Some(reg) = bind.var_to_reg.get(*v) else {
             continue;
         };
         let src = match g.node(v.node).kind() {
-            NodeKind::Op(_) => match bind.op_to_fu.get(&v.node) {
-                Some(&f) => Source::Fu(f),
+            NodeKind::Op(_) => match bind.op_to_fu.get(v.node) {
+                Some(f) => Source::Fu(f),
                 None => continue,
             },
-            NodeKind::Hier { .. } => match bind.hier_to_sub.get(&v.node) {
-                Some(&s) => Source::Sub(s, v.port),
+            NodeKind::Hier { .. } => match bind.hier_to_sub.get(v.node) {
+                Some(s) => Source::Sub(s, v.port),
                 None => continue,
             },
             NodeKind::Input { index } => Source::Input(*index),
             NodeKind::Load { mem } => Source::Mem(*mem),
             _ => continue,
         };
-        out.push((Sink::RegIn(reg), src));
+        link(Sink::RegIn(reg), src);
     }
 }
 
@@ -233,12 +256,18 @@ impl SinkCount {
         }
     }
 
-    fn new(sink: Sink, sources: usize) -> Self {
+    /// [`key`](Self::key) as one integer with the same order.
+    fn packed_key(sink: Sink) -> u64 {
         let (kind, index, port) = Self::key(sink);
+        u64::from(kind) << 48 | u64::from(index) << 16 | u64::from(port)
+    }
+
+    /// The count of `sources` for the sink of a [`packed_key`](Self::packed_key).
+    fn from_packed(key: u64, sources: usize) -> Self {
         SinkCount {
-            kind,
-            port,
-            index,
+            kind: (key >> 48) as u8,
+            port: key as u16,
+            index: (key >> 16) as u32,
             sources: u32::try_from(sources).expect("source count fits in u32"),
         }
     }
@@ -260,29 +289,36 @@ impl DatapathView {
     /// Derive the view of a module with `fu_count` functional units
     /// implementing `behaviors`, from scratch.
     pub(crate) fn derive(h: &Hierarchy, fu_count: usize, behaviors: &[Behavior]) -> Self {
-        Self::from_links(h, fu_count, behaviors, links_of(h, behaviors))
+        let mut links = Vec::new();
+        for b in behaviors {
+            let g = h.dfg(b.dfg);
+            links.extend(packed_links(g, b, &storage_analysis(g, &b.schedule)));
+        }
+        Self::from_links(h, fu_count, behaviors, links)
     }
 
-    /// The view from the links of every behavior ([`behavior_links`]): one
-    /// sort instead of a map of sets, and one pass over the bindings for
-    /// the operation selects.
+    /// The view from the packed links of every behavior
+    /// ([`packed_links`]): one integer sort instead of a map of sets, and
+    /// one pass over the bindings for the operation selects.
     pub(crate) fn from_links(
         h: &Hierarchy,
         fu_count: usize,
         behaviors: &[Behavior],
-        mut links: Vec<(Sink, Source)>,
+        mut links: Vec<u128>,
     ) -> Self {
         links.sort_unstable();
         links.dedup();
         // Sized exactly, so the view is one allocation that never moves.
-        let runs = links.chunk_by(|a, b| a.0 == b.0);
+        let runs = links.chunk_by(|a, b| a >> SINK_SHIFT == b >> SINK_SHIFT);
         let mut sinks = Vec::with_capacity(runs.clone().count());
-        sinks.extend(runs.map(|run| SinkCount::new(run[0].0, run.len())));
+        sinks.extend(
+            runs.map(|run| SinkCount::from_packed((run[0] >> SINK_SHIFT) as u64, run.len())),
+        );
         // Distinct operations per FU over all behaviors, as bit masks.
         let mut ops = vec![0u32; fu_count];
         for b in behaviors {
             let g = h.dfg(b.dfg);
-            for (&node, &fu) in &b.binding.op_to_fu {
+            for (node, fu) in b.binding.op_to_fu.iter() {
                 if let (NodeKind::Op(op), Some(mask)) =
                     (g.node(node).kind(), ops.get_mut(fu.index()))
                 {

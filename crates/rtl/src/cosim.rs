@@ -376,7 +376,12 @@ impl Plan {
             .stored_vars
             .iter()
             .zip(&st.lifetimes)
-            .filter_map(|(v, life)| b.binding.var_to_reg.get(v).map(|r| (life.0, r.index(), *v)))
+            .filter_map(|(v, life)| {
+                b.binding
+                    .var_to_reg
+                    .get(*v)
+                    .map(|r| (life.0, r.index(), *v))
+            })
             .collect();
         births_sorted.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
         let mut writes_at: Vec<Vec<WriteGroup>> = vec![Vec::new(); n_cycles];
@@ -706,7 +711,7 @@ fn route(
                     ),
                 });
             }
-            let Some(&reg) = binding.var_to_reg.get(&var) else {
+            let Some(reg) = binding.var_to_reg.get(var) else {
                 stats.unregistered_reads += 1;
                 return from_wire(stats, "unregistered read");
             };
@@ -915,7 +920,7 @@ fn sub_output_value(
     var: VarRef,
     stats: &mut CosimStats,
 ) -> Option<(i64, i64)> {
-    let si = ctx.b.binding.hier_to_sub.get(&var.node)?.index();
+    let si = ctx.b.binding.hier_to_sub.get(var.node)?.index();
     let run = subruns.get(si)?.as_ref()?;
     let call = &plan.calls[run.ci];
     if call.node != var.node || run.frame.cursor == 0 {

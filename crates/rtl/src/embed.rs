@@ -20,6 +20,7 @@ use crate::assignment::max_weight_assignment;
 use crate::connect::{connectivity, Connectivity, Sink, Source};
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
 use crate::module::{Behavior, Binding, RtlModule};
+use crate::table::VarTable;
 use hsyn_dfg::{Hierarchy, NodeKind, Operation};
 use hsyn_lib::{FuTypeId, Library};
 use std::collections::{HashMap, HashSet};
@@ -76,7 +77,7 @@ fn ops_used(h: &Hierarchy, m: &RtlModule) -> Vec<HashSet<Operation>> {
     let mut used: Vec<HashSet<Operation>> = vec![HashSet::new(); m.fus().len()];
     for b in m.behaviors() {
         let g = h.dfg(b.dfg);
-        for (&node, &fu) in &b.binding.op_to_fu {
+        for (node, fu) in b.binding.op_to_fu.iter() {
             if let NodeKind::Op(op) = g.node(node).kind() {
                 used[fu.index()].insert(*op);
             }
@@ -296,13 +297,18 @@ pub fn embed(
     // --- Rebind behaviors ------------------------------------------------------
     let remap = |behavior: &Behavior, fu_map: &[FuInstId], reg_map: &[RegId], sub_map: &[SubId]| {
         let mut binding = Binding::default();
-        for (&n, &f) in &behavior.binding.op_to_fu {
+        for (n, f) in behavior.binding.op_to_fu.iter() {
             binding.op_to_fu.insert(n, fu_map[f.index()]);
         }
-        for (&v, &r) in &behavior.binding.var_to_reg {
-            binding.var_to_reg.insert(v, reg_map[r.index()]);
-        }
-        for (&n, &s) in &behavior.binding.hier_to_sub {
+        binding.var_to_reg = VarTable::from_sorted(
+            behavior
+                .binding
+                .var_to_reg
+                .iter()
+                .map(|(v, r)| (v, reg_map[r.index()]))
+                .collect(),
+        );
+        for (n, s) in behavior.binding.hier_to_sub.iter() {
             binding.hier_to_sub.insert(n, sub_map[s.index()]);
         }
         Behavior {

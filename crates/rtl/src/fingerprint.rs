@@ -13,8 +13,8 @@
 //! `_resyn` suffix) without changing their cost, and no cost model reads a
 //! name. DFGs are hashed by content, not by [`DfgId`], so a behavior
 //! retargeted to an equivalent DFG with identical structure fingerprints
-//! the same. Hash-map components of a [`Binding`](crate::Binding) are
-//! folded in sorted key order, and every `f64` is hashed via
+//! the same. The tables of a [`Binding`](crate::Binding) are folded in
+//! ascending key order, and every `f64` is hashed via
 //! [`f64::to_bits`], so fingerprints are stable across processes, threads,
 //! and platforms.
 
@@ -285,25 +285,21 @@ fn fp_behavior(f: &mut Fp, h: &Hierarchy, b: &Behavior, memo: &mut DfgMemo) {
     }
 
     f.u64(tag::BINDING);
-    let mut ops: Vec<_> = b.binding.op_to_fu.iter().collect();
-    ops.sort_unstable_by_key(|(n, _)| **n);
-    f.usize(ops.len());
-    for (n, fu) in ops {
+    // The tables iterate in ascending key order; fingerprint values
+    // (persisted in the goldens and the daemon's cache) depend on it.
+    f.usize(b.binding.op_to_fu.len());
+    for (n, fu) in b.binding.op_to_fu.iter() {
         f.usize(n.index());
         f.usize(fu.index());
     }
-    let mut vars: Vec<_> = b.binding.var_to_reg.iter().collect();
-    vars.sort_unstable_by_key(|(v, _)| **v);
-    f.usize(vars.len());
-    for (v, r) in vars {
+    f.usize(b.binding.var_to_reg.len());
+    for (v, r) in b.binding.var_to_reg.iter() {
         f.usize(v.node.index());
         f.u32(u32::from(v.port));
         f.usize(r.index());
     }
-    let mut hiers: Vec<_> = b.binding.hier_to_sub.iter().collect();
-    hiers.sort_unstable_by_key(|(n, _)| **n);
-    f.usize(hiers.len());
-    for (n, s) in hiers {
+    f.usize(b.binding.hier_to_sub.len());
+    for (n, s) in b.binding.hier_to_sub.iter() {
         f.usize(n.index());
         f.usize(s.index());
     }

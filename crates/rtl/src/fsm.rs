@@ -136,7 +136,7 @@ pub fn generate_fsm(h: &Hierarchy, module: &RtlModule) -> Fsm {
             }
         }
         for (v, &(birth, _, _)) in st.stored_vars.iter().zip(&st.lifetimes) {
-            if let Some(&reg) = b.binding.var_to_reg.get(v) {
+            if let Some(reg) = b.binding.var_to_reg.get(*v) {
                 // The write occurs at the end of cycle birth−1 (external
                 // loads — inputs arriving at cycle 0 — map to state 0).
                 let c = birth.saturating_sub(1) as usize;
@@ -162,7 +162,7 @@ pub fn control_bit_count(h: &Hierarchy, module: &RtlModule, conn: &Connectivity)
         let mut ops = std::collections::BTreeSet::new();
         for b in module.behaviors() {
             let g = h.dfg(b.dfg);
-            for (&node, &fu_id) in &b.binding.op_to_fu {
+            for (node, fu_id) in b.binding.op_to_fu.iter() {
                 if fu_id.index() == i {
                     if let NodeKind::Op(op) = g.node(node).kind() {
                         ops.insert(*op);
@@ -264,7 +264,7 @@ mod tests {
 
         // Every op asserts its own operation on its own FU over exactly its
         // occupied window, nothing else (dedicated binding, no sharing).
-        for (&node, &fu) in &bhv.binding.op_to_fu {
+        for (node, fu) in bhv.binding.op_to_fu.iter() {
             let op = match h.dfg(bhv.dfg).node(node).kind() {
                 NodeKind::Op(op) => *op,
                 _ => unreachable!("only ops are bound to FUs"),

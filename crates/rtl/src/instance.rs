@@ -19,6 +19,10 @@ macro_rules! dense_id {
             }
         }
 
+        impl crate::table::SlotId for $name {
+            const UNBOUND: Self = $name(u32::MAX);
+        }
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

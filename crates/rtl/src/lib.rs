@@ -33,6 +33,7 @@ mod netlist;
 pub mod papers;
 mod sizing;
 mod spec;
+mod table;
 mod verilog;
 
 pub use affinity::{module_affinity, AffinityMatrix};
@@ -55,6 +56,7 @@ pub use spec::{
     build, build_ref, storage_analysis, window_of, BuildCtx, BuildError, FuGroup, ModuleSpec,
     RegPolicy, SpecRef, StorageAnalysis, SubSpec,
 };
+pub use table::{NodeTable, SlotId, VarTable};
 pub use verilog::verilog_text;
 
 #[cfg(test)]

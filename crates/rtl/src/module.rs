@@ -1,19 +1,23 @@
 use crate::connect::DatapathView;
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
-use hsyn_dfg::{DfgId, Hierarchy, NodeId, VarRef};
+use crate::table::{NodeTable, VarTable};
+use hsyn_dfg::{DfgId, Hierarchy, NodeId};
 use hsyn_sched::{Profile, Schedule};
-use std::collections::HashMap;
 
 /// How a DFG's operations, variables, and hierarchical nodes map onto the
 /// hardware of one [`RtlModule`] — the paper's *assignment*.
+///
+/// Dense tables, not hash maps: the two node maps hold one slot per DFG
+/// node, the register map is sorted by variable. Lookups never hash and
+/// iteration is in ascending key order (see DESIGN.md, "Derived views").
 #[derive(Clone, Debug, Default)]
 pub struct Binding {
     /// Operation node → functional-unit instance.
-    pub op_to_fu: HashMap<NodeId, FuInstId>,
+    pub op_to_fu: NodeTable<FuInstId>,
     /// Variable → register (only variables that need storage appear).
-    pub var_to_reg: HashMap<VarRef, RegId>,
+    pub var_to_reg: VarTable,
     /// Hierarchical node → submodule instance.
-    pub hier_to_sub: HashMap<NodeId, SubId>,
+    pub hier_to_sub: NodeTable<SubId>,
 }
 
 /// One behavior an RTL module can execute: a DFG with its schedule,

@@ -138,11 +138,11 @@ pub fn derive_widths(h: &Hierarchy, module: &RtlModule, cert: &WidthCertificate)
     let mut sink: BTreeMap<Sink, u32> = BTreeMap::new();
     for b in module.behaviors() {
         let g = h.dfg(b.dfg);
-        for (&n, &f) in &b.binding.op_to_fu {
+        for (n, f) in b.binding.op_to_fu.iter() {
             let w = &mut fu[f.index()];
             *w = (*w).max(cert.port_width(b.dfg, n, 0));
         }
-        for (&v, &r) in &b.binding.var_to_reg {
+        for (v, r) in b.binding.var_to_reg.iter() {
             let w = cert.var_width(b.dfg, v);
             reg[r.index()] = reg[r.index()].max(w);
             let s = sink.entry(Sink::RegIn(r)).or_insert(0);

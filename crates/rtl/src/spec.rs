@@ -9,9 +9,10 @@
 //! move is validated exactly the way the paper prescribes ("when a move is
 //! performed, its validity is checked by scheduling").
 
-use crate::connect::{behavior_links, DatapathView};
+use crate::connect::{packed_links, DatapathView};
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
 use crate::module::{Behavior, Binding, RtlModule};
+use crate::table::{NodeTable, SlotId, VarTable};
 use hsyn_dfg::{DfgId, Hierarchy, NodeId, NodeKind, VarRef};
 use hsyn_lib::{FuTypeId, Library};
 use hsyn_sched::{
@@ -258,25 +259,22 @@ pub fn build(
     build_ref(h, &spec, ctx)
 }
 
-/// Marks a node no group covers in the builder's node-indexed tables.
-const UNCOVERED: u32 = u32::MAX;
-
-/// Node-indexed group table: `table[n]` is the index of the group listing
-/// node `n`, [`UNCOVERED`] if none does.
+/// Node-indexed group table: the group listing each node, as the id
+/// `id(group index)`; the table becomes the binding's node map.
 ///
 /// # Errors
 ///
 /// [`BuildError::BadCover`] for a node listed twice or outside the DFG.
-fn cover_table<'s>(
+fn cover_table<'s, T: SlotId>(
     node_count: usize,
     groups: impl Iterator<Item = &'s [NodeId]>,
-) -> Result<Vec<u32>, BuildError> {
-    let mut table = vec![UNCOVERED; node_count];
+    id: impl Fn(usize) -> T,
+) -> Result<NodeTable<T>, BuildError> {
+    let mut table = NodeTable::with_nodes(node_count);
     for (gi, members) in groups.enumerate() {
         for &n in members {
-            match table.get_mut(n.index()) {
-                Some(slot) if *slot == UNCOVERED => *slot = gi as u32,
-                _ => return Err(BuildError::BadCover { node: n }),
+            if n.index() >= node_count || table.insert(n, id(gi)).is_some() {
+                return Err(BuildError::BadCover { node: n });
             }
         }
     }
@@ -296,29 +294,31 @@ pub fn build_ref(
     let g = h.dfg(spec.dfg);
 
     // --- Coverage tables -----------------------------------------------------
-    let op_group = cover_table(
+    let op_to_fu = cover_table(
         g.node_count(),
         spec.fu_groups.iter().map(|grp| grp.ops.as_slice()),
+        FuInstId::from_index,
     )?;
-    let sub_group = cover_table(g.node_count(), spec.subs.iter().map(|s| s.1))?;
+    let hier_to_sub = cover_table(
+        g.node_count(),
+        spec.subs.iter().map(|s| s.1),
+        SubId::from_index,
+    )?;
     for (nid, node) in g.nodes() {
         match node.kind() {
             NodeKind::Op(op) => {
-                let gi = op_group[nid.index()];
-                if gi == UNCOVERED {
+                let Some(fu) = op_to_fu.get(nid) else {
                     return Err(BuildError::BadCover { node: nid });
-                }
-                let fu = ctx.lib.fu(spec.fu_groups[gi as usize].fu_type);
-                if !fu.supports(*op) {
+                };
+                if !ctx.lib.fu(spec.fu_groups[fu.index()].fu_type).supports(*op) {
                     return Err(BuildError::UnsupportedOp { node: nid });
                 }
             }
             NodeKind::Hier { callee } => {
-                let si = sub_group[nid.index()];
-                if si == UNCOVERED {
+                let Some(sub) = hier_to_sub.get(nid) else {
                     return Err(BuildError::BadCover { node: nid });
-                }
-                if spec.subs[si as usize].0.behavior_for(*callee).is_none() {
+                };
+                if spec.subs[sub.index()].0.behavior_for(*callee).is_none() {
                     return Err(BuildError::MissingBehavior { node: nid });
                 }
             }
@@ -333,7 +333,7 @@ pub fn build_ref(
         .nodes()
         .map(|(nid, node)| match node.kind() {
             NodeKind::Op(_) => {
-                let fu_type = spec.fu_groups[op_group[nid.index()] as usize].fu_type;
+                let fu_type = spec.fu_groups[op_to_fu[&nid].index()].fu_type;
                 let fu = ctx.lib.fu(fu_type);
                 if fu.is_pipelined() {
                     NodeDelay::Pipelined {
@@ -346,7 +346,7 @@ pub fn build_ref(
                 }
             }
             NodeKind::Hier { callee } => {
-                let profile = spec.subs[sub_group[nid.index()] as usize]
+                let profile = spec.subs[hier_to_sub[&nid].index()]
                     .0
                     .profile_for(*callee)
                     .expect("checked above")
@@ -376,15 +376,15 @@ pub fn build_ref(
     let mut serial = derive_orderings(
         g,
         |n| {
-            let gi = op_group[n.index()];
-            if gi != UNCOVERED && spec.fu_groups[gi as usize].ops.len() > 1 {
-                return Some(gi as usize);
+            if let Some(fu) = op_to_fu.get(n) {
+                if spec.fu_groups[fu.index()].ops.len() > 1 {
+                    return Some(fu.index());
+                }
             }
-            let si = sub_group[n.index()];
-            if si != UNCOVERED && spec.subs[si as usize].1.len() > 1 {
-                return Some(fu_count + si as usize);
+            match hier_to_sub.get(n) {
+                Some(sub) if spec.subs[sub.index()].1.len() > 1 => Some(fu_count + sub.index()),
+                _ => None,
             }
-            None
         },
         &prio,
     );
@@ -422,23 +422,18 @@ pub fn build_ref(
             name: format!("{}{}", ctx.lib.fu(grp.fu_type).name(), i),
         })
         .collect();
-    let mut binding = Binding::default();
-    for (gi, group) in spec.fu_groups.iter().enumerate() {
-        for &n in &group.ops {
-            binding.op_to_fu.insert(n, FuInstId::from_index(gi));
-        }
-    }
-    for (si, (_, nodes)) in spec.subs.iter().enumerate() {
-        for &n in *nodes {
-            binding.hier_to_sub.insert(n, SubId::from_index(si));
-        }
-    }
-    binding.var_to_reg = storage
-        .stored_vars
-        .iter()
-        .zip(&reg_of)
-        .map(|(&v, &r)| (v, RegId::from_index(r as usize)))
-        .collect();
+    let binding = Binding {
+        op_to_fu,
+        var_to_reg: VarTable::from_sorted(
+            storage
+                .stored_vars
+                .iter()
+                .zip(&reg_of)
+                .map(|(&v, &r)| (v, RegId::from_index(r as usize)))
+                .collect(),
+        ),
+        hier_to_sub,
+    };
 
     let profile = derive_profile(g, &sched, &sctx);
     let behavior = Behavior {
@@ -449,8 +444,7 @@ pub fn build_ref(
         profile,
     };
     // The datapath view from the storage analysis and binding in hand.
-    let mut links = Vec::new();
-    behavior_links(g, &behavior, &storage, &mut links);
+    let links = packed_links(g, &behavior, &storage);
     let behaviors = vec![behavior];
     let view = DatapathView::from_links(h, fus.len(), &behaviors, links);
     Ok(RtlModule::with_view(

@@ -73,7 +73,7 @@ fn packed_registers_are_conflict_free_and_no_larger() {
         let b = &packed.behaviors()[0];
         let st = storage_analysis(h.dfg(dfg), &b.schedule);
         let mut by_reg: std::collections::HashMap<usize, Vec<VarRef>> = Default::default();
-        for (&v, &r) in &b.binding.var_to_reg {
+        for (v, r) in b.binding.var_to_reg.iter() {
             by_reg.entry(r.index()).or_default().push(v);
         }
         for (_, vars) in by_reg {
@@ -90,7 +90,7 @@ fn packed_registers_are_conflict_free_and_no_larger() {
         }
         // Every stored variable is bound.
         for v in &st.stored_vars {
-            assert!(b.binding.var_to_reg.contains_key(v));
+            assert!(b.binding.var_to_reg.get(*v).is_some());
         }
     }
 }

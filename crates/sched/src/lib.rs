@@ -453,7 +453,7 @@ mod tests {
             &g,
             |n| {
                 if g.node(n).kind().is_schedulable() {
-                    Some(0u32)
+                    Some(0)
                 } else {
                     None
                 }

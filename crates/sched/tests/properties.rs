@@ -74,7 +74,7 @@ fn schedules_respect_dependencies_and_serialization() {
             &g,
             |n| {
                 if g.node(n).kind().is_schedulable() {
-                    Some(groups[n.index()])
+                    Some(usize::from(groups[n.index()]))
                 } else {
                     None
                 }
@@ -163,7 +163,7 @@ fn derive_orderings_matches_the_sorted_reference() {
         let reversed: Vec<u64> = (0..g.node_count() as u64).rev().collect();
         for prio in [&asap, &reversed] {
             assert_eq!(
-                derive_orderings(&g, key, prio),
+                derive_orderings(&g, |n| key(n).map(usize::from), prio),
                 reference_orderings(&g, key, prio)
             );
         }

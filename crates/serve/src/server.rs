@@ -332,9 +332,10 @@ impl Server {
         let ctx = self.ctx;
         if ctx.opts.banner {
             // The test harness and scripts parse this line for the port.
-            println!("hsyn serve listening on {}", self.listener.local_addr()?);
-            use io::Write as _;
-            let _ = io::stdout().flush();
+            banner(format_args!(
+                "hsyn serve listening on {}",
+                self.listener.local_addr()?
+            ));
         }
         let mut workers = Vec::new();
         for _ in 0..ctx.opts.workers.max(1) {
@@ -380,7 +381,7 @@ impl Server {
         ctx.persist_areas();
         if ctx.opts.banner {
             let s = &ctx.stats;
-            println!(
+            banner(format_args!(
                 "hsyn serve: {} jobs served ({} cache hits, {} warm area hits), \
                  {} failed, {} cancelled, {} deadline-expired, {} protocol errors, \
                  {} area entries persisted, up {:.1}s",
@@ -393,10 +394,20 @@ impl Server {
                 s.protocol_errors.load(Ordering::Acquire),
                 ctx.area_entries(),
                 ctx.started.elapsed().as_secs_f64(),
-            );
+            ));
         }
         Ok(())
     }
+}
+
+/// Print one banner line through a locked stdout and flush it, ignoring
+/// write errors: a daemon must not die because its log reader went away
+/// (`println!` panics on a closed pipe).
+fn banner(line: std::fmt::Arguments<'_>) {
+    use io::Write as _;
+    let mut out = io::stdout().lock();
+    let _ = writeln!(out, "{line}");
+    let _ = out.flush();
 }
 
 /// Send one JSON frame, serializing writers on the connection's mutex.

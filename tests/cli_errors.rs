@@ -2,6 +2,7 @@
 //! names exit nonzero and list every available name so the user can
 //! correct the invocation without consulting the source.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (bool, String) {
@@ -192,4 +193,43 @@ fn closed_stdout_ends_quietly() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     }
+}
+
+/// A daemon whose log reader went away (`hsyn serve | head -1`) keeps
+/// serving and shuts down cleanly: the summary banner written at shutdown
+/// hits the closed pipe, which once panicked in `println!` and exited 101.
+#[test]
+fn serve_with_closed_stdout_shuts_down_cleanly() {
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .args(["serve", "--port", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hsyn binary runs");
+    // Read the "listening on" line, then close the read end, as `head -1`.
+    let mut line = String::new();
+    BufReader::new(daemon.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("banner line");
+    let Some(addr) = line.trim().strip_prefix("hsyn serve listening on ") else {
+        let _ = daemon.kill();
+        panic!("unexpected banner: {line:?}");
+    };
+    let pong = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .args(["submit", "--connect", addr, "--ping"])
+        .output()
+        .expect("hsyn submit runs");
+    let shutdown = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .args(["submit", "--connect", addr, "--shutdown"])
+        .output()
+        .expect("hsyn submit runs");
+    let out = daemon.wait_with_output().expect("daemon exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        pong.status.success(),
+        "the daemon serves after its reader left"
+    );
+    assert!(shutdown.status.success(), "shutdown is acknowledged");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

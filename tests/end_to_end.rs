@@ -119,8 +119,7 @@ fn stateful_modules_never_shared_across_contexts() {
     let report = synthesize(&bench.hierarchy, &mlib, &quick(Objective::Area, true, 3.2)).unwrap();
     let b = &report.design.top.built.behaviors()[0];
     let mut by_sub = std::collections::HashMap::new();
-    for (&node, &sub) in &b.binding.hier_to_sub {
-        let _ = node;
+    for (_, sub) in b.binding.hier_to_sub.iter() {
         *by_sub.entry(sub).or_insert(0) += 1;
     }
     for (sub, count) in by_sub {
