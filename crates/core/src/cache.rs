@@ -53,6 +53,66 @@ impl DesignKey {
     }
 }
 
+/// Hits and misses of one memo.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoCount {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that fell through to a fresh computation.
+    pub misses: u64,
+}
+
+impl MemoCount {
+    fn new(hits: u64, misses: u64) -> Self {
+        MemoCount { hits, misses }
+    }
+
+    fn absorb(&mut self, other: MemoCount) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+
+    fn since(self, before: MemoCount) -> MemoCount {
+        MemoCount::new(self.hits - before.hits, self.misses - before.misses)
+    }
+}
+
+/// The traffic of each memo behind an [`EvalCache`], by name. Cache
+/// traffic, never part of
+/// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoTraffic {
+    /// Per-module area breakdowns ([`AreaCache`]).
+    pub area: MemoCount,
+    /// Top-level submodule recordings ([`SimCache`] replay): one lookup per
+    /// submodule of every simulated design with submodules.
+    pub replay: MemoCount,
+    /// Whole-design power evaluations (power mode only).
+    pub design: MemoCount,
+    /// Value streams of modules without submodule instances ([`SimCache`]).
+    pub stream: MemoCount,
+}
+
+impl MemoTraffic {
+    /// Add `other`'s counts to these.
+    pub fn absorb(&mut self, other: &MemoTraffic) {
+        self.area.absorb(other.area);
+        self.replay.absorb(other.replay);
+        self.design.absorb(other.design);
+        self.stream.absorb(other.stream);
+    }
+
+    /// The traffic between snapshot `before` and this one.
+    pub(crate) fn since(&self, before: &MemoTraffic) -> MemoTraffic {
+        MemoTraffic {
+            area: self.area.since(before.area),
+            replay: self.replay.since(before.replay),
+            design: self.design.since(before.design),
+            stream: self.stream.since(before.stream),
+        }
+    }
+}
+
 /// Per-engine evaluation cache: area breakdowns and power-simulation
 /// recordings keyed by structural fingerprint, and a memo of whole-design
 /// power-mode evaluations.
@@ -74,6 +134,8 @@ pub struct EvalCache {
     designs: HashMap<DesignKey, Evaluation>,
     /// Lookups answered by `designs`.
     design_hits: u64,
+    /// Lookups `designs` could not answer.
+    design_misses: u64,
 }
 
 impl EvalCache {
@@ -82,17 +144,28 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Total lookups answered from the cache (area + simulation + whole
-    /// designs).
+    /// Total lookups answered from the cache (area + submodule replay +
+    /// whole designs). Value-stream hits are counted apart, in
+    /// [`traffic`](Self::traffic), so this sum keeps its meaning.
     pub fn hits(&self) -> u64 {
         self.area.hits + self.sim.hits + self.design_hits
     }
 
-    /// Total lookups that fell through to a fresh computation. A
-    /// whole-design miss falls through to the area and simulation caches,
-    /// which count it.
+    /// Total lookups that fell through to a fresh computation (area +
+    /// submodule replay). A whole-design miss falls through to the area and
+    /// simulation caches, which count it.
     pub fn misses(&self) -> u64 {
         self.area.misses + self.sim.misses
+    }
+
+    /// Hits and misses of each memo, by name.
+    pub fn traffic(&self) -> MemoTraffic {
+        MemoTraffic {
+            area: MemoCount::new(self.area.hits, self.area.misses),
+            replay: MemoCount::new(self.sim.hits, self.sim.misses),
+            design: MemoCount::new(self.design_hits, self.design_misses),
+            stream: MemoCount::new(self.sim.stream_hits, self.sim.stream_misses),
+        }
     }
 
     /// The memoized evaluation of the design with root fingerprint `fp` at
@@ -100,6 +173,7 @@ impl EvalCache {
     pub(crate) fn design(&mut self, fp: u64, op: &OperatingPoint) -> Option<Evaluation> {
         let hit = self.designs.get(&DesignKey::new(fp, op)).copied();
         self.design_hits += u64::from(hit.is_some());
+        self.design_misses += u64::from(hit.is_none());
         hit
     }
 

@@ -3,7 +3,7 @@
 //! *negative* gain — then commits the prefix with the best cumulative gain,
 //! "thus enabling escape from local minima".
 
-use crate::cache::EvalCache;
+use crate::cache::{EvalCache, MemoTraffic};
 use crate::config::SynthesisConfig;
 use crate::cost::{evaluate_search, evaluate_search_cached, Evaluation, Objective};
 use crate::design::{
@@ -107,6 +107,16 @@ pub struct MoveStats {
     /// Incremental-evaluation cache lookups that fell through to a fresh
     /// computation.
     pub eval_cache_misses: u64,
+    /// The same cache traffic by memo (area, submodule replay, whole
+    /// design) plus the value-stream table, which the two sums above leave
+    /// out. Folded from nested move-*B* engines like them.
+    pub memo: MemoTraffic,
+    /// Top-level trace iterations the power-simulation kernel ran in
+    /// search evaluations: a deterministic physical-work counter (a
+    /// value-stream hit, a whole-design hit and a replayed move-*B*
+    /// resynthesis run none). Shadow-mode reference evaluations are not
+    /// counted.
+    pub kernel_iterations: u64,
     /// Move applications undone by replaying the undo journal — every
     /// speculated candidate plus every pass step beyond the committed
     /// prefix.
@@ -169,6 +179,8 @@ impl MoveStats {
         self.configs_skipped += other.configs_skipped;
         self.eval_cache_hits += other.eval_cache_hits;
         self.eval_cache_misses += other.eval_cache_misses;
+        self.memo.absorb(&other.memo);
+        self.kernel_iterations += other.kernel_iterations;
         self.moves_rolled_back += other.moves_rolled_back;
         self.undo_bytes_peak = self.undo_bytes_peak.max(other.undo_bytes_peak);
         self.lns_ruins += other.lns_ruins;
@@ -180,15 +192,18 @@ impl MoveStats {
     }
 
     /// The part of a nested move-*B* engine's counters its parent folds in
-    /// (via [`absorb`](Self::absorb)): the candidate work, the cache
-    /// traffic, the rollbacks and the journal peak. Passes, commits and
-    /// memo traffic stay the child's own.
+    /// (via [`absorb`](Self::absorb)): the candidate work, the eval-cache
+    /// traffic (sums and per memo), the rollbacks and the journal peak.
+    /// Passes, commits, candidate and move-*B* memo traffic and kernel
+    /// iterations stay the child's own; the parent folds kernel iterations
+    /// in only when the child really runs, so they stay physical work.
     fn child_delta(&self) -> MoveStats {
         MoveStats {
             evaluated: self.evaluated,
             rejected: self.rejected,
             eval_cache_hits: self.eval_cache_hits,
             eval_cache_misses: self.eval_cache_misses,
+            memo: self.memo,
             moves_rolled_back: self.moves_rolled_back,
             undo_bytes_peak: self.undo_bytes_peak,
             ..MoveStats::default()
@@ -433,11 +448,16 @@ impl<'a> Engine<'a> {
         let lib = &self.mlib.simple;
         let objective = self.objective();
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
+        let (traffic0, iterations0) = (self.cache.traffic(), self.cache.sim.kernel_iterations);
         let t0 = Instant::now();
         let incr = evaluate_search_cached(dp, lib, &self.traces, objective, fp, &mut self.cache);
         self.eval_incr_s += t0.elapsed().as_secs_f64();
         self.stats.eval_cache_hits += self.cache.hits() - hits0;
         self.stats.eval_cache_misses += self.cache.misses() - misses0;
+        self.stats
+            .memo
+            .absorb(&self.cache.traffic().since(&traffic0));
+        self.stats.kernel_iterations += self.cache.sim.kernel_iterations - iterations0;
         if self.config.shadow_eval {
             let t0 = Instant::now();
             let full = evaluate_search(dp, lib, &self.traces, objective);
@@ -980,6 +1000,7 @@ impl<'a> Engine<'a> {
         self.stats.resynth_misses += inner.stats.resynth_misses;
         self.stats.cand_hits += inner.stats.cand_hits;
         self.stats.cand_misses += inner.stats.cand_misses;
+        self.stats.kernel_iterations += inner.stats.kernel_iterations;
         self.verify_s += inner.verify_s;
         self.eval_incr_s += inner.eval_incr_s;
         self.apply_s += inner.apply_s;
@@ -1462,6 +1483,42 @@ mod tests {
             *cost = cost.map(|c| c + 1.0);
         }
         scan_one(&mut engine, &mut dp, &mv);
+    }
+
+    /// The per-memo traffic adds up to the two eval-cache sums (value
+    /// streams counted apart), and a flat design is priced from its value
+    /// streams: the kernel runs once per distinct behavior, not once per
+    /// candidate.
+    #[test]
+    fn memo_traffic_adds_up_and_flat_designs_price_from_streams() {
+        let (hier, mlib, traces) = lat_fixture();
+        let mut flat = hier.clone();
+        let mut h = hsyn_dfg::Hierarchy::new();
+        let top = h.add_dfg(hier.hierarchy.flatten());
+        h.set_top(top);
+        flat.top = initial_solution(&h, &mlib, &flat.op).expect("flat lat builds");
+        flat.hierarchy = h;
+        for (dp, is_flat) in [(hier, false), (flat, true)] {
+            let config = SynthesisConfig::new(Objective::Power);
+            let mut engine = Engine::new(&mlib, &config, traces.clone(), config.resynth_depth);
+            engine.optimize(dp).expect("optimizes");
+            let (s, m) = (engine.stats, engine.stats.memo);
+            assert_eq!(
+                m.area.hits + m.replay.hits + m.design.hits,
+                s.eval_cache_hits
+            );
+            assert_eq!(m.area.misses + m.replay.misses, s.eval_cache_misses);
+            assert!(
+                m.stream.hits > 0,
+                "flat {is_flat}: leaf pricings hit streams"
+            );
+            if is_flat {
+                assert_eq!((m.replay.hits, m.replay.misses), (0, 0));
+                assert_eq!(s.kernel_iterations, m.stream.misses * traces.len() as u64);
+            } else {
+                assert!(m.replay.misses > 0, "the top simulates with replay");
+            }
+        }
     }
 
     /// A design priced twice at one operating point is answered whole by

@@ -52,7 +52,7 @@ mod synth;
 mod transact;
 
 pub use analyze::{analyze, AnalyzeError, AnalyzeReport, ObjectiveAnalysis};
-pub use cache::{EvalCache, SharedAreaCache, SHARED_AREA_CAP};
+pub use cache::{EvalCache, MemoCount, MemoTraffic, SharedAreaCache, SHARED_AREA_CAP};
 pub use cancel::CancelToken;
 pub use config::{Budget, MoveFamilies, SynthesisConfig};
 pub use cost::{evaluate, Evaluation, Objective};

@@ -95,6 +95,13 @@ pub struct ConfigTelemetry {
     pub eval_cache_hits: u64,
     /// Incremental-evaluation cache misses within this configuration.
     pub eval_cache_misses: u64,
+    /// Traffic of each eval-cache memo within this configuration (see
+    /// [`MoveStats::memo`](crate::MoveStats::memo)).
+    pub memo: crate::MemoTraffic,
+    /// Top-level power-simulation kernel iterations within this
+    /// configuration (see
+    /// [`MoveStats::kernel_iterations`](crate::MoveStats::kernel_iterations)).
+    pub kernel_iterations: u64,
     /// Move-*B* resynthesis requests answered from this configuration's
     /// memo. Like the eval-cache counters, excluded from
     /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
@@ -182,10 +189,11 @@ impl SynthesisReport {
     /// Deliberately excluded, because they legitimately differ between
     /// otherwise identical runs: wall-clock (`elapsed_s`, `verify_s`,
     /// `eval_incr_s`, `apply_s`, `lns_s`) and cache traffic
-    /// (`eval_cache_hits` / `eval_cache_misses` / `warm_area_hits`, which
-    /// differ with the state of a shared or persisted cache, and
+    /// (`eval_cache_hits` / `eval_cache_misses` / `memo` / `warm_area_hits`,
+    /// which differ with the state of a shared or persisted cache, and
     /// `resynth_hits` / `resynth_misses` and `cand_hits` / `cand_misses`,
-    /// which count memo traffic, not search work). Two runs are the same search with the same result iff
+    /// which count memo traffic, not search work), and `kernel_iterations`,
+    /// physical work the memos save. Two runs are the same search with the same result iff
     /// their `result_json` bytes match — the contract the
     /// `incremental_equivalence` differential suite enforces between
     /// shadow-checked and plain runs.
@@ -438,7 +446,7 @@ pub fn synthesize(
         Optimized {
             design: Box<DesignPoint>,
             eval: Box<Evaluation>,
-            stats: MoveStats,
+            stats: Box<MoveStats>,
             elapsed_s: f64,
             verify_s: f64,
             eval_incr_s: f64,
@@ -513,7 +521,7 @@ pub fn synthesize(
                             Ok(()) => ConfigOutcome::Optimized {
                                 design: Box::new(opt),
                                 eval: Box::new(opt_eval),
-                                stats: engine.stats,
+                                stats: Box::new(engine.stats),
                                 elapsed_s: config_start.elapsed().as_secs_f64(),
                                 verify_s: engine.verify_s,
                                 eval_incr_s: engine.eval_incr_s,
@@ -580,6 +588,8 @@ pub fn synthesize(
                     passes: config_stats.passes,
                     eval_cache_hits: config_stats.eval_cache_hits,
                     eval_cache_misses: config_stats.eval_cache_misses,
+                    memo: config_stats.memo,
+                    kernel_iterations: config_stats.kernel_iterations,
                     resynth_hits: config_stats.resynth_hits,
                     resynth_misses: config_stats.resynth_misses,
                     cand_hits: config_stats.cand_hits,

@@ -310,6 +310,11 @@ pub struct Dfg {
     /// [`crate::mem`]). Derived data like `adj`, but dropped on *every*
     /// mutation, bank reassignment included.
     mem: MemCache,
+    /// Cached [`Dfg::content_hash`] of a graph without hierarchical nodes
+    /// (see [`crate::hash`]). Derived data like `mem`, dropped by the same
+    /// mutations; never compared, but kept by clones (equal content has an
+    /// equal hash).
+    hash: OnceLock<u64>,
 }
 
 impl Clone for Dfg {
@@ -325,6 +330,7 @@ impl Clone for Dfg {
             mems: self.mems.clone(),
             adj: OnceLock::new(),
             mem: MemCache::default(),
+            hash: self.hash.clone(),
         }
     }
 }
@@ -366,6 +372,7 @@ impl Dfg {
             mems: Vec::new(),
             adj: OnceLock::new(),
             mem: MemCache::default(),
+            hash: OnceLock::new(),
         }
     }
 
@@ -381,6 +388,18 @@ impl Dfg {
 
     pub(crate) fn mem_cache(&self) -> &MemCache {
         &self.mem
+    }
+
+    pub(crate) fn hash_cache(&self) -> &OnceLock<u64> {
+        &self.hash
+    }
+
+    /// Drop the derived data every content mutation invalidates: the memory
+    /// facts and the content hash. (The adjacency is dropped separately,
+    /// only by node and edge insertion.)
+    fn content_changed(&mut self) {
+        self.mem = MemCache::default();
+        self.hash.take();
     }
 
     /// Topological order over zero-delay edges, computed on first use and
@@ -540,7 +559,7 @@ impl Dfg {
 
     /// Declare a memory object; returns its id.
     pub fn add_mem(&mut self, mem: MemObject) -> MemId {
-        self.mem = MemCache::default();
+        self.content_changed();
         let id = MemId::new(self.mems.len());
         self.mems.push(mem);
         id
@@ -558,7 +577,7 @@ impl Dfg {
     /// Panics if `id` is not in this DFG or `banks` is 0.
     pub fn set_mem_banks(&mut self, id: MemId, banks: u32) -> u32 {
         assert!(banks >= 1, "memory needs at least one bank");
-        self.mem = MemCache::default();
+        self.content_changed();
         std::mem::replace(&mut self.mems[id.index()].banks, banks)
     }
 
@@ -719,7 +738,7 @@ impl Dfg {
     ///
     /// Panics if `node` is not a hierarchical node.
     pub fn replace_hier_callee(&mut self, node: NodeId, callee: DfgId) -> DfgId {
-        self.mem = MemCache::default();
+        self.content_changed();
         match &mut self.nodes[node.index()].kind {
             NodeKind::Hier { callee: c } => std::mem::replace(c, callee),
             other => panic!("set_hier_callee on non-hierarchical node {node} ({other:?})"),
@@ -730,7 +749,7 @@ impl Dfg {
     /// sample periods. Feedback loops must use `delay >= 1`.
     pub fn connect(&mut self, from: VarRef, to: NodeId, to_port: u16, delay: u32) -> EdgeId {
         self.adj.take();
-        self.mem = MemCache::default();
+        self.content_changed();
         let id = EdgeId::new(self.edges.len());
         self.edges.push(Edge {
             from,
@@ -781,7 +800,7 @@ impl Dfg {
 
     fn push_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
         self.adj.take();
-        self.mem = MemCache::default();
+        self.content_changed();
         let id = NodeId::new(self.nodes.len());
         self.nodes.push(Node {
             kind,
@@ -869,6 +888,68 @@ mod tests {
         let mut g = Dfg::new("bad");
         let a = g.add_input("a");
         g.add_op(Operation::Add, "s", &[a]);
+    }
+
+    #[test]
+    fn every_mutator_drops_the_cached_content_hash() {
+        // Each step hashes (filling the cache of a call-free graph),
+        // mutates, and checks that the cache is gone and the hash moved.
+        fn hash(g: &Dfg) -> u64 {
+            g.content_hash(|_| unreachable!("no calls"))
+        }
+        let mut g = mac();
+        let m = g.add_mem(MemObject::owned("m", 4, 16));
+        let before = hash(&g);
+        assert_eq!(
+            g.hash_cache().get(),
+            Some(&before),
+            "call-free graphs cache"
+        );
+
+        let z = g.push_node(NodeKind::Const { value: 7 }, "z");
+        assert!(g.hash_cache().get().is_none(), "push_node");
+        let after_push = hash(&g);
+        assert_ne!(after_push, before);
+
+        g.connect(VarRef::new(z, 0), g.outputs()[0], 1, 0);
+        assert!(g.hash_cache().get().is_none(), "connect");
+        let after_connect = hash(&g);
+        assert_ne!(after_connect, after_push);
+
+        assert_eq!(g.set_mem_banks(m, 2), 1);
+        assert!(g.hash_cache().get().is_none(), "set_mem_banks");
+        assert_ne!(hash(&g), after_connect);
+
+        // A graph with calls never caches and folds in the callee's hash,
+        // so retargeting a call changes it too.
+        let mut caller = Dfg::new("caller");
+        let x = caller.add_input("x");
+        let call = caller.add_hier(DfgId::new(0), "c", &[x]);
+        caller.add_output("y", VarRef::new(call, 0));
+        let callee_hash = |id: DfgId| 100 + id.index() as u64;
+        let first = caller.content_hash(callee_hash);
+        assert!(
+            caller.hash_cache().get().is_none(),
+            "graphs with calls never cache"
+        );
+        assert_eq!(
+            caller.replace_hier_callee(call, DfgId::new(1)),
+            DfgId::new(0)
+        );
+        assert!(caller.hash_cache().get().is_none(), "replace_hier_callee");
+        assert_ne!(caller.content_hash(callee_hash), first);
+    }
+
+    #[test]
+    fn content_hash_ignores_names_and_survives_clones() {
+        let g = mac();
+        let mut renamed = mac();
+        renamed.set_name("other");
+        let h = g.content_hash(|_| 0);
+        assert_eq!(renamed.content_hash(|_| 0), h);
+        let copy = g.clone();
+        assert_eq!(copy.hash_cache().get(), Some(&h), "a clone keeps the hash");
+        assert_eq!(copy.content_hash(|_| 0), h);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!   move *A* of the synthesis engine;
 //! * first-class memories ([`MemObject`], [`NodeKind::Load`]/[`NodeKind::Store`])
 //!   with program-order dependence derivation and bank mapping ([`mem`]);
+//! * stable content hashes of graphs ([`hash`]), cached per [`Dfg`];
 //! * a small textual format ([`text`]) with a parser and printer;
 //! * a reference evaluator for flattened DFGs ([`eval`]), the shared
 //!   behavioral oracle for the simulators and the co-simulation tests;
@@ -60,6 +61,7 @@ pub mod dot;
 mod equiv;
 pub mod eval;
 mod graph;
+pub mod hash;
 mod hierarchy;
 pub mod mem;
 mod op;
@@ -70,6 +72,7 @@ pub use csr::Adjacency;
 pub use equiv::EquivClasses;
 pub use eval::reference_outputs;
 pub use graph::{Dfg, Edge, EdgeId, MemId, MemObject, MemScope, Node, NodeId, NodeKind, VarRef};
+pub use hash::ContentHasher;
 pub use hierarchy::{DfgId, Hierarchy, HierarchyError};
 pub use mem::{
     bank_assignment, bank_of, const_address, mem_order_pairs, mem_serial_edges, mem_topo_order,

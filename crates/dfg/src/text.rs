@@ -18,7 +18,8 @@
 //! equiv <dfg-name> <dfg-name> ...        # declare functional equivalence
 //! ```
 //!
-//! A memory holds between 1 and [`MAX_MEM_WORDS`] words, split over at
+//! A call hierarchy is at most [`MAX_HIER_DEPTH`] levels deep. A memory
+//! holds between 1 and [`MAX_MEM_WORDS`] words, split over at
 //! most as many banks as it has words, each with at most
 //! [`MAX_MEM_PORTS`] ports. A memory marked
 //! `external` is part of the DFG's call interface: each
@@ -64,6 +65,14 @@ pub const MAX_MEM_WORDS: u32 = 65_536;
 /// limit (at most one bank per word) this bounds both at parse time; every
 /// in-repo memory has at most 2 ports.
 pub const MAX_MEM_PORTS: u32 = 16;
+
+/// Deepest call hierarchy a description may declare, counted as
+/// [`Hierarchy::depth`] counts it (1 for a DFG without calls). Validation,
+/// flattening, fingerprinting and synthesis recurse once per level, so an
+/// unchecked chain of calls from untrusted text overflows a thread's stack
+/// (a 2,000-level chain aborted the daemon) or runs for minutes (a 64-level
+/// chain took 19 s); the deepest registry benchmark has depth 3.
+pub const MAX_HIER_DEPTH: usize = 16;
 
 /// Result of parsing a textual description.
 #[derive(Clone, Debug)]
@@ -170,11 +179,6 @@ fn parse_operand(tok: &str, line: usize) -> Result<OperandTok, ParseError> {
 /// validated; call [`Hierarchy::validate`] for structural checks.
 pub fn parse(src: &str) -> Result<Parsed, ParseError> {
     // Pass 1: split into blocks and file-level statements.
-    struct Block {
-        name: String,
-        line: usize,
-        stmts: Vec<(usize, Stmt)>,
-    }
     let mut blocks: Vec<Block> = Vec::new();
     let mut current: Option<Block> = None;
     let mut top_name: Option<(String, usize)> = None;
@@ -231,6 +235,7 @@ pub fn parse(src: &str) -> Result<Parsed, ParseError> {
             format!("dfg `{}` is missing its closing `}}`", b.name),
         );
     }
+    check_depth(&blocks)?;
 
     // Pass 2: create DFGs and a name → id map.
     let mut hierarchy = Hierarchy::new();
@@ -419,6 +424,69 @@ pub fn parse(src: &str) -> Result<Parsed, ParseError> {
     }
 
     Ok(Parsed { hierarchy, equiv })
+}
+
+/// A parsed `dfg` block, before its DFG is built.
+struct Block {
+    name: String,
+    line: usize,
+    stmts: Vec<(usize, Stmt)>,
+}
+
+/// Reject a call hierarchy deeper than [`MAX_HIER_DEPTH`], before anything
+/// is built. Iterative, so the check itself cannot overflow the stack.
+/// Calls of unknown DFGs are left to the build pass and recursive calls to
+/// [`Hierarchy::validate`], which report them; both count as depth 0 here.
+fn check_depth(blocks: &[Block]) -> Result<(), ParseError> {
+    let mut index: HashMap<&str, usize> = HashMap::with_capacity(blocks.len());
+    for (i, b) in blocks.iter().enumerate() {
+        index.entry(b.name.as_str()).or_insert(i);
+    }
+    let callees: Vec<Vec<usize>> = blocks
+        .iter()
+        .map(|b| {
+            b.stmts
+                .iter()
+                .filter_map(|(_, s)| match s {
+                    Stmt::Call(_, callee, _, _) => index.get(callee.as_str()).copied(),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    // depth[i] == 0: not computed yet.
+    let mut depth = vec![0usize; blocks.len()];
+    let mut on_stack = vec![false; blocks.len()];
+    for root in 0..blocks.len() {
+        if depth[root] != 0 {
+            continue;
+        }
+        let mut stack = vec![(root, 0usize)];
+        on_stack[root] = true;
+        while let Some(&(v, next)) = stack.last() {
+            if let Some(&c) = callees[v].get(next) {
+                stack.last_mut().expect("non-empty").1 += 1;
+                if depth[c] == 0 && !on_stack[c] {
+                    on_stack[c] = true;
+                    stack.push((c, 0));
+                }
+                continue;
+            }
+            depth[v] = 1 + callees[v].iter().map(|&c| depth[c]).max().unwrap_or(0);
+            if depth[v] > MAX_HIER_DEPTH {
+                return err(
+                    blocks[v].line,
+                    format!(
+                        "hierarchy depth of dfg `{}` exceeds the limit of {MAX_HIER_DEPTH}",
+                        blocks[v].name
+                    ),
+                );
+            }
+            on_stack[v] = false;
+            stack.pop();
+        }
+    }
+    Ok(())
 }
 
 fn parse_stmt(toks: &[&str], lno: usize) -> Result<Stmt, ParseError> {
@@ -822,6 +890,46 @@ equiv leaf_a leaf_b
         let b = parsed.hierarchy.dfg_by_name("leaf_b").unwrap();
         assert!(parsed.equiv.equivalent(a, b));
         assert_eq!(parsed.hierarchy.depth(parsed.hierarchy.top()), 2);
+    }
+
+    /// A chain of `levels` DFGs, each calling the one before; the last is
+    /// the top, at depth `levels`.
+    fn call_chain(levels: usize) -> String {
+        let mut src = String::from("dfg l0 {\n  input a\n  output y = a\n}\n");
+        for i in 1..levels {
+            let _ = write!(
+                src,
+                "dfg l{i} {{\n  input a\n  c = call l{} a\n  output y = c\n}}\n",
+                i - 1
+            );
+        }
+        let _ = writeln!(src, "top l{}", levels - 1);
+        src
+    }
+
+    #[test]
+    fn hierarchy_deeper_than_the_limit_is_a_parse_error() {
+        let parsed = parse(&call_chain(MAX_HIER_DEPTH)).expect("the limit itself parses");
+        parsed.hierarchy.validate().expect("valid");
+        assert_eq!(
+            parsed.hierarchy.depth(parsed.hierarchy.top()),
+            MAX_HIER_DEPTH
+        );
+        for levels in [MAX_HIER_DEPTH + 1, 2_000, 20_000] {
+            let e = parse(&call_chain(levels)).unwrap_err();
+            assert_eq!(
+                e.message,
+                format!("hierarchy depth of dfg `l{MAX_HIER_DEPTH}` exceeds the limit of {MAX_HIER_DEPTH}"),
+                "{levels} levels"
+            );
+            // Block `li` (i >= 1) opens on line 5i.
+            assert_eq!(e.line, 5 * MAX_HIER_DEPTH, "{levels} levels");
+        }
+        // Mutual recursion is the validator's to report, not a depth.
+        let cyclic = "dfg a {\n  input x\n  c = call b x\n  output y = c\n}\n\
+                      dfg b {\n  input x\n  c = call a x\n  output y = c\n}\ntop a\n";
+        let parsed = parse(cyclic).expect("depth check terminates on a cycle");
+        assert!(parsed.hierarchy.validate().is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! reports only normalized power, which is what the experiment harness
 //! computes.
 
-use crate::sim::{simulate, simulate_cached, ModuleActivity, SimCache};
+use crate::sim::{simulate, simulate_cached, Activity, ModuleActivity, SimCache};
 use crate::traces::TraceSet;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
@@ -179,13 +179,17 @@ fn estimate_walk(
     )
 }
 
-/// [`estimate`] with submodule replay and per-subtree energy memoization
-/// through `cache`. `fp` must be the fingerprint tree of `module`.
+/// [`estimate`] through `cache`: a module without submodule instances is
+/// priced from its behavior's value streams, computed once per behavior and
+/// trace set, and a module with submodules is simulated with submodule
+/// replay and per-subtree energy memoization. `fp` must be the fingerprint
+/// tree of `module`.
 ///
-/// Bit-exact with [`estimate`]: the simulated activity is identical (see
-/// [`simulate_cached`]), and a memoized subtree energy is only reused when
-/// the recording it was computed from is the one that produced this run's
-/// activity, so every float matches the full recomputation.
+/// Bit-exact with [`estimate`]: the value streams yield the operands the
+/// kernel would record, in the order it records them (see
+/// [`simulate_cached`] for replay), and a memoized subtree energy is only
+/// reused when the recording it was computed from is the one that produced
+/// this run's activity, so every float matches the full recomputation.
 ///
 /// # Panics
 ///
@@ -206,20 +210,26 @@ pub fn estimate_cached(
         !traces.is_empty(),
         "power estimation needs at least one sample"
     );
-    let (act, _) = simulate_cached(h, module, traces, fp, cache);
-    let mut breakdown = module_own_energy(h, module, lib, &act, traces.width, None);
-    for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
-        let sub_fp = fp.subs[i].fp;
-        let sub_e = match cache.energy(i, sub_fp) {
-            Some(e) => e,
-            None => {
-                let e = module_energy(h, sub, lib, sub_act, traces.width, None);
-                cache.set_energy(i, sub_fp, e);
-                e
-            }
-        };
-        breakdown.subs += sub_e.total();
-    }
+    let breakdown = if module.subs().is_empty() {
+        let act = cache.stream_activity(h, module, traces);
+        module_own_energy(h, module, lib, &act, traces.width, None)
+    } else {
+        let (act, _) = simulate_cached(h, module, traces, fp, cache);
+        let mut breakdown = module_own_energy(h, module, lib, &act, traces.width, None);
+        for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
+            let sub_fp = fp.subs[i].fp;
+            let sub_e = match cache.energy(i, sub_fp) {
+                Some(e) => e,
+                None => {
+                    let e = module_energy(h, sub, lib, sub_act, traces.width, None);
+                    cache.set_energy(i, sub_fp, e);
+                    e
+                }
+            };
+            breakdown.subs += sub_e.total();
+        }
+        breakdown
+    };
     finish_estimate(
         lib,
         breakdown,
@@ -296,11 +306,14 @@ fn width_mask(bits: u32) -> u64 {
 /// its event loop; at nominal every mask is the full-width mask and every
 /// factor exactly `1.0`, so both cases share every float operation the
 /// nominal figures depend on.
+///
+/// `act` is any [`Activity`] source; each pair of consecutive events is
+/// priced in stream order whichever source yields them.
 pub(crate) fn module_own_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
-    act: &ModuleActivity,
+    act: &impl Activity,
     width: u32,
     widths: Option<&ModuleWidths>,
 ) -> EnergyBreakdown {
@@ -327,9 +340,20 @@ pub(crate) fn module_own_energy(
     let wire_length = (footprint / 100.0).sqrt().max(1.0);
     let w = f64::from(width);
     // Activity is normalized by the *nominal* width throughout: a narrowed
-    // bus toggles at most its own bits of the nominal wires.
-    let ham = |a: i64, b: i64, mask: u64| -> f64 { f64::from(crate::hamming(a, b, mask)) / w };
+    // bus toggles at most its own bits of the nominal wires. The quotient
+    // `popcount / w` is tabulated for every popcount (at most 64), so each
+    // pair reads exactly the value its own division would compute.
+    let ham_of: [f64; 65] = std::array::from_fn(|k| f64::from(k as u32) / w);
+    let ham = |a: i64, b: i64, mask: u64| -> f64 { ham_of[crate::hamming(a, b, mask) as usize] };
     let bus_mask = |bits: Option<u32>| width_mask(bits.map_or(width, |b| b.min(width)));
+
+    // Spurious transitions multiply through chained combinational stages:
+    // registered operands (depth 0) see clean activity. The multiplier
+    // `(1 + glitch_factor)^min(depth, 8)` is tabulated too; `black_box`
+    // keeps each exponent a runtime value, so the compiler cannot fold an
+    // entry differently from the runtime `powi` a pair once called.
+    let glitch_of: [f64; 9] =
+        std::array::from_fn(|d| (1.0 + lib.glitch_factor).powi(std::hint::black_box(d as i32)));
 
     // Functional units: operand-transition activity × effective capacitance.
     for (i, fu) in module.fus().iter().enumerate() {
@@ -341,38 +365,43 @@ pub(crate) fn module_own_energy(
         let mask_a = bus_mask(widths.map(|w| w.sink_width(port_a)));
         let mask_b = bus_mask(widths.map(|w| w.sink_width(port_b)));
         let cap = widths.map_or(1.0, |w| fu_scale(t, w.fu_width(i), w.nominal));
-        let events = &act.fu_events[i];
         let mut fu_energy = 0.0;
         let mut mux_energy = 0.0;
         let mut wire_energy = 0.0;
-        for pair in events.windows(2) {
-            let da = ham(pair[0].a, pair[1].a, mask_a);
-            let db = ham(pair[0].b, pair[1].b, mask_b);
-            // Spurious transitions multiply through chained combinational
-            // stages: registered operands (depth 0) see clean activity.
-            let glitch = (1.0 + lib.glitch_factor).powi(pair[1].depth.min(8) as i32);
-            let activity = (da + db) / 2.0 * glitch;
-            fu_energy += activity * t.energy() * cap;
-            if mux_a {
-                mux_energy += da * lib.mux.energy_per_access;
+        let mut prev: Option<(i64, i64)> = None;
+        act.each_fu_event(i, |a, b, depth| {
+            if let Some((pa, pb)) = prev {
+                let da = ham(pa, a, mask_a);
+                let db = ham(pb, b, mask_b);
+                let glitch = glitch_of[depth.min(8) as usize];
+                let activity = (da + db) / 2.0 * glitch;
+                fu_energy += activity * t.energy() * cap;
+                if mux_a {
+                    mux_energy += da * lib.mux.energy_per_access;
+                }
+                if mux_b {
+                    mux_energy += db * lib.mux.energy_per_access;
+                }
+                wire_energy += (da + db) * glitch * lib.wire.energy_per_toggle * wire_length;
             }
-            if mux_b {
-                mux_energy += db * lib.mux.energy_per_access;
-            }
-            wire_energy += (da + db) * glitch * lib.wire.energy_per_toggle * wire_length;
-        }
+            prev = Some((a, b));
+        });
         e.fu += fu_energy;
         e.mux += mux_energy;
         e.wire += wire_energy;
     }
 
     // Registers: write-transition activity at the register's width.
-    for (i, writes) in act.reg_writes.iter().enumerate() {
+    for i in 0..module.regs().len() {
         let mask = bus_mask(widths.map(|w| w.reg_width(i)));
         let mut reg_energy = 0.0;
-        for pair in writes.windows(2) {
-            reg_energy += ham(pair[0], pair[1], mask) * lib.register.energy_write;
-        }
+        let mut prev: Option<i64> = None;
+        act.each_reg_write(i, |v| {
+            if let Some(p) = prev {
+                reg_energy += ham(p, v, mask) * lib.register.energy_write;
+            }
+            prev = Some(v);
+        });
         e.reg += reg_energy;
         e.wire += reg_energy / lib.register.energy_write.max(1e-12)
             * lib.wire.energy_per_toggle
@@ -382,7 +411,7 @@ pub(crate) fn module_own_energy(
 
     // Controller: active cycles × control bits (width-independent).
     let bits = control_bits(h, module) as f64;
-    e.controller += act.busy_cycles as f64 * bits * lib.controller.energy_per_bit_cycle;
+    e.controller += act.busy_cycles() as f64 * bits * lib.controller.energy_per_bit_cycle;
 
     // Memories: per-access dynamic energy plus standing bank leakage.
     e.mem += mem_energy(h, module, lib, act, width);
@@ -400,7 +429,7 @@ fn mem_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
-    act: &ModuleActivity,
+    act: &impl Activity,
     width: u32,
 ) -> f64 {
     let mut e = 0.0;
@@ -409,8 +438,7 @@ fn mem_energy(
         if g.mem_count() == 0 {
             continue;
         }
-        let empty: &[(u64, u64)] = &[];
-        let counts = act.mem_accesses.get(bi).map_or(empty, |v| v.as_slice());
+        let counts = act.mem_accesses(bi);
         for (i, m) in g.mems() {
             let (loads, stores) = counts.get(i.index()).copied().unwrap_or((0, 0));
             let bits = f64::from(m.elem_width.min(width).max(1));
@@ -418,7 +446,7 @@ fn mem_energy(
                 + stores as f64 * lib.memory.energy_write_per_bit * bits;
             if matches!(m.scope, hsyn_dfg::MemScope::Owned) {
                 e += f64::from(m.banks.max(1))
-                    * act.busy_cycles as f64
+                    * act.busy_cycles() as f64
                     * lib.memory.leakage_per_bank_cycle;
             }
         }

@@ -12,24 +12,34 @@
 //! switching activity (the effect behind the paper's observation that
 //! power optimization often avoids resource sharing).
 //!
-//! Two things make repeated simulation cheap inside the improvement loop:
+//! Three things make repeated simulation cheap inside the improvement loop:
 //!
-//! * **a flat kernel** — the topological order, storage analysis,
-//!   glitch-depth map, per-FU event order and slot layout depend only on
-//!   the behavior, not on the data, so each behavior is compiled once per
-//!   run into a list of steps over one `Vec<i64>` per instance and
-//!   behavior: the value slots (one per `(node, out-port)`, zeroed each
-//!   iteration) followed by the delay history (one slot per `(delayed
-//!   var, k)`, zero-initialized). Every operand is a precomputed slot
-//!   index, a delayed one included; each hierarchical node carries its
-//!   submodule instance and callee behavior index; buffers are reused
-//!   across iterations, and memory-free behaviors skip the memory map.
-//!   Until this layout, the delay history was a `HashMap<(VarRef, k), i64>`
-//!   probed on every delayed read and shifted entry by entry, and every
-//!   call of every iteration looked its submodule up in the binding's
-//!   `hier_to_sub` map and searched the submodule's behaviors for the
-//!   callee. The iteration loop now hashes nothing; the reference
-//!   interpreter kept in the tests pins the kernel to the old semantics;
+//! * **a flat kernel** — each behavior is compiled into a [`Prep`] of two
+//!   halves. The [`Layout`] depends on the DFG alone: one `Vec<i64>` per
+//!   instance and behavior holds the value slots (one per `(node,
+//!   out-port)`, zeroed each iteration) followed by the delay history (one
+//!   slot per `(delayed var, k)`, zero-initialized); every operand is a
+//!   precomputed slot index, a delayed one included; the steps follow the
+//!   memory-aware topological order. The [`Bind`] depends on the binding:
+//!   per-FU event order with chained depths, per-register write order and
+//!   each call's submodule instance and callee behavior. The iteration loop
+//!   hashes nothing; the reference interpreter kept in the tests pins the
+//!   kernel to the semantics it replaced;
+//! * **value streams** ([`SimCache`], modules without submodule instances)
+//!   — such a module's node values depend on its DFG and the traces, never
+//!   on its binding, so the kernel runs its behavior once per key (the
+//!   DFG's [content hash](hsyn_dfg::Dfg::content_hash), the trace length
+//!   and the width; the samples are compared on every lookup) and keeps the
+//!   buffer of every iteration with the layout. A candidate then builds
+//!   only its [`Bind`], and the estimator reads each operand from the
+//!   streams in exactly the order the kernel records it, so every float is
+//!   summed in the same order. The table holds at most
+//!   [`SimCache::STREAM_CAP`] entries, oldest evicted first. Every DFG
+//!   mutation drops the content hash, so an edited or rebanked behavior is
+//!   a new key, never a stale hit. Modules *with* submodules keep the
+//!   kernel: a shared stateful child instance interleaves its calls in an
+//!   order the binding decides, so their values are not binding-free in
+//!   general;
 //! * **submodule replay** ([`SimCache`]) — a top-level submodule whose
 //!   structural fingerprint and per-call input stream match a recording
 //!   from an earlier run returns its recorded outputs and activity without
@@ -37,7 +47,7 @@
 //!   fully determined by the module structure and the call stream.
 
 use crate::traces::TraceSet;
-use hsyn_dfg::{Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
+use hsyn_dfg::{Dfg, Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
 use hsyn_rtl::{storage_analysis, FpTree, RtlModule};
 use std::collections::HashMap;
 
@@ -93,6 +103,45 @@ impl ModuleActivity {
     }
 }
 
+/// What the energy walk reads of one module's own activity, whatever holds
+/// it: the recorded [`ModuleActivity`] or a module's [`StreamActivity`].
+/// Both sources yield the same values in the same order.
+pub(crate) trait Activity {
+    /// Calls `f(a, b, depth)` for every execution on FU instance `fu`, in
+    /// event order across all iterations.
+    fn each_fu_event(&self, fu: usize, f: impl FnMut(i64, i64, u32));
+    /// Calls `f(value)` for every write of register `reg`, in write order
+    /// across all iterations.
+    fn each_reg_write(&self, reg: usize, f: impl FnMut(i64));
+    /// Total controller-active cycles across all iterations.
+    fn busy_cycles(&self) -> u64;
+    /// `(loads, stores)` per memory of behavior `bi`'s DFG; empty when the
+    /// behavior never ran.
+    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)];
+}
+
+impl Activity for ModuleActivity {
+    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
+        for e in &self.fu_events[fu] {
+            f(e.a, e.b, e.depth);
+        }
+    }
+
+    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
+        for &v in &self.reg_writes[reg] {
+            f(v);
+        }
+    }
+
+    fn busy_cycles(&self) -> u64 {
+        self.busy_cycles
+    }
+
+    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
+        self.mem_accesses.get(bi).map_or(&[], Vec::as_slice)
+    }
+}
+
 /// Per-instance inter-iteration state (values crossing iteration boundaries
 /// through delayed edges, owned memory banks) and per-execution scratch, per
 /// behavior.
@@ -116,12 +165,16 @@ impl ModuleState {
 /// iteration allocates nothing.
 #[derive(Clone, Debug, Default)]
 struct BehaviorState {
-    /// Flat storage laid out by the behavior's [`Prep`]: the value arena
-    /// (`..Prep::n_vals`, one slot per `(node, out-port)`, reset to 0 at
-    /// the start of every iteration) followed by the delay history (one slot
-    /// per `(delayed var, k)`, zero-initialized, persisting across
+    /// Flat storage laid out by the behavior's [`Layout`]: the value arena
+    /// (`..Layout::n_vals`, one slot per `(node, out-port)`, reset to 0 at
+    /// the start of every iteration) followed by the delay history (one
+    /// slot per `(delayed var, k)`, zero-initialized, persisting across
     /// iterations).
     buf: Vec<i64>,
+    /// When set, every iteration appends `buf` here as the operand reads
+    /// see it (after the steps, before the history shift): the value
+    /// streams of [`Streams::fill`].
+    rows: Option<Vec<i64>>,
     /// Arena slot of each *owned* memory, allocated on first execution.
     /// Memory contents are state, like delay lines: they persist across
     /// iterations.
@@ -154,7 +207,7 @@ impl MemArena {
 }
 
 /// One node of a behavior, compiled for the inner loop: every operand is a
-/// slot of [`BehaviorState::buf`] listed in [`Prep::srcs`] from `src` on,
+/// slot of [`BehaviorState::buf`] listed in [`Layout::srcs`] from `src` on,
 /// every result is written at `slot`.
 #[derive(Clone, Copy, Debug)]
 enum Step {
@@ -171,15 +224,15 @@ enum Step {
         slot: u32,
         src: u32,
     },
-    /// A call of behavior `sub_bi` of submodule instance `sub`; `node`
-    /// names the call's memory binds.
+    /// The `call`-th call of the behavior, executed by the submodule
+    /// behavior [`Bind::calls`] names; `node` names the call's memory
+    /// binds.
     Hier {
         node: NodeId,
         slot: u32,
         src: u32,
         arity: u32,
-        sub: u32,
-        sub_bi: u32,
+        call: u32,
     },
     Load {
         mem: u32,
@@ -204,9 +257,10 @@ struct FuOp {
     depth: u32,
 }
 
-/// Iteration-invariant preparation for one behavior: everything the inner
-/// loop needs that does not depend on the data.
-struct Prep {
+/// The DFG-only half of a behavior's preparation: everything the inner loop
+/// needs that depends neither on the data nor on the binding.
+#[derive(Debug)]
+struct Layout {
     /// The behavior's nodes in memory-aware topological order, outputs
     /// left out (they compute nothing).
     steps: Vec<Step>,
@@ -214,18 +268,10 @@ struct Prep {
     /// `buf[srcs[src + p]]`, a value slot for a same-iteration edge and a
     /// history slot for a delayed one.
     srcs: Vec<u32>,
-    /// Per FU instance: its operations in event (schedule) order. The order
-    /// is total — two operations sharing a unit are serialized onto
-    /// distinct start ticks — so it equals the per-iteration sort it
-    /// replaces.
-    fu_ops: Vec<Vec<FuOp>>,
-    /// Register writes in commit order, grouped by `(lifetime birth,
-    /// register)`: `(register index, value slots sharing that key)`. Groups
-    /// are almost always singletons; a multi-variable group's write order
-    /// is value-dependent (ascending — the per-iteration
-    /// `sort_unstable` this prep hoists keyed on `(birth, reg, value)`),
-    /// so ties are resolved per iteration in [`run_behavior`].
-    reg_writes: Vec<(usize, Vec<u32>)>,
+    /// Node `i`'s operand slots start at `srcs[src_start[i]]`.
+    src_start: Vec<u32>,
+    /// Node `i`'s out-port `p` lives at value slot `val_start[i] + p`.
+    val_start: Vec<u32>,
     /// Operand slot of each output, in output order.
     out_srcs: Vec<u32>,
     /// Variables feeding delayed edges, sorted by var: `(first history
@@ -238,11 +284,8 @@ struct Prep {
     len: usize,
 }
 
-impl Prep {
-    fn build(h: &Hierarchy, module: &RtlModule, bi: usize) -> Self {
-        let b = &module.behaviors()[bi];
-        let g = h.dfg(b.dfg);
-        let st = storage_analysis(g, &b.schedule);
+impl Layout {
+    fn build(h: &Hierarchy, g: &Dfg) -> Self {
         let n = g.node_count();
 
         // Value slots: one i64 per (node, out-port), laid out contiguously
@@ -313,11 +356,11 @@ impl Prep {
         }
 
         // Memory-aware order: program-order pairs (store-before-load on one
-        // memory) are evaluation constraints just like data edges. Each
-        // hierarchical node resolves its submodule instance and the
-        // behavior implementing its callee here, once.
-        let order = g.mem_topo_order().expect("bound dfg is acyclic");
-        let steps = order
+        // memory) are evaluation constraints just like data edges.
+        let mut calls = 0u32;
+        let steps = g
+            .mem_topo_order()
+            .expect("bound dfg is acyclic")
             .iter()
             .filter_map(|&nid| {
                 let (slot, src) = (val_start[nid.index()], src_start[nid.index()]);
@@ -332,19 +375,13 @@ impl Prep {
                     },
                     NodeKind::Op(op) => Step::Op { op: *op, slot, src },
                     NodeKind::Hier { callee } => {
-                        let sub = b.binding.hier_to_sub[&nid].index();
-                        let sub_bi = module.subs()[sub]
-                            .behaviors()
-                            .iter()
-                            .position(|sb| sb.dfg == *callee)
-                            .expect("submodule implements the callee");
+                        calls += 1;
                         Step::Hier {
                             node: nid,
                             slot,
                             src,
                             arity: h.in_arity(*callee) as u32,
-                            sub: sub as u32,
-                            sub_bi: sub_bi as u32,
+                            call: calls - 1,
                         }
                     }
                     NodeKind::Load { mem } => Step::Load {
@@ -363,8 +400,104 @@ impl Prep {
             })
             .collect();
 
+        let out_srcs = g
+            .outputs()
+            .iter()
+            .map(|&o| srcs[src_start[o.index()] as usize])
+            .collect();
+
+        Layout {
+            steps,
+            srcs,
+            src_start,
+            val_start,
+            out_srcs,
+            hist,
+            n_vals: n_vals as usize,
+            len: len as usize,
+        }
+    }
+
+    /// Value slot of `v`.
+    fn slot_of(&self, v: VarRef) -> u32 {
+        self.val_start[v.node.index()] + u32::from(v.port)
+    }
+}
+
+/// The binding-dependent half of a behavior's preparation. FU operations
+/// and register writes are stored flat, unit by unit and register by
+/// register, with start offsets.
+#[derive(Default)]
+struct Bind {
+    /// Operations in event (schedule) order, FU instance by instance: FU
+    /// `i`'s are `fu_ops[fu_start[i]..fu_start[i + 1]]`. The order is
+    /// total — two operations sharing a unit are serialized onto distinct
+    /// start ticks — so it equals the per-iteration sort it replaces.
+    fu_ops: Vec<FuOp>,
+    fu_start: Vec<u32>,
+    /// Value slots written within one iteration, register by register in
+    /// lifetime-birth order: register `r`'s are
+    /// `reg_slots[reg_start[r]..reg_start[r + 1]]`. A slot marked
+    /// [`Bind::TIED`] commits in one group with the next: the binder allows
+    /// same-birth variables in one register, and such a group commits in
+    /// ascending value order (the order the per-iteration `sort_unstable`
+    /// this prep hoists, keyed on `(birth, reg, value)`, produced), which
+    /// only an iteration can decide.
+    reg_slots: Vec<u32>,
+    reg_start: Vec<u32>,
+    /// Per hierarchical step, in step order: `(submodule instance, callee
+    /// behavior index in it)`.
+    calls: Vec<(u32, u32)>,
+}
+
+impl Bind {
+    /// Marks a register-write slot tied with the next one.
+    const TIED: u32 = 1 << 31;
+
+    /// FU instance `fu`'s operations in event order (none when unbound).
+    fn ops(&self, fu: usize) -> &[FuOp] {
+        match self.fu_start.get(fu..fu + 2) {
+            Some(&[lo, hi]) => &self.fu_ops[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// Calls `f` with register `reg`'s writes of the iteration held in
+    /// `row`, in commit order.
+    fn each_reg_write(&self, reg: usize, row: &[i64], mut f: impl FnMut(i64)) {
+        let slots = match self.reg_start.get(reg..reg + 2) {
+            Some(&[lo, hi]) => &self.reg_slots[lo as usize..hi as usize],
+            _ => return,
+        };
+        let mut i = 0;
+        while i < slots.len() {
+            if slots[i] & Self::TIED == 0 {
+                f(row[slots[i] as usize]);
+                i += 1;
+                continue;
+            }
+            let mut end = i;
+            while slots[end] & Self::TIED != 0 {
+                end += 1;
+            }
+            let mut vals: Vec<i64> = slots[i..=end]
+                .iter()
+                .map(|&s| row[(s & !Self::TIED) as usize])
+                .collect();
+            vals.sort_unstable();
+            vals.into_iter().for_each(&mut f);
+            i = end + 1;
+        }
+    }
+
+    fn build(h: &Hierarchy, module: &RtlModule, bi: usize, layout: &Layout) -> Self {
+        let b = &module.behaviors()[bi];
+        let g = h.dfg(b.dfg);
+        let st = storage_analysis(g, &b.schedule);
+        let order = g.mem_topo_order().expect("bound dfg is acyclic");
+
         // Chained combinational depth per node (for glitch modeling).
-        let mut depth = vec![0u32; n];
+        let mut depth = vec![0u32; g.node_count()];
         for &nid in order {
             if !matches!(g.node(nid).kind(), NodeKind::Op(_)) {
                 continue;
@@ -378,47 +511,44 @@ impl Prep {
             depth[nid.index()] = d;
         }
 
-        // Per-FU event order: ops sorted by start tick (distinct ticks per
-        // unit, since sharing serializes).
-        let mut keyed: Vec<Vec<(u32, f64, Operation, NodeId)>> =
-            vec![Vec::new(); module.fus().len()];
-        for (node, fu) in b.binding.op_to_fu.iter() {
-            if let NodeKind::Op(op) = g.node(node).kind() {
-                let t = b.schedule.time(node);
-                keyed[fu.index()].push((t.start.cycle, t.start.ns, *op, node));
-            }
-        }
+        // Per-FU event order: ops sorted by unit, then start tick (distinct
+        // ticks per unit, since sharing serializes). Node id as the final
+        // tiebreak keeps the order total even if a schedule ever produced
+        // same-tick ops on one unit.
+        let mut keyed: Vec<(usize, u32, f64, NodeId, Operation)> = b
+            .binding
+            .op_to_fu
+            .iter()
+            .filter_map(|(node, fu)| match g.node(node).kind() {
+                NodeKind::Op(op) => {
+                    let t = b.schedule.time(node).start;
+                    Some((fu.index(), t.cycle, t.ns, node, *op))
+                }
+                _ => None,
+            })
+            .collect();
+        keyed.sort_by(|x, y| {
+            (x.0, x.1, x.2, x.3)
+                .partial_cmp(&(y.0, y.1, y.2, y.3))
+                .expect("finite")
+        });
+        let fu_start = starts(module.fus().len(), keyed.iter().map(|k| k.0));
         let fu_ops = keyed
             .into_iter()
-            .map(|mut v| {
-                // Node id as the final tiebreak keeps the order total even
-                // if a schedule ever produced same-tick ops on one unit.
-                v.sort_by(|x, y| {
-                    (x.0, x.1, x.3)
-                        .partial_cmp(&(y.0, y.1, y.3))
-                        .expect("finite")
-                });
-                v.into_iter()
-                    .map(|(_, _, op, node)| {
-                        let src = src_start[node.index()] as usize;
-                        FuOp {
-                            op,
-                            a: srcs[src],
-                            b: (op.arity() > 1).then(|| srcs[src + 1]),
-                            depth: depth[node.index()],
-                        }
-                    })
-                    .collect()
+            .map(|(_, _, _, node, op)| {
+                let src = layout.src_start[node.index()] as usize;
+                FuOp {
+                    op,
+                    a: layout.srcs[src],
+                    b: (op.arity() > 1).then(|| layout.srcs[src + 1]),
+                    depth: depth[node.index()],
+                }
             })
             .collect();
 
-        // Register writes ordered by (lifetime birth, register). The pair
-        // is *usually* unique, but the binder does allow same-birth
-        // variables in one register; those ties were historically broken by
-        // the written value (the `sort_unstable` key ended `(birth, reg,
-        // value)`), which only an iteration can decide — so group them here
-        // and sort the group's values in `run_behavior`.
-        let mut births: Vec<(u32, usize, VarRef)> = st
+        // Register writes ordered by (register, lifetime birth); a repeated
+        // pair ties the earlier slot to the next.
+        let mut births: Vec<(usize, u32, u32)> = st
             .stored_vars
             .iter()
             .zip(&st.lifetimes)
@@ -426,42 +556,73 @@ impl Prep {
                 b.binding
                     .var_to_reg
                     .get(*v)
-                    .map(|r| (life.0, r.index(), *v))
+                    .map(|r| (r.index(), life.0, layout.slot_of(*v)))
             })
             .collect();
-        births.sort_unstable_by_key(|&(birth, reg, _)| (birth, reg));
-        let mut reg_writes: Vec<(usize, Vec<u32>)> = Vec::with_capacity(births.len());
-        let mut last_key = None;
-        for (birth, reg, v) in births {
-            if last_key == Some((birth, reg)) {
-                reg_writes
-                    .last_mut()
-                    .expect("key repeats")
-                    .1
-                    .push(slot_of(v));
-            } else {
-                last_key = Some((birth, reg));
-                reg_writes.push((reg, vec![slot_of(v)]));
+        births.sort_unstable_by_key(|&(reg, birth, _)| (reg, birth));
+        let reg_start = starts(module.regs().len(), births.iter().map(|b| b.0));
+        debug_assert!(
+            layout.len < Self::TIED as usize,
+            "slots leave the tie bit free"
+        );
+        let mut reg_slots: Vec<u32> = births.iter().map(|&(_, _, slot)| slot).collect();
+        for (i, pair) in births.windows(2).enumerate() {
+            if (pair[0].0, pair[0].1) == (pair[1].0, pair[1].1) {
+                reg_slots[i] |= Self::TIED;
             }
         }
 
-        let out_srcs = g
-            .outputs()
+        // Each hierarchical node resolves its submodule instance and the
+        // behavior implementing its callee here, once.
+        let calls = layout
+            .steps
             .iter()
-            .map(|&o| srcs[src_start[o.index()] as usize])
+            .filter_map(|s| match *s {
+                Step::Hier { node, .. } => Some(node),
+                _ => None,
+            })
+            .map(|node| {
+                let NodeKind::Hier { callee } = g.node(node).kind() else {
+                    unreachable!("hierarchical step");
+                };
+                let sub = b.binding.hier_to_sub[&node].index();
+                let sub_bi = module.subs()[sub]
+                    .behaviors()
+                    .iter()
+                    .position(|sb| sb.dfg == *callee)
+                    .expect("submodule implements the callee");
+                (sub as u32, sub_bi as u32)
+            })
             .collect();
 
-        Prep {
-            steps,
-            srcs,
+        Bind {
             fu_ops,
-            reg_writes,
-            out_srcs,
-            hist,
-            n_vals: n_vals as usize,
-            len: len as usize,
+            fu_start,
+            reg_slots,
+            reg_start,
+            calls,
         }
     }
+}
+
+/// Start offsets of `n` consecutive runs in a list sorted by run index,
+/// given each element's run index: run `i` spans `starts[i]..starts[i + 1]`.
+fn starts(n: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
+    let mut starts = vec![0u32; n + 1];
+    for k in keys {
+        starts[k + 1] += 1;
+    }
+    for i in 0..n {
+        starts[i + 1] += starts[i];
+    }
+    starts
+}
+
+/// Iteration-invariant preparation for one behavior: its [`Layout`] and
+/// [`Bind`].
+struct Prep {
+    layout: Layout,
+    bind: Bind,
 }
 
 /// Lazily-built [`Prep`]s mirroring the module tree.
@@ -482,10 +643,11 @@ impl PrepTree {
         if self.behaviors.is_empty() {
             self.behaviors = module.behaviors().iter().map(|_| None).collect();
         }
-        if self.behaviors[bi].is_none() {
-            self.behaviors[bi] = Some(Prep::build(h, module, bi));
-        }
-        self.behaviors[bi].as_ref().expect("just built")
+        self.behaviors[bi].get_or_insert_with(|| {
+            let layout = Layout::build(h, h.dfg(module.behaviors()[bi].dfg));
+            let bind = Bind::build(h, module, bi, &layout);
+            Prep { layout, bind }
+        })
     }
 }
 
@@ -516,19 +678,60 @@ pub fn simulate_cached(
     simulate_impl(h, module, traces, Some((fp, cache)))
 }
 
+/// Run `module`'s first behavior once per trace iteration, handing each
+/// iteration's outputs to `on_out`.
+///
+/// # Panics
+///
+/// Panics if the trace input count does not match the behavior's DFG.
+#[allow(clippy::too_many_arguments)]
+fn run_traces(
+    h: &Hierarchy,
+    module: &RtlModule,
+    traces: &TraceSet,
+    state: &mut ModuleState,
+    act: &mut ModuleActivity,
+    prep: &mut PrepTree,
+    drivers: &mut [SubDriver],
+    arena: &mut MemArena,
+    mut on_out: impl FnMut(&[i64]),
+) {
+    let g = h.dfg(module.behaviors()[0].dfg);
+    assert_eq!(
+        traces.input_count(),
+        g.input_count(),
+        "trace width must match the top DFG's inputs"
+    );
+    let mut inputs = vec![0i64; g.input_count()];
+    let mut out = Vec::with_capacity(g.output_count());
+    for n in 0..traces.len() {
+        for (i, s) in traces.samples.iter().enumerate() {
+            inputs[i] = s[n];
+        }
+        run_behavior(
+            h,
+            module,
+            0,
+            &inputs,
+            traces.width,
+            state,
+            act,
+            prep,
+            drivers,
+            arena,
+            &[],
+            &mut out,
+        );
+        on_out(&out);
+    }
+}
+
 fn simulate_impl(
     h: &Hierarchy,
     module: &RtlModule,
     traces: &TraceSet,
     cached: Option<(&FpTree, &mut SimCache)>,
 ) -> (ModuleActivity, Vec<Vec<i64>>) {
-    let behavior = 0usize;
-    let g = h.dfg(module.behaviors()[behavior].dfg);
-    assert_eq!(
-        traces.input_count(),
-        g.input_count(),
-        "trace width must match the top DFG's inputs"
-    );
     let mut act = ModuleActivity::for_module(module);
     let mut state = ModuleState::for_module(module);
     let mut prep = PrepTree::for_module(module);
@@ -545,6 +748,7 @@ fn simulate_impl(
         if c.map.len() > SimCache::CAP {
             c.map.clear();
         }
+        c.kernel_iterations += traces.len() as u64;
         drivers = fp
             .subs
             .iter()
@@ -562,35 +766,27 @@ fn simulate_impl(
         cache = Some((fp, c));
     }
 
-    let n_out = g.output_count();
+    let n_out = h.dfg(module.behaviors()[0].dfg).output_count();
     let mut outputs: Vec<Vec<i64>> = vec![Vec::with_capacity(traces.len()); n_out];
-    let mut inputs = vec![0i64; g.input_count()];
-    let mut out = Vec::with_capacity(n_out);
-    for n in 0..traces.len() {
-        for (i, s) in traces.samples.iter().enumerate() {
-            inputs[i] = s[n];
-        }
-        run_behavior(
-            h,
-            module,
-            behavior,
-            &inputs,
-            traces.width,
-            &mut state,
-            &mut act,
-            &mut prep,
-            &mut drivers,
-            &mut arena,
-            &[],
-            &mut out,
-        );
-        for (o, v) in outputs.iter_mut().zip(&out) {
-            o.push(*v);
-        }
-    }
+    run_traces(
+        h,
+        module,
+        traces,
+        &mut state,
+        &mut act,
+        &mut prep,
+        &mut drivers,
+        &mut arena,
+        |out| {
+            for (o, v) in outputs.iter_mut().zip(out) {
+                o.push(*v);
+            }
+        },
+    );
 
     // Settle the drivers: install replayed activity, refresh recordings.
     if let Some((fp, c)) = cache {
+        let mut out = Vec::new();
         for (i, driver) in drivers.into_iter().enumerate() {
             let key = (i, fp.subs[i].fp);
             match driver {
@@ -695,27 +891,173 @@ enum SubDriver {
     Bypass,
 }
 
-/// Memoized submodule simulations, keyed by `(instance index, structural
-/// fingerprint)` of the design's top-level submodules.
+/// The value streams of one behavior of a module without submodule
+/// instances on one trace set: what the kernel computed, iteration by
+/// iteration, independent of any binding.
+#[derive(Debug)]
+struct Streams {
+    /// The trace samples the streams were computed on, compared on lookup.
+    samples: Vec<Vec<i64>>,
+    /// The behavior's slot layout, which the streams follow.
+    layout: Layout,
+    /// Iteration `n`'s buffer as the kernel's operand reads see it (values
+    /// after the steps, history before the shift): `rows[n * layout.len..]
+    /// [..layout.len]`.
+    rows: Vec<i64>,
+    /// Iterations held.
+    iterations: usize,
+    /// `(loads, stores)` per memory of the behavior's DFG over all
+    /// iterations: every step runs once per iteration, so the counts do not
+    /// depend on the binding either.
+    mem_accesses: Vec<(u64, u64)>,
+}
+
+impl Streams {
+    /// Run the kernel once over `traces` on `module`'s first behavior with
+    /// no binding half, keeping every iteration's buffer.
+    fn fill(h: &Hierarchy, module: &RtlModule, traces: &TraceSet) -> Self {
+        debug_assert!(
+            module.subs().is_empty(),
+            "value streams need a sub-free module"
+        );
+        let layout = Layout::build(h, h.dfg(module.behaviors()[0].dfg));
+        let mut state = ModuleState::for_module(module);
+        state.behaviors[0].rows = Some(Vec::with_capacity(traces.len() * layout.len));
+        let mut prep = PrepTree::for_module(module);
+        prep.behaviors = module.behaviors().iter().map(|_| None).collect();
+        prep.behaviors[0] = Some(Prep {
+            layout,
+            bind: Bind::default(),
+        });
+        let mut act = ModuleActivity::for_module(module);
+        run_traces(
+            h,
+            module,
+            traces,
+            &mut state,
+            &mut act,
+            &mut prep,
+            &mut [],
+            &mut MemArena::default(),
+            |_| {},
+        );
+        let prep = prep.behaviors.swap_remove(0).expect("prepared above");
+        Streams {
+            samples: traces.samples.clone(),
+            layout: prep.layout,
+            rows: state.behaviors[0].rows.take().expect("set above"),
+            iterations: traces.len(),
+            mem_accesses: std::mem::take(&mut act.mem_accesses[0]),
+        }
+    }
+
+    /// Iteration buffers in order.
+    fn rows(&self) -> impl Iterator<Item = &[i64]> {
+        let len = self.layout.len;
+        (0..self.iterations).map(move |n| &self.rows[n * len..(n + 1) * len])
+    }
+}
+
+/// The activity of a module without submodule instances, read from its
+/// behavior's value streams through a candidate's [`Bind`]: the same
+/// values, in the same order, that the kernel would record.
+pub(crate) struct StreamActivity<'a> {
+    streams: &'a Streams,
+    bind: Bind,
+    busy_cycles: u64,
+}
+
+impl Activity for StreamActivity<'_> {
+    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
+        // Gathered first, then handed out: calling `f` from inside the
+        // row-by-op loops made the energy walk about a third slower than
+        // this two-loop form (flattened dct, 2-core x86-64 host).
+        let ops = self.bind.ops(fu);
+        let mut events = Vec::with_capacity(ops.len() * self.streams.iterations);
+        for row in self.streams.rows() {
+            events.extend(ops.iter().map(|o| {
+                (
+                    row[o.a as usize],
+                    o.b.map_or(0, |s| row[s as usize]),
+                    o.depth,
+                )
+            }));
+        }
+        for (a, b, depth) in events {
+            f(a, b, depth);
+        }
+    }
+
+    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
+        for row in self.streams.rows() {
+            self.bind.each_reg_write(reg, row, &mut f);
+        }
+    }
+
+    fn busy_cycles(&self) -> u64 {
+        self.busy_cycles
+    }
+
+    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
+        if bi == 0 {
+            &self.streams.mem_accesses
+        } else {
+            &[]
+        }
+    }
+}
+
+/// Key of the value-stream table: the behavior DFG's content hash, the
+/// trace length and the width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct StreamKey {
+    dfg: u64,
+    len: usize,
+    width: u32,
+}
+
+/// Memoized simulation work of one engine: value streams of modules without
+/// submodule instances, and recordings of top-level submodules.
 ///
-/// The key includes the instance index because structurally identical
-/// siblings (think eight parallel dot-product children) see different data;
-/// each position keeps its own recording. A replay is *exact*: outputs and
-/// activity are integers fully determined by the module structure (the
-/// fingerprint) and the per-call inputs, both of which must match.
+/// Recordings are keyed by `(instance index, structural fingerprint)` of
+/// the design's top-level submodules. The key includes the instance index
+/// because structurally identical siblings (think eight parallel
+/// dot-product children) see different data; each position keeps its own
+/// recording. A replay is *exact*: outputs and activity are integers fully
+/// determined by the module structure (the fingerprint) and the per-call
+/// inputs, both of which must match.
+///
+/// Value streams are keyed by behavior content and traces (see the module
+/// documentation); a hit is exact for the same reason.
 #[derive(Debug, Default)]
 pub struct SimCache {
     map: HashMap<(usize, u64), SubRecording>,
+    /// Value streams, oldest first; at most [`SimCache::STREAM_CAP`].
+    streams: Vec<(StreamKey, Streams)>,
     /// Submodule runs served entirely from recordings.
     pub hits: u64,
     /// Submodule runs simulated live (including divergent replays).
     pub misses: u64,
+    /// Sub-free module pricings answered from stored value streams.
+    pub stream_hits: u64,
+    /// Sub-free module pricings that ran the kernel to fill the streams.
+    pub stream_misses: u64,
+    /// Top-level trace iterations the kernel ran for this cache's owner (a
+    /// deterministic physical-work counter: a value-stream hit runs none).
+    pub kernel_iterations: u64,
 }
 
 impl SimCache {
-    /// Entry cap: the map is cleared when it grows past this (recordings
-    /// from stale candidate designs would otherwise accumulate).
+    /// Entry cap of the recordings: the map is cleared when it grows past
+    /// this (recordings from stale candidate designs would otherwise
+    /// accumulate).
     const CAP: usize = 1024;
+
+    /// Entry cap of the value-stream table; the oldest entry is evicted
+    /// first. An engine prices one behavior per flat design (a rebank makes
+    /// another), and each nested move-*B* engine has a cache of its own, so
+    /// a few entries cover a search.
+    pub const STREAM_CAP: usize = 8;
 
     /// An empty cache.
     pub fn new() -> Self {
@@ -742,6 +1084,48 @@ impl SimCache {
     pub(crate) fn set_energy(&mut self, index: usize, fp: u64, e: crate::EnergyBreakdown) {
         if let Some(r) = self.map.get_mut(&(index, fp)) {
             r.energy = Some(e);
+        }
+    }
+
+    /// The activity of `module`, which has no submodule instances, on
+    /// `traces`: its first behavior's value streams (filled by one kernel
+    /// run on a miss) read through the module's binding.
+    pub(crate) fn stream_activity(
+        &mut self,
+        h: &Hierarchy,
+        module: &RtlModule,
+        traces: &TraceSet,
+    ) -> StreamActivity<'_> {
+        let b = &module.behaviors()[0];
+        let key = StreamKey {
+            dfg: h.content_hash(b.dfg),
+            len: traces.len(),
+            width: traces.width,
+        };
+        let found = self
+            .streams
+            .iter()
+            .position(|(k, s)| *k == key && s.samples == traces.samples);
+        let at = match found {
+            Some(at) => {
+                self.stream_hits += 1;
+                at
+            }
+            None => {
+                self.stream_misses += 1;
+                self.kernel_iterations += traces.len() as u64;
+                if self.streams.len() >= Self::STREAM_CAP {
+                    self.streams.remove(0);
+                }
+                self.streams.push((key, Streams::fill(h, module, traces)));
+                self.streams.len() - 1
+            }
+        };
+        let streams = &self.streams[at].1;
+        StreamActivity {
+            bind: Bind::build(h, module, 0, &streams.layout),
+            busy_cycles: traces.len() as u64 * u64::from(b.schedule.makespan()),
+            streams,
         }
     }
 }
@@ -849,13 +1233,14 @@ fn run_behavior(
         behaviors: preps,
         subs: sub_preps,
     } = prep_tree;
-    let prep = preps[bi].as_ref().expect("prepared above");
+    let Prep { layout, bind } = preps[bi].as_ref().expect("prepared above");
     let ModuleState {
         behaviors: states,
         subs: sub_states,
     } = state;
     let BehaviorState {
         buf,
+        rows,
         mem_slots,
         mem_map,
         call_in,
@@ -864,10 +1249,10 @@ fn run_behavior(
     } = &mut states[bi];
     // Values never produced read 0 (feedback before the first iteration
     // reads the zeroed history; the value arena is zeroed every iteration).
-    if buf.len() == prep.len {
-        buf[..prep.n_vals].fill(0);
+    if buf.len() == layout.len {
+        buf[..layout.n_vals].fill(0);
     } else {
-        *buf = vec![0; prep.len];
+        *buf = vec![0; layout.len];
     }
 
     // Resolve each memory of this behavior to its arena slot: owned
@@ -904,8 +1289,8 @@ fn run_behavior(
         act.mem_accesses[bi] = vec![(0, 0); g.mem_count()];
     }
 
-    let srcs = &prep.srcs;
-    for step in &prep.steps {
+    let srcs = &layout.srcs;
+    for step in &layout.steps {
         match *step {
             Step::Input { slot, index } => {
                 buf[slot as usize] = inputs.get(index as usize).copied().unwrap_or(0);
@@ -927,8 +1312,7 @@ fn run_behavior(
                 slot,
                 src,
                 arity,
-                sub,
-                sub_bi,
+                call,
             } => {
                 let src = src as usize;
                 call_in.clear();
@@ -941,7 +1325,8 @@ fn run_behavior(
                 // through this call's positional memory binds.
                 call_ext.clear();
                 call_ext.extend(g.node(node).mem_binds().iter().map(|m| mem_map[m.index()]));
-                let (si, sub_bi) = (sub as usize, sub_bi as usize);
+                let (si, sub_bi) = bind.calls[call as usize];
+                let (si, sub_bi) = (si as usize, sub_bi as usize);
                 let sub_m = &module.subs()[si];
                 match drivers.get_mut(si) {
                     Some(SubDriver::Bypass) | None => run_behavior(
@@ -1001,8 +1386,8 @@ fn run_behavior(
     }
 
     // Record FU events in schedule order per instance.
-    for (events, ops) in act.fu_events.iter_mut().zip(&prep.fu_ops) {
-        events.extend(ops.iter().map(|o| FuEvent {
+    for (fu, events) in act.fu_events.iter_mut().enumerate() {
+        events.extend(bind.ops(fu).iter().map(|o| FuEvent {
             op: o.op,
             a: buf[o.a as usize],
             b: o.b.map_or(0, |s| buf[s as usize]),
@@ -1010,17 +1395,14 @@ fn run_behavior(
         }));
     }
 
-    // Register writes, ordered by lifetime birth; same-(birth, register)
-    // groups commit in ascending value order (see `Prep::reg_writes`).
-    for (reg, slots) in &prep.reg_writes {
-        match slots.as_slice() {
-            [s] => act.reg_writes[*reg].push(buf[*s as usize]),
-            tied => {
-                let mut vals: Vec<i64> = tied.iter().map(|&s| buf[s as usize]).collect();
-                vals.sort_unstable();
-                act.reg_writes[*reg].extend(vals);
-            }
-        }
+    // Register writes, ordered by lifetime birth; tie groups commit in
+    // ascending value order (see `Bind::reg_slots`).
+    for (reg, writes) in act.reg_writes.iter_mut().enumerate() {
+        bind.each_reg_write(reg, buf, |v| writes.push(v));
+    }
+
+    if let Some(rows) = rows {
+        rows.extend_from_slice(buf);
     }
 
     act.busy_cycles += u64::from(b.schedule.makespan());
@@ -1029,11 +1411,11 @@ fn run_behavior(
     // Collect outputs (before the history shift: a delayed output edge
     // delivers the value from `delay` iterations before this one).
     out.clear();
-    out.extend(prep.out_srcs.iter().map(|&s| buf[s as usize]));
+    out.extend(layout.out_srcs.iter().map(|&s| buf[s as usize]));
 
     // Update delay history *after* the iteration: every k-level moves one
     // slot deeper, and this iteration's value enters at k = 1.
-    for &(first, maxd, slot) in &prep.hist {
+    for &(first, maxd, slot) in &layout.hist {
         let (first, maxd) = (first as usize, maxd as usize);
         buf.copy_within(first..first + maxd - 1, first + 1);
         buf[first] = buf[slot as usize];
@@ -1549,9 +1931,11 @@ mod reference {
 
 #[cfg(test)]
 mod tests {
-    //! Differential check of the flat kernel against the reference
-    //! interpreter it replaced: activity (every event, register write,
-    //! memory access and cycle count) and outputs must be equal.
+    //! Differential checks: the flat kernel against the reference
+    //! interpreter it replaced (activity — every event, register write,
+    //! memory access and cycle count — and outputs must be equal), and the
+    //! value-stream pricing of sub-free modules against the kernel (every
+    //! float of the estimate must be bit-identical).
 
     use super::*;
     use crate::traces::dsp_default;
@@ -1710,5 +2094,203 @@ mod tests {
         let lib = table1_library();
         let m = parallel(&h, h.top(), &lib, &RegPolicy::Dedicated);
         assert_matches_reference(&h, &m, "owned memory");
+    }
+
+    /// The bits of every float of a power report.
+    fn report_bits(p: &crate::PowerReport) -> [u64; 11] {
+        let e = &p.energy_breakdown;
+        [
+            e.fu,
+            e.reg,
+            e.mux,
+            e.wire,
+            e.controller,
+            e.mem,
+            e.clock,
+            e.subs,
+            p.energy_per_iteration,
+            p.power,
+            p.vdd,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The value-stream path of `estimate_cached` prices `m` (sub-free)
+    /// bit-identically to the kernel behind `estimate`, cold and warm.
+    fn assert_streams_match_kernel(h: &Hierarchy, m: &RtlModule, what: &str) {
+        assert!(
+            m.subs().is_empty(),
+            "{what}: the stream path serves sub-free modules"
+        );
+        let lib = table1_library();
+        let inputs = h.dfg(m.behaviors()[0].dfg).input_count();
+        let traces = dsp_default(inputs, SAMPLES, W, 0xDAC_1998);
+        let fp = hsyn_rtl::fingerprint_tree(h, m);
+        let kernel = crate::estimate(h, m, &lib, &traces, 3.3, TABLE1_CLOCK_NS, 20);
+        let mut cache = SimCache::new();
+        for round in ["cold", "warm"] {
+            let streamed = crate::estimate_cached(
+                h,
+                m,
+                &lib,
+                &traces,
+                3.3,
+                TABLE1_CLOCK_NS,
+                20,
+                &fp,
+                &mut cache,
+            );
+            assert_eq!(
+                report_bits(&streamed),
+                report_bits(&kernel),
+                "{what} ({round}): stream pricing differs from the kernel"
+            );
+        }
+        assert_eq!((cache.stream_misses, cache.stream_hits), (1, 1), "{what}");
+        assert_eq!(cache.kernel_iterations, SAMPLES as u64, "{what}");
+        assert_eq!((cache.hits, cache.misses), (0, 0), "{what}: no replay");
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_on_every_flattened_benchmark() {
+        let lib = table1_library();
+        for bench in benchmarks::all() {
+            let flat = single(bench.hierarchy.flatten());
+            for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+                let m = parallel(&flat, flat.top(), &lib, policy);
+                assert_streams_match_kernel(&flat, &m, &format!("{} {policy:?}", bench.name));
+            }
+        }
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_on_shared_units_and_packed_registers() {
+        // Every op of one kind on one unit: long interleaved event streams
+        // and register writes packed by the left-edge binder.
+        let lib = table1_library();
+        for name in ["dct", "iir", "matmul"] {
+            let bench = benchmarks::by_name(name).expect("registry benchmark");
+            let flat = single(bench.hierarchy.flatten());
+            let g = flat.dfg(flat.top());
+            let mut groups: Vec<hsyn_rtl::FuGroup> = Vec::new();
+            for (nid, node) in g.nodes() {
+                if let NodeKind::Op(op) = node.kind() {
+                    let fu_type = lib.fastest_for(*op).expect("table 1 covers every op");
+                    match groups.iter_mut().find(|grp| grp.fu_type == fu_type) {
+                        Some(grp) => grp.ops.push(nid),
+                        None => groups.push(hsyn_rtl::FuGroup {
+                            fu_type,
+                            ops: vec![nid],
+                        }),
+                    }
+                }
+            }
+            let spec = ModuleSpec {
+                name: format!("{name}_shared"),
+                dfg: flat.top(),
+                fu_groups: groups,
+                subs: vec![],
+                reg_policy: RegPolicy::Packed,
+            };
+            let ctx = BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None);
+            let m = build(&flat, &spec, &ctx).expect("serialized build fits an open deadline");
+            assert_streams_match_kernel(&flat, &m, &format!("{name} shared"));
+        }
+    }
+
+    #[test]
+    fn stream_pricing_follows_a_rebanked_memory() {
+        // Rebanking changes the DFG's content hash (and the schedule), so
+        // the rebuilt design fills a stream entry of its own and still
+        // prices like the kernel.
+        let lib = table1_library();
+        let bench = benchmarks::by_name("fir_block").expect("memory tier");
+        let mut flat = single(bench.hierarchy.flatten());
+        let top = flat.top();
+        let mem = flat.dfg(top).mems().next().expect("a memory").0;
+        let banks = flat.dfg(top).mem(mem).banks;
+        let before = flat.content_hash(top);
+        flat.dfg_mut(top)
+            .set_mem_banks(mem, if banks == 1 { 2 } else { 1 });
+        assert_ne!(flat.content_hash(top), before, "rebanking changes the key");
+        let m = parallel(&flat, top, &lib, &RegPolicy::Dedicated);
+        assert_streams_match_kernel(&flat, &m, "fir_block rebanked");
+    }
+
+    #[test]
+    fn stream_table_is_capped_and_evicts_the_oldest() {
+        // One more distinct behavior than the cap: the first one priced is
+        // evicted, and pricing it again fills a fresh entry.
+        let lib = table1_library();
+        let mut seen = std::collections::HashSet::new();
+        let designs: Vec<(Hierarchy, RtlModule)> = benchmarks::all()
+            .into_iter()
+            .map(|bench| single(bench.hierarchy.flatten()))
+            .filter(|flat| seen.insert(flat.content_hash(flat.top())))
+            .take(SimCache::STREAM_CAP + 1)
+            .map(|flat| {
+                let m = parallel(&flat, flat.top(), &lib, &RegPolicy::Dedicated);
+                (flat, m)
+            })
+            .collect();
+        assert_eq!(
+            designs.len(),
+            SimCache::STREAM_CAP + 1,
+            "enough distinct behaviors"
+        );
+        let mut cache = SimCache::new();
+        let price = |(h, m): &(Hierarchy, RtlModule), cache: &mut SimCache| {
+            let inputs = h.dfg(m.behaviors()[0].dfg).input_count();
+            let traces = dsp_default(inputs, SAMPLES, W, 3);
+            let fp = hsyn_rtl::fingerprint_tree(h, m);
+            crate::estimate_cached(h, m, &lib, &traces, 5.0, TABLE1_CLOCK_NS, 20, &fp, cache)
+        };
+        for d in &designs {
+            price(d, &mut cache);
+            assert!(cache.streams.len() <= SimCache::STREAM_CAP);
+        }
+        assert_eq!(cache.streams.len(), SimCache::STREAM_CAP);
+        let misses = SimCache::STREAM_CAP as u64 + 1;
+        assert_eq!((cache.stream_hits, cache.stream_misses), (0, misses));
+        price(&designs[SimCache::STREAM_CAP], &mut cache);
+        assert_eq!((cache.stream_hits, cache.stream_misses), (1, misses));
+        price(&designs[0], &mut cache);
+        assert_eq!((cache.stream_hits, cache.stream_misses), (1, misses + 1));
+        assert_eq!(cache.kernel_iterations, (misses + 1) * SAMPLES as u64);
+    }
+
+    #[test]
+    fn tied_register_writes_match_the_reference_and_the_kernel() {
+        // Every stored value crammed into register 0 (an illegal binding
+        // the simulators price all the same): the inputs, all born at
+        // cycle 0, form one tie group that commits in ascending value
+        // order, and so do other same-birth values.
+        let lib = table1_library();
+        for name in ["iir", "dct"] {
+            let bench = benchmarks::by_name(name).expect("registry benchmark");
+            let flat = single(bench.hierarchy.flatten());
+            let m = parallel(&flat, flat.top(), &lib, &RegPolicy::Dedicated);
+            let mut behavior = m.behaviors()[0].clone();
+            let r0 = hsyn_rtl::RegId::from_index(0);
+            for r in behavior.binding.var_to_reg.regs_mut() {
+                *r = r0;
+            }
+            let crammed = RtlModule::new(
+                &flat,
+                name,
+                m.fus().to_vec(),
+                m.regs().to_vec(),
+                vec![],
+                vec![behavior],
+            );
+            let layout = Layout::build(&flat, flat.dfg(flat.top()));
+            let bind = Bind::build(&flat, &crammed, 0, &layout);
+            assert!(
+                bind.reg_slots.iter().any(|&s| s & Bind::TIED != 0),
+                "{name}: the crammed binding has tie groups"
+            );
+            assert_matches_reference(&flat, &crammed, &format!("{name} crammed"));
+            assert_streams_match_kernel(&flat, &crammed, &format!("{name} crammed"));
+        }
     }
 }

@@ -13,13 +13,18 @@
 //! `_resyn` suffix) without changing their cost, and no cost model reads a
 //! name. DFGs are hashed by content, not by [`DfgId`], so a behavior
 //! retargeted to an equivalent DFG with identical structure fingerprints
-//! the same. The tables of a [`Binding`](crate::Binding) are folded in
+//! the same. The content hash is [`Dfg::content_hash`], cached on each
+//! call-free DFG until its next mutation, so a refresh re-hashes only
+//! modules, not their DFGs. The tables of a [`Binding`](crate::Binding) are folded in
 //! ascending key order, and every `f64` is hashed via
 //! [`f64::to_bits`], so fingerprints are stable across processes, threads,
 //! and platforms.
 
+//!
+//! [`Dfg::content_hash`]: hsyn_dfg::Dfg::content_hash
+
 use crate::module::{Behavior, RtlModule};
-use hsyn_dfg::{Dfg, DfgId, Hierarchy, NodeKind};
+use hsyn_dfg::{ContentHasher as Fp, DfgId, Hierarchy};
 
 /// Per-hierarchy DFG-fingerprint memo: a flat arena indexed by
 /// [`DfgId::index`] (dense ids), replacing the seed's `HashMap<DfgId, u64>`
@@ -29,57 +34,6 @@ struct DfgMemo(Vec<Option<u64>>);
 impl DfgMemo {
     fn new(h: &Hierarchy) -> Self {
         DfgMemo(vec![None; h.dfg_count()])
-    }
-}
-
-/// A streaming 64-bit hasher with fixed (seed-free) initial state.
-///
-/// `std::collections::HashMap`'s default hasher is randomly seeded per
-/// process, so fingerprints must not go through it. This is an FNV-1a
-/// accumulator with a SplitMix64 finalizer — not cryptographic, just
-/// deterministic and well-mixed.
-#[derive(Clone, Debug)]
-struct Fp(u64);
-
-impl Fp {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fp(Self::OFFSET)
-    }
-
-    fn u64(&mut self, v: u64) {
-        let mut h = self.0;
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(Self::PRIME);
-        }
-        self.0 = h;
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.u64(u64::from(v));
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        // SplitMix64 finalizer: spreads the FNV state over all 64 bits.
-        let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 
@@ -96,14 +50,6 @@ mod tag {
     pub const BINDING: u64 = 0xB3;
     pub const SERIAL: u64 = 0xB4;
     pub const PROFILE: u64 = 0xB5;
-    pub const NODE_INPUT: u64 = 0xC1;
-    pub const NODE_OUTPUT: u64 = 0xC2;
-    pub const NODE_CONST: u64 = 0xC3;
-    pub const NODE_OP: u64 = 0xC4;
-    pub const NODE_HIER: u64 = 0xC5;
-    pub const NODE_LOAD: u64 = 0xC6;
-    pub const NODE_STORE: u64 = 0xC7;
-    pub const MEMS: u64 = 0xD1;
 }
 
 /// The fingerprint of a module together with its submodules' fingerprints,
@@ -162,10 +108,10 @@ pub fn module_fingerprint(h: &Hierarchy, module: &RtlModule) -> u64 {
 }
 
 /// Content hash of one DFG, independent of its [`DfgId`] and of all node /
-/// graph names. Hierarchical nodes recurse into the callee's content.
+/// graph names: [`Hierarchy::content_hash`]. Hierarchical nodes recurse
+/// into the callee's content.
 pub fn dfg_fingerprint(h: &Hierarchy, id: DfgId) -> u64 {
-    let mut memo = DfgMemo::new(h);
-    fp_dfg(h, id, &mut memo)
+    h.content_hash(id)
 }
 
 /// Recompute the fingerprint tree of `module` after an edit confined to the
@@ -322,82 +268,16 @@ fn fp_behavior(f: &mut Fp, h: &Hierarchy, b: &Behavior, memo: &mut DfgMemo) {
     }
 }
 
+/// The content hash of DFG `id` ([`Dfg::content_hash`]), memoized per
+/// call tree: a call-free DFG answers from its own cache, and a DFG with
+/// calls rehashes its content once per tree, reading its callees here.
+///
+/// [`Dfg::content_hash`]: hsyn_dfg::Dfg::content_hash
 fn fp_dfg(h: &Hierarchy, id: DfgId, memo: &mut DfgMemo) -> u64 {
     if let Some(fp) = memo.0[id.index()] {
         return fp;
     }
-    let g: &Dfg = h.dfg(id);
-    let mut f = Fp::new();
-    f.usize(g.node_count());
-    for (_, n) in g.nodes() {
-        match n.kind() {
-            NodeKind::Input { index } => {
-                f.u64(tag::NODE_INPUT);
-                f.usize(*index);
-            }
-            NodeKind::Output { index } => {
-                f.u64(tag::NODE_OUTPUT);
-                f.usize(*index);
-            }
-            NodeKind::Const { value } => {
-                f.u64(tag::NODE_CONST);
-                f.i64(*value);
-            }
-            NodeKind::Op(op) => {
-                f.u64(tag::NODE_OP);
-                f.u64(*op as u64);
-            }
-            NodeKind::Hier { callee } => {
-                f.u64(tag::NODE_HIER);
-                // Hierarchies are acyclic (validated), so this terminates.
-                f.u64(fp_dfg(h, *callee, memo));
-                // Bank bindings steer which physical memories a call shares.
-                f.usize(n.mem_binds().len());
-                for b in n.mem_binds() {
-                    f.usize(b.index());
-                }
-            }
-            NodeKind::Load { mem } => {
-                f.u64(tag::NODE_LOAD);
-                f.usize(mem.index());
-            }
-            NodeKind::Store { mem } => {
-                f.u64(tag::NODE_STORE);
-                f.usize(mem.index());
-            }
-        }
-    }
-    // Memory shapes feed area (bits, ports, banks) and energy (per-access)
-    // models, so they are part of the cost-relevant structure.
-    f.u64(tag::MEMS);
-    f.usize(g.mem_count());
-    for (_, m) in g.mems() {
-        f.u32(m.words);
-        f.u32(m.elem_width);
-        f.u32(m.ports);
-        f.u32(m.banks);
-        f.u64(match m.scope {
-            hsyn_dfg::MemScope::Owned => 0,
-            hsyn_dfg::MemScope::External => 1,
-        });
-    }
-    f.usize(g.edge_count());
-    for (_, e) in g.edges() {
-        f.usize(e.from.node.index());
-        f.u32(u32::from(e.from.port));
-        f.usize(e.to.index());
-        f.u32(u32::from(e.to_port));
-        f.u32(e.delay);
-    }
-    f.usize(g.inputs().len());
-    for &n in g.inputs() {
-        f.usize(n.index());
-    }
-    f.usize(g.outputs().len());
-    for &n in g.outputs() {
-        f.usize(n.index());
-    }
-    let fp = f.finish();
+    let fp = h.dfg(id).content_hash(|callee| fp_dfg(h, callee, memo));
     memo.0[id.index()] = Some(fp);
     fp
 }
@@ -405,7 +285,7 @@ fn fp_dfg(h: &Hierarchy, id: DfgId, memo: &mut DfgMemo) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsyn_dfg::Operation;
+    use hsyn_dfg::{Dfg, Operation, VarRef};
     use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
 
     fn sop(h: &mut Hierarchy, name: &str) -> DfgId {
@@ -520,5 +400,36 @@ mod tests {
             fewer_regs.behaviors().to_vec(),
         );
         assert_ne!(base, module_fingerprint(&h, &fewer_regs));
+    }
+
+    #[test]
+    fn editing_a_callee_changes_its_callers_fingerprint() {
+        let mut h = Hierarchy::new();
+        let leaf = sop(&mut h, "leaf");
+        let mut top = Dfg::new("top");
+        let ins: Vec<VarRef> = (0..4).map(|i| top.add_input(format!("x{i}"))).collect();
+        let call = top.add_hier(leaf, "c", &ins);
+        top.add_output("y", VarRef::new(call, 0));
+        let top = h.add_dfg(top);
+        h.set_top(top);
+        let (leaf_before, top_before) = (dfg_fingerprint(&h, leaf), dfg_fingerprint(&h, top));
+        // Warm the callee's cached hash, then edit it: a new constant node.
+        assert_eq!(h.content_hash(leaf), leaf_before);
+        h.dfg_mut(leaf).add_const("k", 3);
+        assert_ne!(dfg_fingerprint(&h, leaf), leaf_before);
+        assert_ne!(
+            dfg_fingerprint(&h, top),
+            top_before,
+            "the caller sees the edit"
+        );
+        // Rebanking a callee memory reaches the caller the same way.
+        let with_mem = dfg_fingerprint(&h, top);
+        let m = h
+            .dfg_mut(leaf)
+            .add_mem(hsyn_dfg::MemObject::owned("m", 4, 16));
+        let declared = dfg_fingerprint(&h, top);
+        assert_ne!(declared, with_mem);
+        h.dfg_mut(leaf).set_mem_banks(m, 2);
+        assert_ne!(dfg_fingerprint(&h, top), declared);
     }
 }

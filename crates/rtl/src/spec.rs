@@ -401,7 +401,7 @@ pub fn build_ref(
 
     // --- Schedule -----------------------------------------------------------
     let sctx = ctx.sched_context();
-    let sched = schedule(g, |n| delays[n.index()].clone(), &serial, &sctx)?;
+    let sched = schedule(g, |n| &delays[n.index()], &serial, &sctx)?;
 
     // --- Registers ----------------------------------------------------------
     let storage = storage_analysis(g, &sched);

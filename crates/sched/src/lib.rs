@@ -98,6 +98,26 @@ mod tests {
         move |_| NodeDelay::Combinational { ns }
     }
 
+    /// One delay per node of `g`, the way a builder tabulates them: `node`
+    /// executes `profile`, every other node takes `other`. Schedules borrow
+    /// from the table (`|n| &delays[n.index()]`), copying no profile.
+    fn delay_table(
+        g: &Dfg,
+        node: NodeId,
+        profile: &Profile,
+        other: impl Fn(NodeId) -> NodeDelay,
+    ) -> Vec<NodeDelay> {
+        g.nodes()
+            .map(|(n, _)| {
+                if n == node {
+                    NodeDelay::Profiled(profile.clone())
+                } else {
+                    other(n)
+                }
+            })
+            .collect()
+    }
+
     fn delay_for(g: &Dfg, ns: f64) -> impl FnMut(NodeId) -> NodeDelay + '_ {
         move |n| {
             if g.node(n).kind().is_schedulable() {
@@ -301,19 +321,8 @@ mod tests {
         let mut c = ctx(Some(20));
         c.input_arrivals = Some(vec![2, 5, 3, 7]);
         let profile = Profile::new(vec![0, 0, 2, 4], vec![7]);
-        let sched = schedule(
-            &g,
-            |n| {
-                if n == node {
-                    NodeDelay::Profiled(profile.clone())
-                } else {
-                    NodeDelay::Free
-                }
-            },
-            &[],
-            &c,
-        )
-        .unwrap();
+        let delays = delay_table(&g, node, &profile, |_| NodeDelay::Free);
+        let sched = schedule(&g, |n| &delays[n.index()], &[], &c).unwrap();
         assert_eq!(sched.time(node).start.cycle, 5);
         let out = result_tick_of_port(&sched, node, 0, Some(&profile));
         assert_eq!(out.cycle, 12);
@@ -367,19 +376,8 @@ mod tests {
         g.add_output("y", g.hier_out(node, 0));
         let profile = Profile::new(vec![0], vec![3]);
         let c = ctx(Some(12));
-        let sched = schedule(
-            &g,
-            |n| {
-                if n == node {
-                    NodeDelay::Profiled(profile.clone())
-                } else {
-                    NodeDelay::Free
-                }
-            },
-            &[],
-            &c,
-        )
-        .unwrap();
+        let delays = delay_table(&g, node, &profile, |_| NodeDelay::Free);
+        let sched = schedule(&g, |n| &delays[n.index()], &[], &c).unwrap();
         let alap = alap_starts(&g, &sched, &[], &c);
         let win = module_window(&g, &sched, &alap, &c, node);
         assert_eq!(win.input_arrivals, vec![0]);
@@ -407,21 +405,14 @@ mod tests {
         g.add_output("y", s);
         let profile = Profile::new(vec![0], vec![3]);
         let c = ctx(Some(12));
-        let sched = schedule(
-            &g,
-            |n| {
-                if n == node {
-                    NodeDelay::Profiled(profile.clone())
-                } else if g.node(n).kind().is_schedulable() {
-                    NodeDelay::Combinational { ns: 3.0 }
-                } else {
-                    NodeDelay::Free
-                }
-            },
-            &[],
-            &c,
-        )
-        .unwrap();
+        let delays = delay_table(&g, node, &profile, |n| {
+            if g.node(n).kind().is_schedulable() {
+                NodeDelay::Combinational { ns: 3.0 }
+            } else {
+                NodeDelay::Free
+            }
+        });
+        let sched = schedule(&g, |n| &delays[n.index()], &[], &c).unwrap();
         let env = environment_of(&g, &sched, node);
         assert_eq!(env.input_arrivals, vec![0]);
         // H starts at 0, its output appears at cycle 3 per the profile, and

@@ -1,6 +1,7 @@
 use crate::profile::Profile;
 use crate::time::{max_tick, Tick};
 use hsyn_dfg::{Dfg, EdgeId, NodeId, NodeKind};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Timing behavior of one node, supplied by the binding layer.
@@ -202,12 +203,17 @@ impl std::error::Error for SchedError {}
 /// A `serial` edge `(a, b)` makes `b` start no earlier than the cycle in
 /// which `a` releases the shared resource.
 ///
+/// `delay` is asked once per node. It may return each node's delay by
+/// value or borrow it from a table (`|n| &delays[n.index()]`), so a
+/// [`NodeDelay::Profiled`] entry is read where it lies instead of being
+/// copied on every call.
+///
 /// # Errors
 ///
 /// See [`SchedError`].
-pub fn schedule(
+pub fn schedule<D: Borrow<NodeDelay>>(
     g: &Dfg,
-    mut delay: impl FnMut(NodeId) -> NodeDelay,
+    mut delay: impl FnMut(NodeId) -> D,
     serial: &[(NodeId, NodeId)],
     ctx: &SchedContext,
 ) -> Result<Schedule, SchedError> {
@@ -250,7 +256,8 @@ pub fn schedule(
         }
         let floor = serial_floor[nid.index()];
 
-        let time = match delay(nid) {
+        let node_delay = delay(nid);
+        let time = match node_delay.borrow() {
             NodeDelay::Free => {
                 let t = match g.node(nid).kind() {
                     NodeKind::Input { index } => {
@@ -270,8 +277,8 @@ pub fn schedule(
                     occupied: (t.ceil_cycle(), t.ceil_cycle()),
                 }
             }
-            NodeDelay::Combinational { ns } => schedule_combinational(ready, floor, ns, usable),
-            NodeDelay::Pipelined { stages } => {
+            &NodeDelay::Combinational { ns } => schedule_combinational(ready, floor, ns, usable),
+            &NodeDelay::Pipelined { stages } => {
                 let sc = ready.ceil_cycle().max(floor);
                 NodeTime {
                     start: Tick::at_cycle(sc),

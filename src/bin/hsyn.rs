@@ -972,6 +972,20 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             ""
         }
     );
+    let memo = &report.stats.memo;
+    outln!(
+        "  by memo           : area {}/{}, submodule replay {}/{}, whole design {}/{}, \
+         value streams {}/{} (hits/misses); {} kernel iterations",
+        memo.area.hits,
+        memo.area.misses,
+        memo.replay.hits,
+        memo.replay.misses,
+        memo.design.hits,
+        memo.design.misses,
+        memo.stream.hits,
+        memo.stream.misses,
+        report.stats.kernel_iterations,
+    );
     outln!(
         "move B memo         : {} hits, {} misses",
         report.stats.resynth_hits,

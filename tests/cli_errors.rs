@@ -103,12 +103,20 @@ fn submit_requires_a_daemon_address() {
 /// stores to one memory declared by `mem_line` (written as line 2), and
 /// return the exit code and stderr.
 fn run_memory_dfg(name: &str, mem_line: &str) -> (Option<i32>, String) {
+    run_dfg_text(
+        name,
+        &format!(
+            "dfg g {{\n  {mem_line}\n  input a\n  l = load m a\n  store m a l\n  output y = l\n}}\ntop g\n"
+        ),
+    )
+}
+
+/// Run `hsyn <file> --result-json` on `text`; returns the exit code and
+/// stderr.
+fn run_dfg_text(name: &str, text: &str) -> (Option<i32>, String) {
     let dir = std::env::temp_dir().join(format!("hsyn-cli-errors-{}-{name}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{name}.dfg"));
-    let text = format!(
-        "dfg g {{\n  {mem_line}\n  input a\n  l = load m a\n  store m a l\n  output y = l\n}}\ntop g\n"
-    );
     std::fs::write(&path, text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
         .arg(&path)
@@ -120,6 +128,26 @@ fn run_memory_dfg(name: &str, mem_line: &str) -> (Option<i32>, String) {
         out.status.code(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// A 2,000-level chain of calls (114 KB of text): the hierarchy walks
+/// recurse once per level, and 20,000 levels aborted the CLI (exit 134).
+#[test]
+fn deep_call_chain_is_a_parse_error() {
+    let mut text = String::from("dfg l0 {\n  input a\n  output y = a\n}\n");
+    for i in 1..2_000 {
+        text.push_str(&format!(
+            "dfg l{i} {{\n  input a\n  c = call l{} a\n  output y = c\n}}\n",
+            i - 1
+        ));
+    }
+    text.push_str("top l1999\n");
+    let (code, stderr) = run_dfg_text("deep_call_chain", &text);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 80: hierarchy depth of dfg `l16` exceeds the limit of 16"),
+        "the parse error must name the line and the limit: {stderr}"
+    );
 }
 
 /// A memory of four billion words: eight bytes a word would be a 32 GB

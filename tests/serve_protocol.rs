@@ -220,6 +220,46 @@ fn oversized_memory_submission_fails_and_the_daemon_survives() {
     handle.join().expect("daemon thread");
 }
 
+/// A 2,000-level chain of calls once overflowed a worker thread's stack
+/// and aborted the daemon; it is now a parse error like any other.
+#[test]
+fn deep_call_chain_submission_fails_and_the_daemon_survives() {
+    let (addr, handle) = start_server(ServeOptions::default());
+    let dir = std::env::temp_dir().join(format!("hsyn-serve-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep_call_chain.dfg");
+    let mut text = String::from("dfg l0 {\n  input a\n  output y = a\n}\n");
+    for i in 1..2_000 {
+        text.push_str(&format!(
+            "dfg l{i} {{\n  input a\n  c = call l{} a\n  output y = c\n}}\n",
+            i - 1
+        ));
+    }
+    text.push_str("top l1999\n");
+    std::fs::write(&path, text).unwrap();
+    let submit = |extra: &[&std::ffi::OsStr]| {
+        Command::new(env!("CARGO_BIN_EXE_hsyn"))
+            .args(["submit", "--connect", &addr.to_string()])
+            .args(extra)
+            .output()
+            .expect("hsyn binary runs")
+    };
+    let out = submit(&[path.as_os_str(), "--result-json".as_ref()]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the job must fail: {out:?}");
+    assert!(
+        stderr.contains("hierarchy depth of dfg `l16` exceeds the limit of 16"),
+        "the parse error must reach the client: {stderr}"
+    );
+    let ping = submit(&["--ping".as_ref()]);
+    assert!(ping.status.success(), "daemon stopped answering: {ping:?}");
+    assert_alive(&addr);
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
 /// Submit `job`, a wire-form job object, on `s` and read the answer.
 fn submit_raw(s: &mut TcpStream, job: &str) -> Json {
     let req = format!(r#"{{"type": "submit", "seq": 1, "job": {job}}}"#);
