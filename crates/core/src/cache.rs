@@ -13,10 +13,9 @@
 //! [`SynthesisConfig::shadow_eval`]: crate::SynthesisConfig::shadow_eval
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use hsyn_power::SimCache;
-use hsyn_rtl::{AreaBreakdown, AreaCache};
+use hsyn_rtl::AreaCache;
 
 use crate::cost::Evaluation;
 use crate::design::OperatingPoint;
@@ -67,7 +66,7 @@ impl MemoCount {
         MemoCount { hits, misses }
     }
 
-    fn absorb(&mut self, other: MemoCount) {
+    pub(crate) fn absorb(&mut self, other: MemoCount) {
         self.hits += other.hits;
         self.misses += other.misses;
     }
@@ -77,8 +76,9 @@ impl MemoCount {
     }
 }
 
-/// The traffic of each memo behind an [`EvalCache`], by name. Cache
-/// traffic, never part of
+/// The traffic of each memo, by name: the four behind an [`EvalCache`],
+/// and the engine's candidate and move-*B* memos. Cache traffic, never
+/// part of
 /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoTraffic {
@@ -91,6 +91,14 @@ pub struct MemoTraffic {
     pub design: MemoCount,
     /// Value streams of modules without submodule instances ([`SimCache`]).
     pub stream: MemoCount,
+    /// Candidate speculations, answered from the engine's `(base design,
+    /// move)` memo (the stored cost or rejection; apply, rebuild,
+    /// evaluation and rollback are skipped) or run live to fill it.
+    pub candidate: MemoCount,
+    /// Move-*B* resynthesis requests, answered from the configuration's
+    /// memo (the stored outcome and work counters are replayed) or run in
+    /// a nested engine.
+    pub move_b: MemoCount,
 }
 
 impl MemoTraffic {
@@ -100,6 +108,8 @@ impl MemoTraffic {
         self.replay.absorb(other.replay);
         self.design.absorb(other.design);
         self.stream.absorb(other.stream);
+        self.candidate.absorb(other.candidate);
+        self.move_b.absorb(other.move_b);
     }
 
     /// The traffic between snapshot `before` and this one.
@@ -109,6 +119,8 @@ impl MemoTraffic {
             replay: self.replay.since(before.replay),
             design: self.design.since(before.design),
             stream: self.stream.since(before.stream),
+            candidate: self.candidate.since(before.candidate),
+            move_b: self.move_b.since(before.move_b),
         }
     }
 }
@@ -158,13 +170,15 @@ impl EvalCache {
         self.area.misses + self.sim.misses
     }
 
-    /// Hits and misses of each memo, by name.
+    /// Hits and misses of each memo behind this cache, by name (the
+    /// candidate and move-*B* counts, which the engine keeps, are zero).
     pub fn traffic(&self) -> MemoTraffic {
         MemoTraffic {
             area: MemoCount::new(self.area.hits, self.area.misses),
             replay: MemoCount::new(self.sim.hits, self.sim.misses),
             design: MemoCount::new(self.design_hits, self.design_misses),
             stream: MemoCount::new(self.sim.stream_hits, self.sim.stream_misses),
+            ..MemoTraffic::default()
         }
     }
 
@@ -191,110 +205,5 @@ impl EvalCache {
     #[cfg(test)]
     pub(crate) fn design_entries(&mut self) -> impl Iterator<Item = &mut Evaluation> {
         self.designs.values_mut()
-    }
-}
-
-/// Upper bound on entries a [`SharedAreaCache`] retains. Far above any
-/// realistic workload (entries are one `AreaBreakdown` per distinct module
-/// structure); the cap only exists so a hostile job stream cannot grow the
-/// daemon's memory without bound. Overflow is counted, never silent.
-pub const SHARED_AREA_CAP: usize = 1 << 16;
-
-/// A cross-run area-result store, shared between concurrent engine runs
-/// and (via the serve daemon) persisted across process lifetimes.
-///
-/// Only **area** entries live here. Power-simulation recordings
-/// ([`SimCache`]) are deliberately excluded: they are sound only within
-/// one fixed trace set, while area depends on nothing but module structure
-/// — exactly what the fingerprint covers — so an area entry computed by
-/// any run answers bit-identically for every other run. Area is also
-/// independent of the `(Vdd, clk)` operating point, so one store serves
-/// the whole configuration sweep. Entries *do* depend on the component
-/// library, so embedders must keep one store per library (the daemon keys
-/// stores by library name).
-///
-/// Seeding an engine from this store changes cache-hit telemetry and
-/// wall-clock, never a float of the result — the same contract as the
-/// intra-run cache, enforced at runtime by `shadow_eval` and by the serve
-/// differential suite.
-#[derive(Debug, Default)]
-pub struct SharedAreaCache {
-    map: Mutex<HashMap<u64, AreaBreakdown>>,
-    /// Entries rejected because the store was at [`SHARED_AREA_CAP`].
-    dropped: Mutex<u64>,
-}
-
-impl SharedAreaCache {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of entries currently held.
-    pub fn len(&self) -> usize {
-        self.map.lock().expect("shared area cache poisoned").len()
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries rejected so far because the store was full.
-    pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().expect("shared area cache poisoned")
-    }
-
-    /// Insert one entry (used when loading a persisted store from disk).
-    /// Ignored with a drop count if the store is at capacity.
-    pub fn insert(&self, fp: u64, area: AreaBreakdown) {
-        let mut map = self.map.lock().expect("shared area cache poisoned");
-        if map.len() >= SHARED_AREA_CAP && !map.contains_key(&fp) {
-            *self.dropped.lock().expect("shared area cache poisoned") += 1;
-        } else {
-            map.insert(fp, area);
-        }
-    }
-
-    /// Seed every stored entry into an engine's per-run cache, marking
-    /// them warm for telemetry.
-    pub fn seed_into(&self, cache: &mut AreaCache) {
-        let map = self.map.lock().expect("shared area cache poisoned");
-        for (&fp, &area) in map.iter() {
-            cache.seed(fp, area);
-        }
-    }
-
-    /// Copy every entry a finished run computed back into the store, so
-    /// later runs (and persisted snapshots) see them. Returns how many
-    /// entries were new.
-    pub fn absorb(&self, cache: &AreaCache) -> usize {
-        let mut map = self.map.lock().expect("shared area cache poisoned");
-        let mut added = 0usize;
-        let mut dropped = 0u64;
-        for (fp, area) in cache.entries() {
-            if map.contains_key(&fp) {
-                continue;
-            }
-            if map.len() >= SHARED_AREA_CAP {
-                dropped += 1;
-                continue;
-            }
-            map.insert(fp, area);
-            added += 1;
-        }
-        if dropped > 0 {
-            *self.dropped.lock().expect("shared area cache poisoned") += dropped;
-        }
-        added
-    }
-
-    /// All entries, sorted by fingerprint — a deterministic order for
-    /// persistence, so equal stores serialize to equal bytes.
-    pub fn snapshot(&self) -> Vec<(u64, AreaBreakdown)> {
-        let map = self.map.lock().expect("shared area cache poisoned");
-        let mut out: Vec<_> = map.iter().map(|(&fp, &a)| (fp, a)).collect();
-        out.sort_unstable_by_key(|&(fp, _)| fp);
-        out
     }
 }

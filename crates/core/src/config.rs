@@ -163,15 +163,6 @@ pub struct SynthesisConfig {
     /// Propagates into recursive move-*B* child synthesis via the child
     /// budget.
     pub cancel: Option<crate::CancelToken>,
-    /// Cross-run area-result store (none by default). When set, every
-    /// engine run is seeded with the store's fingerprint-keyed area
-    /// entries before optimizing and contributes its own entries back
-    /// after — the persistence hook the `hsyn serve` daemon uses to keep
-    /// submodules warm across jobs and restarts. Entries are bit-exact by
-    /// the fingerprint contract, so sharing changes cache telemetry and
-    /// wall-clock only, never `result_json` bytes. The store must match
-    /// the run's [`Library`](hsyn_lib::Library): keep one per library.
-    pub shared_area: Option<std::sync::Arc<crate::SharedAreaCache>>,
 }
 
 impl SynthesisConfig {
@@ -198,7 +189,6 @@ impl SynthesisConfig {
             lns_iters: 0,
             cosim_check: false,
             cancel: None,
-            shared_area: None,
         }
     }
 

@@ -3,7 +3,7 @@
 //! *negative* gain — then commits the prefix with the best cumulative gain,
 //! "thus enabling escape from local minima".
 
-use crate::cache::{EvalCache, MemoTraffic};
+use crate::cache::{EvalCache, MemoCount, MemoTraffic};
 use crate::config::SynthesisConfig;
 use crate::cost::{evaluate_search, evaluate_search_cached, Evaluation, Objective};
 use crate::design::{
@@ -108,8 +108,10 @@ pub struct MoveStats {
     /// computation.
     pub eval_cache_misses: u64,
     /// The same cache traffic by memo (area, submodule replay, whole
-    /// design) plus the value-stream table, which the two sums above leave
-    /// out. Folded from nested move-*B* engines like them.
+    /// design), plus the value-stream table, which the two sums above leave
+    /// out, and the engine's candidate and move-*B* memos. Like the
+    /// eval-cache counters, excluded from
+    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
     pub memo: MemoTraffic,
     /// Top-level trace iterations the power-simulation kernel ran in
     /// search evaluations: a deterministic physical-work counter (a
@@ -133,20 +135,6 @@ pub struct MoveStats {
     /// LNS iterations whose reconstruction strictly improved cost and was
     /// committed; the rest rolled back in O(edit size).
     pub lns_accepts: u64,
-    /// Move-*B* resynthesis requests answered from the configuration's
-    /// memo (the stored outcome and work counters are replayed). Like the
-    /// eval-cache counters, excluded from
-    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
-    pub resynth_hits: u64,
-    /// Move-*B* resynthesis requests that ran the nested engine.
-    pub resynth_misses: u64,
-    /// Candidate speculations answered from the engine's candidate memo
-    /// (the stored cost or rejection; apply, rebuild, evaluation and
-    /// rollback are skipped). Memo traffic, excluded from
-    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
-    pub cand_hits: u64,
-    /// Candidate speculations that ran live and filled the memo.
-    pub cand_misses: u64,
 }
 
 impl MoveStats {
@@ -185,10 +173,6 @@ impl MoveStats {
         self.undo_bytes_peak = self.undo_bytes_peak.max(other.undo_bytes_peak);
         self.lns_ruins += other.lns_ruins;
         self.lns_accepts += other.lns_accepts;
-        self.resynth_hits += other.resynth_hits;
-        self.resynth_misses += other.resynth_misses;
-        self.cand_hits += other.cand_hits;
-        self.cand_misses += other.cand_misses;
     }
 
     /// The part of a nested move-*B* engine's counters its parent folds in
@@ -203,7 +187,11 @@ impl MoveStats {
             rejected: self.rejected,
             eval_cache_hits: self.eval_cache_hits,
             eval_cache_misses: self.eval_cache_misses,
-            memo: self.memo,
+            memo: MemoTraffic {
+                candidate: MemoCount::default(),
+                move_b: MemoCount::default(),
+                ..self.memo
+            },
             moves_rolled_back: self.moves_rolled_back,
             undo_bytes_peak: self.undo_bytes_peak,
             ..MoveStats::default()
@@ -494,14 +482,14 @@ impl<'a> Engine<'a> {
         }
         let outcome = match seen.get(mv) {
             Some(&stored) => {
-                self.stats.cand_hits += 1;
+                self.stats.memo.candidate.hits += 1;
                 if self.config.shadow_eval {
                     self.shadow_candidate(dp, cur_fp, mv, &resynth, stored);
                 }
                 stored
             }
             None => {
-                self.stats.cand_misses += 1;
+                self.stats.memo.candidate.misses += 1;
                 let fresh = self.speculate(dp, cur_fp, mv, &resynth, log, false);
                 seen.insert(mv.clone(), fresh);
                 fresh
@@ -931,14 +919,14 @@ impl<'a> Engine<'a> {
     /// aborted.
     fn resynthesize_memoized(&mut self, dp: &DesignPoint, key: ResynthKey) -> Option<ChildKind> {
         if let Some(hit) = self.memo.get(&key).cloned() {
-            self.stats.resynth_hits += 1;
+            self.stats.memo.move_b.hits += 1;
             self.stats.absorb(&hit.delta);
             if self.config.shadow_eval {
                 self.shadow_resynthesis(dp, &key, &hit);
             }
             return hit.module.map(ChildKind::Single);
         }
-        self.stats.resynth_misses += 1;
+        self.stats.memo.move_b.misses += 1;
         let (run, complete) = self.resynthesize(dp, &key);
         self.stats.absorb(&run.delta);
         let module = run.module.clone();
@@ -996,10 +984,9 @@ impl<'a> Engine<'a> {
         };
         let result = inner.optimize(child_dp);
         self.memo = std::mem::take(&mut inner.memo);
-        self.stats.resynth_hits += inner.stats.resynth_hits;
-        self.stats.resynth_misses += inner.stats.resynth_misses;
-        self.stats.cand_hits += inner.stats.cand_hits;
-        self.stats.cand_misses += inner.stats.cand_misses;
+        let inner_memo = &inner.stats.memo;
+        self.stats.memo.candidate.absorb(inner_memo.candidate);
+        self.stats.memo.move_b.absorb(inner_memo.move_b);
         self.stats.kernel_iterations += inner.stats.kernel_iterations;
         self.verify_s += inner.verify_s;
         self.eval_incr_s += inner.eval_incr_s;
@@ -1261,11 +1248,14 @@ mod tests {
         let after_first = engine.stats;
         let second = engine.resynthesize_child(&dp, &[], 0).expect("memo hit");
         assert_eq!(
-            (after_first.resynth_misses, after_first.resynth_hits),
+            (after_first.memo.move_b.misses, after_first.memo.move_b.hits),
             (1, 0)
         );
         assert_eq!(
-            (engine.stats.resynth_misses, engine.stats.resynth_hits),
+            (
+                engine.stats.memo.move_b.misses,
+                engine.stats.memo.move_b.hits
+            ),
             (1, 1)
         );
         assert!(after_first.evaluated > 0, "the nested engine searched");
@@ -1273,7 +1263,7 @@ mod tests {
         // The hit replays exactly the delta the miss folded in.
         let mut replayed = after_first;
         replayed.absorb(&after_first.child_delta());
-        replayed.resynth_hits = 1;
+        replayed.memo.move_b.hits = 1;
         assert_eq!(engine.stats, replayed);
         assert_eq!(engine.memo.len(), 1);
     }
@@ -1293,7 +1283,10 @@ mod tests {
         }
         engine.resynthesize_memoized(&dp, wider);
         assert_eq!(
-            (engine.stats.resynth_misses, engine.stats.resynth_hits),
+            (
+                engine.stats.memo.move_b.misses,
+                engine.stats.memo.move_b.hits
+            ),
             (2, 0)
         );
 
@@ -1310,7 +1303,10 @@ mod tests {
         assert_ne!(rebanked.dfg_fp, key.dfg_fp);
         engine.resynthesize_memoized(&dp, rebanked);
         assert_eq!(
-            (engine.stats.resynth_misses, engine.stats.resynth_hits),
+            (
+                engine.stats.memo.move_b.misses,
+                engine.stats.memo.move_b.hits
+            ),
             (3, 0)
         );
     }
@@ -1327,7 +1323,7 @@ mod tests {
         let mut engine = Engine::new(&mlib, &config, traces, 1);
         assert!(engine.resynthesize_child(&dp, &[], 0).is_none());
         assert!(engine.memo.is_empty());
-        assert_eq!(engine.stats.resynth_misses, 1);
+        assert_eq!(engine.stats.memo.move_b.misses, 1);
     }
 
     /// Shadow mode recomputes every memo hit; a stored outcome that no
@@ -1416,7 +1412,10 @@ mod tests {
         scan_one(&mut engine, &mut dp.clone(), &mv);
         let got = scan_one(&mut engine, &mut edited, &mv);
         assert_eq!(
-            (engine.stats.cand_misses, engine.stats.cand_hits),
+            (
+                engine.stats.memo.candidate.misses,
+                engine.stats.memo.candidate.hits
+            ),
             (2, 0),
             "{mv} from the edited design must be speculated, not recalled"
         );
@@ -1455,8 +1454,20 @@ mod tests {
         let second = scan_one(&mut engine, &mut dp, &mv);
         assert!(first.is_some());
         assert_eq!(first, second);
-        assert_eq!((after_first.cand_misses, after_first.cand_hits), (1, 0));
-        assert_eq!((engine.stats.cand_misses, engine.stats.cand_hits), (1, 1));
+        assert_eq!(
+            (
+                after_first.memo.candidate.misses,
+                after_first.memo.candidate.hits
+            ),
+            (1, 0)
+        );
+        assert_eq!(
+            (
+                engine.stats.memo.candidate.misses,
+                engine.stats.memo.candidate.hits
+            ),
+            (1, 1)
+        );
         assert_eq!(engine.stats.evaluated, 2 * after_first.evaluated);
         assert_eq!(
             engine.stats.moves_rolled_back,

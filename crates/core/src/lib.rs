@@ -52,7 +52,7 @@ mod synth;
 mod transact;
 
 pub use analyze::{analyze, AnalyzeError, AnalyzeReport, ObjectiveAnalysis};
-pub use cache::{EvalCache, MemoCount, MemoTraffic, SharedAreaCache, SHARED_AREA_CAP};
+pub use cache::{EvalCache, MemoCount, MemoTraffic};
 pub use cancel::CancelToken;
 pub use config::{Budget, MoveFamilies, SynthesisConfig};
 pub use cost::{evaluate, Evaluation, Objective};
@@ -244,17 +244,17 @@ mod tests {
                 (
                     p.vdd,
                     p.clk_ns,
-                    p.evaluated,
-                    p.rejected,
-                    p.passes,
+                    p.stats.evaluated,
+                    p.stats.rejected,
+                    p.stats.passes,
                     p.selected
                 ),
                 (
                     c.vdd,
                     c.clk_ns,
-                    c.evaluated,
-                    c.rejected,
-                    c.passes,
+                    c.stats.evaluated,
+                    c.stats.rejected,
+                    c.stats.passes,
                     c.selected
                 )
             );
@@ -291,30 +291,6 @@ mod tests {
         config.cancel = None;
         let without = synthesize(&b.hierarchy, &mlib, &config).unwrap();
         assert_eq!(with_token.result_json(), without.result_json());
-    }
-
-    #[test]
-    fn shared_area_store_warms_without_changing_bytes() {
-        let b = benchmarks::paulin();
-        let mut mlib = ModuleLibrary::from_simple(table1_library());
-        mlib.equiv = b.equiv.clone();
-        let mut config = fast_config(Objective::Area);
-        config.laxity_factor = 2.2;
-        let plain = synthesize(&b.hierarchy, &mlib, &config).unwrap();
-        assert!(plain.per_config.iter().all(|c| c.warm_area_hits == 0));
-
-        let store = std::sync::Arc::new(SharedAreaCache::new());
-        config.shared_area = Some(store.clone());
-        let cold = synthesize(&b.hierarchy, &mlib, &config).unwrap();
-        assert!(!store.is_empty(), "the cold run populates the store");
-        let warm = synthesize(&b.hierarchy, &mlib, &config).unwrap();
-        // Warm hits prove the seed was consumed; bytes prove it was inert.
-        assert!(
-            warm.per_config.iter().any(|c| c.warm_area_hits > 0),
-            "the warm run must hit seeded entries"
-        );
-        assert_eq!(plain.result_json(), cold.result_json());
-        assert_eq!(plain.result_json(), warm.result_json());
     }
 
     #[test]

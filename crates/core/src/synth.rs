@@ -85,43 +85,11 @@ pub struct ConfigTelemetry {
     /// [`SynthesisConfig::paranoid`] and [`SynthesisConfig::shadow_eval`]
     /// are both off.
     pub verify_s: f64,
-    /// Candidate moves fully evaluated within this configuration.
-    pub evaluated: u64,
-    /// Candidates rejected by validity checks within this configuration.
-    pub rejected: u64,
-    /// Improvement passes executed within this configuration.
-    pub passes: u64,
-    /// Incremental-evaluation cache hits within this configuration.
-    pub eval_cache_hits: u64,
-    /// Incremental-evaluation cache misses within this configuration.
-    pub eval_cache_misses: u64,
-    /// Traffic of each eval-cache memo within this configuration (see
-    /// [`MoveStats::memo`](crate::MoveStats::memo)).
-    pub memo: crate::MemoTraffic,
-    /// Top-level power-simulation kernel iterations within this
-    /// configuration (see
-    /// [`MoveStats::kernel_iterations`](crate::MoveStats::kernel_iterations)).
-    pub kernel_iterations: u64,
-    /// Move-*B* resynthesis requests answered from this configuration's
-    /// memo. Like the eval-cache counters, excluded from
+    /// The engine counters of this configuration alone: work, memo
+    /// traffic and kernel iterations (see [`MoveStats`]). Of them only
+    /// `evaluated`, `rejected` and `passes` enter
     /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
-    pub resynth_hits: u64,
-    /// Move-*B* resynthesis requests that ran the nested engine.
-    pub resynth_misses: u64,
-    /// Candidate speculations answered from this configuration's candidate
-    /// memo. Memo traffic, excluded from
-    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
-    pub cand_hits: u64,
-    /// Candidate speculations that ran live.
-    pub cand_misses: u64,
-    /// Area-cache hits answered by entries *seeded* from a
-    /// [`SharedAreaCache`](crate::SharedAreaCache) — work a previous run
-    /// already paid for. Always 0 without
-    /// [`SynthesisConfig::shared_area`]. Like the other cache counters,
-    /// deliberately excluded from
-    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json):
-    /// it varies with cache state while the result bytes must not.
-    pub warm_area_hits: u64,
+    pub stats: MoveStats,
     /// Wall-clock spent in cache-aware search evaluations, seconds.
     pub eval_incr_s: f64,
     /// Wall-clock spent applying moves, seconds: in-place apply, rollback,
@@ -188,12 +156,10 @@ impl SynthesisReport {
     ///
     /// Deliberately excluded, because they legitimately differ between
     /// otherwise identical runs: wall-clock (`elapsed_s`, `verify_s`,
-    /// `eval_incr_s`, `apply_s`, `lns_s`) and cache traffic
-    /// (`eval_cache_hits` / `eval_cache_misses` / `memo` / `warm_area_hits`,
-    /// which differ with the state of a shared or persisted cache, and
-    /// `resynth_hits` / `resynth_misses` and `cand_hits` / `cand_misses`,
-    /// which count memo traffic, not search work), and `kernel_iterations`,
-    /// physical work the memos save. Two runs are the same search with the same result iff
+    /// `eval_incr_s`, `apply_s`, `lns_s`), memo traffic
+    /// (`eval_cache_hits` / `eval_cache_misses` and `memo`, which count
+    /// cache use, not search work), and `kernel_iterations`, physical work
+    /// the memos save. Two runs are the same search with the same result iff
     /// their `result_json` bytes match — the contract the
     /// `incremental_equivalence` differential suite enforces between
     /// shadow-checked and plain runs.
@@ -264,9 +230,9 @@ impl SynthesisReport {
                     Json::Obj(vec![
                         ("vdd".into(), bits(c.vdd)),
                         ("clk_ns".into(), bits(c.clk_ns)),
-                        ("evaluated".into(), count(c.evaluated)),
-                        ("rejected".into(), count(c.rejected)),
-                        ("passes".into(), count(c.passes)),
+                        ("evaluated".into(), count(c.stats.evaluated)),
+                        ("rejected".into(), count(c.stats.rejected)),
+                        ("passes".into(), count(c.stats.passes)),
                         ("cost".into(), bits(c.cost)),
                         ("selected".into(), Json::Bool(c.selected)),
                     ])
@@ -452,7 +418,6 @@ pub fn synthesize(
             eval_incr_s: f64,
             apply_s: f64,
             lns_s: f64,
-            warm_area_hits: u64,
         },
         Skipped {
             reason: String,
@@ -479,13 +444,6 @@ pub fn synthesize(
                 };
                 let mut engine =
                     Engine::new(lib, config, eval_traces.clone(), config.resynth_depth);
-                // Cross-run persistence hook: seed the engine's area cache
-                // from the shared store before optimizing. Entries are
-                // bit-exact by the fingerprint contract, so the seed warms
-                // wall-clock and telemetry only, never the result.
-                if let Some(store) = &config.shared_area {
-                    store.seed_into(&mut engine.cache.area);
-                }
                 // Paranoid mode verifies the initial design and every
                 // accepted move inside `optimize`, plus the final winner at
                 // the configuration boundary here.
@@ -493,11 +451,6 @@ pub fn synthesize(
                     engine.paranoid_check(&opt, None)?;
                     Ok((opt, opt_eval))
                 });
-                // Contribute everything this run priced back to the store —
-                // even skipped configurations computed valid area entries.
-                if let Some(store) = &config.shared_area {
-                    store.absorb(&engine.cache.area);
-                }
                 match result {
                     Err(Abort::Cancelled) => ConfigOutcome::Cancelled,
                     Err(Abort::Paranoid(violation)) => ConfigOutcome::Skipped {
@@ -527,7 +480,6 @@ pub fn synthesize(
                                 eval_incr_s: engine.eval_incr_s,
                                 apply_s: engine.apply_s,
                                 lns_s: engine.lns_s,
-                                warm_area_hits: engine.cache.area.warm_hits,
                             },
                         }
                     }
@@ -573,27 +525,15 @@ pub fn synthesize(
                 eval_incr_s,
                 apply_s,
                 lns_s,
-                warm_area_hits,
             } => {
                 stats.configs += 1;
                 stats.absorb(&config_stats);
                 per_config.push(ConfigTelemetry {
                     vdd: op.vdd,
                     clk_ns: op.clk_ref_ns,
-                    warm_area_hits,
                     elapsed_s,
                     verify_s,
-                    evaluated: config_stats.evaluated,
-                    rejected: config_stats.rejected,
-                    passes: config_stats.passes,
-                    eval_cache_hits: config_stats.eval_cache_hits,
-                    eval_cache_misses: config_stats.eval_cache_misses,
-                    memo: config_stats.memo,
-                    kernel_iterations: config_stats.kernel_iterations,
-                    resynth_hits: config_stats.resynth_hits,
-                    resynth_misses: config_stats.resynth_misses,
-                    cand_hits: config_stats.cand_hits,
-                    cand_misses: config_stats.cand_misses,
+                    stats: *config_stats,
                     eval_incr_s,
                     apply_s,
                     lns_s,

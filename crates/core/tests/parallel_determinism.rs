@@ -56,8 +56,8 @@ fn synthesize_is_identical_across_thread_counts() {
             assert_eq!(a.vdd, b.vdd);
             assert_eq!(a.clk_ns, b.clk_ns);
             assert_eq!(a.cost, b.cost);
-            assert_eq!(a.evaluated, b.evaluated);
-            assert_eq!(a.rejected, b.rejected);
+            assert_eq!(a.stats.evaluated, b.stats.evaluated);
+            assert_eq!(a.stats.rejected, b.stats.rejected);
             assert_eq!(a.selected, b.selected);
         }
         assert_eq!(s.skipped_configs.len(), p.skipped_configs.len());

@@ -18,7 +18,8 @@
 //! equiv <dfg-name> <dfg-name> ...        # declare functional equivalence
 //! ```
 //!
-//! A call hierarchy is at most [`MAX_HIER_DEPTH`] levels deep. A memory
+//! A call hierarchy is at most [`MAX_HIER_DEPTH`] levels deep, and no DFG
+//! flattens to more than [`MAX_FLAT_NODES`] nodes. A memory
 //! holds between 1 and [`MAX_MEM_WORDS`] words, split over at
 //! most as many banks as it has words, each with at most
 //! [`MAX_MEM_PORTS`] ports. A memory marked
@@ -73,6 +74,15 @@ pub const MAX_MEM_PORTS: u32 = 16;
 /// (a 2,000-level chain aborted the daemon) or runs for minutes (a 64-level
 /// chain took 19 s); the deepest registry benchmark has depth 3.
 pub const MAX_HIER_DEPTH: usize = 16;
+
+/// Most nodes any DFG of a description may have once flattened, counted as
+/// [`Hierarchy::flatten`] would produce them: the DFG's inputs and outputs
+/// plus every constant, operation, load and store of every instance it
+/// expands to. Each level of calls can double the count, so a short text
+/// can describe a huge behavior (a 65-line binary call tree with 2,048
+/// leaf calls ran for more than 200 s under `--flat`); the largest
+/// flattened registry benchmark, `dct`, has 200 nodes.
+pub const MAX_FLAT_NODES: usize = 1_024;
 
 /// Result of parsing a textual description.
 #[derive(Clone, Debug)]
@@ -235,7 +245,7 @@ pub fn parse(src: &str) -> Result<Parsed, ParseError> {
             format!("dfg `{}` is missing its closing `}}`", b.name),
         );
     }
-    check_depth(&blocks)?;
+    check_limits(&blocks)?;
 
     // Pass 2: create DFGs and a name → id map.
     let mut hierarchy = Hierarchy::new();
@@ -433,11 +443,13 @@ struct Block {
     stmts: Vec<(usize, Stmt)>,
 }
 
-/// Reject a call hierarchy deeper than [`MAX_HIER_DEPTH`], before anything
-/// is built. Iterative, so the check itself cannot overflow the stack.
-/// Calls of unknown DFGs are left to the build pass and recursive calls to
-/// [`Hierarchy::validate`], which report them; both count as depth 0 here.
-fn check_depth(blocks: &[Block]) -> Result<(), ParseError> {
+/// Reject a call hierarchy deeper than [`MAX_HIER_DEPTH`], or a DFG that
+/// flattens to more than [`MAX_FLAT_NODES`] nodes, before anything is
+/// built. Iterative, so the check itself cannot overflow the stack. Calls
+/// of unknown DFGs are left to the build pass and recursive calls to
+/// [`Hierarchy::validate`], which report them; both count as depth 0 and
+/// as no nodes here.
+fn check_limits(blocks: &[Block]) -> Result<(), ParseError> {
     let mut index: HashMap<&str, usize> = HashMap::with_capacity(blocks.len());
     for (i, b) in blocks.iter().enumerate() {
         index.entry(b.name.as_str()).or_insert(i);
@@ -456,6 +468,10 @@ fn check_depth(blocks: &[Block]) -> Result<(), ParseError> {
         .collect();
     // depth[i] == 0: not computed yet.
     let mut depth = vec![0usize; blocks.len()];
+    // Nodes a call of block i expands to: its constants, operations, loads
+    // and stores, and those of its callees (the inputs and outputs of a
+    // callee are not materialized).
+    let mut inner = vec![0usize; blocks.len()];
     let mut on_stack = vec![false; blocks.len()];
     for root in 0..blocks.len() {
         if depth[root] != 0 {
@@ -478,6 +494,26 @@ fn check_depth(blocks: &[Block]) -> Result<(), ParseError> {
                     blocks[v].line,
                     format!(
                         "hierarchy depth of dfg `{}` exceeds the limit of {MAX_HIER_DEPTH}",
+                        blocks[v].name
+                    ),
+                );
+            }
+            let (mut own, mut ports) = (0usize, 0usize);
+            for (_, s) in &blocks[v].stmts {
+                match s {
+                    Stmt::Const(..) | Stmt::Op(..) | Stmt::Load(..) | Stmt::Store(..) => own += 1,
+                    Stmt::Input(_) | Stmt::Output(..) => ports += 1,
+                    Stmt::Call(..) | Stmt::Mem { .. } => {}
+                }
+            }
+            inner[v] = callees[v]
+                .iter()
+                .fold(own, |n, &c| n.saturating_add(inner[c]));
+            if inner[v].saturating_add(ports) > MAX_FLAT_NODES {
+                return err(
+                    blocks[v].line,
+                    format!(
+                        "flattened node count of dfg `{}` exceeds the limit of {MAX_FLAT_NODES}",
                         blocks[v].name
                     ),
                 );
@@ -930,6 +966,80 @@ equiv leaf_a leaf_b
                       dfg b {\n  input x\n  c = call a x\n  output y = c\n}\ntop a\n";
         let parsed = parse(cyclic).expect("depth check terminates on a cycle");
         assert!(parsed.hierarchy.validate().is_err());
+    }
+
+    /// A binary call tree: `l0` adds its two inputs, and every level above
+    /// calls the one below twice, so the top `l{levels}` flattens to
+    /// `2^levels` additions plus its two inputs and one output.
+    fn call_tree(levels: usize) -> String {
+        let mut src =
+            String::from("dfg l0 {\n  input a\n  input b\n  s = add a b\n  output y = s\n}\n");
+        for i in 1..=levels {
+            let _ = write!(
+                src,
+                "dfg l{i} {{\n  input a\n  input b\n  c = call l{p} a b\n  \
+                 d = call l{p} c b\n  output y = d\n}}\n",
+                p = i - 1
+            );
+        }
+        let _ = writeln!(src, "top l{levels}");
+        src
+    }
+
+    #[test]
+    fn flattened_node_count_above_the_limit_is_a_parse_error() {
+        // A top with `extra` constants calling a leaf of `leaf_ops`
+        // additions twice flattens to 2 * leaf_ops + extra + 2 nodes.
+        let two_calls = |leaf_ops: usize, extra: usize| {
+            let mut src = String::from("dfg leaf {\n  input a\n");
+            for i in 0..leaf_ops {
+                let _ = writeln!(src, "  s{i} = add a a");
+            }
+            src.push_str("  output y = s0\n}\ndfg top {\n  input a\n");
+            for i in 0..extra {
+                let _ = writeln!(src, "  const k{i} = {i}");
+            }
+            src.push_str("  c = call leaf a\n  d = call leaf c\n  output y = d\n}\ntop top\n");
+            src
+        };
+        let half = (MAX_FLAT_NODES - 2) / 2;
+        let extra = MAX_FLAT_NODES - 2 - 2 * half;
+        let parsed = parse(&two_calls(half, extra)).expect("the limit itself parses");
+        parsed.hierarchy.validate().expect("valid");
+        assert_eq!(parsed.hierarchy.flatten().node_count(), MAX_FLAT_NODES);
+        let e = parse(&two_calls(half, extra + 1)).unwrap_err();
+        assert_eq!(
+            e.message,
+            format!("flattened node count of dfg `top` exceeds the limit of {MAX_FLAT_NODES}")
+        );
+        assert_eq!(e.line, half + 5, "the error points at `dfg top`");
+
+        // The ten-level call tree is 1,027 nodes flat and the eleven-level
+        // one 2,051: both rejected at the level that crosses the limit.
+        let parsed = parse(&call_tree(9)).expect("512 leaf calls parse");
+        assert_eq!(parsed.hierarchy.flatten().node_count(), 512 + 3);
+        for levels in [10, 11] {
+            let e = parse(&call_tree(levels)).unwrap_err();
+            assert_eq!(
+                e.message,
+                format!("flattened node count of dfg `l10` exceeds the limit of {MAX_FLAT_NODES}"),
+                "{levels} levels"
+            );
+        }
+    }
+
+    /// Every registry benchmark, printed as text, parses again: the limits
+    /// leave room for all of them.
+    #[test]
+    fn registry_benchmarks_are_within_the_limits() {
+        for b in crate::benchmarks::all() {
+            let flat = b.hierarchy.flatten().node_count();
+            assert!(flat <= MAX_FLAT_NODES, "{}: {flat} nodes", b.name);
+            parse(&print(&b.hierarchy, Some(&b.equiv)))
+                .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        }
+        let dct = crate::benchmarks::by_name("dct").expect("dct");
+        assert_eq!(dct.hierarchy.flatten().node_count(), 200);
     }
 
     #[test]

@@ -152,19 +152,10 @@ fn own_area(
 #[derive(Clone, Debug, Default)]
 pub struct AreaCache {
     map: HashMap<u64, AreaBreakdown>,
-    /// Fingerprints that were seeded from an external (cross-run) source
-    /// rather than computed by this cache's own misses. Empty unless
-    /// [`AreaCache::seed`] was used, so the warm-hit check costs nothing
-    /// on ordinary single-run engines.
-    warm: std::collections::HashSet<u64>,
     /// Lookups answered from the cache.
     pub hits: u64,
     /// Lookups that fell through to a fresh computation.
     pub misses: u64,
-    /// Lookups answered by a *seeded* entry — a hit this run could only
-    /// have because a previous run (another job, or a previous daemon
-    /// lifetime) already priced the same structure.
-    pub warm_hits: u64,
 }
 
 impl AreaCache {
@@ -181,23 +172,6 @@ impl AreaCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Pre-populate the cache with an externally computed entry and mark
-    /// it warm for telemetry. Because fingerprints cover everything the
-    /// area model reads, a seeded entry answers exactly like the fresh
-    /// recomputation it replaces — seeding changes wall-clock and the
-    /// hit counters, never a float.
-    pub fn seed(&mut self, fp: u64, area: AreaBreakdown) {
-        self.map.insert(fp, area);
-        self.warm.insert(fp);
-    }
-
-    /// Iterate every cached `(fingerprint, breakdown)` pair, seeded and
-    /// computed alike, in unspecified order. Callers that persist entries
-    /// sort by fingerprint for deterministic output.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, AreaBreakdown)> + '_ {
-        self.map.iter().map(|(&fp, &a)| (fp, a))
     }
 }
 
@@ -218,9 +192,6 @@ pub fn module_area_cached(
     debug_assert_eq!(fp.subs.len(), module.subs().len(), "FpTree shape mismatch");
     if let Some(&hit) = cache.map.get(&fp.fp) {
         cache.hits += 1;
-        if !cache.warm.is_empty() && cache.warm.contains(&fp.fp) {
-            cache.warm_hits += 1;
-        }
         return hit;
     }
     cache.misses += 1;

@@ -65,8 +65,6 @@ pub struct JobResult {
     pub verilog: Option<String>,
     /// Whether the daemon answered from its content-addressed job cache.
     pub cached: bool,
-    /// Warm area-cache hits this job got from the cross-job store.
-    pub warm_area_hits: u64,
     /// Daemon-side execution wall-clock, milliseconds.
     pub wall_ms: f64,
     /// Time the job spent queued before a worker picked it up, ms.
@@ -186,10 +184,6 @@ impl Client {
             result_json,
             verilog: v.get("verilog").and_then(Json::as_str).map(str::to_owned),
             cached: matches!(v.get("cached"), Some(Json::Bool(true))),
-            warm_area_hits: v
-                .get("warm_area_hits")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
             wall_ms: v.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
             queue_ms: v.get("queue_ms").and_then(Json::as_f64).unwrap_or(0.0),
         })

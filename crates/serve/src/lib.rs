@@ -11,9 +11,9 @@
 //!   [`JobSpec::resolve`], the one place a job becomes `synthesize`
 //!   inputs, for the daemon and the one-shot CLI alike.
 //! - [`store`] — the persistent disk cache: a content-addressed job-result
-//!   cache plus a per-library area-cache snapshot, both written atomically
-//!   (temp file + rename), versioned and checksummed, with corrupt files
-//!   detected, discarded, and counted rather than trusted.
+//!   cache, written atomically (temp file + rename), versioned and
+//!   checksummed, with corrupt files detected, discarded, and counted
+//!   rather than trusted.
 //! - [`server`] — the daemon: accept loop, bounded job queue, worker pool,
 //!   per-job deadlines and tag-based cancellation, telemetry, and a
 //!   shutdown-drain path.
@@ -23,13 +23,11 @@
 //! # Determinism contract
 //!
 //! A job's `result_json` depends only on the job spec. Queue order,
-//! worker count, concurrent load, cache temperature (cold, warm from a
-//! previous job, or warm from a previous daemon run), and cache corruption
+//! worker count, concurrent load, whether the answer came from the job
+//! cache (of this daemon or of an earlier one), and cache corruption
 //! recovery must all be byte-invisible in the report. The serve
 //! differential suite (`tests/serve_differential.rs`) enforces this
-//! against single-shot CLI runs byte for byte; the shared area store can
-//! only ever be byte-inert because entries are keyed by the structural
-//! fingerprints that cover everything the cost models read.
+//! against single-shot CLI runs byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -155,8 +155,8 @@ pub struct JobSpec {
     pub tag: Option<String>,
     /// Also return structural Verilog for the winning design.
     pub want_verilog: bool,
-    /// Bypass the daemon's content-addressed response cache for this job
-    /// (the fingerprint-keyed area store still applies).
+    /// Bypass the daemon's content-addressed response cache for this job:
+    /// it is synthesized, and its answer is not stored.
     pub no_cache: bool,
 }
 
@@ -184,12 +184,17 @@ impl JobSpec {
     }
 
     /// The [`SynthesisConfig`] this job runs under, unchecked: use
-    /// [`resolve`](Self::resolve) to run a job. `cancel` and `shared_area`
-    /// are runtime hooks, inert with respect to result bytes.
+    /// [`resolve`](Self::resolve) to run a job. `cancel` is a runtime hook,
+    /// inert with respect to result bytes.
+    ///
+    /// The second parameter is always `None`: it held a cross-job area
+    /// store, since removed, and stays so that existing two-argument
+    /// callers keep compiling. [`Infallible`](std::convert::Infallible)
+    /// has no values, so nothing can be passed there.
     pub fn to_config(
         &self,
         cancel: Option<hsyn_core::CancelToken>,
-        shared_area: Option<std::sync::Arc<hsyn_core::SharedAreaCache>>,
+        _retired: Option<std::convert::Infallible>,
     ) -> SynthesisConfig {
         let mut config = SynthesisConfig::new(self.objective);
         config.laxity_factor = self.laxity;
@@ -203,13 +208,12 @@ impl JobSpec {
             b.apply(&mut config);
         }
         config.cancel = cancel;
-        config.shared_area = shared_area;
         config
     }
 
     /// Everything `synthesize` takes for this job: the behavior, the
     /// component library with the behavior's equivalences, and the config
-    /// (no cancel token, no shared area store).
+    /// (no cancel token).
     ///
     /// # Errors
     ///

@@ -8,9 +8,9 @@
 //! over the submitting connection, matched by `seq`, as one write on a
 //! `TCP_NODELAY` socket. A computed job's cache entry is written before
 //! its response is sent, so a repeat that arrives right after the answer
-//! is always a cache hit. The area store only warms later jobs: a worker
-//! marks it dirty after answering and a persister thread writes it, one
-//! write for every burst of jobs; shutdown writes it before acking.
+//! is always a cache hit. That job file is the daemon's only cross-job
+//! state: each synthesis starts from empty engine caches, and nothing is
+//! left to write at shutdown.
 //!
 //! Determinism contract: a job's `result_json` depends only on the job
 //! spec — not on queue order, worker count, concurrent load, cache
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hsyn_core::{synthesize, CancelToken, SharedAreaCache, SynthesisError};
+use hsyn_core::{synthesize, CancelToken, SynthesisError};
 use hsyn_rtl::verilog_text;
 use hsyn_util::{read_frame, write_frame, FrameError, Json, MAX_FRAME};
 
@@ -41,8 +41,8 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Bounded queue capacity; submits beyond it get `queue_full`.
     pub queue_cap: usize,
-    /// Cache directory for the persistent stores; `None` keeps both cache
-    /// layers in memory only (still warm across jobs, cold on restart).
+    /// Cache directory of the job cache; `None` runs without one, so every
+    /// job is synthesized.
     pub cache_dir: Option<PathBuf>,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
@@ -85,11 +85,8 @@ pub struct ServerStats {
     pub job_cache_hits: AtomicU64,
     /// Job-cache lookups that fell through to synthesis.
     pub job_cache_misses: AtomicU64,
-    /// Corrupt cache files detected and discarded (both layers).
+    /// Corrupt job-cache files detected and discarded.
     pub cache_discards: AtomicU64,
-    /// Warm area-cache hits across all jobs (entries seeded from the
-    /// shared store — work some previous job already paid for).
-    pub warm_area_hits: AtomicU64,
     /// Malformed frames / JSON / requests seen.
     pub protocol_errors: AtomicU64,
     /// Current queue depth (gauge).
@@ -157,15 +154,6 @@ impl JobQueue {
     }
 }
 
-/// Requests to the persister thread.
-#[derive(Default)]
-struct PersistSignal {
-    /// A job finished since the persister last started a write.
-    dirty: bool,
-    /// The daemon is stopping; `run` writes the final snapshot itself.
-    exit: bool,
-}
-
 /// Shared daemon state.
 struct Ctx {
     opts: ServeOptions,
@@ -180,15 +168,8 @@ struct Ctx {
     idle_mx: Mutex<()>,
     /// Live cancel tokens by job tag.
     tags: Mutex<HashMap<String, Vec<CancelToken>>>,
-    /// One cross-job area store per library name.
-    areas: Mutex<HashMap<String, Arc<SharedAreaCache>>>,
+    /// The job cache, when the daemon has a cache directory.
     store: Option<DiskStore>,
-    /// Requests to the persister thread, and its wake-up.
-    persist: Mutex<PersistSignal>,
-    persist_cv: Condvar,
-    /// Area entry count of the last successful area-store write. The lock
-    /// also serializes every `persist_areas` call.
-    persisted: Mutex<Option<u64>>,
     /// Where a throwaway connection wakes the blocking accept loop.
     wake_addr: SocketAddr,
     started: Instant,
@@ -198,55 +179,6 @@ impl Ctx {
     fn pending_jobs(&self) -> u64 {
         self.stats.queue_depth.load(Ordering::Acquire)
             + self.stats.active_jobs.load(Ordering::Acquire)
-    }
-
-    /// The shared area store for a library, created on first use.
-    fn area_store(&self, library: &str) -> Arc<SharedAreaCache> {
-        let mut areas = self.areas.lock().expect("areas poisoned");
-        areas
-            .entry(library.to_owned())
-            .or_insert_with(|| Arc::new(SharedAreaCache::new()))
-            .clone()
-    }
-
-    /// Persist the area stores: a no-op without a cache directory, or when
-    /// the entry count is unchanged since the last write (the stores only
-    /// grow, so an equal count means equal contents). Calls are serialized.
-    fn persist_areas(&self) {
-        let Some(store) = &self.store else { return };
-        let mut persisted = self.persisted.lock().expect("persisted poisoned");
-        if *persisted == Some(self.area_entries()) {
-            return;
-        }
-        let areas = self.areas.lock().expect("areas poisoned");
-        let mut libs: Vec<(String, Vec<_>)> = areas
-            .iter()
-            .map(|(name, s)| (name.clone(), s.snapshot()))
-            .collect();
-        drop(areas);
-        libs.sort_by(|a, b| a.0.cmp(&b.0));
-        let count = libs.iter().map(|(_, e)| e.len() as u64).sum();
-        // Persistence is best-effort: a failed write costs warmth, not
-        // correctness, and the next job retries it.
-        if store.store_areas(&libs).is_ok() {
-            *persisted = Some(count);
-        }
-    }
-
-    /// Ask the persister for an area-store write.
-    fn request_persist(&self) {
-        self.persist.lock().expect("persist poisoned").dirty = true;
-        self.persist_cv.notify_one();
-    }
-
-    fn area_entries(&self) -> u64 {
-        let areas = self.areas.lock().expect("areas poisoned");
-        areas.values().map(|s| s.len() as u64).sum()
-    }
-
-    fn area_dropped(&self) -> u64 {
-        let areas = self.areas.lock().expect("areas poisoned");
-        areas.values().map(|s| s.dropped()).sum()
     }
 }
 
@@ -258,7 +190,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind the listener and load the persistent caches.
+    /// Bind the listener and open the job cache.
     ///
     /// # Errors
     ///
@@ -284,31 +216,11 @@ impl Server {
             idle_cv: Condvar::new(),
             idle_mx: Mutex::new(()),
             tags: Mutex::new(HashMap::new()),
-            areas: Mutex::new(HashMap::new()),
             store,
-            persist: Mutex::new(PersistSignal::default()),
-            persist_cv: Condvar::new(),
-            persisted: Mutex::new(None),
             wake_addr,
             started: Instant::now(),
             opts,
         });
-        // Warm the per-library area stores from disk. A corrupt file is
-        // discarded (and counted): the daemon starts cold but correct.
-        if let Some(store) = &ctx.store {
-            let (libs, discards) = store.load_areas();
-            ctx.stats
-                .cache_discards
-                .fetch_add(discards, Ordering::AcqRel);
-            let mut areas = ctx.areas.lock().expect("areas poisoned");
-            for (name, entries) in libs {
-                let shared = Arc::new(SharedAreaCache::new());
-                for (fp, a) in entries {
-                    shared.insert(fp, a);
-                }
-                areas.insert(name, shared);
-            }
-        }
         Ok(Server { listener, ctx })
     }
 
@@ -342,10 +254,6 @@ impl Server {
             let ctx = ctx.clone();
             workers.push(std::thread::spawn(move || worker_loop(&ctx)));
         }
-        let persister = {
-            let ctx = ctx.clone();
-            std::thread::spawn(move || persister_loop(&ctx))
-        };
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             // `shutdown` sets `stop`, then wakes this blocking accept with a
@@ -368,9 +276,6 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        ctx.persist.lock().expect("persist poisoned").exit = true;
-        ctx.persist_cv.notify_one();
-        let _ = persister.join();
         // Connection threads exit when their peers close or on the next
         // read timeout; don't block daemon exit on lingering idle peers.
         for c in conns {
@@ -378,21 +283,17 @@ impl Server {
                 let _ = c.join();
             }
         }
-        ctx.persist_areas();
         if ctx.opts.banner {
             let s = &ctx.stats;
             banner(format_args!(
-                "hsyn serve: {} jobs served ({} cache hits, {} warm area hits), \
-                 {} failed, {} cancelled, {} deadline-expired, {} protocol errors, \
-                 {} area entries persisted, up {:.1}s",
+                "hsyn serve: {} jobs served ({} cache hits), {} failed, {} cancelled, \
+                 {} deadline-expired, {} protocol errors, up {:.1}s",
                 s.jobs_served.load(Ordering::Acquire),
                 s.job_cache_hits.load(Ordering::Acquire),
-                s.warm_area_hits.load(Ordering::Acquire),
                 s.jobs_failed.load(Ordering::Acquire),
                 s.jobs_cancelled.load(Ordering::Acquire),
                 s.jobs_deadline.load(Ordering::Acquire),
                 s.protocol_errors.load(Ordering::Acquire),
-                ctx.area_entries(),
                 ctx.started.elapsed().as_secs_f64(),
             ));
         }
@@ -541,7 +442,6 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
                 guard = g;
             }
             drop(guard);
-            ctx.persist_areas();
             send(
                 writer,
                 &Json::Obj(vec![
@@ -663,25 +563,8 @@ fn worker_loop(ctx: &Arc<Ctx>) {
     }
 }
 
-/// Persister: write the area store whenever a job finished since the last
-/// write started, until `run` asks it to exit. Jobs that finish while a
-/// write runs are all covered by the next one.
-fn persister_loop(ctx: &Ctx) {
-    let mut signal = ctx.persist.lock().expect("persist poisoned");
-    while !signal.exit {
-        if signal.dirty {
-            signal.dirty = false;
-            drop(signal);
-            ctx.persist_areas();
-            signal = ctx.persist.lock().expect("persist poisoned");
-        } else {
-            signal = ctx.persist_cv.wait(signal).expect("persist poisoned");
-        }
-    }
-}
-
-/// Execute one job end to end: job-cache lookup, synthesis with the shared
-/// area store, job-cache write, response, area-store write request.
+/// Execute one job end to end: job-cache lookup, synthesis, job-cache
+/// write, response.
 fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
     let seq = item.seq;
     let job = &item.job;
@@ -692,7 +575,7 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
         return;
     }
 
-    // Layer 1: the content-addressed response cache.
+    // The content-addressed response cache.
     let key = job.cache_key();
     if !job.no_cache {
         if let Some(store) = &ctx.store {
@@ -704,7 +587,6 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                         ("type".to_owned(), Json::Str("result".to_owned())),
                         ("seq".to_owned(), Json::Num(seq)),
                         ("cached".to_owned(), Json::Bool(true)),
-                        ("warm_area_hits".to_owned(), Json::Num(0.0)),
                         (
                             "wall_ms".to_owned(),
                             Json::Num(t0.elapsed().as_secs_f64() * 1e3),
@@ -731,7 +613,7 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
         }
     }
 
-    // Layer 2: synthesize, seeded from the shared per-library area store.
+    // Synthesize.
     let (hierarchy, mlib, mut config) = match job.resolve() {
         Ok(t) => t,
         Err(e) => {
@@ -744,12 +626,9 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
         }
     };
     config.cancel = Some(item.token.clone());
-    config.shared_area = Some(ctx.area_store(&job.library));
 
     match synthesize(&hierarchy, &mlib, &config) {
         Ok(report) => {
-            let warm: u64 = report.per_config.iter().map(|c| c.warm_area_hits).sum();
-            ctx.stats.warm_area_hits.fetch_add(warm, Ordering::AcqRel);
             ctx.stats.jobs_served.fetch_add(1, Ordering::AcqRel);
             let mut payload_fields =
                 vec![("result_json".to_owned(), Json::Str(report.result_json()))];
@@ -769,7 +648,6 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                 ("type".to_owned(), Json::Str("result".to_owned())),
                 ("seq".to_owned(), Json::Num(seq)),
                 ("cached".to_owned(), Json::Bool(false)),
-                ("warm_area_hits".to_owned(), Json::Num(warm as f64)),
                 (
                     "wall_ms".to_owned(),
                     Json::Num(t0.elapsed().as_secs_f64() * 1e3),
@@ -789,9 +667,6 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                 }
             }
             send(&item.writer, &Json::Obj(fields));
-            // The area snapshot only warms later jobs: the persister writes
-            // it off this worker.
-            ctx.request_persist();
         }
         Err(SynthesisError::Cancelled) => finish_cancelled(ctx, item, seq),
         Err(e) => {
@@ -897,15 +772,9 @@ fn stats_response(ctx: &Arc<Ctx>, seq: Option<f64>) -> Json {
             n(s.cache_discards.load(Ordering::Acquire)),
         ),
         (
-            "warm_area_hits".to_owned(),
-            n(s.warm_area_hits.load(Ordering::Acquire)),
-        ),
-        (
             "protocol_errors".to_owned(),
             n(s.protocol_errors.load(Ordering::Acquire)),
         ),
-        ("area_entries".to_owned(), n(ctx.area_entries())),
-        ("area_dropped".to_owned(), n(ctx.area_dropped())),
         ("persistent".to_owned(), Json::Bool(ctx.store.is_some())),
     ])
 }

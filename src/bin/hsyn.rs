@@ -975,7 +975,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     let memo = &report.stats.memo;
     outln!(
         "  by memo           : area {}/{}, submodule replay {}/{}, whole design {}/{}, \
-         value streams {}/{} (hits/misses); {} kernel iterations",
+         value streams {}/{}, candidates {}/{}, move B {}/{} (hits/misses); \
+         {} kernel iterations",
         memo.area.hits,
         memo.area.misses,
         memo.replay.hits,
@@ -984,17 +985,11 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         memo.design.misses,
         memo.stream.hits,
         memo.stream.misses,
+        memo.candidate.hits,
+        memo.candidate.misses,
+        memo.move_b.hits,
+        memo.move_b.misses,
         report.stats.kernel_iterations,
-    );
-    outln!(
-        "move B memo         : {} hits, {} misses",
-        report.stats.resynth_hits,
-        report.stats.resynth_misses,
-    );
-    outln!(
-        "candidate memo      : {} hits, {} misses",
-        report.stats.cand_hits,
-        report.stats.cand_misses,
     );
     let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
     outln!(
@@ -1236,11 +1231,10 @@ fn submit_main(args: Vec<String>) -> ExitCode {
                 outln!("{}", result.result_json);
             } else {
                 outln!(
-                    "served {} in {:.1} ms ({:.1} ms queued), {} warm area hits",
+                    "served {} in {:.1} ms ({:.1} ms queued)",
                     if result.cached { "from cache" } else { "fresh" },
                     result.wall_ms,
-                    result.queue_ms,
-                    result.warm_area_hits
+                    result.queue_ms
                 );
                 outln!("{}", result.result_json);
                 if let Some(v) = &result.verilog {

@@ -17,7 +17,7 @@
 //! * [`core`] — the iterative-improvement synthesis engine (moves A–D,
 //!   Vdd/clock selection, flattened baseline);
 //! * [`serve`] — synthesis-as-a-service: the `hsyn serve` daemon, its
-//!   length-prefixed wire protocol, the persistent cross-job cache, and
+//!   length-prefixed wire protocol, the persistent job cache, and
 //!   the synchronous client behind `hsyn submit`;
 //! * [`util`] — zero-dependency helpers (JSON, thread pool, framing).
 //!

@@ -150,6 +150,29 @@ fn deep_call_chain_is_a_parse_error() {
     );
 }
 
+/// A binary call tree eleven levels deep: `l0` adds its inputs and each
+/// level calls the one below twice, so the top flattens to 2,048 additions
+/// (`--flat` ran for more than 200 s before the node cap).
+#[test]
+fn wide_call_tree_is_a_parse_error() {
+    let mut text =
+        String::from("dfg l0 {\n  input a\n  input b\n  s = add a b\n  output y = s\n}\n");
+    for i in 1..=11 {
+        text.push_str(&format!(
+            "dfg l{i} {{\n  input a\n  input b\n  c = call l{p} a b\n  d = call l{p} c b\n  \
+             output y = d\n}}\n",
+            p = i - 1
+        ));
+    }
+    text.push_str("top l11\n");
+    let (code, stderr) = run_dfg_text("wide_call_tree", &text);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 70: flattened node count of dfg `l10` exceeds the limit of 1024"),
+        "the parse error must name the line and the limit: {stderr}"
+    );
+}
+
 /// A memory of four billion words: eight bytes a word would be a 32 GB
 /// allocation, which aborts the process (exit 134) instead of failing.
 #[test]

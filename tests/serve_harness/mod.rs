@@ -45,8 +45,8 @@ pub fn tiny_job(bench: &str) -> JobSpec {
     job
 }
 
-/// The single-shot reference: synthesize `job` in-process with no daemon,
-/// no cancellation token, and no shared area store, and return its
+/// The single-shot reference: synthesize `job` in-process with no daemon
+/// and no cancellation token, and return its
 /// `result_json`. The determinism contract says every daemon answer for
 /// the same job — cold, warm, concurrent, or after a restart — must equal
 /// these bytes exactly.

@@ -13,7 +13,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use harness::start_server;
-use hsyn::serve::{Client, ServeOptions};
+use hsyn::serve::{Client, ClientError, JobSource, JobSpec, ServeOptions};
 use hsyn::util::{read_frame, write_frame, Json, MAX_FRAME};
 
 fn raw(addr: &SocketAddr) -> TcpStream {
@@ -256,6 +256,57 @@ fn deep_call_chain_submission_fails_and_the_daemon_survives() {
     assert!(ping.status.success(), "daemon stopped answering: {ping:?}");
     assert_alive(&addr);
     let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+/// A binary call tree eleven levels deep flattens to 2,048 additions, past
+/// the node cap: `hsyn submit` gets the parse error back, the daemon
+/// answers it as a `bad_request`, and its one worker goes on answering.
+#[test]
+fn wide_call_tree_submission_fails_and_the_daemon_survives() {
+    let (addr, handle) = start_server(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let mut text =
+        String::from("dfg l0 {\n  input a\n  input b\n  s = add a b\n  output y = s\n}\n");
+    for i in 1..=11 {
+        text.push_str(&format!(
+            "dfg l{i} {{\n  input a\n  input b\n  c = call l{p} a b\n  d = call l{p} c b\n  \
+             output y = d\n}}\n",
+            p = i - 1
+        ));
+    }
+    text.push_str("top l11\n");
+    let limit = "flattened node count of dfg `l10` exceeds the limit of 1024";
+    let dir = std::env::temp_dir().join(format!("hsyn-serve-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wide_call_tree.dfg");
+    std::fs::write(&path, &text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .args(["submit", "--connect", &addr.to_string()])
+        .arg(&path)
+        .arg("--result-json")
+        .output()
+        .expect("hsyn binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the job must fail: {out:?}");
+    assert!(
+        stderr.contains(limit),
+        "the parse error must reach the client: {stderr}"
+    );
+
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    match client.submit(&JobSpec::new(JobSource::Text(text))) {
+        Err(ClientError::Server { kind, message }) => {
+            assert_eq!(kind, "bad_request", "{message}");
+            assert!(message.contains(limit), "{message}");
+        }
+        other => panic!("expected a bad_request, got {other:?}"),
+    }
+    client.ping().expect("daemon still answers");
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
 }
