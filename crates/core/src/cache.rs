@@ -84,12 +84,10 @@ impl MemoCount {
 pub struct MemoTraffic {
     /// Per-module area breakdowns ([`AreaCache`]).
     pub area: MemoCount,
-    /// Top-level submodule recordings ([`SimCache`] replay): one lookup per
-    /// submodule of every simulated design with submodules.
-    pub replay: MemoCount,
     /// Whole-design power evaluations (power mode only).
     pub design: MemoCount,
-    /// Value streams of modules without submodule instances ([`SimCache`]).
+    /// Value streams ([`SimCache`]): one lookup per power pricing that the
+    /// whole-design memo did not answer.
     pub stream: MemoCount,
     /// Candidate speculations, answered from the engine's `(base design,
     /// move)` memo (the stored cost or rejection; apply, rebuild,
@@ -105,7 +103,6 @@ impl MemoTraffic {
     /// Add `other`'s counts to these.
     pub fn absorb(&mut self, other: &MemoTraffic) {
         self.area.absorb(other.area);
-        self.replay.absorb(other.replay);
         self.design.absorb(other.design);
         self.stream.absorb(other.stream);
         self.candidate.absorb(other.candidate);
@@ -116,7 +113,6 @@ impl MemoTraffic {
     pub(crate) fn since(&self, before: &MemoTraffic) -> MemoTraffic {
         MemoTraffic {
             area: self.area.since(before.area),
-            replay: self.replay.since(before.replay),
             design: self.design.since(before.design),
             stream: self.stream.since(before.stream),
             candidate: self.candidate.since(before.candidate),
@@ -125,21 +121,21 @@ impl MemoTraffic {
     }
 }
 
-/// Per-engine evaluation cache: area breakdowns and power-simulation
-/// recordings keyed by structural fingerprint, and a memo of whole-design
-/// power-mode evaluations.
+/// Per-engine evaluation cache: area breakdowns keyed by structural
+/// fingerprint, the power simulator's value streams, and a memo of
+/// whole-design power-mode evaluations.
 ///
 /// One cache serves one `Engine` run — the trace set, library and
-/// objective are fixed there, which is what makes reusing simulation
-/// recordings and whole evaluations sound. (Area entries would be valid
-/// across trace sets too, but an engine never changes traces mid-run, so no
-/// distinction is needed.) The whole-design memo is never shared beyond
+/// objective are fixed there, which is what makes reusing value streams,
+/// subtree energies and whole evaluations sound. (Area entries would be
+/// valid across trace sets too, but an engine never changes traces
+/// mid-run, so no distinction is needed.) The whole-design memo is never shared beyond
 /// its engine: unlike area, an evaluation depends on the traces.
 #[derive(Debug, Default)]
 pub struct EvalCache {
     /// Area results (per-module breakdowns).
     pub area: AreaCache,
-    /// Power-simulation submodule recordings and energy memos.
+    /// Power-simulation value streams and subtree-energy memos.
     pub sim: SimCache,
     /// Whole-design memo: the evaluation of every design this engine has
     /// priced, by root fingerprint and operating point.
@@ -156,18 +152,17 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Total lookups answered from the cache (area + submodule replay +
-    /// whole designs). Value-stream hits are counted apart, in
-    /// [`traffic`](Self::traffic), so this sum keeps its meaning.
+    /// Total lookups answered from the cache (area + whole designs).
+    /// Value-stream hits are counted apart, in [`traffic`](Self::traffic).
     pub fn hits(&self) -> u64 {
-        self.area.hits + self.sim.hits + self.design_hits
+        self.area.hits + self.design_hits
     }
 
-    /// Total lookups that fell through to a fresh computation (area +
-    /// submodule replay). A whole-design miss falls through to the area and
-    /// simulation caches, which count it.
+    /// Total lookups that fell through to a fresh computation (area). A
+    /// whole-design miss falls through to the area cache and the value
+    /// streams, which count it.
     pub fn misses(&self) -> u64 {
-        self.area.misses + self.sim.misses
+        self.area.misses
     }
 
     /// Hits and misses of each memo behind this cache, by name (the
@@ -175,7 +170,6 @@ impl EvalCache {
     pub fn traffic(&self) -> MemoTraffic {
         MemoTraffic {
             area: MemoCount::new(self.area.hits, self.area.misses),
-            replay: MemoCount::new(self.sim.hits, self.sim.misses),
             design: MemoCount::new(self.design_hits, self.design_misses),
             stream: MemoCount::new(self.sim.stream_hits, self.sim.stream_misses),
             ..MemoTraffic::default()

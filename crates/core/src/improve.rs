@@ -100,24 +100,24 @@ pub struct MoveStats {
     /// for the reasons).
     pub configs_skipped: u64,
     /// Incremental-evaluation cache lookups answered from the cache
-    /// (area + simulation). Candidates answered from the candidate memo
+    /// (area + whole design). Candidates answered from the candidate memo
     /// never reach the cache, so repeated speculations no longer show up
     /// here as hits; the misses (first speculations) are unaffected.
     pub eval_cache_hits: u64,
     /// Incremental-evaluation cache lookups that fell through to a fresh
     /// computation.
     pub eval_cache_misses: u64,
-    /// The same cache traffic by memo (area, submodule replay, whole
-    /// design), plus the value-stream table, which the two sums above leave
-    /// out, and the engine's candidate and move-*B* memos. Like the
-    /// eval-cache counters, excluded from
+    /// The same cache traffic by memo (area, whole design), plus the
+    /// value-stream table, which the two sums above leave out, and the
+    /// engine's candidate and move-*B* memos. Like the eval-cache
+    /// counters, excluded from
     /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
     pub memo: MemoTraffic,
     /// Top-level trace iterations the power-simulation kernel ran in
-    /// search evaluations: a deterministic physical-work counter (a
-    /// value-stream hit, a whole-design hit and a replayed move-*B*
-    /// resynthesis run none). Shadow-mode reference evaluations are not
-    /// counted.
+    /// search evaluations: a deterministic physical-work counter (only a
+    /// value-stream miss runs the kernel; a value-stream hit, a
+    /// whole-design hit and a replayed move-*B* resynthesis run none).
+    /// Shadow-mode reference evaluations are not counted.
     pub kernel_iterations: u64,
     /// Move applications undone by replaying the undo journal — every
     /// speculated candidate plus every pass step beyond the committed
@@ -226,6 +226,19 @@ struct Resynthesis {
 /// The move-*B* memo of one `(Vdd, clk)` configuration, shared down the
 /// resynthesis recursion and dropped with the configuration's engine.
 type ResynthMemo = HashMap<ResynthKey, Resynthesis>;
+
+/// Entry cap of the move-*B* memo: it is cleared when an insert would grow
+/// it past this (a bound, not a tuning knob; a configuration's search on
+/// the registry benchmarks stores at most a few dozen entries).
+const RESYNTH_MEMO_CAP: usize = 1 << 14;
+
+/// Remember a complete resynthesis, clearing `memo` first when it is full.
+fn remember_resynthesis(memo: &mut ResynthMemo, key: ResynthKey, run: Resynthesis) {
+    if memo.len() >= RESYNTH_MEMO_CAP {
+        memo.clear();
+    }
+    memo.insert(key, run);
+}
 
 /// The design a candidate scan speculates from: the root of its built
 /// fingerprint tree plus [`spec_digest`], the spec state that fingerprint
@@ -935,7 +948,7 @@ impl<'a> Engine<'a> {
         // re-checks the cancel token at its next step boundary. Such a run
         // depends on more than the key, so it is never memoized.
         if complete {
-            self.memo.insert(key, run);
+            remember_resynthesis(&mut self.memo, key, run);
         }
         module.map(ChildKind::Single)
     }
@@ -1156,6 +1169,30 @@ mod tests {
             top,
         };
         (dp, mlib, traces)
+    }
+
+    #[test]
+    fn resynthesis_memo_is_cleared_when_full() {
+        let key = |dfg_fp: u64| ResynthKey {
+            callee: DfgId::from_index(0),
+            dfg_fp,
+            op: [0; 4],
+            arrivals: None,
+            deadlines: None,
+            depth: 0,
+        };
+        let run = || Resynthesis {
+            module: None,
+            delta: MoveStats::default(),
+        };
+        let mut memo = ResynthMemo::new();
+        for fp in 0..RESYNTH_MEMO_CAP as u64 {
+            remember_resynthesis(&mut memo, key(fp), run());
+        }
+        assert_eq!(memo.len(), RESYNTH_MEMO_CAP);
+        remember_resynthesis(&mut memo, key(u64::MAX), run());
+        assert_eq!(memo.len(), 1, "full: cleared, then the new entry");
+        assert!(memo.contains_key(&key(u64::MAX)));
     }
 
     /// Regression for the `best_from` bailout: before the evaluated/rejected
@@ -1497,11 +1534,11 @@ mod tests {
     }
 
     /// The per-memo traffic adds up to the two eval-cache sums (value
-    /// streams counted apart), and a flat design is priced from its value
-    /// streams: the kernel runs once per distinct behavior, not once per
-    /// candidate.
+    /// streams counted apart), and flat and hierarchical designs alike are
+    /// priced from value streams: the kernel runs once per distinct
+    /// hierarchy, not once per candidate.
     #[test]
-    fn memo_traffic_adds_up_and_flat_designs_price_from_streams() {
+    fn memo_traffic_adds_up_and_every_design_prices_from_streams() {
         let (hier, mlib, traces) = lat_fixture();
         let mut flat = hier.clone();
         let mut h = hsyn_dfg::Hierarchy::new();
@@ -1514,20 +1551,19 @@ mod tests {
             let mut engine = Engine::new(&mlib, &config, traces.clone(), config.resynth_depth);
             engine.optimize(dp).expect("optimizes");
             let (s, m) = (engine.stats, engine.stats.memo);
-            assert_eq!(
-                m.area.hits + m.replay.hits + m.design.hits,
-                s.eval_cache_hits
-            );
-            assert_eq!(m.area.misses + m.replay.misses, s.eval_cache_misses);
+            assert_eq!(m.area.hits + m.design.hits, s.eval_cache_hits);
+            assert_eq!(m.area.misses, s.eval_cache_misses);
             assert!(
-                m.stream.hits > 0,
-                "flat {is_flat}: leaf pricings hit streams"
+                m.stream.hits > m.stream.misses,
+                "flat {is_flat}: most pricings hit streams"
             );
             if is_flat {
-                assert_eq!((m.replay.hits, m.replay.misses), (0, 0));
                 assert_eq!(s.kernel_iterations, m.stream.misses * traces.len() as u64);
             } else {
-                assert!(m.replay.misses > 0, "the top simulates with replay");
+                // Only stream fills run the kernel, on this engine's traces
+                // or a nested move-B engine's (at most 24 samples); a
+                // move-B memo hit replays its misses without running.
+                assert!(s.kernel_iterations <= m.stream.misses * 24);
             }
         }
     }
@@ -1545,12 +1581,12 @@ mod tests {
         };
         let first = price(&mut cache);
         let (hits, misses) = (cache.hits(), cache.misses());
-        let sim = (cache.sim.hits, cache.sim.misses);
+        let sim = (cache.sim.stream_hits, cache.sim.stream_misses);
         let area = (cache.area.hits, cache.area.misses);
         let second = price(&mut cache);
         assert_shadow_identical(&second, &first, None);
         assert_eq!((cache.hits(), cache.misses()), (hits + 1, misses));
-        assert_eq!((cache.sim.hits, cache.sim.misses), sim);
+        assert_eq!((cache.sim.stream_hits, cache.sim.stream_misses), sim);
         assert_eq!((cache.area.hits, cache.area.misses), area);
     }
 

@@ -15,7 +15,9 @@
 //! reports only normalized power, which is what the experiment harness
 //! computes.
 
-use crate::sim::{simulate, simulate_cached, Activity, ModuleActivity, SimCache};
+use crate::sim::{
+    simulate, Activity, EnergyMemo, ModuleActivity, Served, SimCache, StreamActivity, Streams,
+};
 use crate::traces::TraceSet;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
@@ -179,17 +181,18 @@ fn estimate_walk(
     )
 }
 
-/// [`estimate`] through `cache`: a module without submodule instances is
-/// priced from its behavior's value streams, computed once per behavior and
-/// trace set, and a module with submodules is simulated with submodule
-/// replay and per-subtree energy memoization. `fp` must be the fingerprint
-/// tree of `module`.
+/// [`estimate`] through `cache`: every module instance is priced from the
+/// value streams of the design's hierarchy, computed once per hierarchy
+/// content and trace set, and each submodule instance's subtree energy is
+/// memoized by its fingerprint and the call-tree nodes it serves. `fp` must
+/// be the fingerprint tree of `module`. A binding with one instance serving
+/// two calls of a stateful behavior (no engine move makes one) is priced
+/// by [`estimate`] itself.
 ///
 /// Bit-exact with [`estimate`]: the value streams yield the operands the
-/// kernel would record, in the order it records them (see
-/// [`simulate_cached`] for replay), and a memoized subtree energy is only
-/// reused when the recording it was computed from is the one that produced
-/// this run's activity, so every float matches the full recomputation.
+/// kernel would record, in the order it records them, and a memoized
+/// subtree energy was computed from the same structure and the same
+/// values, so every float matches the full recomputation.
 ///
 /// # Panics
 ///
@@ -210,26 +213,10 @@ pub fn estimate_cached(
         !traces.is_empty(),
         "power estimation needs at least one sample"
     );
-    let breakdown = if module.subs().is_empty() {
-        let act = cache.stream_activity(h, module, traces);
-        module_own_energy(h, module, lib, &act, traces.width, None)
-    } else {
-        let (act, _) = simulate_cached(h, module, traces, fp, cache);
-        let mut breakdown = module_own_energy(h, module, lib, &act, traces.width, None);
-        for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
-            let sub_fp = fp.subs[i].fp;
-            let sub_e = match cache.energy(i, sub_fp) {
-                Some(e) => e,
-                None => {
-                    let e = module_energy(h, sub, lib, sub_act, traces.width, None);
-                    cache.set_energy(i, sub_fp, e);
-                    e
-                }
-            };
-            breakdown.subs += sub_e.total();
-        }
-        breakdown
+    let Some((streams, memo, served)) = cache.streams(h, module, traces) else {
+        return estimate(h, module, lib, traces, vdd, clk_ns, sampling_period_cycles);
     };
+    let breakdown = instance_energy(h, module, lib, traces.width, streams, memo, &served, fp);
     finish_estimate(
         lib,
         breakdown,
@@ -239,6 +226,37 @@ pub fn estimate_cached(
         sampling_period_cycles,
         module.total_reg_count() as f64,
     )
+}
+
+/// Raw energy of the instance `module`, serving `served`, and its subtree,
+/// read from `streams` — [`module_energy`] without the recorded activity.
+/// Submodule subtrees come from `memo` when priced before.
+#[allow(clippy::too_many_arguments)]
+fn instance_energy(
+    h: &Hierarchy,
+    module: &RtlModule,
+    lib: &Library,
+    width: u32,
+    streams: &Streams,
+    memo: &mut EnergyMemo,
+    served: &Served,
+    fp: &FpTree,
+) -> EnergyBreakdown {
+    let act = StreamActivity::new(h, module, &served.nodes, streams);
+    let mut e = module_own_energy(h, module, lib, &act, width, None);
+    for ((sub, sub_served), sub_fp) in module.subs().iter().zip(&served.subs).zip(&fp.subs) {
+        let nodes = &sub_served.nodes;
+        let sub_e = match memo.get(sub_fp.fp, nodes) {
+            Some(sub_e) => sub_e,
+            None => {
+                let sub_e = instance_energy(h, sub, lib, width, streams, memo, sub_served, sub_fp);
+                memo.insert(sub_fp.fp, nodes, sub_e);
+                sub_e
+            }
+        };
+        e.subs += sub_e.total();
+    }
+    e
 }
 
 /// Shared tail of every estimate: per-iteration normalization, the clock

@@ -20,7 +20,7 @@ pub mod traces;
 
 pub use estimate::{estimate, estimate_cached, estimate_sized, EnergyBreakdown, PowerReport};
 pub use report::{per_module_energy, report_text, ModuleEnergy};
-pub use sim::{simulate, simulate_cached, FuEvent, ModuleActivity, SimCache};
+pub use sim::{simulate, FuEvent, ModuleActivity, SimCache};
 pub use traces::{dsp_default, generate, stream_activity, TraceKind, TraceSet};
 
 /// Truncate `value` to a `width`-bit two's-complement value (sign-extended
@@ -420,8 +420,8 @@ mod tests {
         assert_eq!(p1, p2);
     }
 
-    /// top = H(x, y) + H(y, x), with two instances of the same child module
-    /// — the shape the replay cache is built for.
+    /// top = H(x, y) + H(y, x), with two instances of the same child
+    /// module: one fingerprint serving two call-tree nodes.
     fn two_child_fixture() -> (Hierarchy, hsyn_rtl::RtlModule, Library) {
         let mut h = Hierarchy::new();
         let mut sub = Dfg::new("sub");
@@ -472,45 +472,31 @@ mod tests {
     }
 
     #[test]
-    fn cached_simulation_is_bit_exact_with_full() {
+    fn cached_estimate_is_bit_exact_with_full() {
         let (h, parent, lib) = two_child_fixture();
         let fp = hsyn_rtl::fingerprint_tree(&h, &parent);
         let traces = dsp_default(2, 24, W, 5);
         let full = estimate(&h, &parent, &lib, &traces, 5.0, TABLE1_CLOCK_NS, 20);
         let mut cache = SimCache::new();
-        // Cold: everything simulates live, recordings are stored.
-        let cold = estimate_cached(
-            &h,
-            &parent,
-            &lib,
-            &traces,
-            5.0,
-            TABLE1_CLOCK_NS,
-            20,
-            &fp,
-            &mut cache,
-        );
-        assert_eq!(full, cold);
-        assert_eq!(cache.hits, 0);
-        assert_eq!(cache.misses, 2);
-        // Warm: both children replay; floats stay bit-identical.
-        let warm = estimate_cached(
-            &h,
-            &parent,
-            &lib,
-            &traces,
-            5.0,
-            TABLE1_CLOCK_NS,
-            20,
-            &fp,
-            &mut cache,
-        );
-        assert_eq!(full, warm);
-        assert_eq!(cache.hits, 2);
-        let (full_act, full_outs) = simulate(&h, &parent, &traces);
-        let (warm_act, warm_outs) = simulate_cached(&h, &parent, &traces, &fp, &mut cache);
-        assert_eq!(full_act, warm_act);
-        assert_eq!(full_outs, warm_outs);
+        // Cold: one kernel run fills the streams; warm: none runs, and the
+        // children's energies come from the memo. Floats stay
+        // bit-identical.
+        for (round, iterations) in [("cold", 24), ("warm", 24)] {
+            let cached = estimate_cached(
+                &h,
+                &parent,
+                &lib,
+                &traces,
+                5.0,
+                TABLE1_CLOCK_NS,
+                20,
+                &fp,
+                &mut cache,
+            );
+            assert_eq!(full, cached, "{round}");
+            assert_eq!(cache.kernel_iterations, iterations, "{round}");
+        }
+        assert_eq!((cache.stream_misses, cache.stream_hits), (1, 1));
     }
 
     #[test]
@@ -596,15 +582,15 @@ mod tests {
     }
 
     #[test]
-    fn cached_simulation_survives_divergence_and_truncation() {
+    fn cached_estimate_keys_streams_on_the_samples() {
         let (h, parent, lib) = two_child_fixture();
         let fp = hsyn_rtl::fingerprint_tree(&h, &parent);
         let t1 = dsp_default(2, 24, W, 5);
-        let t2 = dsp_default(2, 24, W, 6); // different data: replay diverges
+        let t2 = dsp_default(2, 24, W, 6); // same length, other samples
         let t3 = TraceSet {
             samples: t1.samples.iter().map(|s| s[..10].to_vec()).collect(),
             width: W,
-        }; // prefix of t1: replay ends mid-recording
+        }; // a prefix of t1
         let mut cache = SimCache::new();
         for traces in [&t1, &t2, &t3, &t1, &t3] {
             let full = estimate(&h, &parent, &lib, traces, 5.0, TABLE1_CLOCK_NS, 20);
@@ -621,5 +607,7 @@ mod tests {
             );
             assert_eq!(full, cached, "trace set of {} samples", traces.len());
         }
+        assert_eq!((cache.stream_misses, cache.stream_hits), (3, 2));
+        assert_eq!(cache.kernel_iterations, 24 + 24 + 10);
     }
 }

@@ -12,43 +12,46 @@
 //! switching activity (the effect behind the paper's observation that
 //! power optimization often avoids resource sharing).
 //!
-//! Three things make repeated simulation cheap inside the improvement loop:
+//! The simulation has two halves:
 //!
-//! * **a flat kernel** — each behavior is compiled into a [`Prep`] of two
-//!   halves. The [`Layout`] depends on the DFG alone: one `Vec<i64>` per
-//!   instance and behavior holds the value slots (one per `(node,
-//!   out-port)`, zeroed each iteration) followed by the delay history (one
-//!   slot per `(delayed var, k)`, zero-initialized); every operand is a
-//!   precomputed slot index, a delayed one included; the steps follow the
-//!   memory-aware topological order. The [`Bind`] depends on the binding:
-//!   per-FU event order with chained depths, per-register write order and
-//!   each call's submodule instance and callee behavior. The iteration loop
-//!   hashes nothing; the reference interpreter kept in the tests pins the
-//!   kernel to the semantics it replaced;
-//! * **value streams** ([`SimCache`], modules without submodule instances)
-//!   — such a module's node values depend on its DFG and the traces, never
-//!   on its binding, so the kernel runs its behavior once per key (the
-//!   DFG's [content hash](hsyn_dfg::Dfg::content_hash), the trace length
-//!   and the width; the samples are compared on every lookup) and keeps the
-//!   buffer of every iteration with the layout. A candidate then builds
-//!   only its [`Bind`], and the estimator reads each operand from the
-//!   streams in exactly the order the kernel records it, so every float is
-//!   summed in the same order. The table holds at most
-//!   [`SimCache::STREAM_CAP`] entries, oldest evicted first. Every DFG
-//!   mutation drops the content hash, so an edited or rebanked behavior is
-//!   a new key, never a stale hit. Modules *with* submodules keep the
-//!   kernel: a shared stateful child instance interleaves its calls in an
-//!   order the binding decides, so their values are not binding-free in
-//!   general;
-//! * **submodule replay** ([`SimCache`]) — a top-level submodule whose
-//!   structural fingerprint and per-call input stream match a recording
-//!   from an earlier run returns its recorded outputs and activity without
-//!   simulating. Both are exact: the activity streams are pure integers,
-//!   fully determined by the module structure and the call stream.
+//! * **a flat kernel over the call tree** — the top behavior and, under
+//!   each node, one node per hierarchical step of its DFG, numbered in
+//!   preorder from the DFGs alone ([`CallTree`]). Each DFG is compiled
+//!   once into a [`Layout`]: one `Vec<i64>` per execution state holds the
+//!   value slots (one per `(node, out-port)`, zeroed each execution)
+//!   followed by the delay history (one slot per `(delayed var, k)`,
+//!   zero-initialized); every operand is a precomputed slot index; the
+//!   steps follow the memory-aware topological order. The kernel executes
+//!   the tree once per trace iteration and keeps every execution's buffer
+//!   as that node's row: its **value streams** ([`Streams`]). The
+//!   iteration loop hashes nothing; the reference interpreter kept in the
+//!   tests pins the kernel to the semantics it replaced;
+//! * **the binding, read off the streams** — per module instance, the
+//!   call-tree nodes it serves and a [`Bind`] per behavior (per-FU event
+//!   order with chained depths, per-register write order). An instance's
+//!   events are the rows of its nodes, iteration-major and then in
+//!   preorder, read through its `Bind`: exactly the order a kernel driven
+//!   by the instance tree records them in.
+//!
+//! The node values depend on the binding in one case only: one instance
+//! serving two call-tree nodes of one *stateful* behavior (delayed edges or
+//! owned memory), whose calls then interleave on one state. [`simulate`]
+//! handles it by giving such nodes one execution state; [`SimCache`] keeps
+//! the streams of the binding-free case, once per hierarchy content
+//! ([`Hierarchy::content_hash`] of the top), trace length and width (the
+//! samples are compared on every lookup), so a candidate design builds
+//! only its `Bind`s and is priced without running the kernel. The engine
+//! never makes the binding-dependent case; the cached estimate falls back
+//! to the uncached one there. The table holds at most
+//! [`SimCache::STREAM_CAP`] entries, oldest evicted first, and each entry
+//! memoizes the energy of instance subtrees by structural fingerprint and
+//! served nodes. Every DFG mutation changes the content hash, so an edited
+//! or rebanked hierarchy is a new key, never a stale hit.
 
 use crate::traces::TraceSet;
-use hsyn_dfg::{Dfg, Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
-use hsyn_rtl::{storage_analysis, FpTree, RtlModule};
+use crate::EnergyBreakdown;
+use hsyn_dfg::{Dfg, DfgId, Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
+use hsyn_rtl::RtlModule;
 use std::collections::HashMap;
 
 /// One execution of an operation on a functional-unit instance.
@@ -80,32 +83,19 @@ pub struct ModuleActivity {
     /// Number of behavior executions.
     pub runs: u64,
     /// Per behavior, per memory of that behavior's DFG: `(loads, stores)`
-    /// issued across all iterations. Accesses to an external (parent-shared)
-    /// memory count here, at the accessing module — the accessor pays the
-    /// port energy; the owner pays the bank's standing cost.
+    /// issued across all iterations; empty for a behavior that never ran.
+    /// Accesses to an external (parent-shared) memory count here, at the
+    /// accessing module — the accessor pays the port energy; the owner pays
+    /// the bank's standing cost.
     pub mem_accesses: Vec<Vec<(u64, u64)>>,
     /// Activity of submodule instances.
     pub subs: Vec<ModuleActivity>,
 }
 
-impl ModuleActivity {
-    fn for_module(m: &RtlModule) -> Self {
-        ModuleActivity {
-            fu_events: vec![Vec::new(); m.fus().len()],
-            reg_writes: vec![Vec::new(); m.regs().len()],
-            busy_cycles: 0,
-            runs: 0,
-            // Inner vectors are sized on first execution of each behavior
-            // (the word counts live on the DFG, not the RTL module).
-            mem_accesses: vec![Vec::new(); m.behaviors().len()],
-            subs: m.subs().iter().map(ModuleActivity::for_module).collect(),
-        }
-    }
-}
-
 /// What the energy walk reads of one module's own activity, whatever holds
-/// it: the recorded [`ModuleActivity`] or a module's [`StreamActivity`].
-/// Both sources yield the same values in the same order.
+/// it: the recorded [`ModuleActivity`] or an instance's
+/// [`StreamActivity`]. Both sources yield the same values in the same
+/// order.
 pub(crate) trait Activity {
     /// Calls `f(a, b, depth)` for every execution on FU instance `fu`, in
     /// event order across all iterations.
@@ -142,39 +132,18 @@ impl Activity for ModuleActivity {
     }
 }
 
-/// Per-instance inter-iteration state (values crossing iteration boundaries
-/// through delayed edges, owned memory banks) and per-execution scratch, per
-/// behavior.
+/// One execution state: inter-iteration state (values crossing iteration
+/// boundaries through delayed edges, owned memory banks) and per-execution
+/// scratch. Everything is sized on the first execution and reused after
+/// it, so a steady-state iteration allocates nothing.
 #[derive(Clone, Debug, Default)]
-struct ModuleState {
-    behaviors: Vec<BehaviorState>,
-    subs: Vec<ModuleState>,
-}
-
-impl ModuleState {
-    fn for_module(m: &RtlModule) -> Self {
-        ModuleState {
-            behaviors: vec![BehaviorState::default(); m.behaviors().len()],
-            subs: m.subs().iter().map(ModuleState::for_module).collect(),
-        }
-    }
-}
-
-/// The state of one behavior of one module instance. Everything is sized on
-/// the behavior's first execution and reused after it, so a steady-state
-/// iteration allocates nothing.
-#[derive(Clone, Debug, Default)]
-struct BehaviorState {
+struct ExecState {
     /// Flat storage laid out by the behavior's [`Layout`]: the value arena
     /// (`..Layout::n_vals`, one slot per `(node, out-port)`, reset to 0 at
-    /// the start of every iteration) followed by the delay history (one
+    /// the start of every execution) followed by the delay history (one
     /// slot per `(delayed var, k)`, zero-initialized, persisting across
     /// iterations).
     buf: Vec<i64>,
-    /// When set, every iteration appends `buf` here as the operand reads
-    /// see it (after the steps, before the history shift): the value
-    /// streams of [`Streams::fill`].
-    rows: Option<Vec<i64>>,
     /// Arena slot of each *owned* memory, allocated on first execution.
     /// Memory contents are state, like delay lines: they persist across
     /// iterations.
@@ -207,7 +176,7 @@ impl MemArena {
 }
 
 /// One node of a behavior, compiled for the inner loop: every operand is a
-/// slot of [`BehaviorState::buf`] listed in [`Layout::srcs`] from `src` on,
+/// slot of [`ExecState::buf`] listed in [`Layout::srcs`] from `src` on,
 /// every result is written at `slot`.
 #[derive(Clone, Copy, Debug)]
 enum Step {
@@ -224,9 +193,8 @@ enum Step {
         slot: u32,
         src: u32,
     },
-    /// The `call`-th call of the behavior, executed by the submodule
-    /// behavior [`Bind::calls`] names; `node` names the call's memory
-    /// binds.
+    /// The `call`-th hierarchical node of the behavior (its call-tree
+    /// child of that index); `node` names the call's memory binds.
     Hier {
         node: NodeId,
         slot: u32,
@@ -257,8 +225,8 @@ struct FuOp {
     depth: u32,
 }
 
-/// The DFG-only half of a behavior's preparation: everything the inner loop
-/// needs that depends neither on the data nor on the binding.
+/// The DFG-only compilation of a behavior: everything the inner loop needs
+/// that depends neither on the data nor on the binding.
 #[derive(Debug)]
 struct Layout {
     /// The behavior's nodes in memory-aware topological order, outputs
@@ -280,8 +248,12 @@ struct Layout {
     hist: Vec<(u32, u32, u32)>,
     /// Value slots (the history follows them in the buffer).
     n_vals: usize,
-    /// Value plus history slots: the length of [`BehaviorState::buf`].
+    /// Value plus history slots: the length of [`ExecState::buf`].
     len: usize,
+    /// Whether an execution leaves state for the next one: a delayed edge
+    /// or an owned memory. Two calls sharing such a behavior's state
+    /// interleave on it.
+    stateful: bool,
 }
 
 impl Layout {
@@ -412,6 +384,7 @@ impl Layout {
             src_start,
             val_start,
             out_srcs,
+            stateful: !hist.is_empty() || g.mems().any(|(_, m)| m.scope == MemScope::Owned),
             hist,
             n_vals: n_vals as usize,
             len: len as usize,
@@ -445,9 +418,6 @@ struct Bind {
     /// only an iteration can decide.
     reg_slots: Vec<u32>,
     reg_start: Vec<u32>,
-    /// Per hierarchical step, in step order: `(submodule instance, callee
-    /// behavior index in it)`.
-    calls: Vec<(u32, u32)>,
 }
 
 impl Bind {
@@ -462,7 +432,7 @@ impl Bind {
         }
     }
 
-    /// Calls `f` with register `reg`'s writes of the iteration held in
+    /// Calls `f` with register `reg`'s writes of the execution held in
     /// `row`, in commit order.
     fn each_reg_write(&self, reg: usize, row: &[i64], mut f: impl FnMut(i64)) {
         let slots = match self.reg_start.get(reg..reg + 2) {
@@ -490,10 +460,12 @@ impl Bind {
         }
     }
 
+    /// The bind of `module`'s behavior `bi`, whose DFG `layout` compiles.
+    /// Reads the storage analysis the builder kept on the module.
     fn build(h: &Hierarchy, module: &RtlModule, bi: usize, layout: &Layout) -> Self {
         let b = &module.behaviors()[bi];
         let g = h.dfg(b.dfg);
-        let st = storage_analysis(g, &b.schedule);
+        let st = module.storage(bi);
         let order = g.mem_topo_order().expect("bound dfg is acyclic");
 
         // Chained combinational depth per node (for glitch modeling).
@@ -572,35 +544,11 @@ impl Bind {
             }
         }
 
-        // Each hierarchical node resolves its submodule instance and the
-        // behavior implementing its callee here, once.
-        let calls = layout
-            .steps
-            .iter()
-            .filter_map(|s| match *s {
-                Step::Hier { node, .. } => Some(node),
-                _ => None,
-            })
-            .map(|node| {
-                let NodeKind::Hier { callee } = g.node(node).kind() else {
-                    unreachable!("hierarchical step");
-                };
-                let sub = b.binding.hier_to_sub[&node].index();
-                let sub_bi = module.subs()[sub]
-                    .behaviors()
-                    .iter()
-                    .position(|sb| sb.dfg == *callee)
-                    .expect("submodule implements the callee");
-                (sub as u32, sub_bi as u32)
-            })
-            .collect();
-
         Bind {
             fu_ops,
             fu_start,
             reg_slots,
             reg_start,
-            calls,
         }
     }
 }
@@ -618,41 +566,508 @@ fn starts(n: usize, keys: impl Iterator<Item = usize>) -> Vec<u32> {
     starts
 }
 
-/// Iteration-invariant preparation for one behavior: its [`Layout`] and
-/// [`Bind`].
-struct Prep {
-    layout: Layout,
-    bind: Bind,
+/// One node of the [`CallTree`]: an execution of a behavior per iteration.
+#[derive(Debug)]
+struct CallNode {
+    /// The node's DFG, in the hierarchy the tree was built from.
+    dfg: DfgId,
+    /// Index of the DFG's [`Layout`] in [`CallTree::layouts`].
+    layout: u32,
+    /// Per hierarchical step of the DFG, in step order: the hierarchical
+    /// node and the call-tree index of the child it calls.
+    children: Vec<(NodeId, u32)>,
 }
 
-/// Lazily-built [`Prep`]s mirroring the module tree.
-struct PrepTree {
-    behaviors: Vec<Option<Prep>>,
-    subs: Vec<PrepTree>,
+/// The executions of one top behavior per iteration, numbered from the
+/// DFGs alone: node 0 is the top, and the children of a node are its DFG's
+/// hierarchical steps in step order, numbered in preorder — the order the
+/// kernel executes them in. A binding decides only which module instance
+/// serves each node.
+#[derive(Debug)]
+struct CallTree {
+    nodes: Vec<CallNode>,
+    /// One layout per distinct DFG of the tree.
+    layouts: Vec<Layout>,
 }
 
-impl PrepTree {
-    fn for_module(m: &RtlModule) -> Self {
-        PrepTree {
-            behaviors: vec![],
-            subs: m.subs().iter().map(PrepTree::for_module).collect(),
+impl CallTree {
+    fn build(h: &Hierarchy, top: DfgId) -> Self {
+        let mut tree = CallTree {
+            nodes: Vec::new(),
+            layouts: Vec::new(),
+        };
+        let mut layout_of: Vec<Option<u32>> = vec![None; h.dfg_count()];
+        tree.add(h, top, &mut layout_of);
+        tree
+    }
+
+    fn add(&mut self, h: &Hierarchy, dfg: DfgId, layout_of: &mut [Option<u32>]) -> u32 {
+        let layout = *layout_of[dfg.index()].get_or_insert_with(|| {
+            self.layouts.push(Layout::build(h, h.dfg(dfg)));
+            self.layouts.len() as u32 - 1
+        });
+        let id = self.nodes.len() as u32;
+        self.nodes.push(CallNode {
+            dfg,
+            layout,
+            children: Vec::new(),
+        });
+        let g = h.dfg(dfg);
+        let calls: Vec<NodeId> = self.layouts[layout as usize]
+            .steps
+            .iter()
+            .filter_map(|s| match *s {
+                Step::Hier { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
+        for node in calls {
+            let NodeKind::Hier { callee } = g.node(node).kind() else {
+                unreachable!("hierarchical step");
+            };
+            let child = self.add(h, *callee, layout_of);
+            self.nodes[id as usize].children.push((node, child));
+        }
+        id
+    }
+
+    fn layout(&self, node: u32) -> &Layout {
+        &self.layouts[self.nodes[node as usize].layout as usize]
+    }
+}
+
+/// The call-tree nodes one module instance serves, ascending (the order
+/// the kernel executes them in), each with the index of the behavior that
+/// serves it, and the same for every submodule instance.
+#[derive(Debug)]
+pub(crate) struct Served {
+    pub(crate) nodes: Vec<(u32, u32)>,
+    /// Per submodule instance, in [`RtlModule::subs`] order.
+    pub(crate) subs: Vec<Served>,
+}
+
+impl Served {
+    /// The nodes of `tree` each instance of `module` serves through its
+    /// binding (`module` executes the tree's top). The DFGs are read from
+    /// `h`; `tree` may have been built from another hierarchy of the same
+    /// content.
+    fn walk(h: &Hierarchy, tree: &CallTree, module: &RtlModule) -> Self {
+        Self::walk_nodes(h, tree, module, vec![(0, 0)])
+    }
+
+    fn walk_nodes(
+        h: &Hierarchy,
+        tree: &CallTree,
+        module: &RtlModule,
+        nodes: Vec<(u32, u32)>,
+    ) -> Self {
+        let mut sub_nodes: Vec<Vec<(u32, u32)>> = vec![Vec::new(); module.subs().len()];
+        for &(c, bi) in &nodes {
+            let b = &module.behaviors()[bi as usize];
+            let g = h.dfg(b.dfg);
+            for &(node, child) in &tree.nodes[c as usize].children {
+                let NodeKind::Hier { callee } = g.node(node).kind() else {
+                    unreachable!("hierarchical step");
+                };
+                let si = b.binding.hier_to_sub[&node].index();
+                let sub_bi = module.subs()[si]
+                    .behaviors()
+                    .iter()
+                    .position(|sb| sb.dfg == *callee)
+                    .expect("submodule implements the callee");
+                sub_nodes[si].push((child, sub_bi as u32));
+            }
+        }
+        let subs = module
+            .subs()
+            .iter()
+            .zip(sub_nodes)
+            .map(|(sub, n)| Self::walk_nodes(h, tree, sub, n))
+            .collect();
+        Served { nodes, subs }
+    }
+
+    /// Whether some instance serves two nodes with one stateful behavior:
+    /// their executions share a state, so their values depend on the
+    /// binding.
+    fn shares_state(&self, tree: &CallTree) -> bool {
+        self.nodes.iter().enumerate().any(|(i, &(c, bi))| {
+            tree.layout(c).stateful && self.nodes[i + 1..].iter().any(|n| n.1 == bi)
+        }) || self.subs.iter().any(|s| s.shares_state(tree))
+    }
+
+    /// The execution state of every node under kernel semantics: one per
+    /// `(instance, behavior)`, numbered from `next`.
+    fn states(&self, state_of: &mut [u32], next: &mut u32) {
+        let mut seen: Vec<(u32, u32)> = Vec::new();
+        for &(c, bi) in &self.nodes {
+            state_of[c as usize] = match seen.iter().find(|s| s.0 == bi) {
+                Some(&(_, state)) => state,
+                None => {
+                    seen.push((bi, *next));
+                    *next += 1;
+                    *next - 1
+                }
+            };
+        }
+        for s in &self.subs {
+            s.states(state_of, next);
+        }
+    }
+}
+
+/// Every execution's buffer, per call-tree node, of one kernel run: the
+/// value streams.
+#[derive(Debug)]
+pub(crate) struct Streams {
+    /// The trace samples the streams were computed on, compared on lookup.
+    samples: Vec<Vec<i64>>,
+    tree: CallTree,
+    /// Per call-tree node: iteration `n`'s buffer as the kernel's operand
+    /// reads see it (values after the steps, history before the shift) at
+    /// `[n * len..][..len]`, `len` the node's layout length.
+    rows: Vec<Vec<i64>>,
+    /// Per call-tree node: `(loads, stores)` per memory of its DFG over all
+    /// iterations. Every step runs once per execution, so the counts do not
+    /// depend on the binding.
+    mem_accesses: Vec<Vec<(u64, u64)>>,
+    /// Iterations held.
+    iterations: usize,
+}
+
+impl Streams {
+    /// Run the kernel over `traces` on `tree` (whose top DFG has the
+    /// traces' width as its input count), node `c` executing on state
+    /// `state_of[c]`, keeping every execution's buffer. Returns the
+    /// streams and the top's output streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace input count does not match the top DFG.
+    fn fill(
+        h: &Hierarchy,
+        top: DfgId,
+        tree: CallTree,
+        state_of: &[u32],
+        traces: &TraceSet,
+    ) -> (Self, Vec<Vec<i64>>) {
+        let g = h.dfg(top);
+        assert_eq!(
+            traces.input_count(),
+            g.input_count(),
+            "trace width must match the top DFG's inputs"
+        );
+        let n_states = state_of.iter().max().map_or(0, |&s| s as usize + 1);
+        let mut run = Run {
+            h,
+            tree: &tree,
+            state_of,
+            states: vec![ExecState::default(); n_states],
+            arena: MemArena::default(),
+            width: traces.width,
+            rows: (0..tree.nodes.len() as u32)
+                .map(|c| Vec::with_capacity(traces.len() * tree.layout(c).len))
+                .collect(),
+            mem_accesses: vec![Vec::new(); tree.nodes.len()],
+        };
+        let mut inputs = vec![0i64; g.input_count()];
+        let mut out = Vec::with_capacity(g.output_count());
+        let mut outputs: Vec<Vec<i64>> = vec![Vec::with_capacity(traces.len()); g.output_count()];
+        for n in 0..traces.len() {
+            for (i, s) in traces.samples.iter().enumerate() {
+                inputs[i] = s[n];
+            }
+            run.exec(0, &inputs, &[], &mut out);
+            for (o, v) in outputs.iter_mut().zip(&out) {
+                o.push(*v);
+            }
+        }
+        let Run {
+            rows, mem_accesses, ..
+        } = run;
+        let streams = Streams {
+            samples: traces.samples.clone(),
+            tree,
+            rows,
+            mem_accesses,
+            iterations: traces.len(),
+        };
+        (streams, outputs)
+    }
+}
+
+/// The kernel's working set for one [`Streams::fill`].
+struct Run<'a> {
+    h: &'a Hierarchy,
+    tree: &'a CallTree,
+    state_of: &'a [u32],
+    states: Vec<ExecState>,
+    arena: MemArena,
+    width: u32,
+    rows: Vec<Vec<i64>>,
+    mem_accesses: Vec<Vec<(u64, u64)>>,
+}
+
+impl Run<'_> {
+    /// Execute call-tree node `c` once on `inputs` (`ext_slots`: the arena
+    /// slots of its external memories), leaving its outputs in `out`.
+    fn exec(&mut self, c: usize, inputs: &[i64], ext_slots: &[usize], out: &mut Vec<i64>) {
+        let tree = self.tree;
+        let node = &tree.nodes[c];
+        let g = self.h.dfg(node.dfg);
+        let layout = &tree.layouts[node.layout as usize];
+        // The state leaves the table while this node runs: its callees run
+        // on other states (an instance never serves its own descendants).
+        let s = self.state_of[c] as usize;
+        let mut state = std::mem::take(&mut self.states[s]);
+        let ExecState {
+            buf,
+            mem_slots,
+            mem_map,
+            call_in,
+            call_ext,
+            call_out,
+        } = &mut state;
+        // Values never produced read 0 (feedback before the first iteration
+        // reads the zeroed history; the value arena is zeroed every
+        // execution).
+        if buf.len() == layout.len {
+            buf[..layout.n_vals].fill(0);
+        } else {
+            *buf = vec![0; layout.len];
+        }
+
+        // Resolve each memory of this behavior to its arena slot: owned
+        // memories allocate (once — contents persist across iterations),
+        // external ones alias the slots the caller passed, in declaration
+        // order (the hierarchy checker validated arity and shape).
+        if g.mem_count() > 0 {
+            if mem_slots.len() != g.mem_count() {
+                *mem_slots = vec![None; g.mem_count()];
+            }
+            let arena = &mut self.arena;
+            let mut ext = ext_slots.iter().copied();
+            mem_map.clear();
+            mem_map.extend(g.mems().map(|(i, m)| {
+                match m.scope {
+                    MemScope::Owned => *mem_slots[i.index()]
+                        .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
+                    MemScope::External => match ext.next() {
+                        Some(slot) => slot,
+                        // Standalone evaluation (a child resynthesized in
+                        // isolation sees no caller): an unbound import
+                        // behaves as a private zero-initialized bank,
+                        // matching the flattened reference evaluator.
+                        None => *mem_slots[i.index()]
+                            .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
+                    },
+                }
+            }));
+        }
+        if self.mem_accesses[c].len() != g.mem_count() {
+            self.mem_accesses[c] = vec![(0, 0); g.mem_count()];
+        }
+
+        let (srcs, width) = (&layout.srcs, self.width);
+        for step in &layout.steps {
+            match *step {
+                Step::Input { slot, index } => {
+                    buf[slot as usize] = inputs.get(index as usize).copied().unwrap_or(0);
+                }
+                Step::Const { slot, value } => {
+                    buf[slot as usize] = crate::truncate(value, width);
+                }
+                Step::Op { op, slot, src } => {
+                    let ar = op.arity();
+                    let src = src as usize;
+                    let mut args = [0i64; 2];
+                    for (a, &s) in args.iter_mut().zip(&srcs[src..src + ar]) {
+                        *a = buf[s as usize];
+                    }
+                    buf[slot as usize] = op.eval(&args[..ar], width);
+                }
+                Step::Hier {
+                    node: hn,
+                    slot,
+                    src,
+                    arity,
+                    call,
+                } => {
+                    let src = src as usize;
+                    call_in.clear();
+                    call_in.extend(
+                        srcs[src..src + arity as usize]
+                            .iter()
+                            .map(|&s| buf[s as usize]),
+                    );
+                    // Shared banks flow to the callee as arena slots,
+                    // resolved through this call's positional memory binds.
+                    call_ext.clear();
+                    call_ext.extend(g.node(hn).mem_binds().iter().map(|m| mem_map[m.index()]));
+                    let child = node.children[call as usize].1 as usize;
+                    self.exec(child, call_in, call_ext, call_out);
+                    let slot = slot as usize;
+                    buf[slot..slot + call_out.len()].copy_from_slice(call_out);
+                }
+                Step::Load { mem, slot, src } => {
+                    let addr = buf[srcs[src as usize] as usize];
+                    let bank = &self.arena.slots[mem_map[mem as usize]];
+                    let v = bank[addr.rem_euclid(bank.len() as i64) as usize];
+                    buf[slot as usize] = crate::truncate(v, width);
+                    self.mem_accesses[c][mem as usize].0 += 1;
+                }
+                Step::Store {
+                    mem,
+                    slot,
+                    src,
+                    elem_width,
+                } => {
+                    let src = src as usize;
+                    let addr = buf[srcs[src] as usize];
+                    let data = buf[srcs[src + 1] as usize];
+                    let stored = crate::truncate(data, elem_width.min(width));
+                    let bank = &mut self.arena.slots[mem_map[mem as usize]];
+                    let words = bank.len() as i64;
+                    bank[addr.rem_euclid(words) as usize] = stored;
+                    buf[slot as usize] = stored;
+                    self.mem_accesses[c][mem as usize].1 += 1;
+                }
+            }
+        }
+        self.rows[c].extend_from_slice(buf);
+
+        // Collect outputs (before the history shift: a delayed output edge
+        // delivers the value from `delay` iterations before this one).
+        out.clear();
+        out.extend(layout.out_srcs.iter().map(|&s| buf[s as usize]));
+
+        // Update delay history *after* the execution: every k-level moves
+        // one slot deeper, and this execution's value enters at k = 1.
+        for &(first, maxd, slot) in &layout.hist {
+            let (first, maxd) = (first as usize, maxd as usize);
+            buf.copy_within(first..first + maxd - 1, first + 1);
+            buf[first] = buf[slot as usize];
+        }
+        self.states[s] = state;
+    }
+}
+
+/// The activity of one module instance, read from the value streams
+/// through its binding: the rows of the call-tree nodes it serves,
+/// iteration-major and then in node order, through the [`Bind`] of the
+/// serving behavior — the values, in the order, the kernel would record.
+pub(crate) struct StreamActivity<'a> {
+    /// Per served node: its rows, its row length and its behavior.
+    execs: Vec<(&'a [i64], usize, usize)>,
+    /// Per behavior: its bind, when it serves a node.
+    binds: Vec<Option<Bind>>,
+    iterations: usize,
+    busy_cycles: u64,
+    /// Per behavior: `(loads, stores)` per memory, summed over its nodes.
+    mem_accesses: Vec<Vec<(u64, u64)>>,
+}
+
+impl<'a> StreamActivity<'a> {
+    /// The activity of `module` serving `nodes` (`(node, behavior)` pairs,
+    /// ascending) of `streams`.
+    pub(crate) fn new(
+        h: &Hierarchy,
+        module: &RtlModule,
+        nodes: &[(u32, u32)],
+        streams: &'a Streams,
+    ) -> Self {
+        let n_behaviors = module.behaviors().len();
+        let mut binds: Vec<Option<Bind>> = (0..n_behaviors).map(|_| None).collect();
+        let mut mem_accesses = vec![Vec::new(); n_behaviors];
+        let mut makespans = 0u64;
+        let mut execs = Vec::with_capacity(nodes.len());
+        for &(c, bi) in nodes {
+            let (layout, bi) = (streams.tree.layout(c), bi as usize);
+            let counts = &streams.mem_accesses[c as usize];
+            if binds[bi].is_none() {
+                binds[bi] = Some(Bind::build(h, module, bi, layout));
+                mem_accesses[bi] = vec![(0, 0); counts.len()];
+            }
+            for (sum, n) in mem_accesses[bi].iter_mut().zip(counts) {
+                sum.0 += n.0;
+                sum.1 += n.1;
+            }
+            makespans += u64::from(module.behaviors()[bi].schedule.makespan());
+            execs.push((streams.rows[c as usize].as_slice(), layout.len, bi));
+        }
+        StreamActivity {
+            execs,
+            binds,
+            iterations: streams.iterations,
+            busy_cycles: streams.iterations as u64 * makespans,
+            mem_accesses,
         }
     }
 
-    fn get(&mut self, h: &Hierarchy, module: &RtlModule, bi: usize) -> &Prep {
-        if self.behaviors.is_empty() {
-            self.behaviors = module.behaviors().iter().map(|_| None).collect();
+    /// `make(op, row)` for every execution on FU instance `fu`, in event
+    /// order across all iterations.
+    fn gather<T>(&self, fu: usize, make: impl Fn(&FuOp, &[i64]) -> T) -> Vec<T> {
+        let per_iteration: usize = self
+            .execs
+            .iter()
+            .map(|&(_, _, bi)| self.bind(bi).ops(fu).len())
+            .sum();
+        let mut events = Vec::with_capacity(per_iteration * self.iterations);
+        for n in 0..self.iterations {
+            for &(rows, len, bi) in &self.execs {
+                let row = &rows[n * len..(n + 1) * len];
+                events.extend(self.bind(bi).ops(fu).iter().map(|o| make(o, row)));
+            }
         }
-        self.behaviors[bi].get_or_insert_with(|| {
-            let layout = Layout::build(h, h.dfg(module.behaviors()[bi].dfg));
-            let bind = Bind::build(h, module, bi, &layout);
-            Prep { layout, bind }
-        })
+        events
+    }
+
+    fn bind(&self, bi: usize) -> &Bind {
+        self.binds[bi]
+            .as_ref()
+            .expect("a served behavior has a bind")
+    }
+}
+
+impl Activity for StreamActivity<'_> {
+    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
+        // Gathered first, then handed out: calling `f` from inside the
+        // row-by-op loops made the energy walk about a third slower than
+        // this two-loop form (flattened dct, 2-core x86-64 host).
+        let events = self.gather(fu, |o, row| {
+            (
+                row[o.a as usize],
+                o.b.map_or(0, |s| row[s as usize]),
+                o.depth,
+            )
+        });
+        for (a, b, depth) in events {
+            f(a, b, depth);
+        }
+    }
+
+    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
+        for n in 0..self.iterations {
+            for &(rows, len, bi) in &self.execs {
+                let row = &rows[n * len..(n + 1) * len];
+                self.bind(bi).each_reg_write(reg, row, &mut f);
+            }
+        }
+    }
+
+    fn busy_cycles(&self) -> u64 {
+        self.busy_cycles
+    }
+
+    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
+        self.mem_accesses.get(bi).map_or(&[], Vec::as_slice)
     }
 }
 
 /// Simulate `module` executing its first behavior once per trace iteration,
-/// returning the collected activity and the output streams.
+/// returning the collected activity and the output streams. Each
+/// `(instance, behavior)` pair of the binding executes on one state, so an
+/// instance serving several calls of a stateful behavior interleaves them.
 ///
 /// # Panics
 ///
@@ -662,385 +1077,108 @@ pub fn simulate(
     module: &RtlModule,
     traces: &TraceSet,
 ) -> (ModuleActivity, Vec<Vec<i64>>) {
-    simulate_impl(h, module, traces, None)
+    let top = module.behaviors()[0].dfg;
+    let tree = CallTree::build(h, top);
+    let served = Served::walk(h, &tree, module);
+    let mut state_of = vec![0; tree.nodes.len()];
+    served.states(&mut state_of, &mut 0);
+    let (streams, outputs) = Streams::fill(h, top, tree, &state_of, traces);
+    (activity(h, module, &served, &streams), outputs)
 }
 
-/// [`simulate`] with top-level submodule replay through `cache`. `fp` must
-/// be the fingerprint tree of `module`. Bit-exact with [`simulate`]: the
-/// returned activity and outputs are identical, integer for integer.
-pub fn simulate_cached(
+/// The recorded activity of `module` serving `served` on `streams`.
+fn activity(
     h: &Hierarchy,
     module: &RtlModule,
-    traces: &TraceSet,
-    fp: &FpTree,
-    cache: &mut SimCache,
-) -> (ModuleActivity, Vec<Vec<i64>>) {
-    simulate_impl(h, module, traces, Some((fp, cache)))
-}
-
-/// Run `module`'s first behavior once per trace iteration, handing each
-/// iteration's outputs to `on_out`.
-///
-/// # Panics
-///
-/// Panics if the trace input count does not match the behavior's DFG.
-#[allow(clippy::too_many_arguments)]
-fn run_traces(
-    h: &Hierarchy,
-    module: &RtlModule,
-    traces: &TraceSet,
-    state: &mut ModuleState,
-    act: &mut ModuleActivity,
-    prep: &mut PrepTree,
-    drivers: &mut [SubDriver],
-    arena: &mut MemArena,
-    mut on_out: impl FnMut(&[i64]),
-) {
-    let g = h.dfg(module.behaviors()[0].dfg);
-    assert_eq!(
-        traces.input_count(),
-        g.input_count(),
-        "trace width must match the top DFG's inputs"
-    );
-    let mut inputs = vec![0i64; g.input_count()];
-    let mut out = Vec::with_capacity(g.output_count());
-    for n in 0..traces.len() {
-        for (i, s) in traces.samples.iter().enumerate() {
-            inputs[i] = s[n];
-        }
-        run_behavior(
-            h,
-            module,
-            0,
-            &inputs,
-            traces.width,
-            state,
-            act,
-            prep,
-            drivers,
-            arena,
-            &[],
-            &mut out,
-        );
-        on_out(&out);
-    }
-}
-
-fn simulate_impl(
-    h: &Hierarchy,
-    module: &RtlModule,
-    traces: &TraceSet,
-    cached: Option<(&FpTree, &mut SimCache)>,
-) -> (ModuleActivity, Vec<Vec<i64>>) {
-    let mut act = ModuleActivity::for_module(module);
-    let mut state = ModuleState::for_module(module);
-    let mut prep = PrepTree::for_module(module);
-    let mut arena = MemArena::default();
-
-    // Arm one replay driver per top-level submodule instance. A submodule
-    // that touches memory anywhere in its subtree is never replayed: its
-    // outputs depend on bank contents (possibly shared with the parent),
-    // which the `(behavior, inputs)` call key cannot capture.
-    let mut drivers: Vec<SubDriver> = Vec::new();
-    let mut cache = None;
-    if let Some((fp, c)) = cached {
-        debug_assert_eq!(fp.subs.len(), module.subs().len(), "FpTree shape mismatch");
-        if c.map.len() > SimCache::CAP {
-            c.map.clear();
-        }
-        c.kernel_iterations += traces.len() as u64;
-        drivers = fp
-            .subs
-            .iter()
-            .enumerate()
-            .map(|(i, sfp)| {
-                if subtree_has_mem(h, &module.subs()[i]) {
-                    return SubDriver::Bypass;
-                }
-                match c.map.remove(&(i, sfp.fp)) {
-                    Some(rec) => SubDriver::Replaying { rec, pos: 0 },
-                    None => SubDriver::Live { calls: Vec::new() },
-                }
+    served: &Served,
+    streams: &Streams,
+) -> ModuleActivity {
+    let act = StreamActivity::new(h, module, &served.nodes, streams);
+    let fu_events = (0..module.fus().len())
+        .map(|fu| {
+            act.gather(fu, |o, row| FuEvent {
+                op: o.op,
+                a: row[o.a as usize],
+                b: o.b.map_or(0, |s| row[s as usize]),
+                depth: o.depth,
             })
-            .collect();
-        cache = Some((fp, c));
-    }
-
-    let n_out = h.dfg(module.behaviors()[0].dfg).output_count();
-    let mut outputs: Vec<Vec<i64>> = vec![Vec::with_capacity(traces.len()); n_out];
-    run_traces(
-        h,
-        module,
-        traces,
-        &mut state,
-        &mut act,
-        &mut prep,
-        &mut drivers,
-        &mut arena,
-        |out| {
-            for (o, v) in outputs.iter_mut().zip(out) {
-                o.push(*v);
-            }
-        },
-    );
-
-    // Settle the drivers: install replayed activity, refresh recordings.
-    if let Some((fp, c)) = cache {
-        let mut out = Vec::new();
-        for (i, driver) in drivers.into_iter().enumerate() {
-            let key = (i, fp.subs[i].fp);
-            match driver {
-                SubDriver::Replaying { rec, pos } if pos == rec.calls.len() => {
-                    c.hits += 1;
-                    act.subs[i] = rec.act.clone();
-                    c.map.insert(key, rec);
-                }
-                SubDriver::Replaying { rec, pos } => {
-                    // The run ended mid-recording: fewer calls than recorded.
-                    // The recorded activity covers too much, so replay the
-                    // prefix live to rebuild the true (shorter) activity.
-                    c.misses += 1;
-                    let sub = &module.subs()[i];
-                    let mut sub_state = ModuleState::for_module(sub);
-                    for call in &rec.calls[..pos] {
-                        run_behavior(
-                            h,
-                            sub,
-                            call.bi,
-                            &call.inputs,
-                            traces.width,
-                            &mut sub_state,
-                            &mut act.subs[i],
-                            &mut prep.subs[i],
-                            &mut [],
-                            &mut arena,
-                            &[],
-                            &mut out,
-                        );
-                    }
-                    let calls = rec.calls[..pos].to_vec();
-                    c.map.insert(
-                        key,
-                        SubRecording {
-                            calls,
-                            act: act.subs[i].clone(),
-                            energy: None,
-                        },
-                    );
-                }
-                SubDriver::Live { calls } => {
-                    c.misses += 1;
-                    c.map.insert(
-                        key,
-                        SubRecording {
-                            calls,
-                            act: act.subs[i].clone(),
-                            energy: None,
-                        },
-                    );
-                }
-                // Memory-touching subtree: always simulated live, never
-                // recorded (a recording keyed on inputs would replay stale
-                // bank contents).
-                SubDriver::Bypass => {
-                    c.misses += 1;
-                }
-            }
-        }
-    }
-    (act, outputs)
-}
-
-/// Whether any behavior in `m`'s subtree declares a memory (owned or
-/// imported). Such subtrees carry hidden state and are excluded from replay.
-fn subtree_has_mem(h: &Hierarchy, m: &RtlModule) -> bool {
-    m.behaviors().iter().any(|b| h.dfg(b.dfg).mem_count() > 0)
-        || m.subs().iter().any(|s| subtree_has_mem(h, s))
-}
-
-/// One invocation of a submodule behavior, as seen from its parent.
-#[derive(Clone, Debug, PartialEq)]
-struct CallRecord {
-    /// Behavior index executed.
-    bi: usize,
-    /// Input values.
-    inputs: Vec<i64>,
-    /// Output values produced.
-    outputs: Vec<i64>,
-}
-
-/// A completed run of one top-level submodule: the call stream it served
-/// and the activity it accumulated.
-#[derive(Clone, Debug)]
-struct SubRecording {
-    calls: Vec<CallRecord>,
-    act: ModuleActivity,
-    /// Raw subtree energy computed from `act` by the estimator, memoized on
-    /// first use (see [`estimate_cached`](crate::estimate_cached)).
-    energy: Option<crate::EnergyBreakdown>,
-}
-
-/// Per-run replay state of one top-level submodule instance.
-enum SubDriver {
-    /// Serving calls from a recording; diverges to live on mismatch.
-    Replaying { rec: SubRecording, pos: usize },
-    /// Simulating live, accumulating a fresh recording.
-    Live { calls: Vec<CallRecord> },
-    /// Simulating live without recording: the subtree touches memory, so a
-    /// call's outputs are not a function of its inputs alone.
-    Bypass,
-}
-
-/// The value streams of one behavior of a module without submodule
-/// instances on one trace set: what the kernel computed, iteration by
-/// iteration, independent of any binding.
-#[derive(Debug)]
-struct Streams {
-    /// The trace samples the streams were computed on, compared on lookup.
-    samples: Vec<Vec<i64>>,
-    /// The behavior's slot layout, which the streams follow.
-    layout: Layout,
-    /// Iteration `n`'s buffer as the kernel's operand reads see it (values
-    /// after the steps, history before the shift): `rows[n * layout.len..]
-    /// [..layout.len]`.
-    rows: Vec<i64>,
-    /// Iterations held.
-    iterations: usize,
-    /// `(loads, stores)` per memory of the behavior's DFG over all
-    /// iterations: every step runs once per iteration, so the counts do not
-    /// depend on the binding either.
-    mem_accesses: Vec<(u64, u64)>,
-}
-
-impl Streams {
-    /// Run the kernel once over `traces` on `module`'s first behavior with
-    /// no binding half, keeping every iteration's buffer.
-    fn fill(h: &Hierarchy, module: &RtlModule, traces: &TraceSet) -> Self {
-        debug_assert!(
-            module.subs().is_empty(),
-            "value streams need a sub-free module"
-        );
-        let layout = Layout::build(h, h.dfg(module.behaviors()[0].dfg));
-        let mut state = ModuleState::for_module(module);
-        state.behaviors[0].rows = Some(Vec::with_capacity(traces.len() * layout.len));
-        let mut prep = PrepTree::for_module(module);
-        prep.behaviors = module.behaviors().iter().map(|_| None).collect();
-        prep.behaviors[0] = Some(Prep {
-            layout,
-            bind: Bind::default(),
-        });
-        let mut act = ModuleActivity::for_module(module);
-        run_traces(
-            h,
-            module,
-            traces,
-            &mut state,
-            &mut act,
-            &mut prep,
-            &mut [],
-            &mut MemArena::default(),
-            |_| {},
-        );
-        let prep = prep.behaviors.swap_remove(0).expect("prepared above");
-        Streams {
-            samples: traces.samples.clone(),
-            layout: prep.layout,
-            rows: state.behaviors[0].rows.take().expect("set above"),
-            iterations: traces.len(),
-            mem_accesses: std::mem::take(&mut act.mem_accesses[0]),
-        }
-    }
-
-    /// Iteration buffers in order.
-    fn rows(&self) -> impl Iterator<Item = &[i64]> {
-        let len = self.layout.len;
-        (0..self.iterations).map(move |n| &self.rows[n * len..(n + 1) * len])
+        })
+        .collect();
+    let reg_writes = (0..module.regs().len())
+        .map(|reg| {
+            let mut writes = Vec::new();
+            act.each_reg_write(reg, |v| writes.push(v));
+            writes
+        })
+        .collect();
+    ModuleActivity {
+        fu_events,
+        reg_writes,
+        busy_cycles: act.busy_cycles,
+        runs: (streams.iterations * served.nodes.len()) as u64,
+        mem_accesses: act.mem_accesses,
+        subs: module
+            .subs()
+            .iter()
+            .zip(&served.subs)
+            .map(|(sub, s)| activity(h, sub, s, streams))
+            .collect(),
     }
 }
 
-/// The activity of a module without submodule instances, read from its
-/// behavior's value streams through a candidate's [`Bind`]: the same
-/// values, in the same order, that the kernel would record.
-pub(crate) struct StreamActivity<'a> {
-    streams: &'a Streams,
-    bind: Bind,
-    busy_cycles: u64,
-}
-
-impl Activity for StreamActivity<'_> {
-    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
-        // Gathered first, then handed out: calling `f` from inside the
-        // row-by-op loops made the energy walk about a third slower than
-        // this two-loop form (flattened dct, 2-core x86-64 host).
-        let ops = self.bind.ops(fu);
-        let mut events = Vec::with_capacity(ops.len() * self.streams.iterations);
-        for row in self.streams.rows() {
-            events.extend(ops.iter().map(|o| {
-                (
-                    row[o.a as usize],
-                    o.b.map_or(0, |s| row[s as usize]),
-                    o.depth,
-                )
-            }));
-        }
-        for (a, b, depth) in events {
-            f(a, b, depth);
-        }
-    }
-
-    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
-        for row in self.streams.rows() {
-            self.bind.each_reg_write(reg, row, &mut f);
-        }
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
-        if bi == 0 {
-            &self.streams.mem_accesses
-        } else {
-            &[]
-        }
-    }
-}
-
-/// Key of the value-stream table: the behavior DFG's content hash, the
-/// trace length and the width.
+/// Key of the value-stream table: the top DFG's hierarchy content hash,
+/// the trace length and the width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StreamKey {
-    dfg: u64,
+    hierarchy: u64,
     len: usize,
     width: u32,
 }
 
-/// Memoized simulation work of one engine: value streams of modules without
-/// submodule instances, and recordings of top-level submodules.
-///
-/// Recordings are keyed by `(instance index, structural fingerprint)` of
-/// the design's top-level submodules. The key includes the instance index
-/// because structurally identical siblings (think eight parallel
-/// dot-product children) see different data; each position keeps its own
-/// recording. A replay is *exact*: outputs and activity are integers fully
-/// determined by the module structure (the fingerprint) and the per-call
-/// inputs, both of which must match.
-///
-/// Value streams are keyed by behavior content and traces (see the module
-/// documentation); a hit is exact for the same reason.
+/// The raw subtree energy of module instances priced from one stream
+/// entry, by structural fingerprint and served `(node, behavior)` pairs:
+/// the fingerprint fixes everything the energy walk reads of the instance
+/// tree, the nodes fix its values. One library per cache.
+#[derive(Debug, Default)]
+pub(crate) struct EnergyMemo(HashMap<(u64, Vec<(u32, u32)>), EnergyBreakdown>);
+
+impl EnergyMemo {
+    /// Entry cap: the memo is cleared when an insert would grow it past
+    /// this.
+    const CAP: usize = 1 << 12;
+
+    pub(crate) fn get(&self, fp: u64, nodes: &[(u32, u32)]) -> Option<EnergyBreakdown> {
+        self.0.get(&(fp, nodes.to_vec())).copied()
+    }
+
+    pub(crate) fn insert(&mut self, fp: u64, nodes: &[(u32, u32)], e: EnergyBreakdown) {
+        if self.0.len() >= Self::CAP {
+            self.0.clear();
+        }
+        self.0.insert((fp, nodes.to_vec()), e);
+    }
+}
+
+/// One entry of the value-stream table.
+#[derive(Debug)]
+struct StreamEntry {
+    key: StreamKey,
+    streams: Streams,
+    energies: EnergyMemo,
+}
+
+/// Memoized simulation work of one engine: the value streams of every
+/// hierarchy it prices, keyed by content and traces (see the module
+/// documentation), each with the energies of the instance subtrees priced
+/// from it. A hit is exact: the values are integers fully determined by
+/// the DFGs and the samples, both of which must match.
 #[derive(Debug, Default)]
 pub struct SimCache {
-    map: HashMap<(usize, u64), SubRecording>,
     /// Value streams, oldest first; at most [`SimCache::STREAM_CAP`].
-    streams: Vec<(StreamKey, Streams)>,
-    /// Submodule runs served entirely from recordings.
-    pub hits: u64,
-    /// Submodule runs simulated live (including divergent replays).
-    pub misses: u64,
-    /// Sub-free module pricings answered from stored value streams.
+    entries: Vec<StreamEntry>,
+    /// Pricings answered from stored value streams.
     pub stream_hits: u64,
-    /// Sub-free module pricings that ran the kernel to fill the streams.
+    /// Pricings that ran the kernel to fill the streams.
     pub stream_misses: u64,
     /// Top-level trace iterations the kernel ran for this cache's owner (a
     /// deterministic physical-work counter: a value-stream hit runs none).
@@ -1048,15 +1186,10 @@ pub struct SimCache {
 }
 
 impl SimCache {
-    /// Entry cap of the recordings: the map is cleared when it grows past
-    /// this (recordings from stale candidate designs would otherwise
-    /// accumulate).
-    const CAP: usize = 1024;
-
     /// Entry cap of the value-stream table; the oldest entry is evicted
-    /// first. An engine prices one behavior per flat design (a rebank makes
-    /// another), and each nested move-*B* engine has a cache of its own, so
-    /// a few entries cover a search.
+    /// first. An engine prices one hierarchy per design shape (a rebank or
+    /// a callee swap makes another), and each nested move-*B* engine has a
+    /// cache of its own, so a few entries cover a search.
     pub const STREAM_CAP: usize = 8;
 
     /// An empty cache.
@@ -1064,48 +1197,27 @@ impl SimCache {
         Self::default()
     }
 
-    /// Number of recordings held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no recordings.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Memoized raw subtree energy for top-level sub `index` with
-    /// fingerprint `fp`, if recorded.
-    pub(crate) fn energy(&self, index: usize, fp: u64) -> Option<crate::EnergyBreakdown> {
-        self.map.get(&(index, fp)).and_then(|r| r.energy)
-    }
-
-    /// Record the raw subtree energy for `(index, fp)`.
-    pub(crate) fn set_energy(&mut self, index: usize, fp: u64, e: crate::EnergyBreakdown) {
-        if let Some(r) = self.map.get_mut(&(index, fp)) {
-            r.energy = Some(e);
-        }
-    }
-
-    /// The activity of `module`, which has no submodule instances, on
-    /// `traces`: its first behavior's value streams (filled by one kernel
-    /// run on a miss) read through the module's binding.
-    pub(crate) fn stream_activity(
+    /// The value streams of `module`'s top behavior on `traces` (filled by
+    /// one kernel run on a miss), their instance-energy memo, and the nodes
+    /// each instance of `module` serves. `None`, counted as a kernel run of
+    /// the caller's, when an instance serves two nodes of one stateful
+    /// behavior: the streams do not hold that binding's values.
+    pub(crate) fn streams(
         &mut self,
         h: &Hierarchy,
         module: &RtlModule,
         traces: &TraceSet,
-    ) -> StreamActivity<'_> {
-        let b = &module.behaviors()[0];
+    ) -> Option<(&Streams, &mut EnergyMemo, Served)> {
+        let top = module.behaviors()[0].dfg;
         let key = StreamKey {
-            dfg: h.content_hash(b.dfg),
+            hierarchy: h.content_hash(top),
             len: traces.len(),
             width: traces.width,
         };
         let found = self
-            .streams
+            .entries
             .iter()
-            .position(|(k, s)| *k == key && s.samples == traces.samples);
+            .position(|e| e.key == key && e.streams.samples == traces.samples);
         let at = match found {
             Some(at) => {
                 self.stream_hits += 1;
@@ -1114,311 +1226,28 @@ impl SimCache {
             None => {
                 self.stream_misses += 1;
                 self.kernel_iterations += traces.len() as u64;
-                if self.streams.len() >= Self::STREAM_CAP {
-                    self.streams.remove(0);
+                if self.entries.len() >= Self::STREAM_CAP {
+                    self.entries.remove(0);
                 }
-                self.streams.push((key, Streams::fill(h, module, traces)));
-                self.streams.len() - 1
+                let tree = CallTree::build(h, top);
+                let own_state: Vec<u32> = (0..tree.nodes.len() as u32).collect();
+                let (streams, _) = Streams::fill(h, top, tree, &own_state, traces);
+                self.entries.push(StreamEntry {
+                    key,
+                    streams,
+                    energies: EnergyMemo::default(),
+                });
+                self.entries.len() - 1
             }
         };
-        let streams = &self.streams[at].1;
-        StreamActivity {
-            bind: Bind::build(h, module, 0, &streams.layout),
-            busy_cycles: traces.len() as u64 * u64::from(b.schedule.makespan()),
-            streams,
+        let tree = &self.entries[at].streams.tree;
+        let served = Served::walk(h, tree, module);
+        if served.shares_state(tree) {
+            self.kernel_iterations += traces.len() as u64;
+            return None;
         }
-    }
-}
-
-impl SubDriver {
-    /// Serve one call into `out`, replaying when the recording matches and
-    /// falling back to live simulation (after rebuilding state from the
-    /// recorded prefix) when it diverges.
-    #[allow(clippy::too_many_arguments)]
-    fn call(
-        &mut self,
-        h: &Hierarchy,
-        sub: &RtlModule,
-        bi: usize,
-        inputs: &[i64],
-        width: u32,
-        state: &mut ModuleState,
-        act: &mut ModuleActivity,
-        prep: &mut PrepTree,
-        arena: &mut MemArena,
-        out: &mut Vec<i64>,
-    ) {
-        if let SubDriver::Replaying { rec, pos } = self {
-            let matches = rec
-                .calls
-                .get(*pos)
-                .is_some_and(|c| c.bi == bi && c.inputs == inputs);
-            if matches {
-                out.clear();
-                out.extend_from_slice(&rec.calls[*pos].outputs);
-                *pos += 1;
-                return;
-            }
-            // Divergence: rebuild live state by re-running the recorded
-            // prefix (state and activity were untouched while replaying),
-            // then continue live from here.
-            for call in &rec.calls[..*pos] {
-                run_behavior(
-                    h,
-                    sub,
-                    call.bi,
-                    &call.inputs,
-                    width,
-                    state,
-                    act,
-                    prep,
-                    &mut [],
-                    arena,
-                    &[],
-                    out,
-                );
-            }
-            let calls = rec.calls[..*pos].to_vec();
-            *self = SubDriver::Live { calls };
-        }
-        let SubDriver::Live { calls } = self else {
-            unreachable!("replaying arm returns or converts to live; bypass never calls");
-        };
-        run_behavior(
-            h,
-            sub,
-            bi,
-            inputs,
-            width,
-            state,
-            act,
-            prep,
-            &mut [],
-            arena,
-            &[],
-            out,
-        );
-        calls.push(CallRecord {
-            bi,
-            inputs: inputs.to_vec(),
-            outputs: out.clone(),
-        });
-    }
-}
-
-/// Execute one iteration of `module.behaviors()[bi]` on `inputs`, leaving
-/// its outputs in `out`. `drivers` is non-empty only for the design's top
-/// module when replay is armed; submodule recursion always runs live.
-#[allow(clippy::too_many_arguments)]
-fn run_behavior(
-    h: &Hierarchy,
-    module: &RtlModule,
-    bi: usize,
-    inputs: &[i64],
-    width: u32,
-    state: &mut ModuleState,
-    act: &mut ModuleActivity,
-    prep_tree: &mut PrepTree,
-    drivers: &mut [SubDriver],
-    arena: &mut MemArena,
-    ext_slots: &[usize],
-    out: &mut Vec<i64>,
-) {
-    let b = &module.behaviors()[bi];
-    let g = h.dfg(b.dfg);
-    // Split the borrows: this behavior's prep and state vs. the sub-trees
-    // the recursion needs.
-    prep_tree.get(h, module, bi);
-    let PrepTree {
-        behaviors: preps,
-        subs: sub_preps,
-    } = prep_tree;
-    let Prep { layout, bind } = preps[bi].as_ref().expect("prepared above");
-    let ModuleState {
-        behaviors: states,
-        subs: sub_states,
-    } = state;
-    let BehaviorState {
-        buf,
-        rows,
-        mem_slots,
-        mem_map,
-        call_in,
-        call_ext,
-        call_out,
-    } = &mut states[bi];
-    // Values never produced read 0 (feedback before the first iteration
-    // reads the zeroed history; the value arena is zeroed every iteration).
-    if buf.len() == layout.len {
-        buf[..layout.n_vals].fill(0);
-    } else {
-        *buf = vec![0; layout.len];
-    }
-
-    // Resolve each memory of this behavior to its arena slot: owned
-    // memories allocate (once — contents persist across iterations),
-    // external ones alias the slots the caller passed, in declaration
-    // order (the hierarchy checker validated arity and shape).
-    if g.mem_count() > 0 {
-        if mem_slots.len() != g.mem_count() {
-            *mem_slots = vec![None; g.mem_count()];
-        }
-        let mut ext = ext_slots.iter().copied();
-        mem_map.clear();
-        mem_map.extend(g.mems().map(|(i, m)| {
-            match m.scope {
-                MemScope::Owned => *mem_slots[i.index()]
-                    .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
-                MemScope::External => match ext.next() {
-                    Some(slot) => slot,
-                    // Standalone evaluation (a child resynthesized in
-                    // isolation sees no caller): an unbound import behaves
-                    // as a private zero-initialized bank, matching the
-                    // flattened reference evaluator.
-                    None => *mem_slots[i.index()]
-                        .get_or_insert_with(|| arena.alloc(m.words.max(1) as usize)),
-                },
-            }
-        }));
-    }
-    if act.mem_accesses.len() != module.behaviors().len() {
-        act.mem_accesses
-            .resize(module.behaviors().len(), Vec::new());
-    }
-    if act.mem_accesses[bi].len() != g.mem_count() {
-        act.mem_accesses[bi] = vec![(0, 0); g.mem_count()];
-    }
-
-    let srcs = &layout.srcs;
-    for step in &layout.steps {
-        match *step {
-            Step::Input { slot, index } => {
-                buf[slot as usize] = inputs.get(index as usize).copied().unwrap_or(0);
-            }
-            Step::Const { slot, value } => {
-                buf[slot as usize] = crate::truncate(value, width);
-            }
-            Step::Op { op, slot, src } => {
-                let ar = op.arity();
-                let src = src as usize;
-                let mut args = [0i64; 2];
-                for (a, &s) in args.iter_mut().zip(&srcs[src..src + ar]) {
-                    *a = buf[s as usize];
-                }
-                buf[slot as usize] = op.eval(&args[..ar], width);
-            }
-            Step::Hier {
-                node,
-                slot,
-                src,
-                arity,
-                call,
-            } => {
-                let src = src as usize;
-                call_in.clear();
-                call_in.extend(
-                    srcs[src..src + arity as usize]
-                        .iter()
-                        .map(|&s| buf[s as usize]),
-                );
-                // Shared banks flow to the callee as arena slots, resolved
-                // through this call's positional memory binds.
-                call_ext.clear();
-                call_ext.extend(g.node(node).mem_binds().iter().map(|m| mem_map[m.index()]));
-                let (si, sub_bi) = bind.calls[call as usize];
-                let (si, sub_bi) = (si as usize, sub_bi as usize);
-                let sub_m = &module.subs()[si];
-                match drivers.get_mut(si) {
-                    Some(SubDriver::Bypass) | None => run_behavior(
-                        h,
-                        sub_m,
-                        sub_bi,
-                        call_in,
-                        width,
-                        &mut sub_states[si],
-                        &mut act.subs[si],
-                        &mut sub_preps[si],
-                        &mut [],
-                        arena,
-                        call_ext,
-                        call_out,
-                    ),
-                    Some(driver) => driver.call(
-                        h,
-                        sub_m,
-                        sub_bi,
-                        call_in,
-                        width,
-                        &mut sub_states[si],
-                        &mut act.subs[si],
-                        &mut sub_preps[si],
-                        arena,
-                        call_out,
-                    ),
-                }
-                let slot = slot as usize;
-                buf[slot..slot + call_out.len()].copy_from_slice(call_out);
-            }
-            Step::Load { mem, slot, src } => {
-                let addr = buf[srcs[src as usize] as usize];
-                let bank = &arena.slots[mem_map[mem as usize]];
-                let v = bank[addr.rem_euclid(bank.len() as i64) as usize];
-                buf[slot as usize] = crate::truncate(v, width);
-                act.mem_accesses[bi][mem as usize].0 += 1;
-            }
-            Step::Store {
-                mem,
-                slot,
-                src,
-                elem_width,
-            } => {
-                let src = src as usize;
-                let addr = buf[srcs[src] as usize];
-                let data = buf[srcs[src + 1] as usize];
-                let stored = crate::truncate(data, elem_width.min(width));
-                let bank = &mut arena.slots[mem_map[mem as usize]];
-                let words = bank.len() as i64;
-                bank[addr.rem_euclid(words) as usize] = stored;
-                buf[slot as usize] = stored;
-                act.mem_accesses[bi][mem as usize].1 += 1;
-            }
-        }
-    }
-
-    // Record FU events in schedule order per instance.
-    for (fu, events) in act.fu_events.iter_mut().enumerate() {
-        events.extend(bind.ops(fu).iter().map(|o| FuEvent {
-            op: o.op,
-            a: buf[o.a as usize],
-            b: o.b.map_or(0, |s| buf[s as usize]),
-            depth: o.depth,
-        }));
-    }
-
-    // Register writes, ordered by lifetime birth; tie groups commit in
-    // ascending value order (see `Bind::reg_slots`).
-    for (reg, writes) in act.reg_writes.iter_mut().enumerate() {
-        bind.each_reg_write(reg, buf, |v| writes.push(v));
-    }
-
-    if let Some(rows) = rows {
-        rows.extend_from_slice(buf);
-    }
-
-    act.busy_cycles += u64::from(b.schedule.makespan());
-    act.runs += 1;
-
-    // Collect outputs (before the history shift: a delayed output edge
-    // delivers the value from `delay` iterations before this one).
-    out.clear();
-    out.extend(layout.out_srcs.iter().map(|&s| buf[s as usize]));
-
-    // Update delay history *after* the iteration: every k-level moves one
-    // slot deeper, and this iteration's value enters at k = 1.
-    for &(first, maxd, slot) in &layout.hist {
-        let (first, maxd) = (first as usize, maxd as usize);
-        buf.copy_within(first..first + maxd - 1, first + 1);
-        buf[first] = buf[slot as usize];
+        let entry = &mut self.entries[at];
+        Some((&entry.streams, &mut entry.energies, served))
     }
 }
 
@@ -1695,6 +1524,20 @@ mod reference {
         }
     }
 
+    /// Empty activity mirroring `m`'s instance tree.
+    fn empty_activity(m: &RtlModule) -> ModuleActivity {
+        ModuleActivity {
+            fu_events: vec![Vec::new(); m.fus().len()],
+            reg_writes: vec![Vec::new(); m.regs().len()],
+            busy_cycles: 0,
+            runs: 0,
+            // Inner vectors are sized on first execution of each behavior
+            // (the word counts live on the DFG, not the RTL module).
+            mem_accesses: vec![Vec::new(); m.behaviors().len()],
+            subs: m.subs().iter().map(empty_activity).collect(),
+        }
+    }
+
     /// Simulate `module` executing its first behavior once per trace
     /// iteration, like [`super::simulate`].
     pub(super) fn simulate(
@@ -1703,7 +1546,7 @@ mod reference {
         traces: &TraceSet,
     ) -> (ModuleActivity, Vec<Vec<i64>>) {
         let g = h.dfg(module.behaviors()[0].dfg);
-        let mut act = ModuleActivity::for_module(module);
+        let mut act = empty_activity(module);
         let mut state = ModuleState::for_module(module);
         let mut prep = PrepTree::for_module(module);
         let mut arena = MemArena::default();
@@ -1934,12 +1777,12 @@ mod tests {
     //! Differential checks: the flat kernel against the reference
     //! interpreter it replaced (activity — every event, register write,
     //! memory access and cycle count — and outputs must be equal), and the
-    //! value-stream pricing of sub-free modules against the kernel (every
-    //! float of the estimate must be bit-identical).
+    //! value-stream pricing of flat and hierarchical designs against the
+    //! kernel (every float of the estimate must be bit-identical).
 
     use super::*;
     use crate::traces::dsp_default;
-    use hsyn_dfg::{benchmarks, Dfg, DfgId, MemObject};
+    use hsyn_dfg::{benchmarks, MemObject};
     use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
     use hsyn_lib::Library;
     use hsyn_rtl::{build, BuildCtx, ModuleSpec, RegPolicy, SubSpec};
@@ -2026,22 +1869,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shared_stateful_instance_matches_the_reference() {
-        // acc(a) = a + acc[n-1] with a 2-deep echo, called twice per
-        // iteration through one shared instance: the calls interleave on
-        // one delay state.
+    /// `acc(a) = a + acc[n-1]` with a 2-deep echo, called twice per
+    /// iteration through one shared instance: the calls interleave on one
+    /// delay state.
+    fn shared_stateful_fixture() -> (Hierarchy, RtlModule) {
         let mut h = Hierarchy::new();
-        let mut sub = Dfg::new("acc");
-        let a = sub.add_input("a");
-        let acc = sub.add_op_detached(Operation::Add, "acc");
-        sub.connect(a, acc, 0, 0);
-        sub.connect(VarRef::new(acc, 0), acc, 1, 1);
-        let echo = sub.add_op_detached(Operation::Sub, "echo");
-        sub.connect(VarRef::new(acc, 0), echo, 0, 0);
-        sub.connect(VarRef::new(acc, 0), echo, 1, 2);
-        sub.add_output("o", VarRef::new(echo, 0));
-        let sub_id = h.add_dfg(sub);
+        let sub_id = h.add_dfg(accumulator("acc"));
         let mut top = Dfg::new("top");
         let x = top.add_input("x");
         let y = top.add_input("y");
@@ -2059,20 +1892,53 @@ mod tests {
 
         let lib = table1_library();
         let child = parallel(&h, sub_id, &lib, &RegPolicy::Dedicated);
+        let m = one_instance(&h, top_id, child, vec![c1, c2], &RegPolicy::Dedicated);
+        assert_eq!(m.subs().len(), 1, "both calls share one instance");
+        (h, m)
+    }
+
+    /// `acc(a) = a + acc[n-1]`, echoed against itself two iterations back.
+    fn accumulator(name: &str) -> Dfg {
+        let mut sub = Dfg::new(name);
+        let a = sub.add_input("a");
+        let acc = sub.add_op_detached(Operation::Add, "acc");
+        sub.connect(a, acc, 0, 0);
+        sub.connect(VarRef::new(acc, 0), acc, 1, 1);
+        let echo = sub.add_op_detached(Operation::Sub, "echo");
+        sub.connect(VarRef::new(acc, 0), echo, 0, 0);
+        sub.connect(VarRef::new(acc, 0), echo, 1, 2);
+        sub.add_output("o", VarRef::new(echo, 0));
+        sub
+    }
+
+    /// The fully parallel implementation of `dfg` except that one instance
+    /// of `child` serves every hierarchical node in `calls`.
+    fn one_instance(
+        h: &Hierarchy,
+        dfg: DfgId,
+        child: RtlModule,
+        calls: Vec<NodeId>,
+        policy: &RegPolicy,
+    ) -> RtlModule {
+        let lib = table1_library();
         let mut spec = ModuleSpec::dedicated(
-            &h,
-            top_id,
-            "top",
+            h,
+            dfg,
+            "one_instance",
             |_, op| lib.fastest_for(op).expect("table 1 covers every op"),
             |_, _| child.clone(),
         );
-        // One instance serves both calls.
         spec.subs = vec![SubSpec {
             module: child,
-            nodes: vec![c1, c2],
+            nodes: calls,
         }];
-        let m = build(&h, &spec, &BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None)).expect("builds");
-        assert_eq!(m.subs().len(), 1, "both calls share one instance");
+        spec.reg_policy = policy.clone();
+        build(h, &spec, &BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None)).expect("builds")
+    }
+
+    #[test]
+    fn shared_stateful_instance_matches_the_reference() {
+        let (h, m) = shared_stateful_fixture();
         assert_matches_reference(&h, &m, "shared stateful instance");
     }
 
@@ -2115,13 +1981,18 @@ mod tests {
         .map(f64::to_bits)
     }
 
-    /// The value-stream path of `estimate_cached` prices `m` (sub-free)
-    /// bit-identically to the kernel behind `estimate`, cold and warm.
+    /// `estimate_cached` prices `m` from value streams bit-identically to
+    /// the kernel behind `estimate`, cold (one kernel run fills the
+    /// streams) and warm (none runs).
     fn assert_streams_match_kernel(h: &Hierarchy, m: &RtlModule, what: &str) {
-        assert!(
-            m.subs().is_empty(),
-            "{what}: the stream path serves sub-free modules"
-        );
+        let cache = price_twice(h, m, what);
+        assert_eq!((cache.stream_misses, cache.stream_hits), (1, 1), "{what}");
+        assert_eq!(cache.kernel_iterations, SAMPLES as u64, "{what}");
+    }
+
+    /// Price `m` twice through one cache, asserting each estimate equals
+    /// the kernel's in every float; returns the cache.
+    fn price_twice(h: &Hierarchy, m: &RtlModule, what: &str) -> SimCache {
         let lib = table1_library();
         let inputs = h.dfg(m.behaviors()[0].dfg).input_count();
         let traces = dsp_default(inputs, SAMPLES, W, 0xDAC_1998);
@@ -2146,9 +2017,123 @@ mod tests {
                 "{what} ({round}): stream pricing differs from the kernel"
             );
         }
-        assert_eq!((cache.stream_misses, cache.stream_hits), (1, 1), "{what}");
-        assert_eq!(cache.kernel_iterations, SAMPLES as u64, "{what}");
-        assert_eq!((cache.hits, cache.misses), (0, 0), "{what}: no replay");
+        cache
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_on_every_hierarchical_benchmark() {
+        let lib = table1_library();
+        let mut hierarchical = 0;
+        for bench in benchmarks::all() {
+            let h = &bench.hierarchy;
+            for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+                let m = parallel(h, h.top(), &lib, policy);
+                if m.subs().is_empty() {
+                    continue;
+                }
+                hierarchical += 1;
+                assert_streams_match_kernel(h, &m, &format!("{} {policy:?}", bench.name));
+            }
+        }
+        // Every registry benchmark but paulin calls submodules.
+        assert_eq!(hierarchical, 24, "12 benchmarks × 2 register policies");
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_on_external_banks() {
+        // fir_block and conv2d pass their banks to children that import
+        // them: the child's loads read the parent's bank through the call's
+        // memory binds.
+        let lib = table1_library();
+        for name in ["fir_block", "conv2d"] {
+            let bench = benchmarks::by_name(name).expect("memory tier");
+            let h = &bench.hierarchy;
+            let imports = (0..h.dfg_count())
+                .map(DfgId::from_index)
+                .any(|id| h.dfg(id).mems().any(|(_, m)| m.scope == MemScope::External));
+            assert!(imports, "{name}: a child imports a bank");
+            for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+                let m = parallel(h, h.top(), &lib, policy);
+                assert_streams_match_kernel(h, &m, &format!("{name} {policy:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_with_stateless_children_on_one_instance() {
+        // dct's eight dot-product calls served by one instance: stateless
+        // calls share it without sharing values, so the streams hold.
+        let lib = table1_library();
+        let bench = benchmarks::by_name("dct").expect("registry benchmark");
+        let h = &bench.hierarchy;
+        let g = h.dfg(h.top());
+        let mut calls = Vec::new();
+        let mut callee = None;
+        for (nid, node) in g.nodes() {
+            if let NodeKind::Hier { callee: c } = node.kind() {
+                calls.push(nid);
+                callee = Some(*c);
+            }
+        }
+        assert_eq!(calls.len(), 8, "dct has eight dot-product calls");
+        for policy in &[RegPolicy::Dedicated, RegPolicy::Packed] {
+            let child = parallel(h, callee.expect("a call"), &lib, policy);
+            let m = one_instance(h, h.top(), child, calls.clone(), policy);
+            assert_eq!(m.subs().len(), 1, "one instance serves every call");
+            assert_matches_reference(h, &m, "dct one instance");
+            assert_streams_match_kernel(h, &m, &format!("dct one instance {policy:?}"));
+        }
+    }
+
+    #[test]
+    fn stream_pricing_matches_the_kernel_on_an_embedded_instance_serving_two_callees() {
+        // One module embedding a stateful accumulator and a stateless
+        // multiply-add serves one call of each: the two behaviors keep
+        // separate states, so the streams hold.
+        let lib = table1_library();
+        let mut h = Hierarchy::new();
+        let acc = h.add_dfg(accumulator("acc"));
+        let mut mac = Dfg::new("mac");
+        let a = mac.add_input("a");
+        let b = mac.add_input("b");
+        let p = mac.add_op(Operation::Mult, "p", &[a, b]);
+        let q = mac.add_op(Operation::Add, "q", &[p, b]);
+        mac.add_output("o", q);
+        let mac = h.add_dfg(mac);
+        let mut top = Dfg::new("top");
+        let x = top.add_input("x");
+        let y = top.add_input("y");
+        let c1 = top.add_hier(acc, "A", &[x]);
+        let c2 = top.add_hier(mac, "M", &[x, y]);
+        let s = top.add_op(
+            Operation::Add,
+            "s",
+            &[top.hier_out(c1, 0), top.hier_out(c2, 0)],
+        );
+        top.add_output("z", s);
+        let top_id = h.add_dfg(top);
+        h.set_top(top_id);
+        h.validate().expect("valid fixture");
+        let child_acc = parallel(&h, acc, &lib, &RegPolicy::Dedicated);
+        let child_mac = parallel(&h, mac, &lib, &RegPolicy::Dedicated);
+        let merged = hsyn_rtl::embed(&h, &child_acc, &child_mac, &lib, "acc_mac")
+            .expect("distinct behaviors embed")
+            .module;
+        assert_eq!(merged.behaviors().len(), 2);
+        let m = one_instance(&h, top_id, merged, vec![c1, c2], &RegPolicy::Dedicated);
+        assert_matches_reference(&h, &m, "embedded instance");
+        assert_streams_match_kernel(&h, &m, "embedded instance");
+    }
+
+    #[test]
+    fn a_shared_stateful_instance_falls_back_to_the_kernel() {
+        // The streams give each call its own accumulator; the binding
+        // interleaves both on one, so the cached estimate runs the kernel
+        // (and counts it) and still equals the uncached one.
+        let (h, m) = shared_stateful_fixture();
+        let cache = price_twice(&h, &m, "shared stateful instance");
+        assert_eq!((cache.stream_misses, cache.stream_hits), (1, 1));
+        assert_eq!(cache.kernel_iterations, 3 * SAMPLES as u64);
     }
 
     #[test]
@@ -2247,9 +2232,9 @@ mod tests {
         };
         for d in &designs {
             price(d, &mut cache);
-            assert!(cache.streams.len() <= SimCache::STREAM_CAP);
+            assert!(cache.entries.len() <= SimCache::STREAM_CAP);
         }
-        assert_eq!(cache.streams.len(), SimCache::STREAM_CAP);
+        assert_eq!(cache.entries.len(), SimCache::STREAM_CAP);
         let misses = SimCache::STREAM_CAP as u64 + 1;
         assert_eq!((cache.stream_hits, cache.stream_misses), (0, misses));
         price(&designs[SimCache::STREAM_CAP], &mut cache);

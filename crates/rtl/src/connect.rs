@@ -287,12 +287,16 @@ impl SinkCount {
 
 impl DatapathView {
     /// Derive the view of a module with `fu_count` functional units
-    /// implementing `behaviors`, from scratch.
-    pub(crate) fn derive(h: &Hierarchy, fu_count: usize, behaviors: &[Behavior]) -> Self {
+    /// implementing `behaviors`, whose storage analyses are `storage`.
+    pub(crate) fn derive(
+        h: &Hierarchy,
+        fu_count: usize,
+        behaviors: &[Behavior],
+        storage: &[StorageAnalysis],
+    ) -> Self {
         let mut links = Vec::new();
-        for b in behaviors {
-            let g = h.dfg(b.dfg);
-            links.extend(packed_links(g, b, &storage_analysis(g, &b.schedule)));
+        for (b, st) in behaviors.iter().zip(storage) {
+            links.extend(packed_links(h.dfg(b.dfg), b, st));
         }
         Self::from_links(h, fu_count, behaviors, links)
     }

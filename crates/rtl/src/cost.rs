@@ -159,9 +159,23 @@ pub struct AreaCache {
 }
 
 impl AreaCache {
+    /// Entry cap: the cache is cleared when an insert would grow it past
+    /// this (a bound, not a tuning knob; a configuration's search on the
+    /// registry benchmarks prices at most about 13,000 distinct modules).
+    pub const CAP: usize = 1 << 14;
+
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Remember `area` for fingerprint `fp`, clearing the cache first when
+    /// it is full.
+    fn remember(&mut self, fp: u64, area: AreaBreakdown) {
+        if self.map.len() >= Self::CAP {
+            self.map.clear();
+        }
+        self.map.insert(fp, area);
     }
 
     /// Number of distinct fingerprints cached.
@@ -202,6 +216,23 @@ pub fn module_area_cached(
         .map(|(s, sfp)| module_area_cached(h, s, lib, sfp, cache).total())
         .sum();
     let area = own_area(h, module, lib, None, subs);
-    cache.map.insert(fp.fp, area);
+    cache.remember(fp.fp, area);
     area
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn area_cache_is_cleared_when_full() {
+        let mut cache = AreaCache::new();
+        for fp in 0..AreaCache::CAP as u64 {
+            cache.remember(fp, AreaBreakdown::default());
+        }
+        assert_eq!(cache.len(), AreaCache::CAP);
+        cache.remember(u64::MAX, AreaBreakdown::default());
+        assert_eq!(cache.len(), 1, "full: cleared, then the new entry");
+        assert!(cache.map.contains_key(&u64::MAX));
+    }
 }

@@ -24,7 +24,7 @@ pub enum ClientError {
     /// The daemon answered with a structured error response.
     Server {
         /// Machine-readable error kind (`bad_request`, `deadline`,
-        /// `cancelled`, `queue_full`, `draining`, `synthesis`, ...).
+        /// `cancelled`, `queue_full`, `draining`, `synthesis`, `internal`, ...).
         kind: String,
         /// Human-readable detail.
         message: String,

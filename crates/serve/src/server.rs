@@ -22,7 +22,7 @@ use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use hsyn_core::{synthesize, CancelToken, SynthesisError};
@@ -75,6 +75,9 @@ pub struct ServerStats {
     pub jobs_served: AtomicU64,
     /// Jobs that failed (bad request or synthesis error).
     pub jobs_failed: AtomicU64,
+    /// Jobs whose resolution or synthesis panicked, answered with an
+    /// `internal` error; the worker goes on to the next job.
+    pub jobs_panicked: AtomicU64,
     /// Jobs aborted by explicit cancellation.
     pub jobs_cancelled: AtomicU64,
     /// Jobs aborted by deadline expiry.
@@ -125,7 +128,7 @@ impl JobQueue {
     /// Enqueue, or return the job back (boxed: a `Queued` is wide, and the
     /// rejection path is cold) if the queue is at capacity.
     fn push(&self, item: Queued) -> Result<(), Box<Queued>> {
-        let mut q = self.q.lock().expect("queue poisoned");
+        let mut q = lock(&self.q);
         if q.len() >= self.cap {
             return Err(Box::new(item));
         }
@@ -137,7 +140,7 @@ impl JobQueue {
 
     /// Blocking pop; `None` once `stop` is set and the queue is empty.
     fn pop(&self, stop: &AtomicBool) -> Option<Queued> {
-        let mut q = self.q.lock().expect("queue poisoned");
+        let mut q = lock(&self.q);
         loop {
             if let Some(item) = q.pop_front() {
                 return Some(item);
@@ -148,7 +151,7 @@ impl JobQueue {
             let (guard, _) = self
                 .cv
                 .wait_timeout(q, Duration::from_millis(100))
-                .expect("queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             q = guard;
         }
     }
@@ -286,11 +289,12 @@ impl Server {
         if ctx.opts.banner {
             let s = &ctx.stats;
             banner(format_args!(
-                "hsyn serve: {} jobs served ({} cache hits), {} failed, {} cancelled, \
-                 {} deadline-expired, {} protocol errors, up {:.1}s",
+                "hsyn serve: {} jobs served ({} cache hits), {} failed, {} panicked, \
+                 {} cancelled, {} deadline-expired, {} protocol errors, up {:.1}s",
                 s.jobs_served.load(Ordering::Acquire),
                 s.job_cache_hits.load(Ordering::Acquire),
                 s.jobs_failed.load(Ordering::Acquire),
+                s.jobs_panicked.load(Ordering::Acquire),
                 s.jobs_cancelled.load(Ordering::Acquire),
                 s.jobs_deadline.load(Ordering::Acquire),
                 s.protocol_errors.load(Ordering::Acquire),
@@ -311,9 +315,29 @@ fn banner(line: std::fmt::Arguments<'_>) {
     let _ = out.flush();
 }
 
+/// Lock `m`, recovering the guard when a thread panicked while holding it.
+/// Every structure the daemon locks (the queue, the tag registry, a
+/// socket, the drain signal) is consistent between statements, so one
+/// panicking job must not make every later lock panic in turn.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Run `f`, turning a panic into `Err` with its message: a job that panics
+/// is answered with an `internal` error instead of killing its worker.
+fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned())
+    })
+}
+
 /// Send one JSON frame, serializing writers on the connection's mutex.
 fn send(writer: &Arc<Mutex<TcpStream>>, body: &Json) {
-    let mut stream = writer.lock().expect("writer poisoned");
+    let mut stream = lock(writer);
     // A dead peer is not a daemon error; the write result is dropped and
     // the reader side will observe the close.
     let _ = write_frame(&mut *stream, body.to_string_pretty().as_bytes());
@@ -409,7 +433,7 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
                 return true;
             };
             let cancelled = {
-                let tags = ctx.tags.lock().expect("tags poisoned");
+                let tags = lock(&ctx.tags);
                 match tags.get(tag) {
                     Some(tokens) => {
                         for t in tokens {
@@ -433,12 +457,12 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
         "shutdown" => {
             ctx.draining.store(true, Ordering::Release);
             // Drain: finish every queued and running job before acking.
-            let mut guard = ctx.idle_mx.lock().expect("idle poisoned");
+            let mut guard = lock(&ctx.idle_mx);
             while ctx.pending_jobs() > 0 {
                 let (g, _) = ctx
                     .idle_cv
                     .wait_timeout(guard, Duration::from_millis(100))
-                    .expect("idle poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 guard = g;
             }
             drop(guard);
@@ -495,9 +519,7 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
                 None => CancelToken::new(),
             };
             if let Some(tag) = &job.tag {
-                ctx.tags
-                    .lock()
-                    .expect("tags poisoned")
+                lock(&ctx.tags)
                     .entry(tag.clone())
                     .or_default()
                     .push(token.clone());
@@ -550,7 +572,7 @@ fn worker_loop(ctx: &Arc<Ctx>) {
         ctx.stats.active_jobs.fetch_add(1, Ordering::AcqRel);
         run_job(ctx, &item);
         if let Some(tag) = &item.job.tag {
-            let mut tags = ctx.tags.lock().expect("tags poisoned");
+            let mut tags = lock(&ctx.tags);
             if let Some(tokens) = tags.get_mut(tag) {
                 tokens.retain(|t| !t.same(&item.token));
                 if tokens.is_empty() {
@@ -613,8 +635,13 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
         }
     }
 
-    // Synthesize.
-    let (hierarchy, mlib, mut config) = match job.resolve() {
+    // Synthesize. Resolution and synthesis run under `isolate`: no known
+    // input panics, but one that did would otherwise take its worker down.
+    let resolved = match isolate(|| job.resolve()) {
+        Ok(resolved) => resolved,
+        Err(msg) => return finish_panicked(ctx, item, &msg),
+    };
+    let (hierarchy, mlib, mut config) = match resolved {
         Ok(t) => t,
         Err(e) => {
             ctx.stats.jobs_failed.fetch_add(1, Ordering::AcqRel);
@@ -627,7 +654,11 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
     };
     config.cancel = Some(item.token.clone());
 
-    match synthesize(&hierarchy, &mlib, &config) {
+    let outcome = match isolate(|| synthesize(&hierarchy, &mlib, &config)) {
+        Ok(outcome) => outcome,
+        Err(msg) => return finish_panicked(ctx, item, &msg),
+    };
+    match outcome {
         Ok(report) => {
             ctx.stats.jobs_served.fetch_add(1, Ordering::AcqRel);
             let mut payload_fields =
@@ -677,6 +708,19 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
             );
         }
     }
+}
+
+/// Answer a job whose resolution or synthesis panicked with `msg`.
+fn finish_panicked(ctx: &Arc<Ctx>, item: &Queued, msg: &str) {
+    ctx.stats.jobs_panicked.fetch_add(1, Ordering::AcqRel);
+    send(
+        &item.writer,
+        &error_response(
+            Some(item.seq),
+            "internal",
+            &format!("synthesis panicked: {msg}"),
+        ),
+    );
 }
 
 /// Answer a cancelled job, distinguishing deadline expiry from an explicit
@@ -740,6 +784,10 @@ fn stats_response(ctx: &Arc<Ctx>, seq: Option<f64>) -> Json {
             n(s.jobs_failed.load(Ordering::Acquire)),
         ),
         (
+            "jobs_panicked".to_owned(),
+            n(s.jobs_panicked.load(Ordering::Acquire)),
+        ),
+        (
             "jobs_cancelled".to_owned(),
             n(s.jobs_cancelled.load(Ordering::Acquire)),
         ),
@@ -777,4 +825,42 @@ fn stats_response(ctx: &Arc<Ctx>, seq: Option<f64>) -> Json {
         ),
         ("persistent".to_owned(), Json::Bool(ctx.store.is_some())),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn isolate_turns_a_panic_into_its_message() {
+        assert_eq!(isolate(|| 7), Ok(7));
+        assert_eq!(
+            isolate(|| -> u32 { panic!("static message") }),
+            Err("static message".to_owned())
+        );
+        let n = 3;
+        assert_eq!(
+            isolate(|| -> u32 { panic!("formatted {n}") }),
+            Err("formatted 3".to_owned())
+        );
+    }
+
+    #[test]
+    fn lock_recovers_a_guard_poisoned_on_another_thread() {
+        let m = Arc::new(Mutex::new(vec![1]));
+        let poisoner = m.clone();
+        let joined = std::thread::spawn(move || {
+            let mut v = poisoner.lock().expect("first lock");
+            v.push(2);
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(joined.is_err(), "the holder panicked");
+        assert!(m.is_poisoned());
+        let mut v = lock(&m);
+        assert_eq!(*v, vec![1, 2], "the data survives the panic");
+        v.push(3);
+        drop(v);
+        assert_eq!(*lock(&m), vec![1, 2, 3]);
+    }
 }

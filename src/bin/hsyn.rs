@@ -974,13 +974,10 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     );
     let memo = &report.stats.memo;
     outln!(
-        "  by memo           : area {}/{}, submodule replay {}/{}, whole design {}/{}, \
-         value streams {}/{}, candidates {}/{}, move B {}/{} (hits/misses); \
-         {} kernel iterations",
+        "  by memo           : area {}/{}, whole design {}/{}, value streams {}/{}, \
+         candidates {}/{}, move B {}/{} (hits/misses); {} kernel iterations",
         memo.area.hits,
         memo.area.misses,
-        memo.replay.hits,
-        memo.replay.misses,
         memo.design.hits,
         memo.design.misses,
         memo.stream.hits,

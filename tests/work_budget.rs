@@ -31,11 +31,10 @@ const SWEEP_LAXITY: f64 = 2.2;
 fn line(name: &str, s: &MoveStats) -> String {
     let m = &s.memo;
     format!(
-        "  \"{name}\": {{\"kernel_iterations\": {}, \"area\": {}, \"replay\": {}, \
-         \"design\": {}, \"stream\": {}, \"candidate\": {}, \"move_b\": {}}}",
+        "  \"{name}\": {{\"kernel_iterations\": {}, \"area\": {}, \"design\": {}, \
+         \"stream\": {}, \"candidate\": {}, \"move_b\": {}}}",
         s.kernel_iterations,
         m.area.misses,
-        m.replay.misses,
         m.design.misses,
         m.stream.misses,
         m.candidate.misses,
@@ -49,9 +48,21 @@ fn lines() -> Vec<String> {
     suite.extend(benchmarks::memory_suite());
     let mut jobs: Vec<(&str, Objective, SweepConfig, usize, f64)> = Vec::new();
     for &laxity in &LAXITIES[..2] {
-        jobs.push(("refine_power", Objective::Power, SweepConfig::quick(), LNS_ITERS, laxity));
+        jobs.push((
+            "refine_power",
+            Objective::Power,
+            SweepConfig::quick(),
+            LNS_ITERS,
+            laxity,
+        ));
     }
-    jobs.push(("sweep_area", Objective::Area, SweepConfig::default(), 0, SWEEP_LAXITY));
+    jobs.push((
+        "sweep_area",
+        Objective::Area,
+        SweepConfig::default(),
+        0,
+        SWEEP_LAXITY,
+    ));
     let mut out = Vec::new();
     for (workload, objective, sweep, lns_iters, laxity) in jobs {
         for bench in &suite {
