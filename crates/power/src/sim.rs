@@ -1140,7 +1140,15 @@ struct StreamKey {
 /// the fingerprint fixes everything the energy walk reads of the instance
 /// tree, the nodes fix its values. One library per cache.
 #[derive(Debug, Default)]
-pub(crate) struct EnergyMemo(HashMap<(u64, Vec<(u32, u32)>), EnergyBreakdown>);
+pub(crate) struct EnergyMemo {
+    /// Per fingerprint, every node list priced under it (structurally equal
+    /// siblings serve different nodes) with its energy.
+    map: HashMap<u64, Vec<PricedNodes>>,
+    len: usize,
+}
+
+/// A served node list and the subtree energy priced for it.
+type PricedNodes = (Vec<(u32, u32)>, EnergyBreakdown);
 
 impl EnergyMemo {
     /// Entry cap: the memo is cleared when an insert would grow it past
@@ -1148,14 +1156,20 @@ impl EnergyMemo {
     const CAP: usize = 1 << 12;
 
     pub(crate) fn get(&self, fp: u64, nodes: &[(u32, u32)]) -> Option<EnergyBreakdown> {
-        self.0.get(&(fp, nodes.to_vec())).copied()
+        self.map
+            .get(&fp)?
+            .iter()
+            .find(|(n, _)| n == nodes)
+            .map(|&(_, e)| e)
     }
 
     pub(crate) fn insert(&mut self, fp: u64, nodes: &[(u32, u32)], e: EnergyBreakdown) {
-        if self.0.len() >= Self::CAP {
-            self.0.clear();
+        if self.len >= Self::CAP {
+            self.map.clear();
+            self.len = 0;
         }
-        self.0.insert((fp, nodes.to_vec()), e);
+        self.map.entry(fp).or_default().push((nodes.to_vec(), e));
+        self.len += 1;
     }
 }
 
