@@ -81,7 +81,7 @@ impl RtlModule {
             .map(|b| storage_analysis(h.dfg(b.dfg), &b.schedule))
             .collect();
         let view = DatapathView::derive(h, fus.len(), &behaviors, &storage);
-        RtlModule::with_view(name, fus, regs, subs, behaviors, view, storage)
+        RtlModule::with_view(name, fus, regs, subs, behaviors, view, storage.into())
     }
 
     /// [`new`](Self::new) with a view and storage analyses the caller
@@ -94,7 +94,7 @@ impl RtlModule {
         subs: Vec<RtlModule>,
         behaviors: Vec<Behavior>,
         view: DatapathView,
-        storage: Vec<StorageAnalysis>,
+        storage: Arc<[StorageAnalysis]>,
     ) -> Self {
         debug_assert_eq!(storage.len(), behaviors.len(), "one analysis per behavior");
         RtlModule {
@@ -104,7 +104,7 @@ impl RtlModule {
             subs,
             behaviors,
             view,
-            storage: storage.into(),
+            storage,
         }
     }
 

@@ -20,6 +20,7 @@ use hsyn_sched::{
     SchedError, Schedule,
 };
 use std::fmt;
+use std::sync::Arc;
 
 /// One functional-unit instance to create: a library type plus the operation
 /// nodes bound to it.
@@ -454,7 +455,7 @@ pub fn build_ref(
         spec.subs.iter().map(|(m, _)| (*m).clone()).collect(),
         behaviors,
         view,
-        vec![storage],
+        Arc::from([storage]),
     ))
 }
 
