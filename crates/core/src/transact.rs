@@ -285,7 +285,6 @@ fn module_bytes(m: &RtlModule) -> usize {
         + m.regs().len() * 48
         + m.behaviors().len() * 256
         + m.view().heap_bytes()
-        + m.storage_bytes()
         + m.subs().iter().map(module_bytes).sum::<usize>()
 }
 

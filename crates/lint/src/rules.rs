@@ -100,8 +100,7 @@ pub fn verify_design_with(view: &DesignView<'_>, cfg: &LintConfig) -> Vec<Diagno
 
 /// `RTL008`: the [`DatapathView`](hsyn_rtl::DatapathView) each module
 /// stores — the source counts and control bits the area and energy models
-/// read — and the storage analysis of each behavior the power simulator
-/// reads must equal a from-scratch derivation, or every later pricing of
+/// read — must equal a from-scratch derivation, or every later pricing of
 /// the module reads a stale figure. Modules whose schedules do not cover
 /// their graphs (`SCH001`) are skipped: nothing can be derived from them.
 fn check_views(h: &Hierarchy, module: &RtlModule, path: &str, sink: &mut Sink<'_>) {

@@ -461,11 +461,18 @@ impl Bind {
     }
 
     /// The bind of `module`'s behavior `bi`, whose DFG `layout` compiles.
-    /// Reads the storage analysis the builder kept on the module.
+    ///
+    /// Reads the two facts of the storage analysis it needs straight off
+    /// the schedule, without running the analysis: an edge between
+    /// operations is chained when its consumer starts on the tick its
+    /// producer's result arrives mid-cycle, and a stored variable is born
+    /// on its producer's result cycle. The stored variables are the keys
+    /// of the register binding, which the builder fills with exactly the
+    /// analysis's stored variables, in the same ascending order.
     fn build(h: &Hierarchy, module: &RtlModule, bi: usize, layout: &Layout) -> Self {
         let b = &module.behaviors()[bi];
         let g = h.dfg(b.dfg);
-        let st = module.storage(bi);
+        let sched = &b.schedule;
         let order = g.mem_topo_order().expect("bound dfg is acyclic");
 
         // Chained combinational depth per node (for glitch modeling).
@@ -474,9 +481,15 @@ impl Bind {
             if !matches!(g.node(nid).kind(), NodeKind::Op(_)) {
                 continue;
             }
+            let start = sched.time(nid).start;
             let mut d = 0u32;
-            for (eid, e) in g.in_edges(nid) {
-                if st.chained_edges[eid.index()] {
+            for (_, e) in g.in_edges(nid) {
+                let chained =
+                    e.delay == 0 && matches!(g.node(e.from.node).kind(), NodeKind::Op(_)) && {
+                        let result = sched.result_tick_of_port(e.from.node, e.from.port);
+                        !result.is_boundary() && start == result
+                    };
+                if chained {
                     d = d.max(depth[e.from.node.index()] + 1);
                 }
             }
@@ -520,15 +533,13 @@ impl Bind {
 
         // Register writes ordered by (register, lifetime birth); a repeated
         // pair ties the earlier slot to the next.
-        let mut births: Vec<(usize, u32, u32)> = st
-            .stored_vars
+        let mut births: Vec<(usize, u32, u32)> = b
+            .binding
+            .var_to_reg
             .iter()
-            .zip(&st.lifetimes)
-            .filter_map(|(v, life)| {
-                b.binding
-                    .var_to_reg
-                    .get(*v)
-                    .map(|r| (r.index(), life.0, layout.slot_of(*v)))
+            .map(|(v, r)| {
+                let birth = sched.result_cycle_of_port(v.node, v.port);
+                (r.index(), birth, layout.slot_of(v))
             })
             .collect();
         births.sort_unstable_by_key(|&(reg, birth, _)| (reg, birth));

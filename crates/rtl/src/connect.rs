@@ -287,16 +287,12 @@ impl SinkCount {
 
 impl DatapathView {
     /// Derive the view of a module with `fu_count` functional units
-    /// implementing `behaviors`, whose storage analyses are `storage`.
-    pub(crate) fn derive(
-        h: &Hierarchy,
-        fu_count: usize,
-        behaviors: &[Behavior],
-        storage: &[StorageAnalysis],
-    ) -> Self {
+    /// implementing `behaviors`, from scratch.
+    pub(crate) fn derive(h: &Hierarchy, fu_count: usize, behaviors: &[Behavior]) -> Self {
         let mut links = Vec::new();
-        for (b, st) in behaviors.iter().zip(storage) {
-            links.extend(packed_links(h.dfg(b.dfg), b, st));
+        for b in behaviors {
+            let g = h.dfg(b.dfg);
+            links.extend(packed_links(g, b, &storage_analysis(g, &b.schedule)));
         }
         Self::from_links(h, fu_count, behaviors, links)
     }
@@ -366,20 +362,11 @@ impl DatapathView {
     }
 }
 
-/// Compare what `module` stored for pricing (this level only) with a
-/// from-scratch derivation: each behavior's
-/// [`storage`](RtlModule::storage) analysis, and the [`DatapathView`]'s
-/// [`connectivity`] source counts and
+/// Compare `module`'s stored [`DatapathView`] (this level only) with a
+/// from-scratch derivation: the [`connectivity`] source counts and
 /// [`control_bit_count`](crate::control_bit_count). `None` when they
 /// agree, else a description of the first difference.
 pub fn view_mismatch(h: &Hierarchy, module: &RtlModule) -> Option<String> {
-    for (bi, b) in module.behaviors().iter().enumerate() {
-        if *module.storage(bi) != storage_analysis(h.dfg(b.dfg), &b.schedule) {
-            return Some(format!(
-                "behavior {bi}: stored storage analysis differs from a fresh derivation"
-            ));
-        }
-    }
     let conn = connectivity(h, module);
     let stored: Vec<(Sink, usize)> = module.view().sinks().collect();
     let fresh: Vec<(Sink, usize)> = conn.sinks().map(|(s, set)| (s, set.len())).collect();
@@ -414,47 +401,5 @@ mod tests {
         assert_eq!(bits_for(5), 3);
         assert_eq!(bits_for(8), 3);
         assert_eq!(bits_for(9), 4);
-    }
-
-    #[test]
-    fn a_stale_storage_analysis_is_a_view_mismatch() {
-        use hsyn_dfg::Operation;
-        use hsyn_lib::papers::{table1_library, TABLE1_CLOCK_NS};
-        let lib = table1_library();
-        let mut h = Hierarchy::new();
-        let mut g = Dfg::new("sum3");
-        let a = g.add_input("a");
-        let b = g.add_input("b");
-        let c = g.add_input("c");
-        let s1 = g.add_op(Operation::Add, "s1", &[a, b]);
-        let s2 = g.add_op(Operation::Add, "s2", &[s1, c]);
-        g.add_output("y", s2);
-        let id = h.add_dfg(g);
-        h.set_top(id);
-        h.validate().expect("valid fixture");
-        let spec = crate::ModuleSpec::dedicated(
-            &h,
-            id,
-            "m",
-            |_, op| lib.fastest_for(op).expect("table 1 covers every op"),
-            |_, _| unreachable!("no calls"),
-        );
-        let ctx = crate::BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None);
-        let m = crate::build(&h, &spec, &ctx).expect("builds");
-        assert_eq!(view_mismatch(&h, &m), None);
-        let mut stale = m.storage(0).clone();
-        stale.stored_vars.clear();
-        stale.lifetimes.clear();
-        let tampered = RtlModule::with_view(
-            m.name(),
-            m.fus().to_vec(),
-            m.regs().to_vec(),
-            m.subs().to_vec(),
-            m.behaviors().to_vec(),
-            m.view().clone(),
-            std::sync::Arc::from([stale]),
-        );
-        let diff = view_mismatch(&h, &tampered).expect("a stale analysis is caught");
-        assert!(diff.contains("storage analysis"), "{diff}");
     }
 }

@@ -1,10 +1,8 @@
 use crate::connect::DatapathView;
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
-use crate::spec::{storage_analysis, StorageAnalysis};
 use crate::table::{NodeTable, VarTable};
 use hsyn_dfg::{DfgId, Hierarchy, NodeId};
 use hsyn_sched::{Profile, Schedule};
-use std::sync::Arc;
 
 /// How a DFG's operations, variables, and hierarchical nodes map onto the
 /// hardware of one [`RtlModule`] — the paper's *assignment*.
@@ -46,10 +44,9 @@ pub struct Behavior {
 /// An RTL module: functional units, registers, submodule instances, and the
 /// behaviors they implement. Multiplexers, wiring, and the FSM controller
 /// are derived from the behaviors' bindings. The area and energy models
-/// read the counts they need from the module's [`DatapathView`], and the
-/// power simulator the [`StorageAnalysis`] of each behavior, both fixed
-/// when the module is assembled; [`connectivity`](crate::connectivity)
-/// (the full source sets) and [`generate_fsm`](crate::generate_fsm) (the
+/// read the counts they need from the module's [`DatapathView`], fixed when
+/// the module is assembled; [`connectivity`](crate::connectivity) (the
+/// full source sets) and [`generate_fsm`](crate::generate_fsm) (the
 /// control words) derive the rest on demand.
 #[derive(Clone, Debug)]
 pub struct RtlModule {
@@ -59,15 +56,11 @@ pub struct RtlModule {
     subs: Vec<RtlModule>,
     behaviors: Vec<Behavior>,
     view: DatapathView,
-    /// Per behavior, the storage analysis of its schedule; shared between
-    /// clones (a build clones every submodule it instantiates).
-    storage: Arc<[StorageAnalysis]>,
 }
 
 impl RtlModule {
-    /// Assemble a module from parts, deriving its [`DatapathView`] and the
-    /// storage analysis of every behavior over `h` (the hierarchy holding
-    /// their DFGs).
+    /// Assemble a module from parts, deriving its [`DatapathView`] from the
+    /// behaviors over `h` (the hierarchy holding their DFGs).
     pub fn new(
         h: &Hierarchy,
         name: impl Into<String>,
@@ -76,17 +69,12 @@ impl RtlModule {
         subs: Vec<RtlModule>,
         behaviors: Vec<Behavior>,
     ) -> Self {
-        let storage: Vec<StorageAnalysis> = behaviors
-            .iter()
-            .map(|b| storage_analysis(h.dfg(b.dfg), &b.schedule))
-            .collect();
-        let view = DatapathView::derive(h, fus.len(), &behaviors, &storage);
-        RtlModule::with_view(name, fus, regs, subs, behaviors, view, storage.into())
+        let view = DatapathView::derive(h, fus.len(), &behaviors);
+        RtlModule::with_view(name, fus, regs, subs, behaviors, view)
     }
 
-    /// [`new`](Self::new) with a view and storage analyses the caller
-    /// already derived (the builder, which holds the storage analysis and
-    /// binding it needs).
+    /// [`new`](Self::new) with a view the caller already derived (the
+    /// builder, which holds the storage analysis and binding it needs).
     pub(crate) fn with_view(
         name: impl Into<String>,
         fus: Vec<FuInstance>,
@@ -94,9 +82,7 @@ impl RtlModule {
         subs: Vec<RtlModule>,
         behaviors: Vec<Behavior>,
         view: DatapathView,
-        storage: Arc<[StorageAnalysis]>,
     ) -> Self {
-        debug_assert_eq!(storage.len(), behaviors.len(), "one analysis per behavior");
         RtlModule {
             name: name.into(),
             fus,
@@ -104,7 +90,6 @@ impl RtlModule {
             subs,
             behaviors,
             view,
-            storage,
         }
     }
 
@@ -148,23 +133,6 @@ impl RtlModule {
     /// the module was assembled.
     pub fn view(&self) -> &DatapathView {
         &self.view
-    }
-
-    /// The storage analysis of behavior `bi`'s schedule (which variables
-    /// are registered, their lifetimes, which edges chain), computed when
-    /// the module was assembled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bi` is out of range.
-    pub fn storage(&self, bi: usize) -> &StorageAnalysis {
-        &self.storage[bi]
-    }
-
-    /// Approximate heap bytes of the kept storage analyses (this module
-    /// alone, not its submodules).
-    pub fn storage_bytes(&self) -> usize {
-        self.storage.iter().map(StorageAnalysis::heap_bytes).sum()
     }
 
     /// The behavior executing `dfg`, if any.

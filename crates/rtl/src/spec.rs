@@ -20,7 +20,6 @@ use hsyn_sched::{
     SchedError, Schedule,
 };
 use std::fmt;
-use std::sync::Arc;
 
 /// One functional-unit instance to create: a library type plus the operation
 /// nodes bound to it.
@@ -455,7 +454,6 @@ pub fn build_ref(
         spec.subs.iter().map(|(m, _)| (*m).clone()).collect(),
         behaviors,
         view,
-        Arc::from([storage]),
     ))
 }
 
@@ -581,7 +579,6 @@ fn derive_profile(g: &hsyn_dfg::Dfg, sched: &Schedule, sctx: &SchedContext) -> P
 
 /// Which variables need storage, their lifetimes, and per-edge chaining
 /// classification.
-#[derive(Clone, Debug, PartialEq)]
 pub struct StorageAnalysis {
     /// Variables that must be registered, sorted.
     pub stored_vars: Vec<VarRef>,
@@ -593,13 +590,6 @@ pub struct StorageAnalysis {
 }
 
 impl StorageAnalysis {
-    /// Approximate heap bytes held.
-    pub fn heap_bytes(&self) -> usize {
-        self.stored_vars.len() * std::mem::size_of::<VarRef>()
-            + self.lifetimes.len() * std::mem::size_of::<(u32, u32, bool)>()
-            + self.chained_edges.len()
-    }
-
     /// `(birth, death, sticky)` of `v`, if it is stored.
     pub fn lifetime(&self, v: VarRef) -> Option<(u32, u32, bool)> {
         let i = self.stored_vars.binary_search(&v).ok()?;
