@@ -747,22 +747,20 @@ pub(crate) struct Streams {
 }
 
 impl Streams {
-    /// Run the kernel over `traces` on `tree` (whose top DFG has the
-    /// traces' width as its input count), node `c` executing on state
-    /// `state_of[c]`, keeping every execution's buffer. Returns the
-    /// streams and the top's output streams.
+    /// Run the kernel over `traces` on `tree` (built from `h`), node `c`
+    /// executing on state `state_of[c]`, keeping every execution's buffer.
+    /// Returns the streams and the top's output streams.
     ///
     /// # Panics
     ///
     /// Panics if the trace input count does not match the top DFG.
     fn fill(
         h: &Hierarchy,
-        top: DfgId,
         tree: CallTree,
         state_of: &[u32],
         traces: &TraceSet,
     ) -> (Self, Vec<Vec<i64>>) {
-        let g = h.dfg(top);
+        let g = h.dfg(tree.nodes[0].dfg);
         assert_eq!(
             traces.input_count(),
             g.input_count(),
@@ -1093,7 +1091,7 @@ pub fn simulate(
     let served = Served::walk(h, &tree, module);
     let mut state_of = vec![0; tree.nodes.len()];
     served.states(&mut state_of, &mut 0);
-    let (streams, outputs) = Streams::fill(h, top, tree, &state_of, traces);
+    let (streams, outputs) = Streams::fill(h, tree, &state_of, traces);
     (activity(h, module, &served, &streams), outputs)
 }
 
@@ -1256,7 +1254,7 @@ impl SimCache {
                 }
                 let tree = CallTree::build(h, top);
                 let own_state: Vec<u32> = (0..tree.nodes.len() as u32).collect();
-                let (streams, _) = Streams::fill(h, top, tree, &own_state, traces);
+                let (streams, _) = Streams::fill(h, tree, &own_state, traces);
                 self.entries.push(StreamEntry {
                     key,
                     streams,
