@@ -70,18 +70,19 @@ pub fn reference(g: &Dfg, traces: &TraceSet) -> Vec<i64> {
     outs.remove(0)
 }
 
-/// Path of the pinned golden file `tests/golden/<name>.json`.
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
-}
-
 /// Compare `got` against the pinned golden file `tests/golden/<name>.json`,
 /// or rewrite it under `UPDATE_GOLDEN=1`; drift is collected, not asserted,
 /// so one run reports every divergence.
 pub fn check_golden(name: &str, got: &str, drift: &mut Vec<String>) {
-    let path = golden_path(name);
+    check_golden_file(&format!("{name}.json"), got, drift);
+}
+
+/// [`check_golden`] for a golden file of any extension,
+/// `tests/golden/<name>`.
+pub fn check_golden_file(name: &str, got: &str, drift: &mut Vec<String>) {
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().expect("golden dir")).unwrap();
         std::fs::write(&path, got).unwrap();

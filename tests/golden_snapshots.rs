@@ -13,11 +13,11 @@
 use hsyn::core::{synthesize, Objective, SynthesisConfig, SynthesisReport};
 use hsyn::dfg::benchmarks;
 use hsyn::lib::papers::table1_library;
-use hsyn::rtl::ModuleLibrary;
+use hsyn::rtl::{netlist_text, ModuleLibrary};
 use hsyn_util::Json;
 
 mod common;
-use common::check_golden;
+use common::{check_golden, check_golden_file};
 
 fn golden_config(objective: Objective) -> SynthesisConfig {
     let mut c = SynthesisConfig::new(objective);
@@ -151,6 +151,41 @@ fn paper_suite_matches_lns_golden_snapshots() {
         drift.is_empty(),
         "LNS golden snapshots drifted (UPDATE_GOLDEN=1 regenerates them if \
          the change is deliberate):\n{}",
+        drift.join("\n")
+    );
+}
+
+/// The rendered [`netlist_text`] of the final design of `test1` (whose
+/// area and power designs both hold RTL-embedded children, with their
+/// `q` registers and the functional-unit names embedding copies over),
+/// `paulin`, and flattened `dct`, at both objectives, pinned as
+/// `tests/golden/netlist_<bench>_<obj>.txt`: every instance name, mux leg
+/// and area figure.
+#[test]
+fn final_netlists_match_goldens() {
+    let mut drift = Vec::new();
+    for (name, hierarchical) in [("test1", true), ("paulin", true), ("dct", false)] {
+        let bench = benchmarks::by_name(name).expect("built-in benchmark");
+        for objective in [Objective::Area, Objective::Power] {
+            let mut mlib = ModuleLibrary::from_simple(table1_library());
+            mlib.equiv = bench.equiv.clone();
+            let mut config = golden_config(objective);
+            config.hierarchical = hierarchical;
+            let report = synthesize(&bench.hierarchy, &mlib, &config)
+                .unwrap_or_else(|e| panic!("{name} {objective:?}: {e}"));
+            let d = &report.design;
+            let suffix = if hierarchical { "" } else { "_flat" };
+            check_golden_file(
+                &format!("netlist_{}.txt", golden_name(name, objective, suffix)),
+                &netlist_text(&d.hierarchy, &d.top.built, &mlib.simple),
+                &mut drift,
+            );
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "netlist goldens drifted (UPDATE_GOLDEN=1 regenerates them if the \
+         change is deliberate):\n{}",
         drift.join("\n")
     );
 }
