@@ -35,14 +35,14 @@ fn main() {
             .fu_a
             .iter()
             .position(|f| f.index() == i)
-            .map(|j| rtl1.fus()[j].name.clone())
+            .map(|j| rtl1.fus()[j].name(&lib))
             .unwrap_or_else(|| "-".into());
         let in_b = merged
             .maps
             .fu_b
             .iter()
             .position(|f| f.index() == i)
-            .map(|j| rtl2.fus()[j].name.clone())
+            .map(|j| rtl2.fus()[j].name(&lib))
             .unwrap_or_else(|| "-".into());
         println!("{merged_name:<10}{in_a:<10}{in_b:<10}");
     }

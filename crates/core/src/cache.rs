@@ -1,11 +1,12 @@
-//! The incremental evaluation cache: per-module cost results keyed by
-//! structural fingerprint, and whole-design evaluations keyed by root
+//! The incremental evaluation cache of power-mode pricing: value streams
+//! and subtree energies, and whole-design evaluations keyed by root
 //! fingerprint and operating point, shared across candidate evaluations of
-//! one engine run.
+//! one engine run. Area is walked afresh on every pricing: that walk costs
+//! less than fingerprinting each candidate to key a memo of it.
 //!
 //! A fingerprint ([`hsyn_rtl::fingerprint_tree`]) covers everything the
 //! cost models read from a module, so a hit returns the bit-identical
-//! breakdown a full recomputation would have produced — incremental
+//! evaluation a full recomputation would have produced — incremental
 //! evaluation changes wall-clock only, never a single float (see DESIGN.md,
 //! "Fingerprint stability", and [`SynthesisConfig::shadow_eval`] which
 //! enforces this at runtime).
@@ -15,7 +16,6 @@
 use std::collections::HashMap;
 
 use hsyn_power::SimCache;
-use hsyn_rtl::AreaCache;
 
 use crate::cost::Evaluation;
 use crate::design::OperatingPoint;
@@ -76,14 +76,12 @@ impl MemoCount {
     }
 }
 
-/// The traffic of each memo, by name: the four behind an [`EvalCache`],
+/// The traffic of each memo, by name: the two behind an [`EvalCache`],
 /// and the engine's candidate and move-*B* memos. Cache traffic, never
 /// part of
 /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoTraffic {
-    /// Per-module area breakdowns ([`AreaCache`]).
-    pub area: MemoCount,
     /// Whole-design power evaluations (power mode only).
     pub design: MemoCount,
     /// Value streams ([`SimCache`]): one lookup per power pricing that the
@@ -102,7 +100,6 @@ pub struct MemoTraffic {
 impl MemoTraffic {
     /// Add `other`'s counts to these.
     pub fn absorb(&mut self, other: &MemoTraffic) {
-        self.area.absorb(other.area);
         self.design.absorb(other.design);
         self.stream.absorb(other.stream);
         self.candidate.absorb(other.candidate);
@@ -112,7 +109,6 @@ impl MemoTraffic {
     /// The traffic between snapshot `before` and this one.
     pub(crate) fn since(&self, before: &MemoTraffic) -> MemoTraffic {
         MemoTraffic {
-            area: self.area.since(before.area),
             design: self.design.since(before.design),
             stream: self.stream.since(before.stream),
             candidate: self.candidate.since(before.candidate),
@@ -121,20 +117,16 @@ impl MemoTraffic {
     }
 }
 
-/// Per-engine evaluation cache: area breakdowns keyed by structural
-/// fingerprint, the power simulator's value streams, and a memo of
-/// whole-design power-mode evaluations.
+/// Per-engine evaluation cache: the power simulator's value streams and a
+/// memo of whole-design power-mode evaluations, plus the count of modules
+/// the search's area walks visit.
 ///
 /// One cache serves one `Engine` run — the trace set, library and
 /// objective are fixed there, which is what makes reusing value streams,
-/// subtree energies and whole evaluations sound. (Area entries would be
-/// valid across trace sets too, but an engine never changes traces
-/// mid-run, so no distinction is needed.) The whole-design memo is never shared beyond
-/// its engine: unlike area, an evaluation depends on the traces.
+/// subtree energies and whole evaluations sound. The whole-design memo is
+/// never shared beyond its engine: an evaluation depends on the traces.
 #[derive(Debug, Default)]
 pub struct EvalCache {
-    /// Area results (per-module breakdowns).
-    pub area: AreaCache,
     /// Power-simulation value streams and subtree-energy memos.
     pub sim: SimCache,
     /// Whole-design memo: the evaluation of every design this engine has
@@ -144,6 +136,11 @@ pub struct EvalCache {
     design_hits: u64,
     /// Lookups `designs` could not answer.
     design_misses: u64,
+    /// Modules visited by the area walks of search pricings: every module
+    /// of the priced tree, once per pricing that computes area (every
+    /// area-mode pricing, every power-mode pricing the design memo does
+    /// not answer).
+    pub modules_area_walked: u64,
 }
 
 impl EvalCache {
@@ -152,24 +149,22 @@ impl EvalCache {
         Self::default()
     }
 
-    /// Total lookups answered from the cache (area + whole designs).
-    /// Value-stream hits are counted apart, in [`traffic`](Self::traffic).
+    /// Lookups answered whole from the design memo. Value-stream hits are
+    /// counted apart, in [`traffic`](Self::traffic).
     pub fn hits(&self) -> u64 {
-        self.area.hits + self.design_hits
+        self.design_hits
     }
 
-    /// Total lookups that fell through to a fresh computation (area). A
-    /// whole-design miss falls through to the area cache and the value
-    /// streams, which count it.
+    /// Design-memo lookups that fell through to a fresh pricing (an area
+    /// walk and a value-stream lookup).
     pub fn misses(&self) -> u64 {
-        self.area.misses
+        self.design_misses
     }
 
     /// Hits and misses of each memo behind this cache, by name (the
     /// candidate and move-*B* counts, which the engine keeps, are zero).
     pub fn traffic(&self) -> MemoTraffic {
         MemoTraffic {
-            area: MemoCount::new(self.area.hits, self.area.misses),
             design: MemoCount::new(self.design_hits, self.design_misses),
             stream: MemoCount::new(self.sim.stream_hits, self.sim.stream_misses),
             ..MemoTraffic::default()

@@ -40,8 +40,7 @@ use crate::transact::{Transaction, UndoLog, UndoMark};
 use hsyn_dfg::{Dfg, NodeId, NodeKind, Operation};
 use hsyn_lib::{FuTypeId, Library};
 use hsyn_rtl::{
-    fingerprint_tree, module_affinity, module_fingerprint, AffinityMatrix, FpTree, ModuleLibrary,
-    RegPolicy,
+    module_affinity, module_fingerprint, AffinityMatrix, FpTree, ModuleLibrary, RegPolicy,
 };
 use hsyn_util::Rng;
 use std::collections::BTreeSet;
@@ -506,8 +505,8 @@ impl<'a> Engine<'a> {
                     break 'cycle None;
                 }
                 self.stats.lns_ruins += 1;
-                let fp = fingerprint_tree(&dp.hierarchy, &dp.top.built);
-                let work_eval = self.eval(dp, &fp, None);
+                let fp = self.fingerprint(dp);
+                let work_eval = self.eval(dp, Some(&fp), None);
                 // KL-style reconstruction: one move per step, possibly
                 // uphill, with a journal mark before each step. The sampled
                 // family's best move wins outright when it improves —

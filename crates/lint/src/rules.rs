@@ -10,7 +10,7 @@ use crate::{Diagnostic, LintConfig, Location, RuleCode, Severity};
 use hsyn_dataflow::{analyze_hierarchy, AbstractValue};
 use hsyn_dfg::{Dfg, DfgId, Hierarchy, HierarchyError, MemScope, NodeId, NodeKind, Operation};
 use hsyn_lib::Library;
-use hsyn_rtl::{storage_analysis, view_mismatch, Behavior, RtlModule};
+use hsyn_rtl::{storage_analysis, view_mismatch, Behavior, FuInstId, RegId, RtlModule};
 use std::collections::BTreeMap;
 
 /// Everything the verifier needs to see of a synthesized design: the
@@ -721,7 +721,7 @@ fn check_behavior(
 
     // `RTL002`/`RTL003`: two users of one hardware instance must occupy
     // disjoint cycle ranges.
-    check_resource_conflicts(module, g, b, &at, sink);
+    check_resource_conflicts(view.lib, module, g, b, &at, sink);
 
     // `RTL004`/`RTL007`: storage. Re-derive lifetimes from the schedule and
     // check the register binding against them.
@@ -760,7 +760,7 @@ fn check_behavior(
         for i in 0..vars.len() {
             for j in (i + 1)..vars.len() {
                 if sa.conflicts(vars[i], vars[j]) {
-                    let name = module.regs()[reg].name.clone();
+                    let name = module.reg_name(RegId::from_index(reg));
                     sink.emit(
                         RuleCode::Rtl007,
                         Severity::Error,
@@ -802,25 +802,22 @@ fn check_binding(
                     format!("operation {nid} is bound to nonexistent functional unit {fu}"),
                 ),
                 Some(fu) => {
-                    let inst = &module.fus()[fu.index()];
+                    let inst = module.fu(fu);
                     if inst.fu_type.index() >= view.lib.fu_count() {
                         sink.emit(
                             RuleCode::Rtl005,
                             Severity::Error,
-                            at(Some(nid), None, Some(inst.name.clone())),
-                            format!(
-                                "functional unit {} has a type outside the library",
-                                inst.name
-                            ),
+                            at(Some(nid), None, Some(fu.to_string())),
+                            format!("functional unit {fu} has a type outside the library"),
                         );
                     } else if !view.lib.fu(inst.fu_type).supports(*op) {
+                        let name = inst.name(view.lib);
                         sink.emit(
                             RuleCode::Rtl005,
                             Severity::Error,
-                            at(Some(nid), None, Some(inst.name.clone())),
+                            at(Some(nid), None, Some(name.clone())),
                             format!(
-                                "operation {nid} ({op}) is bound to {} ({}), which cannot execute it",
-                                inst.name,
+                                "operation {nid} ({op}) is bound to {name} ({}), which cannot execute it",
                                 view.lib.fu(inst.fu_type).name()
                             ),
                         );
@@ -860,9 +857,22 @@ fn check_binding(
     }
 }
 
+/// How a diagnostic names functional unit `fu` of `module`: its instance
+/// name, or its id when its type lies outside `lib` (the instance name is
+/// derived from the library type).
+fn fu_label(lib: &Library, module: &RtlModule, fu: FuInstId) -> String {
+    let inst = module.fu(fu);
+    if inst.fu_type.index() < lib.fu_count() {
+        inst.name(lib)
+    } else {
+        fu.to_string()
+    }
+}
+
 /// `RTL002`/`RTL003`: occupied-interval overlap between two users of one
 /// hardware instance.
 fn check_resource_conflicts(
+    lib: &Library,
     module: &RtlModule,
     g: &Dfg,
     b: &Behavior,
@@ -884,7 +894,7 @@ fn check_resource_conflicts(
                 let ta = b.schedule.time(nodes[i]).occupied;
                 let tb = b.schedule.time(nodes[j]).occupied;
                 if overlap(ta, tb) {
-                    let name = module.fus()[fu].name.clone();
+                    let name = fu_label(lib, module, FuInstId::from_index(fu));
                     sink.emit(
                         RuleCode::Rtl002,
                         Severity::Error,

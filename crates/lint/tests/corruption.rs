@@ -414,6 +414,46 @@ fn rtl005_incompatible_fu() {
     assert!(codes(&diags).contains(&RuleCode::Rtl005), "{diags:?}");
 }
 
+/// A unit whose type lies outside the library is RTL005, named by its id
+/// (an instance name is derived from the library type, which cannot be
+/// looked up); the double booking it also carries is RTL002 under the
+/// same name. Neither check may index the library with the stray type.
+#[test]
+fn rtl005_fu_type_outside_the_library() {
+    let lib = lib();
+    let (h, id, m1, m2, _) = sop();
+    let module = dedicated_build(&h, id, &lib, "sop");
+    let mut behavior = module.behaviors()[0].clone();
+    let fu = behavior.binding.op_to_fu[&m1];
+    // Both multiplications, which the schedule runs concurrently, on one
+    // unit of a type one past the library's last.
+    behavior.binding.op_to_fu.insert(m2, fu);
+    let mut wider = lib.clone();
+    let stray = wider.add_fu(lib.fu(module.fu(fu).fu_type).clone());
+    assert_eq!(stray.index(), lib.fu_count());
+    let mut fus = module.fus().to_vec();
+    fus[fu.index()].fu_type = stray;
+    let tampered = RtlModule::new(
+        &h,
+        "sop",
+        fus,
+        module.regs().to_vec(),
+        vec![],
+        vec![behavior],
+    );
+    let diags = verify_design(&view(&h, &tampered, &lib));
+    for code in [RuleCode::Rtl005, RuleCode::Rtl002] {
+        let d = diags
+            .iter()
+            .find(|d| d.code == code)
+            .unwrap_or_else(|| panic!("{code:?} missing: {diags:?}"));
+        assert_eq!(
+            d.location.instance.as_deref(),
+            Some(fu.to_string().as_str())
+        );
+    }
+}
+
 #[test]
 fn rtl007_register_lifetime_overlap() {
     let lib = lib();

@@ -198,12 +198,12 @@ pub fn embed(
                 let t = fu_choice[&(i, j)];
                 merged_fus.push(FuInstance {
                     fu_type: t,
-                    name: format!("{}{}", lib.fu(t).name(), merged_fus.len()),
+                    tag: id.index() as u32,
                 });
                 fu_map_b[j] = Some(id);
             }
             None => {
-                merged_fus.push(a.fus()[i].clone());
+                merged_fus.push(a.fus()[i]);
             }
         }
         fu_map_a[i] = id;
@@ -211,7 +211,7 @@ pub fn embed(
     for j in 0..nb {
         if fu_map_b[j].is_none() {
             let id = FuInstId::from_index(merged_fus.len());
-            merged_fus.push(b.fus()[j].clone());
+            merged_fus.push(b.fus()[j]);
             fu_map_b[j] = Some(id);
         }
     }
@@ -260,9 +260,7 @@ pub fn embed(
     let mut reg_map_b: Vec<Option<RegId>> = vec![None; rb];
     for i in 0..ra {
         let id = RegId::from_index(merged_regs.len());
-        merged_regs.push(RegInstance {
-            name: format!("q{}", merged_regs.len()),
-        });
+        merged_regs.push(RegInstance);
         if let Some(j) = reg_match[i] {
             reg_map_b[j] = Some(id);
         }
@@ -271,9 +269,7 @@ pub fn embed(
     for j in 0..rb {
         if reg_map_b[j].is_none() {
             let id = RegId::from_index(merged_regs.len());
-            merged_regs.push(RegInstance {
-                name: format!("q{}", merged_regs.len()),
-            });
+            merged_regs.push(RegInstance);
             reg_map_b[j] = Some(id);
         }
     }
@@ -330,8 +326,10 @@ pub fn embed(
             .map(|x| remap(x, &fu_map_b, &reg_map_b, &sub_map_b)),
     );
 
+    let mut module = RtlModule::new(h, name, merged_fus, merged_regs, merged_subs, behaviors);
+    module.embedded = true;
     Ok(EmbedResult {
-        module: RtlModule::new(h, name, merged_fus, merged_regs, merged_subs, behaviors),
+        module,
         maps: EmbedMaps {
             fu_a: fu_map_a,
             fu_b: fu_map_b,

@@ -26,14 +26,20 @@
 use crate::module::{Behavior, RtlModule};
 use hsyn_dfg::{ContentHasher as Fp, DfgId, Hierarchy};
 
-/// Per-hierarchy DFG-fingerprint memo: a flat arena indexed by
-/// [`DfgId::index`] (dense ids), replacing the seed's `HashMap<DfgId, u64>`
-/// — one branch and an array load per lookup, no hashing.
-struct DfgMemo(Vec<Option<u64>>);
+/// State of one fingerprint walk: the DFG-fingerprint memo, a flat arena
+/// indexed by [`DfgId::index`] (dense ids, so one branch and an array load
+/// per lookup, no hashing), and the number of modules hashed.
+struct Walk {
+    dfgs: Vec<Option<u64>>,
+    modules: u64,
+}
 
-impl DfgMemo {
+impl Walk {
     fn new(h: &Hierarchy) -> Self {
-        DfgMemo(vec![None; h.dfg_count()])
+        Walk {
+            dfgs: vec![None; h.dfg_count()],
+            modules: 0,
+        }
     }
 }
 
@@ -77,8 +83,7 @@ impl FpTree {
 
 /// Fingerprint the whole module tree rooted at `module`.
 pub fn fingerprint_tree(h: &Hierarchy, module: &RtlModule) -> FpTree {
-    let mut memo = DfgMemo::new(h);
-    fp_module(h, module, &mut memo)
+    fp_module(h, module, &mut Walk::new(h))
 }
 
 /// Fingerprint of the submodule of `module` addressed by `path` (child
@@ -91,9 +96,7 @@ pub fn fingerprint_tree(h: &Hierarchy, module: &RtlModule) -> FpTree {
 /// this by recomputing the rolled-back subtree's fingerprint here and
 /// comparing it against [`FpTree::at`] on the retained tree. A mismatch
 /// means the journal missed an edit, exactly the corruption that would
-/// otherwise surface as a silently-wrong [`EvalCache`] hit downstream.
-///
-/// [`EvalCache`]: crate::AreaCache
+/// otherwise surface as a silently-wrong memo hit downstream.
 pub fn fingerprint_at(h: &Hierarchy, module: &RtlModule, path: &[usize]) -> Option<u64> {
     let mut cur = module;
     for &i in path {
@@ -124,15 +127,19 @@ pub fn dfg_fingerprint(h: &Hierarchy, id: DfgId) -> u64 {
 /// Falls back to a full recomputation whenever `old`'s shape no longer
 /// matches `module` (e.g. the edit added or removed submodules above the
 /// point the caller thought it did), so the result is always exactly
-/// [`fingerprint_tree`]`(h, module)`.
+/// [`fingerprint_tree`]`(h, module)`. Adds the number of modules it hashed
+/// to `hashed`.
 pub fn refresh_fingerprint_tree(
     h: &Hierarchy,
     module: &RtlModule,
     old: &FpTree,
     dirty: &[usize],
+    hashed: &mut u64,
 ) -> FpTree {
-    let mut memo = DfgMemo::new(h);
-    refresh(h, module, old, dirty, &mut memo)
+    let mut walk = Walk::new(h);
+    let tree = refresh(h, module, old, dirty, &mut walk);
+    *hashed += walk.modules;
+    tree
 }
 
 fn refresh(
@@ -140,13 +147,13 @@ fn refresh(
     module: &RtlModule,
     old: &FpTree,
     dirty: &[usize],
-    memo: &mut DfgMemo,
+    walk: &mut Walk,
 ) -> FpTree {
     let Some((&next, rest)) = dirty.split_first() else {
-        return fp_module(h, module, memo);
+        return fp_module(h, module, walk);
     };
     if old.subs.len() != module.subs().len() || next >= module.subs().len() {
-        return fp_module(h, module, memo);
+        return fp_module(h, module, walk);
     }
     let subs: Vec<FpTree> = module
         .subs()
@@ -154,32 +161,28 @@ fn refresh(
         .enumerate()
         .map(|(i, s)| {
             if i == next {
-                refresh(h, s, &old.subs[i], rest, memo)
+                refresh(h, s, &old.subs[i], rest, walk)
             } else {
                 old.subs[i].clone()
             }
         })
         .collect();
-    fp_module_with(h, module, subs, memo)
+    fp_module_with(h, module, subs, walk)
 }
 
-fn fp_module(h: &Hierarchy, module: &RtlModule, memo: &mut DfgMemo) -> FpTree {
+fn fp_module(h: &Hierarchy, module: &RtlModule, walk: &mut Walk) -> FpTree {
     let subs: Vec<FpTree> = module
         .subs()
         .iter()
-        .map(|s| fp_module(h, s, memo))
+        .map(|s| fp_module(h, s, walk))
         .collect();
-    fp_module_with(h, module, subs, memo)
+    fp_module_with(h, module, subs, walk)
 }
 
 /// The non-recursive tail of [`fp_module`]: hash the module's own content
 /// and fold in already-computed submodule fingerprints.
-fn fp_module_with(
-    h: &Hierarchy,
-    module: &RtlModule,
-    subs: Vec<FpTree>,
-    memo: &mut DfgMemo,
-) -> FpTree {
+fn fp_module_with(h: &Hierarchy, module: &RtlModule, subs: Vec<FpTree>, walk: &mut Walk) -> FpTree {
+    walk.modules += 1;
     let mut f = Fp::new();
     f.u64(tag::FUS);
     f.usize(module.fus().len());
@@ -190,7 +193,7 @@ fn fp_module_with(
     f.usize(module.regs().len());
     for b in module.behaviors() {
         f.u64(tag::BEHAVIOR);
-        fp_behavior(&mut f, h, b, memo);
+        fp_behavior(&mut f, h, b, walk);
     }
     f.u64(tag::SUBS);
     f.usize(subs.len());
@@ -203,9 +206,9 @@ fn fp_module_with(
     }
 }
 
-fn fp_behavior(f: &mut Fp, h: &Hierarchy, b: &Behavior, memo: &mut DfgMemo) {
+fn fp_behavior(f: &mut Fp, h: &Hierarchy, b: &Behavior, walk: &mut Walk) {
     f.u64(tag::DFG);
-    f.u64(fp_dfg(h, b.dfg, memo));
+    f.u64(fp_dfg(h, b.dfg, walk));
 
     f.u64(tag::SCHEDULE);
     let sched = &b.schedule;
@@ -273,12 +276,12 @@ fn fp_behavior(f: &mut Fp, h: &Hierarchy, b: &Behavior, memo: &mut DfgMemo) {
 /// calls rehashes its content once per tree, reading its callees here.
 ///
 /// [`Dfg::content_hash`]: hsyn_dfg::Dfg::content_hash
-fn fp_dfg(h: &Hierarchy, id: DfgId, memo: &mut DfgMemo) -> u64 {
-    if let Some(fp) = memo.0[id.index()] {
+fn fp_dfg(h: &Hierarchy, id: DfgId, walk: &mut Walk) -> u64 {
+    if let Some(fp) = walk.dfgs[id.index()] {
         return fp;
     }
-    let fp = h.dfg(id).content_hash(|callee| fp_dfg(h, callee, memo));
-    memo.0[id.index()] = Some(fp);
+    let fp = h.dfg(id).content_hash(|callee| fp_dfg(h, callee, walk));
+    walk.dfgs[id.index()] = Some(fp);
     fp
 }
 
@@ -360,10 +363,18 @@ mod tests {
         let old = fingerprint_tree(&h, &m);
 
         // Root-dirty refresh is a full recomputation.
-        assert_eq!(refresh_fingerprint_tree(&h, &m, &old, &[]), old);
+        let mut hashed = 0;
+        assert_eq!(
+            refresh_fingerprint_tree(&h, &m, &old, &[], &mut hashed),
+            old
+        );
         // A stale path (no such child) falls back to full recomputation
         // instead of producing a wrong tree.
-        assert_eq!(refresh_fingerprint_tree(&h, &m, &old, &[3]), old);
+        assert_eq!(
+            refresh_fingerprint_tree(&h, &m, &old, &[3], &mut hashed),
+            old
+        );
+        assert_eq!(hashed, 2, "one module, hashed by each refresh");
 
         // With submodules: dirty path into one child reuses the sibling.
         let sub_a = built(&h, d, "sub_a");
@@ -377,8 +388,20 @@ mod tests {
             m.behaviors().to_vec(),
         );
         let full = fingerprint_tree(&h, &parent);
-        assert_eq!(refresh_fingerprint_tree(&h, &parent, &full, &[0]), full);
-        assert_eq!(refresh_fingerprint_tree(&h, &parent, &full, &[1]), full);
+        let mut hashed = 0;
+        assert_eq!(
+            refresh_fingerprint_tree(&h, &parent, &full, &[0], &mut hashed),
+            full
+        );
+        assert_eq!(
+            hashed, 2,
+            "the dirty child and the root; the sibling is reused"
+        );
+        assert_eq!(
+            refresh_fingerprint_tree(&h, &parent, &full, &[1], &mut hashed),
+            full
+        );
+        assert_eq!(hashed, 4);
     }
 
     #[test]

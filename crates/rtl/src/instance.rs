@@ -1,4 +1,4 @@
-use hsyn_lib::FuTypeId;
+use hsyn_lib::{FuTypeId, Library};
 use std::fmt;
 
 macro_rules! dense_id {
@@ -50,20 +50,33 @@ dense_id!(
 
 /// A functional-unit instance: a piece of datapath hardware of a library
 /// type.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct FuInstance {
     /// Library type of this instance.
     pub fu_type: FuTypeId,
-    /// Instance name (`M1`, `A2`, ... in the paper's figures).
-    pub name: String,
+    /// Number in the instance name: the instance's index in the module
+    /// that created it. RTL embedding copies an unmatched unit with its
+    /// tag, so the copy keeps its original name.
+    pub tag: u32,
 }
 
-/// A register instance (one word of storage).
-#[derive(Clone, PartialEq, Debug)]
-pub struct RegInstance {
-    /// Instance name.
-    pub name: String,
+impl FuInstance {
+    /// Instance name, `{library type name}{tag}` (`mult10`, `add_fast2`,
+    /// ...), derived when rendered: no cost model reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the type lies outside `lib`.
+    pub fn name(&self, lib: &Library) -> String {
+        format!("{}{}", lib.fu(self.fu_type).name(), self.tag)
+    }
 }
+
+/// A register instance (one word of storage). It holds no data: a register
+/// is named from its index when rendered
+/// ([`RtlModule::reg_name`](crate::RtlModule::reg_name)).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct RegInstance;
 
 #[cfg(test)]
 mod tests {

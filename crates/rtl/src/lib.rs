@@ -40,7 +40,7 @@ pub use affinity::{module_affinity, AffinityMatrix};
 pub use assignment::{assignment_gain, max_weight_assignment};
 pub use connect::{connectivity, view_mismatch, Connectivity, DatapathView, Sink, Source};
 pub use cosim::{cosimulate, CosimDivergence, CosimDivergenceKind, CosimRun, CosimStats};
-pub use cost::{module_area, module_area_cached, module_area_sized, AreaBreakdown, AreaCache};
+pub use cost::{module_area, module_area_sized, AreaBreakdown};
 pub use embed::{embed, EmbedError, EmbedMaps, EmbedResult};
 pub use fingerprint::{
     dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,

@@ -56,6 +56,8 @@ pub struct RtlModule {
     subs: Vec<RtlModule>,
     behaviors: Vec<Behavior>,
     view: DatapathView,
+    /// Made by RTL embedding: its registers are named `q{i}`, not `r{i}`.
+    pub(crate) embedded: bool,
 }
 
 impl RtlModule {
@@ -90,6 +92,7 @@ impl RtlModule {
             subs,
             behaviors,
             view,
+            embedded: false,
         }
     }
 
@@ -163,6 +166,13 @@ impl RtlModule {
         &self.regs[id.index()]
     }
 
+    /// Name of register `r`: `q{i}` in a module RTL embedding made,
+    /// `r{i}` in any other. Derived when rendered: no cost model reads it.
+    pub fn reg_name(&self, r: RegId) -> String {
+        let prefix = if self.embedded { 'q' } else { 'r' };
+        format!("{prefix}{}", r.index())
+    }
+
     /// Access a submodule by id.
     ///
     /// # Panics
@@ -180,6 +190,11 @@ impl RtlModule {
                 .iter()
                 .map(RtlModule::total_fu_count)
                 .sum::<usize>()
+    }
+
+    /// Number of modules in the tree rooted here, this one included.
+    pub fn module_count(&self) -> u64 {
+        1 + self.subs.iter().map(RtlModule::module_count).sum::<u64>()
     }
 
     /// Total register count including submodules.

@@ -3,6 +3,7 @@
 
 use crate::connect::{connectivity, Sink, Source};
 use crate::cost::module_area;
+use crate::instance::RegId;
 use crate::module::RtlModule;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
@@ -37,14 +38,15 @@ fn render(h: &Hierarchy, module: &RtlModule, lib: &Library, depth: usize, out: &
         let _ = writeln!(
             out,
             "{pad}  F{i} {} : {} (area {:.1}, {:.1} ns)",
-            fu.name,
+            fu.name(lib),
             t.name(),
             t.area(),
             t.delay_ns()
         );
     }
-    for (i, r) in module.regs().iter().enumerate() {
-        let _ = writeln!(out, "{pad}  R{i} {}", r.name);
+    for i in 0..module.regs().len() {
+        let r = RegId::from_index(i);
+        let _ = writeln!(out, "{pad}  {r} {}", module.reg_name(r));
     }
     let conn = connectivity(h, module);
     for (sink, sources) in conn.sinks() {

@@ -406,11 +406,7 @@ pub fn build_ref(
     // --- Registers ----------------------------------------------------------
     let storage = storage_analysis(g, &sched);
     let (reg_of, reg_count) = allocate_registers(&storage, spec.reg_policy)?;
-    let regs: Vec<RegInstance> = (0..reg_count)
-        .map(|i| RegInstance {
-            name: format!("r{i}"),
-        })
-        .collect();
+    let regs = vec![RegInstance; reg_count as usize];
 
     // --- Assemble -----------------------------------------------------------
     let fus: Vec<FuInstance> = spec
@@ -419,7 +415,7 @@ pub fn build_ref(
         .enumerate()
         .map(|(i, grp)| FuInstance {
             fu_type: grp.fu_type,
-            name: format!("{}{}", ctx.lib.fu(grp.fu_type).name(), i),
+            tag: i as u32,
         })
         .collect();
     let binding = Binding {

@@ -38,7 +38,7 @@ fn main() {
             (false, true) => "RTL2 only",
             (false, false) => "unused",
         };
-        println!("  F{i} ({}) — {tag}", fu.name);
+        println!("  F{i} ({}) — {tag}", fu.name(&lib));
     }
     println!(
         "\nBoth behaviors retained: {}",

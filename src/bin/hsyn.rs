@@ -974,10 +974,9 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     );
     let memo = &report.stats.memo;
     outln!(
-        "  by memo           : area {}/{}, whole design {}/{}, value streams {}/{}, \
-         candidates {}/{}, move B {}/{} (hits/misses); {} kernel iterations",
-        memo.area.hits,
-        memo.area.misses,
+        "  by memo           : whole design {}/{}, value streams {}/{}, candidates {}/{}, \
+         move B {}/{} (hits/misses); {} kernel iterations, {} modules fingerprinted, \
+         {} modules area-walked",
         memo.design.hits,
         memo.design.misses,
         memo.stream.hits,
@@ -987,6 +986,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         memo.move_b.hits,
         memo.move_b.misses,
         report.stats.kernel_iterations,
+        report.stats.modules_fingerprinted,
+        report.stats.modules_area_walked,
     );
     let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
     outln!(

@@ -78,13 +78,23 @@ fn cached_and_uncached_synthesis_are_byte_identical() {
                          plain synthesis diverged",
                         bench.name
                     );
-                    // The search actually went through the cache, and both runs
-                    // drove it identically.
-                    assert!(
-                        r_plain.stats.eval_cache_misses > 0,
-                        "{}: run recorded no cache traffic",
-                        bench.name
-                    );
+                    // The search actually priced designs — power mode through
+                    // the cache, area mode by its plain area walk, which has
+                    // no cache traffic — and both runs drove it identically.
+                    let s = &r_plain.stats;
+                    match objective {
+                        Objective::Power => assert!(
+                            s.eval_cache_misses > 0,
+                            "{}: run recorded no cache traffic",
+                            bench.name
+                        ),
+                        Objective::Area => assert!(
+                            s.modules_area_walked > 0
+                                && (s.eval_cache_hits, s.eval_cache_misses) == (0, 0),
+                            "{}: area run walked no area or touched the cache: {s:?}",
+                            bench.name
+                        ),
+                    }
                     assert_eq!(
                         r_plain.stats, r_shadow.stats,
                         "{}: shadow checking changed the engine's counters",

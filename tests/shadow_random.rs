@@ -49,10 +49,18 @@ fn shadow_synthesis_of_random_behaviors_never_diverges() {
         let report = synthesize(&h, &mlib, &config)
             .unwrap_or_else(|e| panic!("case {case}: shadow synthesis failed: {e}"));
         // The cached path really ran (shadow without cache traffic would
-        // be vacuous).
-        assert!(
-            report.stats.eval_cache_misses > 0,
-            "case {case}: shadow run recorded no cache traffic"
-        );
+        // be vacuous); area mode has no cache, only its area walks.
+        let s = &report.stats;
+        if objective_area {
+            assert!(
+                s.modules_area_walked > 0 && (s.eval_cache_hits, s.eval_cache_misses) == (0, 0),
+                "case {case}: area run walked no area or touched the cache: {s:?}"
+            );
+        } else {
+            assert!(
+                s.eval_cache_misses > 0,
+                "case {case}: shadow run recorded no cache traffic"
+            );
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! The physical-work budget: per cell of the two in-process perfbench job
 //! lists — the 34 `refine_power` cells ([`SweepConfig::quick`], two LNS
 //! iterations) and the 18 `sweep_area` cells at laxity 2.2
-//! ([`SweepConfig::default`]) — the kernel trace iterations and the misses
-//! of every memo ([`MoveStats::memo`]), pinned in
+//! ([`SweepConfig::default`]) — the kernel trace iterations, the modules
+//! fingerprinted and area-walked, and the misses of every memo
+//! ([`MoveStats::memo`]), pinned in
 //! `tests/golden/work_budget.json`, one line per cell.
 //!
 //! The `result_json` goldens pin *logical* work, which every memo replays
@@ -31,10 +32,12 @@ const SWEEP_LAXITY: f64 = 2.2;
 fn line(name: &str, s: &MoveStats) -> String {
     let m = &s.memo;
     format!(
-        "  \"{name}\": {{\"kernel_iterations\": {}, \"area\": {}, \"design\": {}, \
-         \"stream\": {}, \"candidate\": {}, \"move_b\": {}}}",
+        "  \"{name}\": {{\"kernel_iterations\": {}, \"modules_fingerprinted\": {}, \
+         \"modules_area_walked\": {}, \"design\": {}, \"stream\": {}, \"candidate\": {}, \
+         \"move_b\": {}}}",
         s.kernel_iterations,
-        m.area.misses,
+        s.modules_fingerprinted,
+        s.modules_area_walked,
         m.design.misses,
         m.stream.misses,
         m.candidate.misses,
