@@ -13,6 +13,7 @@
 use hsyn::core::{synthesize, Objective, SynthesisConfig, SynthesisReport};
 use hsyn::dfg::benchmarks;
 use hsyn::lib::papers::table1_library;
+use hsyn::power::{dsp_default, per_module_energy};
 use hsyn::rtl::{netlist_text, ModuleLibrary};
 use hsyn_util::Json;
 
@@ -186,6 +187,47 @@ fn final_netlists_match_goldens() {
         drift.is_empty(),
         "netlist goldens drifted (UPDATE_GOLDEN=1 regenerates them if the \
          change is deliberate):\n{}",
+        drift.join("\n")
+    );
+}
+
+/// The per-module power attribution ([`per_module_energy`], the
+/// `--power-report` path) of the final power-objective design of `iir`,
+/// `matmul` (memories at two levels) and `test1` (embedded modules), on
+/// the report traces the CLI draws, pinned as
+/// `tests/golden/power_modules_<bench>.txt`: one line per instance, every
+/// float at full precision.
+#[test]
+fn per_module_power_matches_goldens() {
+    let mut drift = Vec::new();
+    for name in ["iir", "matmul", "test1"] {
+        let bench = benchmarks::by_name(name).expect("built-in benchmark");
+        let mut mlib = ModuleLibrary::from_simple(table1_library());
+        mlib.equiv = bench.equiv.clone();
+        let config = golden_config(Objective::Power);
+        let report =
+            synthesize(&bench.hierarchy, &mlib, &config).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let d = &report.design;
+        let traces = dsp_default(
+            d.hierarchy.dfg(d.top.core.dfg).input_count(),
+            config.report_trace_len,
+            config.width,
+            config.seed ^ 0x5eed,
+        );
+        let mut text = String::new();
+        for m in per_module_energy(&d.hierarchy, &d.top.built, &mlib.simple, &traces) {
+            let b = &m.breakdown;
+            text.push_str(&format!(
+                "{} fu {:?} reg {:?} mux {:?} wire {:?} controller {:?} mem {:?} clock {:?} subs {:?}\n",
+                m.path, b.fu, b.reg, b.mux, b.wire, b.controller, b.mem, b.clock, b.subs
+            ));
+        }
+        check_golden_file(&format!("power_modules_{name}.txt"), &text, &mut drift);
+    }
+    assert!(
+        drift.is_empty(),
+        "per-module power goldens drifted (UPDATE_GOLDEN=1 regenerates them \
+         if the change is deliberate):\n{}",
         drift.join("\n")
     );
 }
