@@ -120,12 +120,18 @@ pub struct SynthesisConfig {
     /// the flag off; verifier wall-clock is recorded in
     /// [`ConfigTelemetry::verify_s`](crate::ConfigTelemetry::verify_s).
     pub paranoid: bool,
-    /// Shadow evaluation (off by default): run every cached search
-    /// evaluation alongside the uncached reference recomputation and panic
-    /// on the first bit-level divergence, naming the offending move and
-    /// module path. A debugging/CI mode that turns the cache-exactness
-    /// contract of [`EvalCache`](crate::EvalCache) into a runtime
-    /// assertion; the reference's wall-clock is booked to
+    /// Shadow evaluation (off by default): check every memoized answer of
+    /// the search against an uncached recomputation and panic on the first
+    /// bit-level divergence, naming the offending move and module path. In
+    /// both objectives, every candidate answered from the candidate memo
+    /// is speculated again uncached, and every move-*B* resynthesis
+    /// answered from its memo is run again. In power mode, every cached
+    /// search evaluation (whole-design memo, value streams, subtree
+    /// energies) also runs beside the uncached estimate; area mode walks
+    /// the area afresh, with no cache to check. A debugging/CI mode that
+    /// turns the cache-exactness contract of
+    /// [`EvalCache`](crate::EvalCache) into a runtime assertion; the
+    /// reference's wall-clock is booked to
     /// [`ConfigTelemetry::verify_s`](crate::ConfigTelemetry::verify_s).
     pub shadow_eval: bool,
     /// Large-neighborhood search iterations appended after the KL-style

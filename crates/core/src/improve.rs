@@ -470,9 +470,10 @@ impl<'a> Engine<'a> {
 
     /// Evaluate `dp` for the search loop through the incremental cache
     /// (`fp` is `dp`'s fingerprint tree, which power mode needs and area
-    /// mode does not read). In shadow mode the uncached reference runs too
-    /// and any bit-level divergence panics, naming the offending move; its
-    /// wall-clock is booked to `verify_s`.
+    /// mode does not read). In power-mode shadow mode the uncached
+    /// reference runs too and any bit-level divergence panics, naming the
+    /// offending move; its wall-clock is booked to `verify_s`. Area mode
+    /// has no cached path to check: both are the one area walk.
     pub(crate) fn eval(
         &mut self,
         dp: &DesignPoint,
@@ -494,7 +495,7 @@ impl<'a> Engine<'a> {
             .absorb(&self.cache.traffic().since(&traffic0));
         self.stats.kernel_iterations += self.cache.sim.kernel_iterations - iterations0;
         self.stats.modules_area_walked += self.cache.modules_area_walked - walked0;
-        if self.config.shadow_eval {
+        if self.config.shadow_eval && objective == Objective::Power {
             let t0 = Instant::now();
             let full = evaluate_search(dp, lib, &self.traces, objective);
             self.verify_s += t0.elapsed().as_secs_f64();

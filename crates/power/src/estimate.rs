@@ -15,9 +15,7 @@
 //! reports only normalized power, which is what the experiment harness
 //! computes.
 
-use crate::sim::{
-    simulate, Activity, EnergyMemo, ModuleActivity, Served, SimCache, StreamActivity, Streams,
-};
+use crate::sim::{simulate, EnergyMemo, Served, SimCache, StreamActivity, Streams};
 use crate::traces::TraceSet;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
@@ -164,8 +162,17 @@ fn estimate_walk(
         !traces.is_empty(),
         "power estimation needs at least one sample"
     );
-    let (act, _) = simulate(h, module, traces);
-    let breakdown = module_energy(h, module, lib, &act, traces.width, widths);
+    let sim = simulate(h, module, traces);
+    let breakdown = instance_energy(
+        h,
+        module,
+        lib,
+        traces.width,
+        &sim.streams,
+        &sim.served,
+        widths,
+        None,
+    );
     let effective_regs = match widths {
         None => module.total_reg_count() as f64,
         Some(w) => w.reg_width_factor_total(),
@@ -216,7 +223,16 @@ pub fn estimate_cached(
     let Some((streams, memo, served)) = cache.streams(h, module, traces) else {
         return estimate(h, module, lib, traces, vdd, clk_ns, sampling_period_cycles);
     };
-    let breakdown = instance_energy(h, module, lib, traces.width, streams, memo, &served, fp);
+    let breakdown = instance_energy(
+        h,
+        module,
+        lib,
+        traces.width,
+        streams,
+        &served,
+        None,
+        Some((memo, fp)),
+    );
     finish_estimate(
         lib,
         breakdown,
@@ -228,30 +244,42 @@ pub fn estimate_cached(
     )
 }
 
-/// Raw energy of the instance `module`, serving `served`, and its subtree,
-/// read from `streams` — [`module_energy`] without the recorded activity.
-/// Submodule subtrees come from `memo` when priced before.
+/// Raw (un-normalized) energy of the instance `module`, serving `served`,
+/// and its subtree across the whole simulation, at the reference voltage,
+/// read from `streams`. Each submodule is sized by its own entry of
+/// `widths.subs`. With a memo (`fp` the fingerprint tree of `module`), each
+/// submodule subtree's energy is looked up by its fingerprint and served
+/// nodes before it is priced, and remembered after; the memo holds nominal
+/// energies, so it goes with `widths == None`.
 #[allow(clippy::too_many_arguments)]
-fn instance_energy(
+pub(crate) fn instance_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
     width: u32,
     streams: &Streams,
-    memo: &mut EnergyMemo,
     served: &Served,
-    fp: &FpTree,
+    widths: Option<&ModuleWidths>,
+    mut memo: Option<(&mut EnergyMemo, &FpTree)>,
 ) -> EnergyBreakdown {
     let act = StreamActivity::new(h, module, &served.nodes, streams);
-    let mut e = module_own_energy(h, module, lib, &act, width, None);
-    for ((sub, sub_served), sub_fp) in module.subs().iter().zip(&served.subs).zip(&fp.subs) {
-        let nodes = &sub_served.nodes;
-        let sub_e = match memo.get(sub_fp.fp, nodes) {
-            Some(sub_e) => sub_e,
-            None => {
-                let sub_e = instance_energy(h, sub, lib, width, streams, memo, sub_served, sub_fp);
-                memo.insert(sub_fp.fp, nodes, sub_e);
-                sub_e
+    let mut e = module_own_energy(h, module, lib, &act, width, widths);
+    for (i, (sub, sub_served)) in module.subs().iter().zip(&served.subs).enumerate() {
+        let sub_widths = widths.map(|w| &w.subs[i]);
+        let price =
+            |memo| instance_energy(h, sub, lib, width, streams, sub_served, sub_widths, memo);
+        let sub_e = match &mut memo {
+            None => price(None),
+            Some((memo, fp)) => {
+                let (sub_fp, nodes) = (&fp.subs[i], &sub_served.nodes);
+                match memo.get(sub_fp.fp, nodes) {
+                    Some(sub_e) => sub_e,
+                    None => {
+                        let sub_e = price(Some((&mut **memo, sub_fp)));
+                        memo.insert(sub_fp.fp, nodes, sub_e);
+                        sub_e
+                    }
+                }
             }
         };
         e.subs += sub_e.total();
@@ -287,25 +315,6 @@ fn finish_estimate(
     }
 }
 
-/// Raw (un-normalized) energy of one module instance across the whole
-/// simulation, at the reference voltage, recursing over submodules (each
-/// sized by its own entry of `widths.subs`).
-fn module_energy(
-    h: &Hierarchy,
-    module: &RtlModule,
-    lib: &Library,
-    act: &ModuleActivity,
-    width: u32,
-    widths: Option<&ModuleWidths>,
-) -> EnergyBreakdown {
-    let mut e = module_own_energy(h, module, lib, act, width, widths);
-    for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
-        let sub_e = module_energy(h, sub, lib, sub_act, width, widths.map(|w| &w.subs[i]));
-        e.subs += sub_e.total();
-    }
-    e
-}
-
 /// Mask for the low `bits` bits.
 fn width_mask(bits: u32) -> u64 {
     if bits >= 64 {
@@ -324,14 +333,11 @@ fn width_mask(bits: u32) -> u64 {
 /// its event loop; at nominal every mask is the full-width mask and every
 /// factor exactly `1.0`, so both cases share every float operation the
 /// nominal figures depend on.
-///
-/// `act` is any [`Activity`] source; each pair of consecutive events is
-/// priced in stream order whichever source yields them.
-pub(crate) fn module_own_energy(
+fn module_own_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
-    act: &impl Activity,
+    act: &StreamActivity,
     width: u32,
     widths: Option<&ModuleWidths>,
 ) -> EnergyBreakdown {
@@ -429,7 +435,7 @@ pub(crate) fn module_own_energy(
 
     // Controller: active cycles × control bits (width-independent).
     let bits = control_bits(h, module) as f64;
-    e.controller += act.busy_cycles() as f64 * bits * lib.controller.energy_per_bit_cycle;
+    e.controller += act.busy_cycles as f64 * bits * lib.controller.energy_per_bit_cycle;
 
     // Memories: per-access dynamic energy plus standing bank leakage.
     e.mem += mem_energy(h, module, lib, act, width);
@@ -447,7 +453,7 @@ fn mem_energy(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
-    act: &impl Activity,
+    act: &StreamActivity,
     width: u32,
 ) -> f64 {
     let mut e = 0.0;
@@ -456,7 +462,7 @@ fn mem_energy(
         if g.mem_count() == 0 {
             continue;
         }
-        let counts = act.mem_accesses(bi);
+        let counts = &act.mem_accesses[bi];
         for (i, m) in g.mems() {
             let (loads, stores) = counts.get(i.index()).copied().unwrap_or((0, 0));
             let bits = f64::from(m.elem_width.min(width).max(1));
@@ -464,7 +470,7 @@ fn mem_energy(
                 + stores as f64 * lib.memory.energy_write_per_bit * bits;
             if matches!(m.scope, hsyn_dfg::MemScope::Owned) {
                 e += f64::from(m.banks.max(1))
-                    * act.busy_cycles() as f64
+                    * act.busy_cycles as f64
                     * lib.memory.leakage_per_bank_cycle;
             }
         }

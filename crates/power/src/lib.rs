@@ -2,13 +2,18 @@
 //! RTL designs — the H-SYN reproduction's substitute for the paper's
 //! IRSIM switch-level flow (see DESIGN.md for the substitution argument).
 //!
-//! * [`traces`] generates typical input stimuli (correlated random walks by
-//!   default — DSP inputs are time-correlated, which is what makes resource
-//!   sharing between unrelated operations expensive in power);
-//! * [`simulate`] runs the bound RTL bit-true on the traces, collecting
-//!   per-instance operand and register-write streams;
-//! * [`estimate`] converts activity into energy/power with the library's
-//!   capacitance models and `(Vdd/Vref)²` scaling.
+//! * [`traces`] generates typical input stimuli ([`dsp_default`]:
+//!   correlated random walks — DSP inputs are time-correlated, which is
+//!   what makes resource sharing between unrelated operations expensive in
+//!   power);
+//! * [`simulate`] runs the bound RTL bit-true on the traces, keeping the
+//!   value streams of every behavior execution and the executions each
+//!   module instance serves;
+//! * [`estimate`] reads each instance's operand and register-write streams
+//!   off those values through its binding and converts them into
+//!   energy/power with the library's capacitance models and `(Vdd/Vref)²`
+//!   scaling; [`estimate_cached`] prices from value streams kept across
+//!   the designs of one hierarchy.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -20,8 +25,8 @@ pub mod traces;
 
 pub use estimate::{estimate, estimate_cached, estimate_sized, EnergyBreakdown, PowerReport};
 pub use report::{per_module_energy, report_text, ModuleEnergy};
-pub use sim::{simulate, FuEvent, ModuleActivity, SimCache};
-pub use traces::{dsp_default, generate, stream_activity, TraceKind, TraceSet};
+pub use sim::{simulate, SimCache, Simulation};
+pub use traces::{dsp_default, TraceSet};
 
 /// Truncate `value` to a `width`-bit two's-complement value (sign-extended
 /// into `i64`) — the datapath quantization applied to constants and
@@ -31,11 +36,8 @@ pub(crate) fn truncate(value: i64, width: u32) -> i64 {
     (value << shift) >> shift
 }
 
-/// Hamming distance between two samples under a width mask — the single-pair
-/// popcount shared by the estimator's activity model. (Streams of deltas are
-/// batched into u64 words where summation is integer-exact — see
-/// [`stream_activity`] — but the estimator weights each pair by a
-/// data-dependent float, so pairs stay individual there.)
+/// Hamming distance between two samples under a width mask: the bits that
+/// toggle between them, which the estimator weights pair by pair.
 #[inline]
 pub(crate) fn hamming(a: i64, b: i64, mask: u64) -> u32 {
     (((a ^ b) as u64) & mask).count_ones()
@@ -87,7 +89,7 @@ mod tests {
         let ctx = BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, Some(12));
         let m = build(&h, &dedicated(&h, dfg, &lib, "m"), &ctx).unwrap();
         let traces = dsp_default(4, 32, W, 1);
-        let (_, outs) = simulate(&h, &m, &traces);
+        let outs = simulate(&h, &m, &traces).outputs;
         for n in 0..32 {
             let a = traces.samples[0][n];
             let b = traces.samples[1][n];
@@ -143,15 +145,19 @@ mod tests {
         };
         let parent = build(&h, &spec, &ctx).unwrap();
         let traces = dsp_default(2, 24, W, 5);
-        let (act, outs) = simulate(&h, &parent, &traces);
+        let sim = simulate(&h, &parent, &traces);
         for n in 0..24 {
             let x = traces.samples[0][n];
             let y = traces.samples[1][n];
             let expect = Operation::Add.eval(&[Operation::Mult.eval(&[x, y], W), x], W);
-            assert_eq!(outs[0][n], expect);
+            assert_eq!(sim.outputs[0][n], expect);
         }
         // The submodule's multiplier saw one event per iteration.
-        assert_eq!(act.subs[0].fu_events[0].len(), 24);
+        let child = &parent.subs()[0];
+        let act = sim::StreamActivity::new(&h, child, &sim.served.subs[0].nodes, &sim.streams);
+        let mut events = 0;
+        act.each_fu_event(0, |_, _, _| events += 1);
+        assert_eq!(events, 24);
     }
 
     #[test]
@@ -174,7 +180,7 @@ mod tests {
             samples: vec![vec![1, 2, 3, 4, 5]],
             width: W,
         };
-        let (_, outs) = simulate(&h, &m, &traces);
+        let outs = simulate(&h, &m, &traces).outputs;
         assert_eq!(outs[0], vec![1, 3, 6, 10, 15]);
     }
 
@@ -201,7 +207,7 @@ mod tests {
             samples: vec![vec![7, 8, 9, 10]],
             width: W,
         };
-        let (_, outs) = simulate(&h, &m, &traces);
+        let outs = simulate(&h, &m, &traces).outputs;
         assert_eq!(outs[0], vec![0, 0, 7, 8]);
     }
 

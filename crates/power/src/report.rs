@@ -1,8 +1,8 @@
 //! Human-readable power reports: per-module energy breakdowns over the RTL
 //! tree — where the switched capacitance actually goes.
 
-use crate::estimate::{EnergyBreakdown, PowerReport};
-use crate::sim::{simulate, ModuleActivity};
+use crate::estimate::{instance_energy, EnergyBreakdown, PowerReport};
+use crate::sim::{simulate, Served, Streams};
 use crate::traces::TraceSet;
 use hsyn_dfg::Hierarchy;
 use hsyn_lib::Library;
@@ -28,29 +28,48 @@ pub fn per_module_energy(
     lib: &Library,
     traces: &TraceSet,
 ) -> Vec<ModuleEnergy> {
-    let (act, _) = simulate(h, module, traces);
+    let sim = simulate(h, module, traces);
     let mut out = Vec::new();
-    walk(h, module, lib, &act, traces, "top", &mut out);
+    walk(
+        h,
+        module,
+        lib,
+        &sim.streams,
+        &sim.served,
+        traces,
+        "top",
+        &mut out,
+    );
     out
 }
 
+/// Appends the own energy of `module`, serving `served` of `streams`, and
+/// of every instance below it. An instance's own energy is its subtree's less its
+/// submodules' totals, so each instance is priced once per enclosing
+/// instance.
+#[allow(clippy::too_many_arguments)]
 fn walk(
     h: &Hierarchy,
     module: &RtlModule,
     lib: &Library,
-    act: &ModuleActivity,
+    streams: &Streams,
+    served: &Served,
     traces: &TraceSet,
     path: &str,
     out: &mut Vec<ModuleEnergy>,
 ) {
-    let own = crate::estimate::module_own_energy(h, module, lib, act, traces.width, None);
+    let subtree = instance_energy(h, module, lib, traces.width, streams, served, None, None);
+    let own = EnergyBreakdown {
+        subs: 0.0,
+        ..subtree
+    };
     out.push(ModuleEnergy {
         path: path.to_owned(),
         breakdown: own.per_iteration(traces.len() as f64),
     });
-    for (i, (sub, sub_act)) in module.subs().iter().zip(&act.subs).enumerate() {
+    for (i, (sub, sub_served)) in module.subs().iter().zip(&served.subs).enumerate() {
         let sub_path = format!("{path}/{}#{i}", sub.name());
-        walk(h, sub, lib, sub_act, traces, &sub_path, out);
+        walk(h, sub, lib, streams, sub_served, traces, &sub_path, out);
     }
 }
 
@@ -123,23 +142,28 @@ mod tests {
         let ctx = BuildCtx::new(&lib, TABLE1_CLOCK_NS, 5.0, None);
         // iir: top + two biquad instances; matmul: top + four dot products
         // loading from the top's memories, so memory energy is attributed
-        // to both levels.
-        for (bench, instances) in [
-            (hsyn_dfg::benchmarks::iir(), 3),
-            (hsyn_dfg::benchmarks::matmul(), 5),
+        // to both levels; one accumulator instance serving two calls, which
+        // interleave on its delay state.
+        let design = |bench: hsyn_dfg::benchmarks::Benchmark| {
+            let top = dedicated(&bench.hierarchy, bench.hierarchy.top(), &lib, &ctx);
+            (bench.name, bench.hierarchy, top)
+        };
+        let (shared_h, shared_top) = crate::sim::tests::shared_stateful_fixture();
+        for ((name, h, top), instances) in [
+            (design(hsyn_dfg::benchmarks::iir()), 3),
+            (design(hsyn_dfg::benchmarks::matmul()), 5),
+            (("shared stateful", shared_h, shared_top), 2),
         ] {
-            let h = &bench.hierarchy;
-            let top = dedicated(h, h.top(), &lib, &ctx);
+            let h = &h;
             let traces = dsp_default(h.dfg(h.top()).input_count(), 48, 16, 9);
             let report = estimate(h, &top, &lib, &traces, 5.0, TABLE1_CLOCK_NS, 40);
             let modules = per_module_energy(h, &top, &lib, &traces);
-            assert_eq!(modules.len(), instances, "{}", bench.name);
+            assert_eq!(modules.len(), instances, "{name}");
             let sum: f64 = modules.iter().map(|m| m.breakdown.total()).sum();
             let total_no_clock = report.energy_breakdown.total() - report.energy_breakdown.clock;
             assert!(
                 (sum - total_no_clock).abs() < 1e-6 * total_no_clock.max(1.0),
-                "{}: per-module sum {sum} vs class total {total_no_clock}",
-                bench.name
+                "{name}: per-module sum {sum} vs class total {total_no_clock}"
             );
             let text = report_text(h, &top, &lib, &traces, &report);
             assert!(text.contains("by module"));

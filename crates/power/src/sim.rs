@@ -30,8 +30,10 @@
 //!   call-tree nodes it serves and a [`Bind`] per behavior (per-FU event
 //!   order with chained depths, per-register write order). An instance's
 //!   events are the rows of its nodes, iteration-major and then in
-//!   preorder, read through its `Bind`: exactly the order a kernel driven
-//!   by the instance tree records them in.
+//!   preorder, read through its `Bind` ([`StreamActivity`]): exactly the
+//!   order a kernel driven by the instance tree records them in. Every
+//!   estimate prices them from there; the tests record them as events and
+//!   compare every field with the reference interpreter's.
 //!
 //! The node values depend on the binding in one case only: one instance
 //! serving two call-tree nodes of one *stateful* behavior (delayed edges or
@@ -53,84 +55,6 @@ use crate::EnergyBreakdown;
 use hsyn_dfg::{Dfg, DfgId, Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
 use hsyn_rtl::RtlModule;
 use std::collections::HashMap;
-
-/// One execution of an operation on a functional-unit instance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FuEvent {
-    /// The operation performed.
-    pub op: Operation,
-    /// First operand value.
-    pub a: i64,
-    /// Second operand value (0 for unary operations).
-    pub b: i64,
-    /// Chained combinational depth of this operation: 0 when all operands
-    /// come from registers, `1 + max(pred depth)` when fed combinationally
-    /// in the same cycle. Drives the glitch multiplier in the estimator.
-    pub depth: u32,
-}
-
-/// Event streams collected for one RTL module instance (and recursively for
-/// its submodule instances).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ModuleActivity {
-    /// Per functional-unit instance: executions in schedule order across
-    /// all iterations.
-    pub fu_events: Vec<Vec<FuEvent>>,
-    /// Per register instance: written values in write order.
-    pub reg_writes: Vec<Vec<i64>>,
-    /// Total controller-active cycles across all iterations.
-    pub busy_cycles: u64,
-    /// Number of behavior executions.
-    pub runs: u64,
-    /// Per behavior, per memory of that behavior's DFG: `(loads, stores)`
-    /// issued across all iterations; empty for a behavior that never ran.
-    /// Accesses to an external (parent-shared) memory count here, at the
-    /// accessing module — the accessor pays the port energy; the owner pays
-    /// the bank's standing cost.
-    pub mem_accesses: Vec<Vec<(u64, u64)>>,
-    /// Activity of submodule instances.
-    pub subs: Vec<ModuleActivity>,
-}
-
-/// What the energy walk reads of one module's own activity, whatever holds
-/// it: the recorded [`ModuleActivity`] or an instance's
-/// [`StreamActivity`]. Both sources yield the same values in the same
-/// order.
-pub(crate) trait Activity {
-    /// Calls `f(a, b, depth)` for every execution on FU instance `fu`, in
-    /// event order across all iterations.
-    fn each_fu_event(&self, fu: usize, f: impl FnMut(i64, i64, u32));
-    /// Calls `f(value)` for every write of register `reg`, in write order
-    /// across all iterations.
-    fn each_reg_write(&self, reg: usize, f: impl FnMut(i64));
-    /// Total controller-active cycles across all iterations.
-    fn busy_cycles(&self) -> u64;
-    /// `(loads, stores)` per memory of behavior `bi`'s DFG; empty when the
-    /// behavior never ran.
-    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)];
-}
-
-impl Activity for ModuleActivity {
-    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
-        for e in &self.fu_events[fu] {
-            f(e.a, e.b, e.depth);
-        }
-    }
-
-    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
-        for &v in &self.reg_writes[reg] {
-            f(v);
-        }
-    }
-
-    fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
-        self.mem_accesses.get(bi).map_or(&[], Vec::as_slice)
-    }
-}
 
 /// One execution state: inter-iteration state (values crossing iteration
 /// boundaries through delayed edges, owned memory banks) and per-execution
@@ -219,6 +143,7 @@ enum Step {
 /// `None` for unary operations) and chained combinational depth.
 #[derive(Clone, Copy, Debug)]
 struct FuOp {
+    #[cfg(test)]
     op: Operation,
     a: u32,
     b: Option<u32>,
@@ -523,6 +448,7 @@ impl Bind {
             .map(|(_, _, _, node, op)| {
                 let src = layout.src_start[node.index()] as usize;
                 FuOp {
+                    #[cfg(test)]
                     op,
                     a: layout.srcs[src],
                     b: (op.arity() > 1).then(|| layout.srcs[src + 1]),
@@ -971,9 +897,14 @@ pub(crate) struct StreamActivity<'a> {
     /// Per behavior: its bind, when it serves a node.
     binds: Vec<Option<Bind>>,
     iterations: usize,
-    busy_cycles: u64,
-    /// Per behavior: `(loads, stores)` per memory, summed over its nodes.
-    mem_accesses: Vec<Vec<(u64, u64)>>,
+    /// Total controller-active cycles across all iterations.
+    pub(crate) busy_cycles: u64,
+    /// Per behavior: `(loads, stores)` per memory of its DFG, summed over
+    /// its nodes; empty for a behavior that serves none. Accesses to an
+    /// external (parent-shared) memory count here, at the accessing
+    /// instance: the accessor pays the port energy, the owner the bank's
+    /// standing cost.
+    pub(crate) mem_accesses: Vec<Vec<(u64, u64)>>,
 }
 
 impl<'a> StreamActivity<'a> {
@@ -1036,10 +967,10 @@ impl<'a> StreamActivity<'a> {
             .as_ref()
             .expect("a served behavior has a bind")
     }
-}
 
-impl Activity for StreamActivity<'_> {
-    fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
+    /// Calls `f(a, b, depth)` for every execution on FU instance `fu`, in
+    /// event order across all iterations.
+    pub(crate) fn each_fu_event(&self, fu: usize, mut f: impl FnMut(i64, i64, u32)) {
         // Gathered first, then handed out: calling `f` from inside the
         // row-by-op loops made the energy walk about a third slower than
         // this two-loop form (flattened dct, 2-core x86-64 host).
@@ -1055,7 +986,9 @@ impl Activity for StreamActivity<'_> {
         }
     }
 
-    fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
+    /// Calls `f(value)` for every write of register `reg`, in write order
+    /// across all iterations.
+    pub(crate) fn each_reg_write(&self, reg: usize, mut f: impl FnMut(i64)) {
         for n in 0..self.iterations {
             for &(rows, len, bi) in &self.execs {
                 let row = &rows[n * len..(n + 1) * len];
@@ -1063,75 +996,38 @@ impl Activity for StreamActivity<'_> {
             }
         }
     }
-
-    fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    fn mem_accesses(&self, bi: usize) -> &[(u64, u64)] {
-        self.mem_accesses.get(bi).map_or(&[], Vec::as_slice)
-    }
 }
 
-/// Simulate `module` executing its first behavior once per trace iteration,
-/// returning the collected activity and the output streams. Each
-/// `(instance, behavior)` pair of the binding executes on one state, so an
-/// instance serving several calls of a stateful behavior interleaves them.
+/// One kernel run of a design on a trace set: the value streams of its
+/// call tree, the call-tree nodes each module instance serves, and the
+/// top behavior's output streams.
+#[derive(Debug)]
+pub struct Simulation {
+    pub(crate) streams: Streams,
+    pub(crate) served: Served,
+    /// Per output of the top behavior: its value at every trace iteration.
+    pub outputs: Vec<Vec<i64>>,
+}
+
+/// Simulate `module` executing its first behavior once per trace iteration.
+/// Each `(instance, behavior)` pair of the binding executes on one state,
+/// so an instance serving several calls of a stateful behavior interleaves
+/// them.
 ///
 /// # Panics
 ///
 /// Panics if the trace input count does not match the behavior's DFG.
-pub fn simulate(
-    h: &Hierarchy,
-    module: &RtlModule,
-    traces: &TraceSet,
-) -> (ModuleActivity, Vec<Vec<i64>>) {
+pub fn simulate(h: &Hierarchy, module: &RtlModule, traces: &TraceSet) -> Simulation {
     let top = module.behaviors()[0].dfg;
     let tree = CallTree::build(h, top);
     let served = Served::walk(h, &tree, module);
     let mut state_of = vec![0; tree.nodes.len()];
     served.states(&mut state_of, &mut 0);
     let (streams, outputs) = Streams::fill(h, tree, &state_of, traces);
-    (activity(h, module, &served, &streams), outputs)
-}
-
-/// The recorded activity of `module` serving `served` on `streams`.
-fn activity(
-    h: &Hierarchy,
-    module: &RtlModule,
-    served: &Served,
-    streams: &Streams,
-) -> ModuleActivity {
-    let act = StreamActivity::new(h, module, &served.nodes, streams);
-    let fu_events = (0..module.fus().len())
-        .map(|fu| {
-            act.gather(fu, |o, row| FuEvent {
-                op: o.op,
-                a: row[o.a as usize],
-                b: o.b.map_or(0, |s| row[s as usize]),
-                depth: o.depth,
-            })
-        })
-        .collect();
-    let reg_writes = (0..module.regs().len())
-        .map(|reg| {
-            let mut writes = Vec::new();
-            act.each_reg_write(reg, |v| writes.push(v));
-            writes
-        })
-        .collect();
-    ModuleActivity {
-        fu_events,
-        reg_writes,
-        busy_cycles: act.busy_cycles,
-        runs: (streams.iterations * served.nodes.len()) as u64,
-        mem_accesses: act.mem_accesses,
-        subs: module
-            .subs()
-            .iter()
-            .zip(&served.subs)
-            .map(|(sub, s)| activity(h, sub, s, streams))
-            .collect(),
+    Simulation {
+        streams,
+        served,
+        outputs,
     }
 }
 
@@ -1275,18 +1171,54 @@ impl SimCache {
 }
 
 /// The interpreter the flat kernel replaced, kept as the reference the
-/// differential tests hold [`simulate`] to: delay history in a
+/// differential tests hold [`simulate`] to. It records every event each
+/// instance sees into a `ModuleActivity` tree, and keeps delay history in a
 /// `HashMap<(VarRef, k), i64>` per behavior (a missing entry reads 0, and
 /// `(var, k)` enters only once `(var, k − 1)` holds a value), a value
 /// arena allocated per iteration, and hierarchical calls resolved through
 /// `hier_to_sub` and a search of the submodule's behaviors on every call.
 #[cfg(test)]
 mod reference {
-    use super::{FuEvent, MemArena, ModuleActivity};
+    use super::MemArena;
     use crate::traces::TraceSet;
     use hsyn_dfg::{Hierarchy, MemScope, NodeId, NodeKind, Operation, VarRef};
     use hsyn_rtl::{storage_analysis, RtlModule};
     use std::collections::HashMap;
+
+    /// One execution of an operation on a functional-unit instance.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(super) struct FuEvent {
+        pub(super) op: Operation,
+        /// First operand value.
+        pub(super) a: i64,
+        /// Second operand value (0 for unary operations).
+        pub(super) b: i64,
+        /// Chained combinational depth: 0 when all operands come from
+        /// registers, `1 + max(pred depth)` when fed combinationally in
+        /// the same cycle.
+        pub(super) depth: u32,
+    }
+
+    /// The events recorded for one module instance, and recursively for
+    /// its submodule instances.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub(super) struct ModuleActivity {
+        /// Per functional-unit instance: executions in schedule order
+        /// across all iterations.
+        pub(super) fu_events: Vec<Vec<FuEvent>>,
+        /// Per register instance: written values in write order.
+        pub(super) reg_writes: Vec<Vec<i64>>,
+        /// Total controller-active cycles across all iterations.
+        pub(super) busy_cycles: u64,
+        /// Number of behavior executions.
+        pub(super) runs: u64,
+        /// Per behavior, per memory of that behavior's DFG: `(loads,
+        /// stores)` issued across all iterations; empty for a behavior
+        /// that never ran.
+        pub(super) mem_accesses: Vec<Vec<(u64, u64)>>,
+        /// Activity of submodule instances.
+        pub(super) subs: Vec<ModuleActivity>,
+    }
 
     /// Per-instance inter-iteration state (values crossing iteration boundaries
     /// through delayed edges), per behavior.
@@ -1796,13 +1728,15 @@ mod reference {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! Differential checks: the flat kernel against the reference
     //! interpreter it replaced (activity — every event, register write,
-    //! memory access and cycle count — and outputs must be equal), and the
+    //! memory access and cycle count, recorded from the kernel's streams —
+    //! and outputs must be equal), and the
     //! value-stream pricing of flat and hierarchical designs against the
     //! kernel (every float of the estimate must be bit-identical).
 
+    use super::reference::{FuEvent, ModuleActivity};
     use super::*;
     use crate::traces::dsp_default;
     use hsyn_dfg::{benchmarks, MemObject};
@@ -1834,13 +1768,54 @@ mod tests {
         let inputs = h.dfg(m.behaviors()[0].dfg).input_count();
         for seed in [1, 0xDAC_1998] {
             let traces = dsp_default(inputs, SAMPLES, W, seed);
-            let flat = simulate(h, m, &traces);
+            let sim = simulate(h, m, &traces);
             let reference = reference::simulate(h, m, &traces);
-            assert_eq!(flat.1, reference.1, "{what} seed {seed:#x}: outputs");
+            assert_eq!(sim.outputs, reference.1, "{what} seed {seed:#x}: outputs");
             assert!(
-                flat.0 == reference.0,
+                activity(h, m, &sim.served, &sim.streams) == reference.0,
                 "{what} seed {seed:#x}: activity differs"
             );
+        }
+    }
+
+    /// The events of `module` serving `served` on `streams`, recorded the
+    /// way the reference records them.
+    fn activity(
+        h: &Hierarchy,
+        module: &RtlModule,
+        served: &Served,
+        streams: &Streams,
+    ) -> ModuleActivity {
+        let act = StreamActivity::new(h, module, &served.nodes, streams);
+        let fu_events = (0..module.fus().len())
+            .map(|fu| {
+                act.gather(fu, |o, row| FuEvent {
+                    op: o.op,
+                    a: row[o.a as usize],
+                    b: o.b.map_or(0, |s| row[s as usize]),
+                    depth: o.depth,
+                })
+            })
+            .collect();
+        let reg_writes = (0..module.regs().len())
+            .map(|reg| {
+                let mut writes = Vec::new();
+                act.each_reg_write(reg, |v| writes.push(v));
+                writes
+            })
+            .collect();
+        ModuleActivity {
+            fu_events,
+            reg_writes,
+            busy_cycles: act.busy_cycles,
+            runs: (streams.iterations * served.nodes.len()) as u64,
+            mem_accesses: act.mem_accesses,
+            subs: module
+                .subs()
+                .iter()
+                .zip(&served.subs)
+                .map(|(sub, s)| activity(h, sub, s, streams))
+                .collect(),
         }
     }
 
@@ -1895,7 +1870,7 @@ mod tests {
     /// `acc(a) = a + acc[n-1]` with a 2-deep echo, called twice per
     /// iteration through one shared instance: the calls interleave on one
     /// delay state.
-    fn shared_stateful_fixture() -> (Hierarchy, RtlModule) {
+    pub(crate) fn shared_stateful_fixture() -> (Hierarchy, RtlModule) {
         let mut h = Hierarchy::new();
         let sub_id = h.add_dfg(accumulator("acc"));
         let mut top = Dfg::new("top");

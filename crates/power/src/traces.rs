@@ -1,28 +1,9 @@
 //! Input trace generation — the paper's "typical input traces to aid power
 //! estimation". DSP inputs are time-correlated, which is what makes
 //! resource sharing between unrelated operations *cost* switching energy;
-//! the default generator therefore produces band-limited random walks, with
-//! white noise and sine composites available for contrast.
+//! the generator therefore produces band-limited random walks.
 
 use hsyn_util::Rng;
-
-/// What kind of stimulus to generate.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TraceKind {
-    /// Independent uniform samples over the full range (white noise).
-    WhiteUniform,
-    /// A clipped random walk with the given maximum step — strongly
-    /// time-correlated, the "typical" DSP input.
-    RandomWalk {
-        /// Maximum absolute step between consecutive samples.
-        step: i64,
-    },
-    /// A two-tone sine composite, quantized.
-    Sine {
-        /// Period of the fundamental, in samples.
-        period: f64,
-    },
-}
 
 /// A set of input traces: one stream of `width`-bit samples per primary
 /// input.
@@ -37,7 +18,7 @@ pub struct TraceSet {
 impl TraceSet {
     /// Wrap externally produced streams (one per primary input) into a
     /// trace set — the entry point for co-simulation harnesses and fuzzers
-    /// that synthesize their own stimuli instead of using [`generate`].
+    /// that synthesize their own stimuli instead of using [`dsp_default`].
     ///
     /// # Panics
     ///
@@ -69,96 +50,32 @@ impl TraceSet {
     }
 }
 
-/// Generate `n_samples` samples for `n_inputs` inputs at `width` bits,
-/// deterministically from `seed`.
+/// The "typical DSP" stimulus: `n_samples` samples for each of `n_inputs`
+/// inputs at `width` bits, deterministically from `seed`. Each input is a
+/// random walk from a random start in the middle half of the range,
+/// stepping by at most 1/16 of full scale and clipped to the range.
 ///
 /// # Panics
 ///
 /// Panics if `width` is not in `1..=32`.
-pub fn generate(
-    kind: TraceKind,
-    n_inputs: usize,
-    n_samples: usize,
-    width: u32,
-    seed: u64,
-) -> TraceSet {
+pub fn dsp_default(n_inputs: usize, n_samples: usize, width: u32, seed: u64) -> TraceSet {
     assert!((1..=32).contains(&width), "width must be in 1..=32");
     let mut rng = Rng::seed_from_u64(seed);
     let max = (1i64 << (width - 1)) - 1;
     let min = -(1i64 << (width - 1));
+    let step = ((1i64 << (width - 1)) / 16).max(1);
     let samples = (0..n_inputs)
-        .map(|_| match kind {
-            TraceKind::WhiteUniform => (0..n_samples).map(|_| rng.range_i64(min, max)).collect(),
-            TraceKind::RandomWalk { step } => {
-                let mut v: i64 = rng.range_i64(min / 2, max / 2);
-                (0..n_samples)
-                    .map(|_| {
-                        v = (v + rng.range_i64(-step, step)).clamp(min, max);
-                        v
-                    })
-                    .collect()
-            }
-            TraceKind::Sine { period } => {
-                let phase: f64 = rng.range_f64(0.0, std::f64::consts::TAU);
-                let amp = max as f64 * 0.45;
-                (0..n_samples)
-                    .map(|n| {
-                        let t = n as f64;
-                        let x = amp
-                            * ((std::f64::consts::TAU * t / period + phase).sin()
-                                + 0.3 * (std::f64::consts::TAU * t * 3.1 / period).sin());
-                        (x.round() as i64).clamp(min, max)
-                    })
-                    .collect()
-            }
+        .map(|_| {
+            let mut v: i64 = rng.range_i64(min / 2, max / 2);
+            (0..n_samples)
+                .map(|_| {
+                    v = (v + rng.range_i64(-step, step)).clamp(min, max);
+                    v
+                })
+                .collect()
         })
         .collect();
     TraceSet { samples, width }
-}
-
-/// The default "typical DSP" stimulus: a correlated random walk stepping by
-/// at most 1/16 of full scale.
-pub fn dsp_default(n_inputs: usize, n_samples: usize, width: u32, seed: u64) -> TraceSet {
-    let step = ((1i64 << (width - 1)) / 16).max(1);
-    generate(
-        TraceKind::RandomWalk { step },
-        n_inputs,
-        n_samples,
-        width,
-        seed,
-    )
-}
-
-/// Average bit-level switching activity of a stream: mean Hamming distance
-/// between consecutive samples divided by `width` (0 = constant, ~0.5 =
-/// white noise).
-pub fn stream_activity(stream: &[i64], width: u32) -> f64 {
-    if stream.len() < 2 {
-        return 0.0;
-    }
-    let mask = if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    };
-    // Bit-pack ⌊64/width⌋ masked XOR deltas per u64 word and popcount once
-    // per word instead of once per sample pair. Exact: popcount sums are
-    // integers, and packing partitions the same bit set.
-    let per_word = (64 / width).max(1);
-    let mut total: u64 = 0;
-    let mut word: u64 = 0;
-    let mut filled: u32 = 0;
-    for w in stream.windows(2) {
-        word |= (((w[0] ^ w[1]) as u64) & mask) << (filled * width);
-        filled += 1;
-        if filled == per_word {
-            total += u64::from(word.count_ones());
-            word = 0;
-            filled = 0;
-        }
-    }
-    total += u64::from(word.count_ones());
-    total as f64 / (width as f64 * (stream.len() - 1) as f64)
 }
 
 #[cfg(test)]
@@ -176,44 +93,37 @@ mod tests {
 
     #[test]
     fn shapes_and_ranges() {
-        for kind in [
-            TraceKind::WhiteUniform,
-            TraceKind::RandomWalk { step: 100 },
-            TraceKind::Sine { period: 16.0 },
-        ] {
-            let t = generate(kind, 4, 50, 12, 7);
-            assert_eq!(t.input_count(), 4);
-            assert_eq!(t.len(), 50);
-            let max = (1i64 << 11) - 1;
-            for s in &t.samples {
-                assert!(s.iter().all(|&v| v >= -(max + 1) && v <= max), "{kind:?}");
-            }
+        let t = dsp_default(4, 50, 12, 7);
+        assert_eq!(t.input_count(), 4);
+        assert_eq!(t.len(), 50);
+        let max = (1i64 << 11) - 1;
+        for s in &t.samples {
+            assert!(s.iter().all(|&v| v >= -(max + 1) && v <= max));
         }
     }
 
     #[test]
-    fn random_walk_is_more_correlated_than_white() {
-        let walk = generate(TraceKind::RandomWalk { step: 64 }, 1, 512, 16, 1);
-        let white = generate(TraceKind::WhiteUniform, 1, 512, 16, 1);
-        let aw = stream_activity(&walk.samples[0], 16);
-        let an = stream_activity(&white.samples[0], 16);
+    fn samples_are_time_correlated() {
+        // White noise toggles half the bits per sample (within 0.05 over
+        // 512 samples); the walk's steps of 1/16 full scale leave the top
+        // bits mostly still, at about 0.40 over seeds 0..20.
+        let width = 16;
+        let t = dsp_default(1, 512, width, 1);
+        let s = &t.samples[0];
+        let toggles: u32 = s
+            .windows(2)
+            .map(|w| (((w[0] ^ w[1]) as u64) & 0xffff).count_ones())
+            .sum();
+        let rate = f64::from(toggles) / (f64::from(width) * (s.len() - 1) as f64);
         assert!(
-            aw < an * 0.8,
-            "walk activity {aw} should be well below white {an}"
+            rate < 0.45,
+            "toggle rate {rate} should be below white noise's"
         );
-        // White noise toggles about half the bits.
-        assert!((an - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn activity_of_constant_stream_is_zero() {
-        assert_eq!(stream_activity(&[5, 5, 5, 5], 16), 0.0);
-        assert_eq!(stream_activity(&[7], 16), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "width must be")]
     fn rejects_zero_width() {
-        generate(TraceKind::WhiteUniform, 1, 4, 0, 0);
+        dsp_default(1, 4, 0, 0);
     }
 }

@@ -46,7 +46,7 @@ fn random_behaviors_synthesize_bit_exactly() {
         let report = synthesize(&h, &mlib, &config).expect("random behavior synthesizes");
         let traces = dsp_default(g.input_count(), 24, W, 1234);
         let expected = reference(&g, &traces);
-        let (_, got) = simulate(&report.design.hierarchy, &report.design.top.built, &traces);
+        let got = simulate(&report.design.hierarchy, &report.design.top.built, &traces).outputs;
         assert_eq!(
             &got[0], &expected,
             "synthesized RTL diverges from the behavior"

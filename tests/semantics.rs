@@ -28,7 +28,7 @@ fn check_semantics(bench: &Benchmark, hierarchical: bool) {
     let flat = bench.hierarchy.flatten();
     let traces = dsp_default(flat.input_count(), 40, W, 99);
     let expected = reference_outputs(&flat, &traces.samples, W);
-    let (_, got) = simulate(&report.design.hierarchy, &report.design.top.built, &traces);
+    let got = simulate(&report.design.hierarchy, &report.design.top.built, &traces).outputs;
     assert_eq!(got.len(), expected.len(), "{}", bench.name);
     for (o, (g, e)) in got.iter().zip(&expected).enumerate() {
         assert_eq!(
