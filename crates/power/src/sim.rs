@@ -1188,6 +1188,7 @@ mod reference {
     /// One execution of an operation on a functional-unit instance.
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub(super) struct FuEvent {
+        /// The operation performed.
         pub(super) op: Operation,
         /// First operand value.
         pub(super) a: i64,
@@ -1732,9 +1733,9 @@ pub(crate) mod tests {
     //! Differential checks: the flat kernel against the reference
     //! interpreter it replaced (activity — every event, register write,
     //! memory access and cycle count, recorded from the kernel's streams —
-    //! and outputs must be equal), and the
-    //! value-stream pricing of flat and hierarchical designs against the
-    //! kernel (every float of the estimate must be bit-identical).
+    //! and outputs must be equal), and the value-stream pricing of flat and
+    //! hierarchical designs against the kernel (every float of the estimate
+    //! must be bit-identical).
 
     use super::reference::{FuEvent, ModuleActivity};
     use super::*;
