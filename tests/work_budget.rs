@@ -33,13 +33,14 @@ fn line(name: &str, s: &MoveStats) -> String {
     let m = &s.memo;
     format!(
         "  \"{name}\": {{\"kernel_iterations\": {}, \"modules_fingerprinted\": {}, \
-         \"modules_area_walked\": {}, \"design\": {}, \"stream\": {}, \"candidate\": {}, \
-         \"move_b\": {}}}",
+         \"modules_area_walked\": {}, \"design\": {}, \"stream\": {}, \"energy\": {}, \
+         \"candidate\": {}, \"move_b\": {}}}",
         s.kernel_iterations,
         s.modules_fingerprinted,
         s.modules_area_walked,
         m.design.misses,
         m.stream.misses,
+        m.energy.misses,
         m.candidate.misses,
         m.move_b.misses,
     )
