@@ -79,7 +79,8 @@ pub(crate) fn evaluate_search_cached(
     match objective {
         Objective::Power => {
             let fp = fp.expect("power-mode pricing is keyed by the fingerprint tree");
-            if let Some(eval) = cache.design(fp.fp, &dp.op) {
+            let key = (fp.fp, dp.op.key_bits());
+            if let Some(&mut eval) = cache.designs.get(&key) {
                 return eval;
             }
             let area = walk_area(dp, lib, cache);
@@ -99,7 +100,7 @@ pub(crate) fn evaluate_search_cached(
                 power,
                 cost: power.power,
             };
-            cache.remember_design(fp.fp, &dp.op, eval);
+            cache.designs.insert(key, eval);
             eval
         }
         Objective::Area => area_only(dp, walk_area(dp, lib, cache)),

@@ -49,6 +49,17 @@ impl OperatingPoint {
     pub fn physical_clk_ns(&self, lib: &Library) -> f64 {
         self.clk_ref_ns * lib.technology.delay_factor(self.vdd)
     }
+
+    /// Every field as exact bits, for memo keys: `vdd`, `clk_ref_ns`,
+    /// `period_ns`, then `sampling_cycles`.
+    pub fn key_bits(&self) -> [u64; 4] {
+        [
+            self.vdd.to_bits(),
+            self.clk_ref_ns.to_bits(),
+            self.period_ns.to_bits(),
+            u64::from(self.sampling_cycles),
+        ]
+    }
 }
 
 /// The spec of one module, minus its children (held separately so they can

@@ -52,7 +52,7 @@ mod synth;
 mod transact;
 
 pub use analyze::{analyze, AnalyzeError, AnalyzeReport, ObjectiveAnalysis};
-pub use cache::{EvalCache, MemoCount, MemoTraffic};
+pub use cache::{EvalCache, MemoTraffic};
 pub use cancel::CancelToken;
 pub use config::{Budget, MoveFamilies, SynthesisConfig};
 pub use cost::{evaluate, Evaluation, Objective};
@@ -62,6 +62,7 @@ pub use design::{
 };
 pub use explore::{explore, pareto_front, Exploration, ExplorePoint, SkippedPoint};
 pub use fuzz::{fuzz_cosim, FuzzCoverage, FuzzDivergence, FuzzParams, FuzzReport};
+pub use hsyn_util::MemoCount;
 pub use improve::{MoveStats, ParanoidViolation};
 pub use lns::{plan_ruin, ruin_region, Portfolio, RuinKind};
 pub use moves::{

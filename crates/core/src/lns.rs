@@ -504,7 +504,7 @@ impl<'a> Engine<'a> {
                     // parallel): nothing journaled, nothing to recreate.
                     break 'cycle None;
                 }
-                self.stats.lns_ruins += 1;
+                self.counts.lns_ruins += 1;
                 let fp = self.fingerprint(dp);
                 let work_eval = self.eval(dp, Some(&fp), None);
                 // KL-style reconstruction: one move per step, possibly
@@ -585,8 +585,8 @@ impl<'a> Engine<'a> {
                     history.push((eval, won_fp));
                     applied.push(mv);
                 }
-                self.stats.undo_bytes_peak =
-                    self.stats.undo_bytes_peak.max(log.bytes_peak() as u64);
+                self.counts.undo_bytes_peak =
+                    self.counts.undo_bytes_peak.max(log.bytes_peak() as u64);
                 // Commit the best point along the trajectory iff it
                 // strictly beats the pre-ruin cost.
                 let (bi, _) = history
@@ -600,18 +600,18 @@ impl<'a> Engine<'a> {
                     // transaction's drop has nothing left to undo.
                     if bi < applied.len() {
                         log.rollback_to(dp, marks[bi]);
-                        self.stats.moves_rolled_back += (applied.len() - bi) as u64;
+                        self.counts.moves_rolled_back += (applied.len() - bi) as u64;
                     }
                     log.commit();
                     for mv in &applied[..bi] {
-                        self.stats.record(mv);
+                        self.counts.record(mv);
                     }
-                    self.stats.lns_accepts += 1;
+                    self.counts.lns_accepts += 1;
                     Some(history.swap_remove(bi).0)
                 } else {
                     // Not better: the transaction's drop unwinds ruin +
                     // recreate in O(edit size).
-                    self.stats.moves_rolled_back += (ruined + applied.len()) as u64;
+                    self.counts.moves_rolled_back += (ruined + applied.len()) as u64;
                     None
                 }
             };

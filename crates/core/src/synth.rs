@@ -474,7 +474,7 @@ pub fn synthesize(
                             Ok(()) => ConfigOutcome::Optimized {
                                 design: Box::new(opt),
                                 eval: Box::new(opt_eval),
-                                stats: Box::new(engine.stats),
+                                stats: Box::new(engine.stats()),
                                 elapsed_s: config_start.elapsed().as_secs_f64(),
                                 verify_s: engine.verify_s,
                                 eval_incr_s: engine.eval_incr_s,

@@ -19,8 +19,9 @@
 //! hierarchy caller-first, joining the abstract argument tuples of every
 //! reachable call site into one context per module (sound for shared
 //! hardware instances), while memoized per-context *summaries* — keyed by
-//! structural fingerprint, so repeated submodules analyze once — resolve
-//! call sites exactly during solving.
+//! [`Hierarchy::content_hash`](hsyn_dfg::Hierarchy::content_hash), so
+//! repeated submodules analyze once — resolve call sites exactly during
+//! solving.
 //!
 //! Its headline product is the [`WidthCertificate`]: a proven-sufficient
 //! bit width for every variable in the hierarchy, which RTL sizing uses to
@@ -55,12 +56,10 @@
 
 mod certificate;
 mod domain;
-mod fingerprint;
 mod interproc;
 mod solver;
 
 pub use certificate::{certified_outputs, CertificateViolation, WidthCertificate};
 pub use domain::{bits_needed, sign_extend, transfer, AbstractValue, Interval, KnownBits};
-pub use fingerprint::fingerprints;
 pub use interproc::{analyze_hierarchy, AnalysisStats, HierAnalysis};
 pub use solver::DfgFacts;

@@ -271,12 +271,12 @@ pub(crate) fn instance_energy(
         let sub_e = match &mut memo {
             None => price(None),
             Some((memo, fp)) => {
-                let (sub_fp, nodes) = (&fp.subs[i], &sub_served.nodes);
-                match memo.get(sub_fp.fp, nodes) {
-                    Some(sub_e) => sub_e,
+                let key = (fp.subs[i].fp, sub_served.nodes.clone());
+                match memo.get(&key) {
+                    Some(&mut sub_e) => sub_e,
                     None => {
-                        let sub_e = price(Some((&mut **memo, sub_fp)));
-                        memo.insert(sub_fp.fp, nodes, sub_e);
+                        let sub_e = price(Some((&mut **memo, &fp.subs[i])));
+                        memo.insert(key, sub_e);
                         sub_e
                     }
                 }

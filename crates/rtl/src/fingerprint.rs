@@ -110,13 +110,6 @@ pub fn module_fingerprint(h: &Hierarchy, module: &RtlModule) -> u64 {
     fingerprint_tree(h, module).fp
 }
 
-/// Content hash of one DFG, independent of its [`DfgId`] and of all node /
-/// graph names: [`Hierarchy::content_hash`]. Hierarchical nodes recurse
-/// into the callee's content.
-pub fn dfg_fingerprint(h: &Hierarchy, id: DfgId) -> u64 {
-    h.content_hash(id)
-}
-
 /// Recompute the fingerprint tree of `module` after an edit confined to the
 /// submodule subtree addressed by `dirty` (child indices from the root;
 /// empty ⇒ the root itself changed, i.e. a full recomputation). Subtrees off
@@ -327,7 +320,7 @@ mod tests {
         let m2 = built(&h, d2, "impl_b");
         // Same structure, different names and DfgIds: equal fingerprints.
         assert_eq!(module_fingerprint(&h, &m1), module_fingerprint(&h, &m2));
-        assert_eq!(dfg_fingerprint(&h, d1), dfg_fingerprint(&h, d2));
+        assert_eq!(h.content_hash(d1), h.content_hash(d2));
 
         // A structurally different DFG fingerprints differently.
         let mut g = Dfg::new("third");
@@ -336,7 +329,7 @@ mod tests {
         let s = g.add_op(Operation::Sub, "s", &[a, b]);
         g.add_output("y", s);
         let d3 = h.add_dfg(g);
-        assert_ne!(dfg_fingerprint(&h, d1), dfg_fingerprint(&h, d3));
+        assert_ne!(h.content_hash(d1), h.content_hash(d3));
         let m3 = built(&h, d3, "impl_c");
         assert_ne!(module_fingerprint(&h, &m1), module_fingerprint(&h, &m3));
     }
@@ -435,24 +428,20 @@ mod tests {
         top.add_output("y", VarRef::new(call, 0));
         let top = h.add_dfg(top);
         h.set_top(top);
-        let (leaf_before, top_before) = (dfg_fingerprint(&h, leaf), dfg_fingerprint(&h, top));
+        let (leaf_before, top_before) = (h.content_hash(leaf), h.content_hash(top));
         // Warm the callee's cached hash, then edit it: a new constant node.
         assert_eq!(h.content_hash(leaf), leaf_before);
         h.dfg_mut(leaf).add_const("k", 3);
-        assert_ne!(dfg_fingerprint(&h, leaf), leaf_before);
-        assert_ne!(
-            dfg_fingerprint(&h, top),
-            top_before,
-            "the caller sees the edit"
-        );
+        assert_ne!(h.content_hash(leaf), leaf_before);
+        assert_ne!(h.content_hash(top), top_before, "the caller sees the edit");
         // Rebanking a callee memory reaches the caller the same way.
-        let with_mem = dfg_fingerprint(&h, top);
+        let with_mem = h.content_hash(top);
         let m = h
             .dfg_mut(leaf)
             .add_mem(hsyn_dfg::MemObject::owned("m", 4, 16));
-        let declared = dfg_fingerprint(&h, top);
+        let declared = h.content_hash(top);
         assert_ne!(declared, with_mem);
         h.dfg_mut(leaf).set_mem_banks(m, 2);
-        assert_ne!(dfg_fingerprint(&h, top), declared);
+        assert_ne!(h.content_hash(top), declared);
     }
 }

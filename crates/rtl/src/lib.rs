@@ -43,8 +43,7 @@ pub use cosim::{cosimulate, CosimDivergence, CosimDivergenceKind, CosimRun, Cosi
 pub use cost::{module_area, module_area_sized, AreaBreakdown};
 pub use embed::{embed, EmbedError, EmbedMaps, EmbedResult};
 pub use fingerprint::{
-    dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,
-    refresh_fingerprint_tree, FpTree,
+    fingerprint_at, fingerprint_tree, module_fingerprint, refresh_fingerprint_tree, FpTree,
 };
 pub use fsm::{control_bit_count, control_bits, generate_fsm, ControlWord, Fsm, FsmProgram};
 pub use instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
