@@ -58,7 +58,7 @@ pub use config::{Budget, MoveFamilies, SynthesisConfig};
 pub use cost::{evaluate, Evaluation, Objective};
 pub use design::{
     initial_solution, probe_min_latency, Child, ChildKind, DesignPoint, ModuleState,
-    OperatingPoint, SpecCore,
+    OperatingPoint, Relinks, SpecCore,
 };
 pub use explore::{explore, pareto_front, Exploration, ExplorePoint, SkippedPoint};
 pub use fuzz::{fuzz_cosim, FuzzCoverage, FuzzDivergence, FuzzParams, FuzzReport};

@@ -433,7 +433,8 @@ impl<'a> Transaction<'a> {
         mlib: &hsyn_rtl::ModuleLibrary,
         resynth: &mut dyn FnMut(&DesignPoint, &[usize], usize) -> Option<ChildKind>,
     ) -> Result<ModulePath, crate::ApplyError> {
-        crate::moves::apply_in_place(self.dp, mv, mlib, resynth, &mut self.log)
+        let relinks = &mut crate::Relinks::default();
+        crate::moves::apply_in_place(self.dp, mv, mlib, resynth, &mut self.log, relinks)
     }
 
     /// The design as currently edited.
@@ -506,9 +507,17 @@ mod tests {
         cands.extend(splitting_candidates(&dp, &mlib, Objective::Area));
         let mut applied = 0;
         let mut log = UndoLog::new();
+        let relinks = &mut crate::Relinks::default();
         for (_, mv) in cands {
             let mark = log.mark();
-            match crate::moves::apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log) {
+            match crate::moves::apply_in_place(
+                &mut dp,
+                &mv,
+                &mlib,
+                &mut |_, _, _| None,
+                &mut log,
+                relinks,
+            ) {
                 Ok(_) => {
                     applied += 1;
                     assert_ne!(
@@ -544,6 +553,7 @@ mod tests {
             &mlib,
             &mut |_, _, _| None,
             &mut log,
+            &mut crate::Relinks::default(),
         )
         .expect("repack applies");
         let fp1 = module_fingerprint(&dp.hierarchy, &dp.top.built);
@@ -554,6 +564,7 @@ mod tests {
             &mlib,
             &mut |_, _, _| None,
             &mut log,
+            &mut crate::Relinks::default(),
         )
         .expect("dedicate applies");
         log.rollback_to(&mut dp, m1);
@@ -655,7 +666,8 @@ mod tests {
         };
         let mut log = UndoLog::new();
         let mark = log.mark();
-        crate::moves::apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log)
+        let relinks = &mut crate::Relinks::default();
+        crate::moves::apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log, relinks)
             .expect("rebank applies");
         let rebanked = check(&dp);
         assert_ne!(

@@ -28,7 +28,15 @@ fn paulin_dp(period_ns: f64) -> (DesignPoint, ModuleLibrary) {
 /// Apply `mv` to a clone of `dp` (no move-*B* resynthesis).
 fn apply(dp: &DesignPoint, mv: &Move, mlib: &ModuleLibrary) -> Result<DesignPoint, ApplyError> {
     let mut new = dp.clone();
-    apply_in_place(&mut new, mv, mlib, &mut |_, _, _| None, &mut UndoLog::new())?;
+    let relinks = &mut hsyn_core::Relinks::default();
+    apply_in_place(
+        &mut new,
+        mv,
+        mlib,
+        &mut |_, _, _| None,
+        &mut UndoLog::new(),
+        relinks,
+    )?;
     Ok(new)
 }
 

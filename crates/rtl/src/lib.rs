@@ -52,8 +52,8 @@ pub use module::{Behavior, Binding, RtlModule};
 pub use netlist::netlist_text;
 pub use sizing::{derive_widths, fu_scale, ModuleWidths};
 pub use spec::{
-    build, build_ref, storage_analysis, window_of, BuildCtx, BuildError, FuGroup, ModuleSpec,
-    RegPolicy, SpecRef, StorageAnalysis, SubSpec,
+    build, build_ref, same_build, storage_analysis, window_of, BuildCtx, BuildError, FuGroup,
+    ModuleSpec, RegPolicy, SpecRef, StorageAnalysis, SubSpec,
 };
 pub use table::{NodeTable, SlotId, VarTable};
 pub use verilog::verilog_text;

@@ -1,8 +1,10 @@
 use crate::connect::DatapathView;
 use crate::instance::{FuInstId, FuInstance, RegId, RegInstance, SubId};
+use crate::spec::BuildPlan;
 use crate::table::{NodeTable, VarTable};
 use hsyn_dfg::{DfgId, Hierarchy, NodeId};
 use hsyn_sched::{Profile, Schedule};
+use std::sync::Arc;
 
 /// How a DFG's operations, variables, and hierarchical nodes map onto the
 /// hardware of one [`RtlModule`] — the paper's *assignment*.
@@ -58,6 +60,10 @@ pub struct RtlModule {
     view: DatapathView,
     /// Made by RTL embedding: its registers are named `q{i}`, not `r{i}`.
     pub(crate) embedded: bool,
+    /// What [`build_ref`](crate::build_ref) left for the next build of
+    /// this module (`None` for a module assembled any other way). Shared
+    /// by clones; never fingerprinted or compared.
+    pub(crate) plan: Option<Arc<BuildPlan>>,
 }
 
 impl RtlModule {
@@ -93,6 +99,7 @@ impl RtlModule {
             behaviors,
             view,
             embedded: false,
+            plan: None,
         }
     }
 

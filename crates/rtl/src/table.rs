@@ -21,7 +21,7 @@ pub trait SlotId: Copy + Eq + fmt::Debug {
 /// A map from the nodes of one DFG to ids: one slot per node, indexed by
 /// [`NodeId::index`], [`SlotId::UNBOUND`] where the node is unbound.
 /// Lookups are an array load and iteration is in ascending node order.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct NodeTable<T> {
     slots: Vec<T>,
 }

@@ -976,7 +976,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     outln!(
         "  by memo           : whole design {}/{}, value streams {}/{}, subtree energies {}/{}, \
          candidates {}/{}, move B {}/{} (hits/misses); {} kernel iterations, \
-         {} modules fingerprinted, {} modules area-walked",
+         {} modules fingerprinted, {} modules area-walked, {} modules rebuilt, \
+         {} nodes rescheduled",
         memo.design.hits,
         memo.design.misses,
         memo.stream.hits,
@@ -990,6 +991,8 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         report.stats.kernel_iterations,
         report.stats.modules_fingerprinted,
         report.stats.modules_area_walked,
+        report.stats.modules_rebuilt,
+        report.stats.nodes_rescheduled,
     );
     let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
     outln!(

@@ -49,6 +49,7 @@ fn move_a_swaps_c1_for_equivalent_c2() {
         &mlib,
         &mut |_, _, _| None,
         &mut UndoLog::new(),
+        &mut hsyn::core::Relinks::default(),
     )
     .expect("swap is schedulable");
     // The hierarchical node now invokes the chain DFG, not the tree.

@@ -13,7 +13,7 @@ use common::{arb_behavior, test_iters};
 use hsyn::core::{
     apply_in_place, initial_solution, plan_ruin, ruin_region, selection_candidates,
     sharing_candidates, splitting_candidates, synthesize, DesignPoint, Move, Objective,
-    OperatingPoint, RuinKind, SynthesisConfig, UndoLog,
+    OperatingPoint, Relinks, RuinKind, SynthesisConfig, UndoLog,
 };
 use hsyn::dfg::{benchmarks, Hierarchy};
 use hsyn::lib::papers::table1_library;
@@ -70,18 +70,21 @@ fn ruin_recreate_rollback_is_fingerprint_identical() {
             let before = module_fingerprint(&dp.hierarchy, &dp.top.built);
             let mut log = UndoLog::new();
             let kind = plan_ruin(&dp, &mut rng);
-            let ruined = ruin_region(&mut dp, &mlib, &kind, &mut log, 16);
+            let ruined = ruin_region(&mut dp, &mlib, &kind, &mut log, 16, &mut Relinks::default());
             assert!(
                 ruined == 0 || !log.is_empty(),
                 "case {case} cycle {cycle}: ruin edits must be journaled"
             );
             // Recreate: apply whatever candidate moves still validate.
             let mut applied = 0usize;
+            let relinks = &mut Relinks::default();
             for mv in recreate_moves(&dp, &mlib, &mut rng) {
                 if applied >= 6 {
                     break;
                 }
-                if apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log).is_ok() {
+                if apply_in_place(&mut dp, &mv, &mlib, &mut |_, _, _| None, &mut log, relinks)
+                    .is_ok()
+                {
                     applied += 1;
                 }
             }
@@ -106,9 +109,23 @@ fn ruin_to_fixpoint_is_idempotent() {
         let (mut dp, mlib) = random_design(&mut rng);
         let kind = plan_ruin(&dp, &mut rng);
         let mut log = UndoLog::new();
-        let first = ruin_region(&mut dp, &mlib, &kind, &mut log, usize::MAX);
+        let first = ruin_region(
+            &mut dp,
+            &mlib,
+            &kind,
+            &mut log,
+            usize::MAX,
+            &mut Relinks::default(),
+        );
         let fp = module_fingerprint(&dp.hierarchy, &dp.top.built);
-        let again = ruin_region(&mut dp, &mlib, &kind, &mut log, usize::MAX);
+        let again = ruin_region(
+            &mut dp,
+            &mlib,
+            &kind,
+            &mut log,
+            usize::MAX,
+            &mut Relinks::default(),
+        );
         assert_eq!(
             (again, fp),
             (0, module_fingerprint(&dp.hierarchy, &dp.top.built)),

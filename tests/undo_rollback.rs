@@ -73,11 +73,12 @@ fn random_move_sequences_roll_back_bit_exactly() {
         let mut log = UndoLog::new();
         let mut snaps = vec![(log.mark(), module_fingerprint(&dp.hierarchy, &dp.top.built))];
         let mut applied = 0usize;
+        let relinks = &mut hsyn::core::Relinks::default();
         for mv in &moves {
             let mark = log.mark();
             // Moves invalidated by earlier edits of the sequence are fine:
             // a failed apply must leave no trace in design or journal.
-            match apply_in_place(&mut dp, mv, &mlib, &mut |_, _, _| None, &mut log) {
+            match apply_in_place(&mut dp, mv, &mlib, &mut |_, _, _| None, &mut log, relinks) {
                 Ok(_) => {
                     applied += 1;
                     let fp = module_fingerprint(&dp.hierarchy, &dp.top.built);

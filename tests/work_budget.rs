@@ -2,9 +2,10 @@
 //! lists — the 34 `refine_power` cells ([`SweepConfig::quick`], two LNS
 //! iterations) and the 18 `sweep_area` cells at laxity 2.2
 //! ([`SweepConfig::default`]) — the kernel trace iterations, the modules
-//! fingerprinted and area-walked, and the misses of every memo
-//! ([`MoveStats::memo`]), pinned in
-//! `tests/golden/work_budget.json`, one line per cell.
+//! fingerprinted and area-walked, the misses of every memo
+//! ([`MoveStats::memo`]), and the spec rebuilds (modules relinked, nodes
+//! rescheduled), pinned in `tests/golden/work_budget.json`, one line per
+//! cell.
 //!
 //! The `result_json` goldens pin *logical* work, which every memo replays
 //! by design; these counters are the work the memos and the value streams
@@ -34,7 +35,8 @@ fn line(name: &str, s: &MoveStats) -> String {
     format!(
         "  \"{name}\": {{\"kernel_iterations\": {}, \"modules_fingerprinted\": {}, \
          \"modules_area_walked\": {}, \"design\": {}, \"stream\": {}, \"energy\": {}, \
-         \"candidate\": {}, \"move_b\": {}}}",
+         \"candidate\": {}, \"move_b\": {}, \"modules_rebuilt\": {}, \
+         \"nodes_rescheduled\": {}}}",
         s.kernel_iterations,
         s.modules_fingerprinted,
         s.modules_area_walked,
@@ -43,6 +45,8 @@ fn line(name: &str, s: &MoveStats) -> String {
         m.energy.misses,
         m.candidate.misses,
         m.move_b.misses,
+        s.modules_rebuilt,
+        s.nodes_rescheduled,
     )
 }
 
